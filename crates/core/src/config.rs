@@ -1,7 +1,6 @@
 //! Configuration of the miner and of the window/threshold search.
 
 use serde::{Deserialize, Serialize};
-use wiclean_revstore::DurabilityPolicy;
 use wiclean_types::{Timestamp, HOUR, WEEK, YEAR};
 
 /// Which join implementation computes pattern realizations.
@@ -412,11 +411,6 @@ pub struct WcConfig {
     /// restores the fixed heuristics — byte-identical output, ablation
     /// only. Fine-grained knobs live in [`MinerConfig::planner`].
     pub use_adaptive_planner: bool,
-    /// Durability knobs of the crash-safe revision store (WAL sync cadence,
-    /// checkpoint interval, delta encoding). Only consulted when a run
-    /// ingests into or recovers from a durable store directory; the values
-    /// are validated at deserialize time by [`DurabilityPolicy`].
-    pub durability: DurabilityPolicy,
     /// Watermark/seal knobs of the streaming miner. Only consulted by
     /// `wiclean stream` and [`crate::stream::StreamMiner`]; values are
     /// validated at deserialize time by [`StreamPolicy`].
@@ -462,15 +456,6 @@ impl<'de> serde::Deserialize<'de> for WcConfig {
                 NAME,
             )?
             .unwrap_or(true),
-            // Absent in configs written before the durable store existed;
-            // those get the defaults. Present values go through
-            // `DurabilityPolicy`'s validating deserializer.
-            durability: take_field_or_default::<Option<DurabilityPolicy>, D::Error>(
-                &mut fields,
-                "durability",
-                NAME,
-            )?
-            .unwrap_or_default(),
             // Absent in configs written before the streaming miner existed;
             // those get the defaults. Present values go through
             // `StreamPolicy`'s validating deserializer.
@@ -510,7 +495,6 @@ impl Default for WcConfig {
             use_action_cache: true,
             use_incremental_extract: true,
             use_adaptive_planner: true,
-            durability: DurabilityPolicy::default(),
             stream: StreamPolicy::default(),
             corpus: CorpusPolicy::default(),
         }
@@ -618,21 +602,24 @@ mod tests {
     }
 
     #[test]
-    fn durability_defaults_for_legacy_configs_and_validates() {
+    fn saved_configs_with_a_durability_key_still_load() {
+        // Configs saved while the config carried a `durability` section
+        // (the retired checkpoint store's knobs) must keep loading: the
+        // key, like any unknown key, is ignored.
         let full = serde_json::to_string(&WcConfig::default()).unwrap();
-
-        // Pre-durability configs (no `durability` key) load with defaults.
-        let start = full.find(",\"durability\"").unwrap();
-        let legacy_json = format!("{}}}", &full[..start]);
+        assert!(!full.contains("durability"));
+        let legacy_json = format!(
+            "{},\"durability\":{{\"sync\":{{\"EveryN\":64}},\"checkpoint_every\":4096,\"delta_encode\":true}}}}",
+            &full[..full.len() - 1]
+        );
         let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
-        assert_eq!(legacy.durability, DurabilityPolicy::default());
-
-        // Invalid knob values are rejected at load time, not at runtime.
-        let bad = full.replace("\"checkpoint_every\":4096", "\"checkpoint_every\":0");
-        let err = serde_json::from_str::<WcConfig>(&bad).unwrap_err();
-        assert!(err.to_string().contains("at least 1"), "{err}");
-        let bad_sync = full.replace("{\"EveryN\":64}", "{\"EveryN\":0}");
-        assert!(serde_json::from_str::<WcConfig>(&bad_sync).is_err());
+        assert_eq!(legacy, WcConfig::default());
+        // Even a value the old validator rejected no longer matters.
+        let zero = legacy_json.replace("\"checkpoint_every\":4096", "\"checkpoint_every\":0");
+        assert_eq!(
+            serde_json::from_str::<WcConfig>(&zero).unwrap(),
+            WcConfig::default()
+        );
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! A mining run that reads its corpus from a sharded store directory (see
 //! [`wiclean_revstore::ShardedStore`]) must surface exactly what the
-//! per-shard recovery kept and dropped, the same way the durable-store
-//! path ([`crate::recover`]) does for its WAL: a shard's lost tail is
-//! coverage the run can no longer observe. This module glues the sharded
+//! per-shard recovery kept and dropped: a shard's lost tail is coverage
+//! the run can no longer observe. This module glues the sharded
 //! store to the run accounting so every caller (CLI, eval drivers, the
 //! corpus bench, tests) reports identically, and provides the parallel
 //! per-shard ingest that converts an in-memory [`RevisionStore`] into
@@ -44,10 +43,9 @@ impl<V: Vfs> ShardedCorpus<V> {
 }
 
 /// Opens (recovering damaged shard tails if necessary) the sharded store
-/// in `dir`. Unlike the durable-store path, per-shard damage never refuses
-/// the open: shards are independent files, so a torn tail in one costs
-/// only that shard's suffix and lands in the attached
-/// [`ShardRecoveryReport`].
+/// in `dir`. Per-shard damage never refuses the open: shards are
+/// independent files, so a torn tail in one costs only that shard's suffix
+/// and lands in the attached [`ShardRecoveryReport`].
 pub fn open_sharded_corpus<V: Vfs + Clone>(
     fs: V,
     dir: &std::path::Path,

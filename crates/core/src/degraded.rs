@@ -36,17 +36,6 @@ pub struct DegradedCoverage {
     /// Whether any lost entity belongs to the seed type, i.e. the
     /// frequency denominator counts entities the run could not observe.
     pub denominator_affected: bool,
-    /// WAL records a crash recovery had to drop (torn or corrupt frames
-    /// past the last valid prefix of the durable store's log).
-    #[serde(default)]
-    pub wal_records_dropped: u64,
-    /// WAL bytes dropped by the same truncation.
-    #[serde(default)]
-    pub wal_bytes_dropped: u64,
-    /// Checkpoint files rejected by checksum/structure validation during
-    /// recovery (the store fell back to an older epoch).
-    #[serde(default)]
-    pub checkpoints_rejected: u64,
     /// Revisions that arrived on a stream after their window had already
     /// sealed (event time at or below the watermark). They are counted —
     /// never silently dropped — because each one is coverage the sealed
@@ -67,9 +56,6 @@ impl DegradedCoverage {
     pub fn is_empty(&self) -> bool {
         self.lost.is_empty()
             && self.parse_issues == 0
-            && self.wal_records_dropped == 0
-            && self.wal_bytes_dropped == 0
-            && self.checkpoints_rejected == 0
             && self.late_revisions == 0
             && self.shard_losses.is_empty()
     }
@@ -111,20 +97,9 @@ impl DegradedCoverage {
         self.lost.extend(other.lost.iter().cloned());
         self.parse_issues += other.parse_issues;
         self.denominator_affected |= other.denominator_affected;
-        self.wal_records_dropped += other.wal_records_dropped;
-        self.wal_bytes_dropped += other.wal_bytes_dropped;
-        self.checkpoints_rejected += other.checkpoints_rejected;
         self.late_revisions += other.late_revisions;
         self.shard_losses.extend(other.shard_losses.iter().copied());
         self.normalize();
-    }
-
-    /// Folds a durable-store recovery's losses into the coverage report:
-    /// dropped WAL records are revisions the run can no longer observe.
-    pub fn record_recovery(&mut self, recovery: &wiclean_revstore::RecoveryReport) {
-        self.wal_records_dropped += recovery.records_dropped;
-        self.wal_bytes_dropped += recovery.bytes_dropped;
-        self.checkpoints_rejected += recovery.checkpoints_rejected;
     }
 
     /// Folds a sharded store's recovery into the coverage report: each
@@ -168,13 +143,11 @@ mod tests {
             losses: vec![
                 ShardLoss {
                     shard: 2,
-                    records_dropped: 0,
                     bytes_dropped: 17,
                     outcome: TailOutcome::TornTail,
                 },
                 ShardLoss {
                     shard: 0,
-                    records_dropped: 1,
                     bytes_dropped: 40,
                     outcome: TailOutcome::CorruptFrame,
                 },

@@ -43,7 +43,6 @@ pub mod partial;
 pub mod pattern;
 pub mod pool;
 pub mod realization;
-pub mod recover;
 pub mod report;
 pub mod signal;
 pub mod specialize;
@@ -72,7 +71,6 @@ pub use parallel::{
 pub use partial::{detect_partial_updates, PartialReport, PartialUpdate};
 pub use pattern::Pattern;
 pub use pool::MiningPool;
-pub use recover::{open_recovered, RecoveredStore};
 pub use report::{DegradedReport, WcReport};
 pub use signal::{edit_volume_signal, significant_windows, WindowSignal};
 pub use specialize::{specialize_pattern, Specialization};

@@ -110,20 +110,6 @@ pub struct MineStats {
     /// [`wiclean_revstore::ExtractMode::FullReparse`]).
     #[serde(default)]
     pub bytes_skipped: u64,
-    /// WAL records replayed when this run's corpus was recovered from a
-    /// durable store directory (0 for in-memory/JSON corpora).
-    #[serde(default)]
-    pub wal_records_replayed: u64,
-    /// WAL records dropped by that recovery (torn/corrupt log tail).
-    #[serde(default)]
-    pub wal_records_dropped: u64,
-    /// WAL bytes dropped by that recovery.
-    #[serde(default)]
-    pub wal_bytes_dropped: u64,
-    /// Checkpoint files the recovery rejected by checksum before finding a
-    /// valid one.
-    #[serde(default)]
-    pub checkpoints_rejected: u64,
     /// Cumulative seal-to-result lag of streamed windows: microseconds from
     /// the watermark passing a window's bound to its mined result being
     /// ready (0 for batch runs).
@@ -213,10 +199,6 @@ impl MineStats {
         self.tables_pruned += other.tables_pruned;
         self.bytes_parsed += other.bytes_parsed;
         self.bytes_skipped += other.bytes_skipped;
-        self.wal_records_replayed += other.wal_records_replayed;
-        self.wal_records_dropped += other.wal_records_dropped;
-        self.wal_bytes_dropped += other.wal_bytes_dropped;
-        self.checkpoints_rejected += other.checkpoints_rejected;
         self.stream_lag_us += other.stream_lag_us;
         self.windows_sealed += other.windows_sealed;
         self.delta_rows_joined += other.delta_rows_joined;

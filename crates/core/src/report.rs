@@ -52,15 +52,6 @@ pub struct DegradedReport {
     pub denominator_affected: bool,
     /// Windows whose workers panicked: (window, panic message).
     pub failed_windows: Vec<(Window, String)>,
-    /// WAL records a crash recovery dropped before this run mined.
-    #[serde(default)]
-    pub wal_records_dropped: u64,
-    /// WAL bytes dropped by that recovery.
-    #[serde(default)]
-    pub wal_bytes_dropped: u64,
-    /// Checkpoint files the recovery rejected by checksum.
-    #[serde(default)]
-    pub checkpoints_rejected: u64,
     /// Revisions that arrived after their stream window sealed.
     #[serde(default)]
     pub late_revisions: u64,
@@ -75,9 +66,6 @@ impl DegradedReport {
         self.entities_lost.is_empty()
             && self.parse_issues == 0
             && self.failed_windows.is_empty()
-            && self.wal_records_dropped == 0
-            && self.wal_bytes_dropped == 0
-            && self.checkpoints_rejected == 0
             && self.late_revisions == 0
             && self.shard_losses.is_empty()
     }
@@ -153,9 +141,6 @@ impl WcReport {
                         )
                     })
                     .collect(),
-                wal_records_dropped: result.degraded.wal_records_dropped,
-                wal_bytes_dropped: result.degraded.wal_bytes_dropped,
-                checkpoints_rejected: result.degraded.checkpoints_rejected,
                 late_revisions: result.degraded.late_revisions,
                 shard_losses: result.degraded.shard_losses.clone(),
             },

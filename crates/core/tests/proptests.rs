@@ -491,14 +491,14 @@ proptest! {
 // Streaming differential properties: the incremental streaming miner must
 // seal every window to exactly what batch mining produces over the same
 // revisions — at any arrival order, any refresh cadence, any watermark
-// grace, any batch thread count, and across a WAL-fault crash/replay.
+// grace, any batch thread count, and across a storage-fault crash/replay.
 
 use std::sync::Arc;
 use wiclean_core::config::StreamPolicy;
 use wiclean_core::stream::{StreamConfig, StreamMiner};
 use wiclean_revstore::{
-    DurabilityPolicy, DurableFeed, FailKind, FailOp, FailSpec, FailpointFs, FeedEvent, MemFs,
-    RevisionFeed, SyncPolicy, VecFeed,
+    DurableFeed, FailKind, FailOp, FailSpec, FailpointFs, FeedEvent, MemFs, RevisionFeed,
+    ShardPolicy, SyncPolicy, VecFeed,
 };
 
 /// Every revision of `store` as feed events in chronological order.
@@ -686,8 +686,8 @@ proptest! {
         let _ = stats.fallbacks; // fallback count depends on arrival order
     }
 
-    /// Crash-replay property: events are WAL-appended by a `DurableFeed`
-    /// until a torn write kills the log; reopening replays exactly the
+    /// Crash-replay property: events are appended by a `DurableFeed` until
+    /// a torn write kills the store; reopening replays exactly the
     /// delivered prefix (in a different, normalized order), and streaming
     /// that replay seals to the same windows as batch-mining the prefix.
     #[test]
@@ -698,10 +698,10 @@ proptest! {
     ) {
         let (u, store, player_ty, _) = transfer_world();
         let events = drain(VecFeed::shuffled(feed_events(&store), shuffle_seed));
-        let policy = DurabilityPolicy {
+        let policy = ShardPolicy {
+            shards: 3,
             sync: SyncPolicy::Always,
-            checkpoint_every: 100_000,
-            delta_encode: true,
+            ..ShardPolicy::default()
         };
         let fs = Arc::new(MemFs::new());
         let spec = FailSpec::once(FailOp::Append, kill_at, FailKind::TornWrite { keep: 5 });
@@ -714,11 +714,11 @@ proptest! {
             }
             delivered.push(e);
         }
-        drop(feed); // crash without checkpoint
+        drop(feed); // crash without a flush
 
         let mut replay = DurableFeed::open(fs, "/feed", policy).unwrap();
         prop_assert_eq!(
-            replay.recovery().records_recovered() as usize,
+            replay.recovery().records_recovered as usize,
             delivered.len(),
             "recovery returns exactly the delivered prefix"
         );
@@ -815,7 +815,7 @@ proptest! {
         )?;
     }
 
-    /// Crash-replay under a forced plan: a torn WAL write kills the feed,
+    /// Crash-replay under a forced plan: a torn write kills the feed,
     /// recovery replays the delivered prefix, and streaming that replay
     /// with any forced plan still seals to the batch answer.
     #[test]
@@ -828,10 +828,10 @@ proptest! {
     ) {
         let (u, store, player_ty, _) = transfer_world();
         let events = drain(VecFeed::shuffled(feed_events(&store), shuffle_seed));
-        let policy = DurabilityPolicy {
+        let policy = ShardPolicy {
+            shards: 3,
             sync: SyncPolicy::Always,
-            checkpoint_every: 100_000,
-            delta_encode: true,
+            ..ShardPolicy::default()
         };
         let fs = Arc::new(MemFs::new());
         let spec = FailSpec::once(FailOp::Append, kill_at, FailKind::TornWrite { keep: 5 });
@@ -844,11 +844,11 @@ proptest! {
             }
             delivered += 1;
         }
-        drop(feed); // crash without checkpoint
+        drop(feed); // crash without a flush
 
         let mut replay = DurableFeed::open(fs, "/feed", policy).unwrap();
         prop_assert_eq!(
-            replay.recovery().records_recovered() as usize,
+            replay.recovery().records_recovered as usize,
             delivered,
             "recovery returns exactly the delivered prefix"
         );

@@ -1,4 +1,4 @@
-//! Crash-recovery sweep: the durable store under fault class × sync
+//! Crash-recovery sweep: the sharded store under fault class × sync
 //! policy, auditing every cell against clean in-memory ingestion.
 //!
 //! Usage: `recovery [seeds] [fault_seed]` (defaults: 40 seeds, a fixed

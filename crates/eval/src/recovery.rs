@@ -1,47 +1,49 @@
-//! Crash-recovery sweep: the durable revision store under injected
+//! Crash-recovery sweep: the sharded revision store under injected
 //! storage faults.
 //!
 //! A synthetic corpus is flattened into a deterministic ingestion stream
-//! and fed into a [`wiclean_revstore::DurableStore`] over an in-memory
-//! filesystem, across a grid of fault class × WAL sync policy. Each cell
-//! then recovers the directory and audits the outcome against clean
-//! in-memory ingestion:
+//! and appended to a [`wiclean_revstore::ShardedStore`] over an in-memory
+//! filesystem, across a grid of fault class × segment sync policy. Each
+//! cell then reopens the directory and audits the outcome against clean
+//! in-memory ingestion, shard by shard:
 //!
-//! * the recovered store must equal clean ingestion of an exact
-//!   arrival-order prefix (its own reported length);
-//! * any fault that cost records must be *detected* — visible in the
-//!   [`wiclean_revstore::RecoveryReport`] — except pure power loss of
-//!   never-synced bytes, which legitimately shortens the log cleanly;
-//! * recovery must never panic and never refuse a directory whose fallback
-//!   checkpoint chain is intact.
+//! * the recovered store must equal clean ingestion of, per shard, an
+//!   exact prefix (of whatever length the shard kept) of the appends that
+//!   shard received;
+//! * any fault that cost acknowledged records must be *detected* —
+//!   visible as a shard loss in the
+//!   [`wiclean_revstore::ShardRecoveryReport`] — except pure power loss of
+//!   never-synced bytes, which legitimately shortens a log cleanly;
+//! * recovery must never refuse a directory whose `meta.json` is intact
+//!   (no injected fault touches it, so the sweep stops on a refusal).
 //!
 //! A cell where corrupt data is accepted as valid (`undetected_corruption`)
 //! is the failure mode this sweep exists to catch; the `recovery` binary
 //! exits nonzero on any such cell, and CI runs it at a fixed seed.
 
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wiclean_revstore::{
-    mix64, DurabilityPolicy, DurableStore, FailKind, FailOp, FailSpec, FailpointFs, MemFs,
-    RevisionStore, SyncPolicy, Vfs,
+    mix64, FailKind, FailOp, FailSpec, FailpointFs, MemFs, MemoryBudget, RevisionStore,
+    ShardPolicy, ShardedStore, SyncPolicy, Vfs,
 };
 use wiclean_synth::{generate, DomainSpec, SynthConfig};
 use wiclean_types::{EntityId, Timestamp};
+
+/// Shards of every sweep store: enough that a fault in one shard leaves
+/// others to check for collateral damage.
+const SWEEP_SHARDS: u32 = 4;
 
 /// The storage-fault classes the sweep injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultClass {
     /// No faults: the differential baseline.
     None,
-    /// One WAL append torn mid-frame partway through ingestion.
+    /// One segment append torn mid-frame partway through ingestion.
     TornAppend,
-    /// One checkpoint rename torn, leaving a stub file.
-    TornRename,
-    /// A bit flipped inside the WAL after a clean shutdown.
-    WalBitFlip,
-    /// A bit flipped inside the newest checkpoint after a clean shutdown.
-    CkptBitFlip,
+    /// A bit flipped inside one shard's segment after a clean shutdown.
+    SegmentBitFlip,
     /// Seeded storm of torn appends and failed syncs during ingestion.
     FaultStorm,
     /// Power loss: every byte not yet fsynced vanishes.
@@ -49,12 +51,10 @@ pub enum FaultClass {
 }
 
 /// All sweep fault classes, in report order.
-pub const ALL_FAULT_CLASSES: [FaultClass; 7] = [
+pub const ALL_FAULT_CLASSES: [FaultClass; 5] = [
     FaultClass::None,
     FaultClass::TornAppend,
-    FaultClass::TornRename,
-    FaultClass::WalBitFlip,
-    FaultClass::CkptBitFlip,
+    FaultClass::SegmentBitFlip,
     FaultClass::FaultStorm,
     FaultClass::PowerLoss,
 ];
@@ -64,32 +64,30 @@ pub const ALL_FAULT_CLASSES: [FaultClass; 7] = [
 pub struct RecoveryCell {
     /// Injected fault class.
     pub fault: FaultClass,
-    /// WAL sync policy label (`always`, `every4`, `never`).
+    /// Segment sync policy label (`always`, `every4`, `never`).
     pub sync: String,
     /// Records in the full ingestion stream.
     pub records_total: u64,
-    /// Records the writer acknowledged before ingestion stopped (equals
-    /// `records_total` unless a fault wedged the store).
+    /// Records the store acknowledged before ingestion stopped (equals
+    /// `records_total` unless a fault wedged a shard).
     pub records_acked: u64,
     /// Records the recovered store holds.
     pub records_recovered: u64,
-    /// Records recovery decoded but could not apply.
-    pub records_dropped: u64,
-    /// WAL bytes recovery dropped (torn/corrupt tails, dead segments).
+    /// Acknowledged records the recovered store no longer holds, summed
+    /// over shards.
+    pub records_lost: u64,
+    /// Segment bytes recovery truncated (torn or corrupt tails).
     pub bytes_dropped: u64,
-    /// Checkpoints rejected by checksum validation.
-    pub checkpoints_rejected: u64,
+    /// Shards whose recovery reported a loss.
+    pub shards_damaged: u64,
     /// Whether the recovery report flagged any damage.
     pub damage_reported: bool,
-    /// Whether the recovered store equals clean ingestion of its own
-    /// reported prefix — the non-negotiable invariant.
+    /// Whether the recovered store equals clean ingestion of a prefix of
+    /// each shard's appends — the non-negotiable invariant.
     pub prefix_exact: bool,
-    /// Whether recovery refused the directory outright (acceptable only
-    /// when every checkpoint was destroyed).
-    pub refused: bool,
-    /// THE red flag: records were lost to a corruption-class fault and the
-    /// recovery report claimed the log was clean — corrupt data accepted
-    /// as valid.
+    /// THE red flag: acknowledged records were lost to a corruption-class
+    /// fault and the recovery report claimed every shard was clean —
+    /// corrupt data accepted as valid.
     pub undetected_corruption: bool,
 }
 
@@ -115,6 +113,10 @@ fn store_dir() -> PathBuf {
     PathBuf::from("/recovery-sweep")
 }
 
+fn budget() -> Arc<MemoryBudget> {
+    Arc::new(MemoryBudget::new(4 << 20))
+}
+
 /// Flattens a revision store into a deterministic arrival stream: entities
 /// by id, each history in order — the order an ingesting crawler would
 /// produce per page.
@@ -132,12 +134,57 @@ fn flatten_stream(store: &RevisionStore) -> Vec<(EntityId, Timestamp, String)> {
     out
 }
 
-fn ingest_clean(stream: &[(EntityId, Timestamp, String)]) -> RevisionStore {
-    let mut s = RevisionStore::new();
-    for (e, t, text) in stream {
-        s.record(*e, *t, text.clone());
+/// Whether `store` holds exactly, per shard, clean ingestion of a prefix
+/// of the appends that shard received in `stream`. Fills `kept` with the
+/// per-shard prefix lengths.
+fn shard_prefixes_exact<V: Vfs>(
+    store: &ShardedStore<V>,
+    stream: &[(EntityId, Timestamp, String)],
+    kept: &mut [u64],
+) -> bool {
+    let mut histories = Vec::new();
+    for entity in store.entities() {
+        match store.materialize(entity) {
+            Ok(Some(h)) => {
+                kept[store.shard_of(entity) as usize] += h.len() as u64;
+                histories.push((entity, h));
+            }
+            _ => return false,
+        }
     }
-    s
+    let mut seen = vec![0u64; kept.len()];
+    let mut clean = RevisionStore::new();
+    for (e, t, text) in stream {
+        let shard = store.shard_of(*e) as usize;
+        if seen[shard] < kept[shard] {
+            clean.record(*e, *t, text.clone());
+            seen[shard] += 1;
+        }
+    }
+    seen == kept
+        && clean.page_count() == histories.len()
+        && histories.iter().all(|(e, h)| {
+            clean
+                .peek(*e)
+                .is_some_and(|c| c.revisions() == h.revisions())
+        })
+}
+
+/// Flips one seeded byte of one seeded shard segment (the first existing
+/// segment at or after the seeded shard).
+fn flip_segment_bit(fs: &MemFs, dir: &Path, seed: u64) {
+    for i in 0..SWEEP_SHARDS {
+        let shard = (mix64(seed ^ 0x5EED) as u32).wrapping_add(i) % SWEEP_SHARDS;
+        let path = dir.join(format!("shard-{shard:04}.seg"));
+        if let Ok(len) = fs.len(&path) {
+            if len > 0 {
+                let offset = mix64(seed ^ 0xB17) % len;
+                let xor = (mix64(seed ^ 0xF11B) % 255 + 1) as u8;
+                fs.corrupt_byte(&path, offset, xor).ok();
+                return;
+            }
+        }
+    }
 }
 
 /// Runs one cell: ingest under the fault, recover, audit.
@@ -148,10 +195,11 @@ fn run_cell(
     sync_label: &str,
     seed: u64,
 ) -> RecoveryCell {
-    let policy = DurabilityPolicy {
+    let policy = ShardPolicy {
+        shards: SWEEP_SHARDS,
+        snapshot_every: 8,
         sync,
-        checkpoint_every: (stream.len() as u64 / 4).max(8),
-        delta_encode: true,
+        ..ShardPolicy::default()
     };
     let total = stream.len() as u64;
     let mem = Arc::new(MemFs::new());
@@ -165,14 +213,6 @@ fn run_cell(
                 keep: (mix64(seed) % 61 + 1) as usize,
             },
         ),
-        // Rename #0 is the creation checkpoint; #1 the first automatic one.
-        FaultClass::TornRename => FailSpec::once(
-            FailOp::Rename,
-            1,
-            FailKind::TornRename {
-                keep: (mix64(seed ^ 1) % 23 + 1) as usize,
-            },
-        ),
         FaultClass::FaultStorm => FailSpec {
             fail_at: vec![],
             seed,
@@ -181,100 +221,61 @@ fn run_cell(
         },
         _ => FailSpec::default(),
     };
-    let fs = Arc::new(FailpointFs::new(mem.clone(), spec));
+    let fs = FailpointFs::new(mem.clone(), spec);
 
-    let mut acked: u64 = 0;
-    match DurableStore::create(fs, store_dir(), policy) {
-        Ok(mut ds) => {
-            for (e, t, text) in stream {
-                if ds.record(*e, *t, text).is_err() {
-                    break;
-                }
-                acked += 1;
+    let mut acked = vec![0u64; SWEEP_SHARDS as usize];
+    // A failed creation sync leaves nothing acknowledged.
+    if let Ok(store) = ShardedStore::create(&fs, &store_dir(), policy, budget()) {
+        for (e, t, text) in stream {
+            if store.append(*e, *t, text).is_err() {
+                break;
             }
-            // A power cut strikes mid-run — no orderly shutdown sync.
-            // Every other class gets a clean close so the injected fault
-            // is the only damage in play.
-            if fault != FaultClass::PowerLoss {
-                let _ = ds.sync();
-            }
+            acked[store.shard_of(*e) as usize] += 1;
         }
-        Err(_) => {
-            // The injected fault hit store creation itself; nothing acked.
+        // A power cut strikes mid-run — no orderly shutdown sync. Every
+        // other class gets a clean close so the injected fault is the
+        // only damage in play.
+        if fault != FaultClass::PowerLoss {
+            let _ = store.flush();
         }
     }
 
     // Post-shutdown damage.
     match fault {
-        FaultClass::WalBitFlip | FaultClass::CkptBitFlip => {
-            let prefix = if fault == FaultClass::WalBitFlip {
-                "wal-"
-            } else {
-                "ckpt-"
-            };
-            let names = mem.list(&store_dir()).unwrap_or_default();
-            if let Some(newest) = names.iter().filter(|n| n.starts_with(prefix)).max() {
-                let path = store_dir().join(newest.as_str());
-                if let Ok(len) = mem.len(&path) {
-                    if len > 0 {
-                        let offset = mix64(seed ^ 0xB17) % len;
-                        let xor = (mix64(seed ^ 0xF11B) % 255 + 1) as u8;
-                        mem.corrupt_byte(&path, offset, xor).ok();
-                    }
-                }
-            }
-        }
+        FaultClass::SegmentBitFlip => flip_segment_bit(&mem, &store_dir(), seed),
         FaultClass::PowerLoss => mem.drop_unsynced(),
         _ => {}
     }
 
-    match DurableStore::open(mem, store_dir(), policy) {
-        Ok(back) => {
-            let r = back.recovery().clone();
-            let n = r.records_recovered();
-            let prefix_exact = n <= total
-                && back.store() == &ingest_clean(&stream[..(n as usize).min(stream.len())]);
-            let damage_reported = !r.is_clean();
-            // Records were durable up to `acked` (plus possibly one
-            // in-flight). Losing acked records without a report is silent
-            // corruption — except under power loss, where never-synced
-            // bytes legitimately vanish from a clean log, and for sync
-            // policies that buffer (the loss is bounded, not corrupt).
-            let lost_acked = n < acked;
-            let loss_excusable = matches!(fault, FaultClass::PowerLoss);
-            let undetected = !prefix_exact || (lost_acked && !damage_reported && !loss_excusable);
-            RecoveryCell {
-                fault,
-                sync: sync_label.to_owned(),
-                records_total: total,
-                records_acked: acked,
-                records_recovered: n,
-                records_dropped: r.records_dropped,
-                bytes_dropped: r.bytes_dropped,
-                checkpoints_rejected: r.checkpoints_rejected,
-                damage_reported,
-                prefix_exact,
-                refused: false,
-                undetected_corruption: undetected,
-            }
-        }
-        Err(_) => RecoveryCell {
-            fault,
-            sync: sync_label.to_owned(),
-            records_total: total,
-            records_acked: acked,
-            records_recovered: 0,
-            records_dropped: 0,
-            bytes_dropped: 0,
-            checkpoints_rejected: 0,
-            damage_reported: true,
-            prefix_exact: true,
-            // Refusal is loud by definition — never an undetected accept.
-            // Whether it was *warranted* is judged by the caller's eye on
-            // the table; the checksum error itself is the detection.
-            refused: true,
-            undetected_corruption: false,
-        },
+    // No injected fault touches meta.json, so a failed open is a bug in
+    // the store, not a recovery outcome.
+    let (back, r) = ShardedStore::open(mem, &store_dir(), policy, budget())
+        .expect("a store with an intact meta.json opens");
+    let mut kept = vec![0u64; SWEEP_SHARDS as usize];
+    let prefix_exact = shard_prefixes_exact(&back, stream, &mut kept);
+    let records_lost: u64 = acked
+        .iter()
+        .zip(&kept)
+        .map(|(a, k)| a.saturating_sub(*k))
+        .sum();
+    let damage_reported = !r.is_clean();
+    // Losing acknowledged records without a report is silent corruption —
+    // except under power loss, where never-synced bytes legitimately
+    // vanish from a clean log.
+    let loss_excusable = fault == FaultClass::PowerLoss;
+    RecoveryCell {
+        fault,
+        sync: sync_label.to_owned(),
+        records_total: total,
+        records_acked: acked.iter().sum(),
+        records_recovered: r.records_recovered,
+        records_lost,
+        bytes_dropped: r.bytes_dropped(),
+        shards_damaged: r.losses.len() as u64,
+        damage_reported,
+        prefix_exact,
+        undetected_corruption: !prefix_exact
+            || (records_lost > 0 && !damage_reported && !loss_excusable),
     }
 }
 
@@ -314,32 +315,33 @@ pub fn run_recovery(
 pub fn render_recovery(r: &RecoverySweepReport) -> String {
     let mut out = format!(
         "{}: {} records in stream\n\
-         {:>12}  {:>7}  {:>7}  {:>9}  {:>7}  {:>7}  {:>5}  {:>6}  {:>10}\n",
+         {:>14}  {:>7}  {:>7}  {:>9}  {:>6}  {:>9}  {:>7}  {:>5}  {:>6}  {:>10}\n",
         r.domain,
         r.records,
         "fault",
         "sync",
         "acked",
         "recovered",
-        "dropped",
-        "ckpt-rej",
+        "lost",
+        "dropped-B",
+        "shards✗",
         "exact",
         "loud",
         "UNDETECTED"
     );
     for c in &r.cells {
         out.push_str(&format!(
-            "{:>12}  {:>7}  {:>7}  {:>9}  {:>7}  {:>7}  {:>5}  {:>6}  {:>10}{}\n",
+            "{:>14}  {:>7}  {:>7}  {:>9}  {:>6}  {:>9}  {:>7}  {:>5}  {:>6}  {:>10}\n",
             format!("{:?}", c.fault),
             c.sync,
             c.records_acked,
             c.records_recovered,
-            c.records_dropped,
-            c.checkpoints_rejected,
+            c.records_lost,
+            c.bytes_dropped,
+            c.shards_damaged,
             c.prefix_exact,
             c.damage_reported,
             c.undetected_corruption,
-            if c.refused { "  [refused]" } else { "" },
         ));
     }
     out
@@ -372,22 +374,30 @@ mod tests {
                 !c.undetected_corruption,
                 "undetected corruption in cell {c:?}"
             );
-            assert!(c.prefix_exact || c.refused, "inexact prefix in {c:?}");
+            assert!(c.prefix_exact, "inexact prefix in {c:?}");
         }
         // The fault-free baseline recovers everything under every policy.
         for c in report.cells.iter().filter(|c| c.fault == FaultClass::None) {
             assert_eq!(c.records_recovered, report.records, "{c:?}");
             assert!(!c.damage_reported, "{c:?}");
         }
-        // Injected checkpoint damage is actually detected somewhere.
-        assert!(
-            report
-                .cells
-                .iter()
-                .filter(|c| c.fault == FaultClass::CkptBitFlip)
-                .any(|c| c.checkpoints_rejected > 0 || c.refused),
-            "checkpoint bit flips must be caught by the checksum"
-        );
+        // Injected segment damage is always caught by the frame checks,
+        // and costs exactly the one damaged shard.
+        for c in report
+            .cells
+            .iter()
+            .filter(|c| c.fault == FaultClass::SegmentBitFlip)
+        {
+            assert!(c.damage_reported && c.records_lost > 0, "{c:?}");
+            assert_eq!(c.shards_damaged, 1, "{c:?}");
+        }
+        // Under per-append sync, power loss costs nothing acknowledged.
+        let always_power = report
+            .cells
+            .iter()
+            .find(|c| c.fault == FaultClass::PowerLoss && c.sync == "always")
+            .unwrap();
+        assert_eq!(always_power.records_lost, 0, "{always_power:?}");
         let rendered = render_recovery(&report);
         assert!(rendered.contains("UNDETECTED"));
     }

@@ -1,11 +1,11 @@
 //! A minimal filesystem abstraction with deterministic fault injection.
 //!
-//! The durable store ([`crate::checkpoint::DurableStore`]) never touches
+//! The sharded store ([`crate::shard::ShardedStore`]) never touches
 //! `std::fs` directly: every byte goes through the [`Vfs`] trait, so the
 //! same code path runs against the real disk ([`RealFs`]), an in-memory
 //! filesystem for fast tests ([`MemFs`]), or a fault-injecting wrapper
-//! ([`FailpointFs`]) that can tear a write at a chosen byte, break a rename
-//! halfway, flip a bit after the fact, or fail a sync — all deterministic
+//! ([`FailpointFs`]) that can tear a write at a chosen byte, fail a rename,
+//! flip a bit after the fact, or fail a sync — all deterministic
 //! functions of a scripted [`FailSpec`], in the same spirit as
 //! [`crate::fault::FaultPlan`] on the network layer. Crash-recovery is
 //! therefore testable without real crashes: ingest through a `FailpointFs`
@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The filesystem operations the durable store needs. Deliberately tiny —
+/// The filesystem operations the sharded store needs. Deliberately tiny —
 /// whole-value reads and writes plus append, rename, truncate and sync —
 /// so fault injection can reason about every byte that moves.
 pub trait Vfs: Send + Sync {
@@ -42,8 +42,6 @@ pub trait Vfs: Send + Sync {
     fn len(&self, path: &Path) -> io::Result<u64>;
     /// Whether the file exists.
     fn exists(&self, path: &Path) -> bool;
-    /// File names (not full paths) directly inside `dir`.
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
     /// Creates `dir` and its parents.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
     /// A read-only byte view of the whole file. The default is an owned
@@ -103,16 +101,6 @@ impl Vfs for RealFs {
 
     fn exists(&self, path: &Path) -> bool {
         path.exists()
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            if let Some(name) = entry?.file_name().to_str() {
-                names.push(name.to_owned());
-            }
-        }
-        Ok(names)
     }
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
@@ -258,17 +246,6 @@ impl Vfs for MemFs {
             .contains_key(path)
     }
 
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        let files = self.files.lock().expect("memfs mutex poisoned");
-        let mut names: Vec<String> = files
-            .keys()
-            .filter(|p| p.parent() == Some(dir))
-            .filter_map(|p| p.file_name().and_then(|n| n.to_str()).map(str::to_owned))
-            .collect();
-        names.sort();
-        Ok(names)
-    }
-
     fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
         Ok(())
     }
@@ -301,9 +278,6 @@ impl<T: Vfs + ?Sized> Vfs for Arc<T> {
     }
     fn exists(&self, path: &Path) -> bool {
         (**self).exists(path)
-    }
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        (**self).list(dir)
     }
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         (**self).create_dir_all(dir)
@@ -341,9 +315,6 @@ impl<T: Vfs + ?Sized> Vfs for &T {
     fn exists(&self, path: &Path) -> bool {
         (**self).exists(path)
     }
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        (**self).list(dir)
-    }
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         (**self).create_dir_all(dir)
     }
@@ -372,14 +343,6 @@ pub enum FailKind {
     /// error, and the filesystem halts (simulated process death mid-write).
     TornWrite {
         /// Payload bytes that make it to the file before the tear.
-        keep: usize,
-    },
-    /// The rename's destination materializes with only the first `keep`
-    /// bytes of the source, the source is lost, and the filesystem halts —
-    /// the non-atomic copy+delete a cheap filesystem degrades a cross-
-    /// directory rename into, interrupted halfway.
-    TornRename {
-        /// Source bytes that make it to the destination.
         keep: usize,
     },
     /// The operation succeeds but the byte at `offset` of the target file
@@ -556,7 +519,6 @@ impl<V: Vfs> Vfs for FailpointFs<V> {
                 self.halt();
                 Err(fail_err("write failed (halted)"))
             }
-            Some(FailKind::TornRename { .. }) => Err(fail_err("torn rename on a write op")),
         }
     }
 
@@ -584,20 +546,12 @@ impl<V: Vfs> Vfs for FailpointFs<V> {
                 self.halt();
                 Err(fail_err("append failed (halted)"))
             }
-            Some(FailKind::TornRename { .. }) => Err(fail_err("torn rename on an append op")),
         }
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         match self.next_fault(FailOp::Rename)? {
             None => self.inner.rename(from, to),
-            Some(FailKind::TornRename { keep }) => {
-                let src = self.inner.read(from)?;
-                self.inner.write(to, &src[..keep.min(src.len())])?;
-                self.inner.remove(from).ok();
-                self.halt();
-                Err(fail_err("torn rename (halted)"))
-            }
             Some(FailKind::ErrOnly) => Err(fail_err("rename failed")),
             Some(FailKind::Halt) => {
                 self.halt();
@@ -646,10 +600,6 @@ impl<V: Vfs> Vfs for FailpointFs<V> {
         self.inner.exists(path)
     }
 
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.inner.list(dir)
-    }
-
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         if self.halted() {
             return Err(fail_err("filesystem halted by earlier failure"));
@@ -679,14 +629,13 @@ mod tests {
     }
 
     #[test]
-    fn memfs_round_trips_and_lists() {
+    fn memfs_round_trips() {
         let fs = MemFs::new();
         fs.write(&p("/d/a"), b"hello").unwrap();
         fs.append(&p("/d/a"), b" world").unwrap();
         assert_eq!(fs.read(&p("/d/a")).unwrap(), b"hello world");
         assert_eq!(fs.len(&p("/d/a")).unwrap(), 11);
         fs.write(&p("/d/b"), b"x").unwrap();
-        assert_eq!(fs.list(&p("/d")).unwrap(), vec!["a", "b"]);
         fs.rename(&p("/d/a"), &p("/d/c")).unwrap();
         assert!(!fs.exists(&p("/d/a")));
         assert_eq!(fs.read(&p("/d/c")).unwrap(), b"hello world");
@@ -720,19 +669,6 @@ mod tests {
         assert!(fs.halted());
         assert!(fs.append(&p("/w"), b"cccc").is_err());
         assert_eq!(fs.inner().read(&p("/w")).unwrap(), b"aaaabbb");
-    }
-
-    #[test]
-    fn torn_rename_leaves_partial_destination() {
-        let fs = FailpointFs::new(
-            MemFs::new(),
-            FailSpec::once(FailOp::Rename, 0, FailKind::TornRename { keep: 2 }),
-        );
-        fs.write(&p("/tmp"), b"fresh").unwrap();
-        assert!(fs.rename(&p("/tmp"), &p("/final")).is_err());
-        assert!(fs.halted());
-        assert_eq!(fs.inner().read(&p("/final")).unwrap(), b"fr");
-        assert!(!fs.inner().exists(&p("/tmp")));
     }
 
     #[test]

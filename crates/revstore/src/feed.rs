@@ -11,21 +11,25 @@
 //!
 //! * [`VecFeed`] — an in-memory feed over a fixed event list, with a
 //!   deterministic seeded shuffle for exercising out-of-order arrival;
-//! * [`DurableFeed`] — a feed layered on the crash-safe [`DurableStore`]:
-//!   every event is WAL-appended *before* it is handed to the consumer, so
-//!   a crashed stream run can reopen the directory and replay everything it
-//!   had ingested. Replay order is normalized to `(entity, time)` — a
+//! * [`DurableFeed`] — a feed layered on the crash-safe [`ShardedStore`]:
+//!   every event is appended to the store *before* it is handed to the
+//!   consumer, so a crashed stream run can reopen the directory and replay
+//!   everything it had ingested. Replay order is normalized to `(entity, time)` — a
 //!   different arrival order than the live run saw, which is fine precisely
 //!   because the streaming miner's sealed output is arrival-order
 //!   independent.
 
-use crate::checkpoint::{DurabilityPolicy, DurableStore, RecoveryReport};
 use crate::failfs::Vfs;
-use crate::store::RevisionStore;
+use crate::shard::{MemoryBudget, ShardPolicy, ShardRecoveryReport, ShardedStore};
 use crate::wal::WalError;
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::Path;
+use std::sync::Arc;
 use wiclean_types::{EntityId, Timestamp};
+
+/// Snapshot-cache budget of a feed's store. A replay materializes each
+/// history exactly once, so the cache only needs to bound residency.
+const FEED_CACHE_BYTES: u64 = 8 << 20;
 
 /// One revision arriving on a feed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +111,7 @@ impl RevisionFeed for VecFeed {
     }
 }
 
-/// A durable feed: events are WAL-appended to a [`DurableStore`] *before*
+/// A durable feed: events are appended to a [`ShardedStore`] *before*
 /// delivery, so a crashed consumer can reopen the directory and replay
 /// every event it had been handed (plus any it had not yet consumed).
 ///
@@ -116,42 +120,55 @@ impl RevisionFeed for VecFeed {
 /// order. The streaming miner's sealed results are arrival-order
 /// independent (pinned by its differential property tests), which is what
 /// makes this normalization a correct resume.
-pub struct DurableFeed<V: Vfs + Clone> {
-    store: DurableStore<V>,
+pub struct DurableFeed<V: Vfs> {
+    store: ShardedStore<V>,
+    recovery: ShardRecoveryReport,
     pending: VecDeque<FeedEvent>,
 }
 
-impl<V: Vfs + Clone> DurableFeed<V> {
+impl<V: Vfs> DurableFeed<V> {
     /// Creates a fresh feed directory (which must not already contain one).
-    pub fn create(
-        fs: V,
-        dir: impl Into<PathBuf>,
-        policy: DurabilityPolicy,
-    ) -> Result<Self, WalError> {
+    pub fn create(fs: V, dir: impl AsRef<Path>, policy: ShardPolicy) -> Result<Self, WalError> {
+        let store = ShardedStore::create(fs, dir.as_ref(), policy, feed_budget())?;
         Ok(Self {
-            store: DurableStore::create(fs, dir, policy)?,
+            recovery: ShardRecoveryReport {
+                shards: store.policy().shards,
+                ..ShardRecoveryReport::default()
+            },
+            store,
             pending: VecDeque::new(),
         })
     }
 
-    /// Opens an existing feed directory, running crash recovery, and queues
-    /// every recovered revision for replay in `(entity, time)` order.
-    pub fn open(
-        fs: V,
-        dir: impl Into<PathBuf>,
-        policy: DurabilityPolicy,
-    ) -> Result<Self, WalError> {
-        let store = DurableStore::open(fs, dir, policy)?;
-        let pending = replay_events(store.store());
-        Ok(Self { store, pending })
+    /// Opens an existing feed directory, running per-shard crash recovery,
+    /// and queues every recovered revision for replay in `(entity, time)`
+    /// order.
+    pub fn open(fs: V, dir: impl AsRef<Path>, policy: ShardPolicy) -> Result<Self, WalError> {
+        let (store, recovery) = ShardedStore::open(fs, dir.as_ref(), policy, feed_budget())?;
+        let mut pending = VecDeque::new();
+        for entity in store.entities() {
+            let Some(history) = store.materialize(entity)? else {
+                continue;
+            };
+            pending.extend(history.revisions().iter().map(|r| FeedEvent {
+                entity,
+                time: r.time,
+                text: r.text.clone(),
+            }));
+        }
+        Ok(Self {
+            store,
+            recovery,
+            pending,
+        })
     }
 
     /// Durably records one arriving revision and queues it for delivery.
-    /// The WAL append happens first: an event the consumer sees is already
-    /// recoverable. On failure nothing is queued (and the underlying store
-    /// wedges until reopened).
+    /// The store append happens first: an event the consumer sees is
+    /// already recoverable. On failure nothing is queued (and the store
+    /// shard wedges until reopened).
     pub fn push(&mut self, entity: EntityId, time: Timestamp, text: &str) -> Result<(), WalError> {
-        self.store.record(entity, time, text)?;
+        self.store.append(entity, time, text)?;
         self.pending.push_back(FeedEvent {
             entity,
             time,
@@ -160,13 +177,14 @@ impl<V: Vfs + Clone> DurableFeed<V> {
         Ok(())
     }
 
-    /// What recovery found when the feed was opened.
-    pub fn recovery(&self) -> &RecoveryReport {
-        self.store.recovery()
+    /// What recovery found when the feed was opened (clean for a freshly
+    /// created feed).
+    pub fn recovery(&self) -> &ShardRecoveryReport {
+        &self.recovery
     }
 
-    /// The backing durable store.
-    pub fn store(&self) -> &DurableStore<V> {
+    /// The backing sharded store.
+    pub fn store(&self) -> &ShardedStore<V> {
         &self.store
     }
 
@@ -176,32 +194,14 @@ impl<V: Vfs + Clone> DurableFeed<V> {
     }
 }
 
-impl<V: Vfs + Clone> RevisionFeed for DurableFeed<V> {
+impl<V: Vfs> RevisionFeed for DurableFeed<V> {
     fn next_event(&mut self) -> Option<FeedEvent> {
         self.pending.pop_front()
     }
 }
 
-/// All revisions of a recovered store as feed events in `(entity, time)`
-/// order (ties broken by stored order, which per entity is chronological
-/// with equal timestamps in original arrival order).
-fn replay_events(store: &RevisionStore) -> VecDeque<FeedEvent> {
-    let mut entities: Vec<EntityId> = store.entities().collect();
-    entities.sort_by_key(|e| e.as_u32());
-    let mut out = VecDeque::new();
-    for entity in entities {
-        let Some(history) = store.peek(entity) else {
-            continue;
-        };
-        for r in history.revisions() {
-            out.push_back(FeedEvent {
-                entity,
-                time: r.time,
-                text: r.text.clone(),
-            });
-        }
-    }
-    out
+fn feed_budget() -> Arc<MemoryBudget> {
+    Arc::new(MemoryBudget::new(FEED_CACHE_BYTES))
 }
 
 #[cfg(test)]
@@ -209,8 +209,7 @@ mod tests {
     use super::*;
     use crate::failfs::{FailKind, FailOp, FailSpec, FailpointFs, MemFs};
     use crate::wal::SyncPolicy;
-    use std::path::Path;
-    use std::sync::Arc;
+    use std::path::PathBuf;
 
     fn eid(i: u32) -> EntityId {
         EntityId::from_u32(i)
@@ -224,16 +223,17 @@ mod tests {
         }
     }
 
-    fn policy() -> DurabilityPolicy {
-        DurabilityPolicy {
+    fn policy() -> ShardPolicy {
+        ShardPolicy {
+            shards: 2,
+            snapshot_every: 4,
             sync: SyncPolicy::Always,
-            checkpoint_every: 1000,
-            delta_encode: true,
+            ..ShardPolicy::default()
         }
     }
 
     fn dir() -> PathBuf {
-        Path::new("/feed").to_path_buf()
+        PathBuf::from("/feed")
     }
 
     #[test]
@@ -284,13 +284,14 @@ mod tests {
         for e in [ev(2, 30), ev(1, 10), ev(2, 5), ev(1, 40), ev(1, 25)] {
             feed.push(e.entity, e.time, &e.text).unwrap();
         }
-        // Consume a couple, then "crash" (drop without checkpointing).
+        // Consume a couple, then "crash" (drop without a flush).
         assert!(feed.next_event().is_some());
         assert!(feed.next_event().is_some());
         drop(feed);
 
         let mut reopened = DurableFeed::open(fs, dir(), policy()).unwrap();
-        assert_eq!(reopened.recovery().records_recovered(), 5);
+        assert_eq!(reopened.recovery().records_recovered, 5);
+        assert!(reopened.recovery().is_clean());
         assert_eq!(reopened.pending(), 5, "replay includes consumed events");
         let mut got = Vec::new();
         while let Some(e) = reopened.next_event() {
@@ -311,8 +312,8 @@ mod tests {
 
     #[test]
     fn durable_feed_never_delivers_an_unlogged_event() {
-        // The third WAL append tears: the push must fail AND the event must
-        // not be queued — delivered events are exactly the recoverable ones.
+        // The third append tears: the push must fail AND the event must not
+        // be queued — delivered events are exactly the recoverable ones.
         let fs = Arc::new(MemFs::new());
         let spec = FailSpec::once(FailOp::Append, 2, FailKind::TornWrite { keep: 3 });
         let failing = Arc::new(FailpointFs::new(fs.clone(), spec));
@@ -322,13 +323,14 @@ mod tests {
         let err = feed.push(eid(1), 30, "c").unwrap_err();
         assert!(!err.to_string().is_empty());
         assert_eq!(feed.pending(), 2, "failed push queues nothing");
-        // Further pushes are refused: the store wedged.
+        // Further pushes are refused: the shard wedged.
         assert!(feed.push(eid(1), 40, "d").is_err());
         drop(feed);
 
         // Recovery on the undamaged prefix sees exactly the delivered set.
         let reopened = DurableFeed::open(fs, dir(), policy()).unwrap();
-        assert_eq!(reopened.recovery().records_recovered(), 2);
+        assert_eq!(reopened.recovery().records_recovered, 2);
+        assert_eq!(reopened.recovery().bytes_dropped(), 3, "the torn frame");
         assert_eq!(reopened.pending(), 2);
     }
 }

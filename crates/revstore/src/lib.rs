@@ -17,7 +17,6 @@
 
 pub mod action;
 pub mod cache;
-pub mod checkpoint;
 pub mod extract;
 pub mod failfs;
 pub mod fault;
@@ -31,7 +30,6 @@ pub mod wal;
 
 pub use action::Action;
 pub use cache::{ActionCache, ActionCacheStats, CacheLookup};
-pub use checkpoint::{DurabilityPolicy, DurableStore, RecoveryReport};
 pub use extract::{
     extract_actions, extract_actions_for, try_extract_actions, try_extract_actions_full,
     try_extract_actions_incremental, try_extract_actions_with, ExtractMode, ExtractOutcome,
@@ -47,5 +45,5 @@ pub use shard::{
     ShardedStore, SnapshotCache, SnapshotCacheStats,
 };
 pub use store::{CrawlStats, PageHistory, Revision, RevisionStore};
-pub use wal::{scan_wal, SyncPolicy, TailOutcome, WalError, WalRecord, WalScan, WalWriter};
+pub use wal::{SyncPolicy, TailOutcome, WalError, WalRecord};
 pub use wiclean_wikitext::EditOp;

@@ -7,8 +7,8 @@
 //! [`ShardedStore`] keeps the corpus on disk instead and materializes
 //! page histories on demand:
 //!
-//! * **Delta-encoded entity logs.** Each revision is appended as a WAL
-//!   frame (`len:u32 crc:u32 payload`, the exact format of
+//! * **Delta-encoded entity logs.** Each revision is appended as a
+//!   checksummed frame (`len:u32 crc:u32 payload`, the codec of
 //!   [`crate::wal`]): a line-splice delta against the entity's previous
 //!   revision when that is smaller, a full text otherwise. Every
 //!   `snapshot_every`-th revision per entity is forced full, so
@@ -41,9 +41,12 @@
 //!
 //! **Crash safety.** Opening a store scans each segment's longest valid
 //! frame prefix (CRC + structural header checks), truncates anything
-//! after it, and reports per-shard losses in a [`ShardRecoveryReport`] —
-//! the same torn-tail/corrupt-frame taxonomy as [`crate::wal::scan_wal`],
-//! applied shard by shard.
+//! after it, and reports per-shard losses in a [`ShardRecoveryReport`] in
+//! the torn-tail/corrupt-frame taxonomy of [`TailOutcome`]. A failed
+//! append or sync *wedges* its shard: the failure may have left torn bytes
+//! after the last valid frame, so every later append to that shard is
+//! refused until the store is reopened (and the scan truncates the
+//! damage) — an acknowledged append is never written after garbage.
 
 use crate::failfs::Vfs;
 use crate::fault::mix64;
@@ -75,7 +78,7 @@ pub struct ShardPolicy {
     /// full) — the "full-text store" baseline the corpus bench compares
     /// against.
     pub snapshot_every: u32,
-    /// Fsync cadence per shard segment, same semantics as the WAL's.
+    /// Fsync cadence per shard segment.
     pub sync: SyncPolicy,
     /// Byte budget for the per-shard delta-base texts kept during ingest
     /// (the previous revision per entity, needed to splice the next).
@@ -343,9 +346,6 @@ impl SnapshotCache {
 pub struct ShardLoss {
     /// Which shard.
     pub shard: u32,
-    /// Frame records dropped (counted only when the dropped region still
-    /// frame-scans; a torn tail's partial record is bytes-only).
-    pub records_dropped: u64,
     /// Bytes after the shard's last valid frame.
     pub bytes_dropped: u64,
     /// How the shard's scan ended.
@@ -374,11 +374,6 @@ impl ShardRecoveryReport {
     /// Total bytes dropped across shards.
     pub fn bytes_dropped(&self) -> u64 {
         self.losses.iter().map(|l| l.bytes_dropped).sum()
-    }
-
-    /// Total records dropped across shards.
-    pub fn records_dropped(&self) -> u64 {
-        self.losses.iter().map(|l| l.records_dropped).sum()
     }
 }
 
@@ -446,6 +441,9 @@ struct ShardState {
     since_sync: u32,
     /// Cached byte view of the segment, remapped when it grows.
     map: Option<(u64, Arc<FileMap>)>,
+    /// Set by a failed append or sync: the segment may end in torn bytes
+    /// past `bytes`, so further appends are refused until a reopen.
+    wedged: bool,
 }
 
 impl ShardState {
@@ -458,6 +456,7 @@ impl ShardState {
             base_order: VecDeque::new(),
             since_sync: 0,
             map: None,
+            wedged: false,
         }
     }
 }
@@ -587,7 +586,6 @@ impl<V: Vfs> ShardedStore<V> {
                     fs.sync(&path)?;
                     report.losses.push(ShardLoss {
                         shard,
-                        records_dropped: 0,
                         bytes_dropped: scan.dropped_bytes,
                         outcome: scan.outcome,
                     });
@@ -630,12 +628,17 @@ impl<V: Vfs> ShardedStore<V> {
     }
 
     /// Appends one revision of `entity`. Locks only the entity's shard,
-    /// so distinct shards append concurrently.
+    /// so distinct shards append concurrently. A failed write or sync
+    /// wedges the shard: this and every later append to it fail until the
+    /// store is reopened.
     pub fn append(&self, entity: EntityId, time: Timestamp, text: &str) -> Result<(), WalError> {
         let shard = self.shard_of(entity);
         let path = segment_path(&self.dir, shard);
         let mut state = self.states[shard as usize].lock();
         let state = &mut *state;
+        if state.wedged {
+            return Err(wedged(shard));
+        }
 
         let log = state.index.entry(entity).or_default();
         let seen = log.frames.len() as u32;
@@ -652,7 +655,10 @@ impl<V: Vfs> ShardedStore<V> {
         let full = payload[0] == wal::TAG_FULL;
         let frame = wal::frame_payload(&payload);
 
-        self.fs.append(&path, &frame)?;
+        if let Err(e) = self.fs.append(&path, &frame) {
+            state.wedged = true;
+            return Err(e.into());
+        }
 
         log.frames.push(FrameRef {
             offset: state.bytes,
@@ -696,16 +702,16 @@ impl<V: Vfs> ShardedStore<V> {
 
         self.cache.invalidate(entity);
 
-        match self.policy.sync {
-            SyncPolicy::Always => self.fs.sync(&path)?,
+        let due = match self.policy.sync {
+            SyncPolicy::Always => true,
             SyncPolicy::EveryN(n) => {
                 state.since_sync += 1;
-                if state.since_sync >= n {
-                    self.fs.sync(&path)?;
-                    state.since_sync = 0;
-                }
+                state.since_sync >= n
             }
-            SyncPolicy::Never => {}
+            SyncPolicy::Never => false,
+        };
+        if due {
+            sync_shard(&self.fs, &path, state)?;
         }
         Ok(())
     }
@@ -728,8 +734,7 @@ impl<V: Vfs> ShardedStore<V> {
             let path = segment_path(&self.dir, shard);
             let mut state = self.states[shard as usize].lock();
             if state.bytes > 0 {
-                self.fs.sync(&path)?;
-                state.since_sync = 0;
+                sync_shard(&self.fs, &path, &mut state)?;
             }
         }
         Ok(())
@@ -968,6 +973,25 @@ fn segment_path(dir: &Path, shard: u32) -> PathBuf {
     dir.join(format!("shard-{shard:04}.seg"))
 }
 
+/// Fsyncs one shard's segment, wedging the shard if the sync fails (the
+/// unsynced frames may or may not be durable; the caller only knows
+/// "error").
+fn sync_shard<V: Vfs>(fs: &V, path: &Path, state: &mut ShardState) -> Result<(), WalError> {
+    if let Err(e) = fs.sync(path) {
+        state.wedged = true;
+        return Err(e.into());
+    }
+    state.since_sync = 0;
+    Ok(())
+}
+
+/// The error every append to a wedged shard returns.
+fn wedged(shard: u32) -> WalError {
+    WalError::Io(std::io::Error::other(format!(
+        "shard {shard} is wedged by an earlier failed write or sync; reopen the store to recover"
+    )))
+}
+
 struct SegmentScan {
     records: u64,
     valid_bytes: u64,
@@ -978,9 +1002,9 @@ struct SegmentScan {
 /// Scans a segment image's longest valid frame prefix into `index`,
 /// *without* materializing any text: per frame it checks the CRC and the
 /// structural header (tag, lengths adding up, delta frames having a prior
-/// frame for their entity), which is everything [`wal::scan_wal`] checks
-/// except UTF-8 validity and splice bounds — those are re-verified lazily
-/// at materialization, where the base text exists.
+/// frame for their entity), which is everything short of decoding: UTF-8
+/// validity and splice bounds are re-verified lazily at materialization,
+/// where the base text exists.
 fn scan_segment(data: &[u8], index: &mut HashMap<EntityId, EntityLog>) -> SegmentScan {
     let mut at = 0usize;
     let mut records = 0u64;
@@ -1429,6 +1453,132 @@ mod tests {
         let dir = Path::new("/dup");
         ShardedStore::create(&fs, dir, policy(1, 1), budget(1024)).unwrap();
         assert!(ShardedStore::create(&fs, dir, policy(1, 1), budget(1024)).is_err());
+    }
+
+    /// A filesystem whose `tear_at`-th append lands only 3 bytes and
+    /// fails, after which it keeps running — an EIO/ENOSPC partial write,
+    /// not a process death.
+    struct TearOnce {
+        inner: MemFs,
+        tear_at: u64,
+        appends: AtomicU64,
+    }
+
+    impl Vfs for TearOnce {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.inner.write(path, data)
+        }
+        fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            if self.appends.fetch_add(1, Ordering::Relaxed) == self.tear_at {
+                self.inner.append(path, &data[..3])?;
+                return Err(std::io::Error::other("torn append"));
+            }
+            self.inner.append(path, data)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(path, len)
+        }
+        fn sync(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.sync(path)
+        }
+        fn len(&self, path: &Path) -> std::io::Result<u64> {
+            self.inner.len(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+    }
+
+    #[test]
+    fn failed_append_wedges_the_shard_until_reopen() {
+        let fs = TearOnce {
+            inner: MemFs::new(),
+            tear_at: 1,
+            appends: AtomicU64::new(0),
+        };
+        let dir = Path::new("/wedge");
+        let e = EntityId::from_u32(1);
+        {
+            let store = ShardedStore::create(&fs, dir, policy(1, 4), budget(1 << 20)).unwrap();
+            store.append(e, 1, &text(0)).unwrap();
+            assert!(
+                store.append(e, 2, &text(1)).is_err(),
+                "the torn append fails"
+            );
+            // The filesystem still works, but the segment now ends in torn
+            // bytes: an append after them would be acknowledged at an
+            // offset pointing into garbage, so the shard refuses it.
+            let err = store.append(e, 3, &text(2)).unwrap_err();
+            assert!(err.to_string().contains("wedged"), "{err}");
+            let got = store.materialize(e).unwrap().unwrap();
+            assert_eq!(got.len(), 1, "the acknowledged revision still reads");
+        }
+        let (store, report) = ShardedStore::open(&fs, dir, policy(1, 4), budget(1 << 20)).unwrap();
+        assert_eq!(report.records_recovered, 1);
+        assert_eq!(report.losses.len(), 1);
+        assert_eq!(report.losses[0].outcome, TailOutcome::TornTail);
+        assert_eq!(report.losses[0].bytes_dropped, 3);
+        // Reopening truncated the torn bytes: the shard accepts appends.
+        store.append(e, 3, &text(2)).unwrap();
+        let got = store.materialize(e).unwrap().unwrap();
+        assert_eq!(got.revisions().len(), 2);
+        assert_eq!(got.revisions()[1].time, 3);
+    }
+
+    #[test]
+    fn failed_sync_wedges_the_shard() {
+        use crate::failfs::{FailKind, FailOp, FailSpec, FailpointFs};
+        // Sync #0 is the meta.json sync at creation; #1 the first append's.
+        let mem = MemFs::new();
+        let fs = FailpointFs::new(&mem, FailSpec::once(FailOp::Sync, 1, FailKind::ErrOnly));
+        let dir = Path::new("/sync");
+        let e = EntityId::from_u32(1);
+        let store = ShardedStore::create(&fs, dir, policy(1, 4), budget(1 << 20)).unwrap();
+        assert!(
+            store.append(e, 1, &text(0)).is_err(),
+            "the failed sync fails"
+        );
+        assert!(!fs.halted(), "the filesystem keeps running");
+        let err = store.append(e, 2, &text(1)).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        drop(store);
+        // The unacknowledged frame did land; it is the only one.
+        let (store, report) = ShardedStore::open(&mem, dir, policy(1, 4), budget(1 << 20)).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(store.revision_count(), 1);
+    }
+
+    #[test]
+    fn huge_length_field_is_corruption() {
+        let fs = MemFs::new();
+        let dir = Path::new("/huge");
+        {
+            let store = ShardedStore::create(&fs, dir, policy(1, 1), budget(1 << 20)).unwrap();
+            store.append(EntityId::from_u32(1), 1, &text(0)).unwrap();
+            store.append(EntityId::from_u32(1), 2, &text(1)).unwrap();
+        }
+        let mut data = fs.read(&segment_path(dir, 0)).unwrap();
+        assert_eq!(scan_segment(&data, &mut HashMap::new()).records, 2);
+        // Set the top bit of the first frame's length: structurally it now
+        // "runs past EOF", but no writer ever produces 2 GiB payloads, so
+        // this must be flagged as corruption, not a tolerable torn tail.
+        data[3] |= 0x80;
+        let scan = scan_segment(&data, &mut HashMap::new());
+        assert_eq!(scan.outcome, TailOutcome::CorruptFrame);
+        assert_eq!(scan.records, 0);
+        assert_eq!(scan.dropped_bytes, data.len() as u64);
     }
 
     #[test]

@@ -161,8 +161,8 @@ impl CrawlStats {
 /// Only `pages` — the revision data itself — is serialized. The crawl
 /// counters are `#[serde(skip)]`: they measure *this process's* crawl and
 /// parse work (the preprocessing bars of Figure 4), not a property of the
-/// corpus, so a store loaded from disk (checkpoint, snapshot, or JSON
-/// round trip) always starts with all counters at zero, regardless of the
+/// corpus, so a store loaded from disk (snapshot or JSON round trip)
+/// always starts with all counters at zero, regardless of the
 /// counter values when it was saved. Equality (`PartialEq`) follows the
 /// same rule: two stores compare equal iff their pages are equal, counters
 /// excluded. Both behaviors are pinned by

@@ -37,5 +37,5 @@ pub mod stats;
 pub use client::SuggestClient;
 pub use epoch::EpochPtr;
 pub use index::{ActionSig, IndexLimits, IndexStats, PatternIndex, PatternSet, ServedPattern};
-pub use server::{serve, ReloadFn, ServeConfig, ServeHandle};
+pub use server::{serve, ReloadFn, ServeConfig, ServeHandle, MAX_REQUEST_BYTES};
 pub use stats::{ServeStats, StatsSnapshot};

@@ -32,7 +32,7 @@ use crate::protocol::{
     SuggestResponse, SuggestionOut,
 };
 use crate::stats::ServeStats;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,6 +40,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wiclean_types::Universe;
+
+/// Longest request line a handler buffers, newline excluded. A longer
+/// line is answered with an error and skipped up to its newline, so a
+/// client can neither grow a handler's buffer without bound nor lose its
+/// connection by overrunning it.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Rebuilds a [`PatternIndex`] on demand for the `reload` op. The argument
 /// is the request's optional `spec` string; the closure owns whatever it
@@ -221,23 +227,44 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // Bounded reads so an idle connection re-checks the stop flag.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The request line so far, kept across read timeouts: a request split
+    // by a pause arrives whole, and bytes are decoded only once the line
+    // is complete, so a multi-byte character split across reads survives.
+    let mut line: Vec<u8> = Vec::new();
+    // Set once the current line overran MAX_REQUEST_BYTES and was
+    // answered: its remaining bytes are skipped up to the newline.
+    let mut skipping = false;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        let room = (MAX_REQUEST_BYTES + 2 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let response = handle_request_guarded(trimmed, shared);
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .is_err()
-                {
-                    return;
+                let complete = line.last() == Some(&b'\n');
+                let response = if skipping {
+                    skipping = !complete;
+                    None
+                } else if line.len() - usize::from(complete) > MAX_REQUEST_BYTES {
+                    skipping = !complete;
+                    Some(reject_line(
+                        shared,
+                        &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+                    ))
+                } else {
+                    // A complete line, or the last one before the client
+                    // closed without a newline.
+                    match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => None,
+                        Ok(text) => Some(handle_request_guarded(text.trim(), shared)),
+                        Err(_) => Some(reject_line(shared, "request line is not valid UTF-8")),
+                    }
+                };
+                line.clear();
+                if let Some(response) = response {
+                    let mut out = response.into_bytes();
+                    out.push(b'\n');
+                    if writer.write_all(&out).is_err() {
+                        return;
+                    }
                 }
                 if shared.stop.load(Ordering::Acquire) {
                     return;
@@ -254,6 +281,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Err(_) => return,
         }
     }
+}
+
+/// Answers a line that never reached the request parser (too long, not
+/// UTF-8) with an error, counted like any rejected request.
+fn reject_line(shared: &Shared, message: &str) -> String {
+    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+    error_line(shared.epoch.epoch(), message)
 }
 
 /// Runs one request under `catch_unwind`: a handler panic becomes an error

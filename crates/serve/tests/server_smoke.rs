@@ -5,10 +5,14 @@
 mod common;
 
 use common::soccer_world;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 use wiclean_serve::{
     serve, IndexLimits, PatternIndex, PatternSet, ReloadFn, ServeConfig, SuggestClient,
+    MAX_REQUEST_BYTES,
 };
 
 fn build(fx: &common::Fixture, conf: f64, limits: IndexLimits) -> Result<PatternIndex, String> {
@@ -326,4 +330,63 @@ fn oversized_pattern_set_is_a_typed_build_error() {
     )
     .unwrap_err();
     assert!(err.contains("interner full"), "{err}");
+}
+
+#[test]
+fn split_and_oversized_requests_keep_the_connection_usable() {
+    let fx = soccer_world();
+    let index = build(&fx, 0.8, IndexLimits::default()).unwrap();
+    let mut handle = serve(
+        ServeConfig::default(),
+        Arc::new(fx.universe.clone()),
+        index,
+        None,
+    )
+    .unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // Sends `request` in two writes split at byte `at`, pausing longer
+    // than the server's read timeout in between, and reads the response.
+    let mut send_split = |request: &[u8], at: usize| -> serde_json::Value {
+        writer.write_all(&request[..at]).unwrap();
+        writer.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(250));
+        writer.write_all(&request[at..]).unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        serde_json::from_str(&resp).unwrap()
+    };
+
+    let entity = fx.universe.entity_name(fx.partial_player);
+    let request = format!("{{\"op\":\"suggest\",\"entity\":\"{entity}\"}}\n");
+    let v = send_split(request.as_bytes(), 10);
+    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{v:?}");
+    assert!(!v["suggestions"].as_array().unwrap().is_empty());
+
+    // A split inside a two-byte character: both halves must be kept.
+    let request = "{\"op\":\"suggest\",\"entity\":\"Zoë Müller\"}\n";
+    let at = request.find('ë').unwrap() + 1;
+    assert!(!request.is_char_boundary(at));
+    let v = send_split(request.as_bytes(), at);
+    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{v:?}");
+
+    // An over-long line is answered with an error, its tail is skipped,
+    // and the connection keeps serving.
+    let mut long = vec![b'x'; MAX_REQUEST_BYTES + 10];
+    long.push(b'\n');
+    let v = send_split(&long, MAX_REQUEST_BYTES / 2);
+    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(false), "{v:?}");
+    assert!(v["error"].as_str().unwrap().contains("exceeds"), "{v:?}");
+    let v = send_split(b"{\"op\":\"ping\"}\n", 3);
+    assert_eq!(v.get("ack").and_then(|a| a.as_str()), Some("pong"));
+    // A line of exactly the cap is still a request (a malformed one).
+    let mut max = vec![b' '; MAX_REQUEST_BYTES - 1];
+    max.insert(0, b'x');
+    max.push(b'\n');
+    let v = send_split(&max, 1);
+    assert!(!v["error"].as_str().unwrap().contains("exceeds"), "{v:?}");
+
+    assert_eq!(handle.stats().errors.load(Ordering::Relaxed), 2);
+    handle.shutdown();
 }

@@ -3,29 +3,26 @@
 //! ```text
 //! wiclean generate --domain soccer --seeds 500 --rng 7 --out corpus.json
 //! wiclean stats    --corpus corpus.json
-//! wiclean ingest   --corpus corpus.json --store DIR [--sync MODE]
-//! wiclean mine     --corpus corpus.json [--durability DIR] [--threads N] [--out report.json]
-//! wiclean detect   --corpus corpus.json [--durability DIR] [--top K]
+//! wiclean ingest   --corpus corpus.json --store DIR [--shards N] [--sync MODE]
+//! wiclean mine     --corpus corpus.json [--threads N] [--out report.json]
+//! wiclean mine     --backend disk --store DIR [--out report.json]
+//! wiclean detect   --corpus corpus.json [--top K]
+//! wiclean detect   --backend disk --store DIR [--top K]
 //! ```
 //!
 //! `generate` builds a synthetic corpus (see `wiclean-synth`); `ingest`
-//! streams a corpus into a crash-safe durable store directory (WAL +
-//! checksummed checkpoints); `mine` runs the full window-and-pattern
-//! search (Algorithm 2) and prints a JSON report; `detect` mines and then
-//! runs partial-update detection (Algorithm 3) on the discovered patterns,
-//! printing the flagged potential errors like the WiClean editor plug-in
-//! would. With `--durability DIR`, `mine`/`detect` read their revisions
-//! from the durable store (recovering it if the ingesting process
-//! crashed), and any records lost to torn or corrupt WAL tails surface in
-//! the degraded-coverage section of the report.
+//! converts a corpus into a crash-safe, out-of-core sharded store
+//! (delta-encoded, checksummed segment logs, see DESIGN.md §8); `mine`
+//! runs the full window-and-pattern search (Algorithm 2) and prints a
+//! JSON report; `detect` mines and then runs partial-update detection
+//! (Algorithm 3) on the discovered patterns, printing the flagged
+//! potential errors like the WiClean editor plug-in would.
 //!
-//! With `--backend disk`, `ingest` converts a corpus into an out-of-core
-//! sharded store (delta-encoded segment logs, see DESIGN.md §9) and
-//! `mine`/`stream` read revisions from those segments instead of holding
-//! the corpus in memory, materializing page snapshots through a
-//! byte-budgeted cache. Mining output is byte-identical between the two
-//! backends; a shard's torn tail after a crash surfaces per shard in the
-//! degraded-coverage section.
+//! With `--backend disk`, `mine`/`detect`/`stream` read revisions from the
+//! sharded store's segments instead of holding the corpus in memory,
+//! materializing page snapshots through a byte-budgeted cache. Output is
+//! byte-identical between the two backends; a shard's torn tail after a
+//! crashed ingest surfaces per shard in the degraded-coverage section.
 //!
 //! `serve` is the online half (see `wiclean-serve`): it mines once, builds
 //! the read-optimized suggestion index, and answers editor requests over
@@ -33,23 +30,31 @@
 //! admin `reload` op re-mining and hot-swapping a fresh index under live
 //! traffic. `suggest` is the one-shot form of the same query for scripts
 //! and smoke tests.
+//!
+//! Every command accepts only its own flags: an unknown flag (a typo, or
+//! one a command does not take) is a usage error, never silently ignored.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use wiclean::core::config::WcConfig;
 use wiclean::core::partial::detect_partial_updates;
-use wiclean::core::recover::{open_recovered, RecoveredStore};
 use wiclean::core::report::WcReport;
-use wiclean::core::windows::find_windows_and_patterns;
+use wiclean::core::windows::{find_windows_and_patterns, WcResult};
 use wiclean::core::{ingest_sharded, open_sharded_corpus, MiningPool, ShardedCorpus};
 use wiclean::eval::quality::default_wc_config;
 use wiclean::revstore::{
-    DurabilityPolicy, DurableStore, FaultPlan, FaultyStore, MemoryBudget, RealFs, ResilientFetcher,
-    RetryPolicy, RevisionStore, ShardPolicy, ShardedStore, SyncPolicy,
+    FaultPlan, FaultyStore, FetchSource, MemoryBudget, RealFs, ResilientFetcher, RetryPolicy,
+    RevisionStore, ShardPolicy, ShardedStore, SyncPolicy,
 };
 use wiclean::serve::{IndexLimits, PatternIndex, PatternSet, ReloadFn, ServeConfig};
 use wiclean::synth::{generate, scenarios, Corpus, CorpusHeader, SynthConfig};
+use wiclean::types::{TypeId, Universe};
+
+/// Exit code for a malformed invocation: an unknown flag for the command,
+/// a flag without a value, or a stray argument.
+const EXIT_USAGE: u8 = 2;
 
 /// Distinct exit code for "the crawl circuit breaker opened": results were
 /// still written, but coverage is untrustworthy.
@@ -61,11 +66,19 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(allowed) = allowed_flags(command) else {
+        eprintln!("error: unknown command `{command}`\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(command, &args[1..], allowed) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(EXIT_USAGE);
         }
     };
     let result = match command.as_str() {
@@ -77,11 +90,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&flags).map(|()| ExitCode::SUCCESS),
         "stream" => cmd_stream(&flags).map(|()| ExitCode::SUCCESS),
         "suggest" => cmd_suggest(&flags).map(|()| ExitCode::SUCCESS),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` has an allow-list but no handler"),
     };
     match result {
         Ok(code) => code,
@@ -98,10 +107,11 @@ wiclean — mine Wikipedia-style revision histories for edit patterns
 USAGE:
   wiclean generate --domain <soccer|cinema|politics|software> [--seeds N] [--rng S] --out FILE
   wiclean stats    --corpus FILE
-  wiclean ingest   --corpus FILE --store DIR [DURABILITY FLAGS | CORPUS BACKEND FLAGS]
-  wiclean mine     --corpus FILE [--durability DIR] [--threads N] [--extract MODE] [PLANNER FLAGS] [--out FILE] [FAULT FLAGS]
+  wiclean ingest   --corpus FILE --store DIR [--threads N] [CORPUS BACKEND FLAGS]
+  wiclean mine     --corpus FILE [--threads N] [--extract MODE] [PLANNER FLAGS] [--out FILE] [FAULT FLAGS]
   wiclean mine     --backend disk --store DIR [--threads N] [--extract MODE] [PLANNER FLAGS] [--out FILE] [CORPUS BACKEND FLAGS]
-  wiclean detect   --corpus FILE [--durability DIR] [--threads N] [--extract MODE] [--top K] [FAULT FLAGS]
+  wiclean detect   --corpus FILE [--threads N] [--extract MODE] [--top K] [FAULT FLAGS]
+  wiclean detect   --backend disk --store DIR [--threads N] [--extract MODE] [--top K] [CORPUS BACKEND FLAGS]
   wiclean serve    --corpus FILE [--addr HOST:PORT] [--max-conns N] [--threads N] [SERVE FLAGS]
   wiclean stream   --corpus FILE [--serve HOST:PORT] [--out FILE] [STREAM FLAGS] [PLANNER FLAGS]
   wiclean stream   --backend disk --store DIR [--serve HOST:PORT] [--out FILE] [STREAM FLAGS] [PLANNER FLAGS]
@@ -122,25 +132,18 @@ choices produce byte-identical mining output):
                    re-plan a join when its observed output exceeds the
                    estimate by this factor (> 1.0; default 4.0)
 
-DURABILITY FLAGS (crash-safe revision store; see also --durability):
-  --sync MODE      WAL fsync policy: `always`, `every:N`, or `never`
-                   (default: every:64)
-  --checkpoint-every N
-                   records between checksummed checkpoints (default: 4096)
-  --durability DIR read revisions from the durable store at DIR instead of
-                   the corpus, recovering after a crash; records lost to
-                   torn/corrupt WAL tails are reported as degraded coverage
-
-CORPUS BACKEND FLAGS (out-of-core sharded store; see DESIGN.md §9):
+CORPUS BACKEND FLAGS (crash-safe, out-of-core sharded store; see DESIGN.md §8):
   --backend B      `memory` (default): revisions live in RAM, loaded from
                    --corpus; `disk`: revisions live in delta-encoded
                    sharded segment logs under --store, materialized
-                   through a byte-budgeted snapshot cache. Mining output
-                   is byte-identical between backends
-  --store DIR      the sharded store directory (`ingest --backend disk`
-                   creates it; `mine`/`stream` open it, recovering any
-                   shard with a torn tail and reporting the loss per
-                   shard as degraded coverage)
+                   through a byte-budgeted snapshot cache. Output is
+                   byte-identical between backends
+  --store DIR      the sharded store directory (`ingest` creates it;
+                   `mine`/`detect`/`stream` open it, recovering any shard
+                   with a torn tail and reporting the loss per shard as
+                   degraded coverage)
+  --sync MODE      segment fsync policy at ingest: `always`, `every:N`, or
+                   `never` (default: every:256)
   --shards N       segment files to hash-partition entities across at
                    ingest (default: 8; an existing store's own shard
                    count always wins on open)
@@ -152,7 +155,7 @@ CORPUS BACKEND FLAGS (out-of-core sharded store; see DESIGN.md §9):
                    snapshot-cache budget in MiB (default: 256); least
                    recently used snapshots are evicted past it
 
-SERVE FLAGS (online suggestion server; see DESIGN.md §7):
+SERVE FLAGS (online suggestion server; see DESIGN.md §6):
   --addr HOST:PORT bind address (default: 127.0.0.1:9178; port 0 = OS pick)
   --max-conns N    concurrent connection cap (default: 64); one handler
                    thread per live connection, further accepts wait
@@ -162,7 +165,7 @@ SERVE FLAGS (online suggestion server; see DESIGN.md §7):
                    limit rejects the load, it never kills the server)
   --debug-ops on   enable the `panic` wire op (panic-proofing harness)
 
-STREAM FLAGS (incremental streaming miner; see DESIGN.md §8):
+STREAM FLAGS (incremental streaming miner; see DESIGN.md §7):
   --grace S        watermark grace period in seconds: a window seals once
                    an event arrives more than S past its end (default 3600)
   --refresh-revisions N
@@ -181,16 +184,73 @@ FAULT FLAGS (crawl-robustness testing):
   --retries N      retries per page after the first attempt (0 disables;
                    default: the built-in retry/backoff policy)
 
-Exit codes: 0 success, 1 error, 3 crawl circuit breaker tripped (results
+Exit codes: 0 success, 1 error, 2 usage error (unknown flag for the
+command, flag without a value), 3 crawl circuit breaker tripped (results
 written, but coverage is untrustworthy).";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Flag groups shared by several commands (the groups of the usage text).
+const STORE_FLAGS: &[&str] = &["store", "shards", "snapshot-every", "memory-budget"];
+const MINING_FLAGS: &[&str] = &["threads", "extract"];
+const PLANNER_FLAGS: &[&str] = &["planner", "replan-factor"];
+const FAULT_FLAGS: &[&str] = &["fault-rate", "fault-seed", "retries"];
+const INDEX_FLAGS: &[&str] = &["max-patterns", "max-entities"];
+
+/// The flag groups each command accepts; `None` for an unknown command.
+fn allowed_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match command {
+        "generate" => &[&["domain", "seeds", "rng", "out"]],
+        "stats" => &[&["corpus"]],
+        "ingest" => &[&["corpus", "sync", "threads"], STORE_FLAGS],
+        "mine" => &[
+            &["corpus", "backend", "out"],
+            STORE_FLAGS,
+            MINING_FLAGS,
+            PLANNER_FLAGS,
+            FAULT_FLAGS,
+        ],
+        "detect" => &[
+            &["corpus", "backend", "top"],
+            STORE_FLAGS,
+            MINING_FLAGS,
+            FAULT_FLAGS,
+        ],
+        "serve" => &[
+            &["corpus", "addr", "max-conns", "debug-ops"],
+            MINING_FLAGS,
+            INDEX_FLAGS,
+        ],
+        "stream" => &[
+            &["corpus", "backend", "out", "serve", "max-conns"],
+            &["grace", "refresh-revisions", "shuffle-seed", "width"],
+            STORE_FLAGS,
+            MINING_FLAGS,
+            PLANNER_FLAGS,
+            INDEX_FLAGS,
+        ],
+        "suggest" => &[
+            &["corpus", "entity", "edit", "rel"],
+            MINING_FLAGS,
+            INDEX_FLAGS,
+        ],
+        _ => return None,
+    })
+}
+
+/// Parses `--name value` pairs, refusing any flag `command` does not take.
+fn parse_flags(
+    command: &str,
+    args: &[String],
+    allowed: &[&[&str]],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{key}`"));
         };
+        if !allowed.iter().any(|group| group.contains(&name)) {
+            return Err(format!("`{command}` does not take flag --{name}"));
+        }
         let Some(value) = it.next() else {
             return Err(format!("flag --{name} needs a value"));
         };
@@ -233,10 +293,7 @@ fn threads(flags: &HashMap<String, String>) -> Result<usize, String> {
 }
 
 /// Applies the `--extract` mode flag to a mining config.
-fn apply_extract_mode(
-    wc: &mut wiclean::core::config::WcConfig,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
+fn apply_extract_mode(wc: &mut WcConfig, flags: &HashMap<String, String>) -> Result<(), String> {
     match flags.get("extract").map(String::as_str) {
         None | Some("incremental") => Ok(()),
         Some("full") => {
@@ -252,10 +309,7 @@ fn apply_extract_mode(
 /// Applies the `--planner` / `--replan-factor` flags to a mining config.
 /// Both produce byte-identical mining output; the planner only changes
 /// how fast the pair stage runs.
-fn apply_planner_flags(
-    wc: &mut wiclean::core::config::WcConfig,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
+fn apply_planner_flags(wc: &mut WcConfig, flags: &HashMap<String, String>) -> Result<(), String> {
     match flags.get("planner").map(String::as_str) {
         None | Some("on") => {}
         Some("off") => wc.use_adaptive_planner = false,
@@ -345,54 +399,30 @@ fn parse_sync(mode: &str) -> Result<SyncPolicy, String> {
     }
 }
 
-/// Builds the durability policy from the CLI's durability flags.
-fn durability_policy(flags: &HashMap<String, String>) -> Result<DurabilityPolicy, String> {
-    let mut policy = DurabilityPolicy::default();
-    if let Some(mode) = flags.get("sync") {
-        policy.sync = parse_sync(mode)?;
-    }
-    if let Some(n) = flags.get("checkpoint-every") {
-        policy.checkpoint_every = n
-            .parse()
-            .map_err(|_| format!("flag --checkpoint-every: cannot parse `{n}`"))?;
-    }
-    policy.validate()?;
-    Ok(policy)
-}
-
-/// Opens (recovering if needed) the durable store named by `--durability`,
-/// if the flag is present, and narrates what recovery found.
-fn open_durability(flags: &HashMap<String, String>) -> Result<Option<RecoveredStore>, String> {
-    let Some(dir) = flags.get("durability") else {
-        return Ok(None);
-    };
-    let rec = open_recovered(RealFs, dir.as_str(), durability_policy(flags)?)
-        .map_err(|e| format!("durable store {dir}: {e}"))?;
-    let r = &rec.recovery;
-    eprintln!(
-        "  durable store: checkpoint epoch {} ({} records) + {} WAL records replayed",
-        r.checkpoint_epoch, r.records_in_checkpoint, r.records_replayed
-    );
-    if !r.is_clean() {
-        eprintln!(
-            "  recovery losses: {} records / {} bytes dropped, {} checkpoints rejected ({:?} tail)",
-            r.records_dropped, r.bytes_dropped, r.checkpoints_rejected, r.tail
-        );
-    }
-    Ok(Some(rec))
-}
-
 /// Name of the universe/seed-type sidecar inside a sharded store
 /// directory, written at ingest so `mine --backend disk` never needs the
 /// original corpus blob.
 const HEADER_FILE: &str = "universe.json";
 
 /// Whether the corpus backend flags select the out-of-core disk store.
+/// Flags only the other backend reads are refused, so `--store` without
+/// `--backend disk` cannot silently mine `--corpus` instead.
 fn disk_backend(flags: &HashMap<String, String>) -> Result<bool, String> {
-    match flags.get("backend").map(String::as_str) {
-        None | Some("memory") => Ok(false),
-        Some("disk") => Ok(true),
-        Some(other) => Err(format!("flag --backend: `{other}` is not memory|disk")),
+    let (disk, backend, unused): (bool, &str, &[&str]) =
+        match flags.get("backend").map(String::as_str) {
+            None | Some("memory") => (false, "memory", STORE_FLAGS),
+            Some("disk") => (
+                true,
+                "disk",
+                &["corpus", "fault-rate", "fault-seed", "retries"],
+            ),
+            Some(other) => return Err(format!("flag --backend: `{other}` is not memory|disk")),
+        };
+    match unused.iter().find(|f| flags.contains_key(**f)) {
+        Some(f) => Err(format!(
+            "flag --{f} does not apply to the {backend} backend"
+        )),
+        None => Ok(disk),
     }
 }
 
@@ -428,10 +458,14 @@ fn memory_budget(flags: &HashMap<String, String>) -> Result<Arc<MemoryBudget>, S
     Ok(Arc::new(MemoryBudget::new(mib << 20)))
 }
 
-/// Opens the sharded store named by `--store`, narrating what the
-/// per-shard recovery scan found.
-fn open_disk_corpus(flags: &HashMap<String, String>) -> Result<ShardedCorpus<RealFs>, String> {
+/// Opens the sharded store named by `--store` together with its universe
+/// sidecar, narrating what the per-shard recovery scan found.
+fn open_disk_corpus(
+    flags: &HashMap<String, String>,
+) -> Result<(CorpusHeader, ShardedCorpus<RealFs>), String> {
     let dir = flag(flags, "store")?;
+    let header = CorpusHeader::load(Path::new(dir).join(HEADER_FILE))
+        .map_err(|e| format!("sharded store {dir}: {e}"))?;
     let corpus = open_sharded_corpus(
         RealFs,
         Path::new(dir),
@@ -446,51 +480,17 @@ fn open_disk_corpus(flags: &HashMap<String, String>) -> Result<ShardedCorpus<Rea
     );
     for l in &r.losses {
         eprintln!(
-            "  recovery losses: shard {} dropped {} records / {} bytes ({:?} tail)",
-            l.shard, l.records_dropped, l.bytes_dropped, l.outcome
+            "  recovery losses: shard {} dropped {} bytes ({:?} tail)",
+            l.shard, l.bytes_dropped, l.outcome
         );
     }
-    Ok(corpus)
+    Ok((header, corpus))
 }
 
-fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
-    if disk_backend(flags)? {
-        return cmd_ingest_disk(flags);
-    }
-    let corpus = load_corpus(flags)?;
-    let dir = flag(flags, "store")?;
-    let policy = durability_policy(flags)?;
-    let mut ds = DurableStore::create(RealFs, dir, policy).map_err(|e| e.to_string())?;
-    eprintln!(
-        "ingesting {} revisions into {dir} (sync {:?}, checkpoint every {})…",
-        corpus.store.revision_count(),
-        policy.sync,
-        policy.checkpoint_every
-    );
-    let mut entities: Vec<_> = corpus.store.entities().collect();
-    entities.sort_by_key(|e| e.as_u32());
-    for e in entities {
-        let Some(history) = corpus.store.peek(e) else {
-            continue;
-        };
-        for r in history.revisions() {
-            ds.record(e, r.time, &r.text).map_err(|e| e.to_string())?;
-        }
-    }
-    ds.checkpoint().map_err(|e| e.to_string())?;
-    eprintln!(
-        "wrote {} records, epoch {} ({} checkpoint retries)",
-        ds.records_ingested(),
-        ds.epoch(),
-        ds.checkpoint_failures()
-    );
-    Ok(())
-}
-
-/// `ingest --backend disk`: converts a corpus into an out-of-core sharded
+/// `ingest`: converts a corpus into a crash-safe, out-of-core sharded
 /// store — delta-encoded segment logs plus the universe sidecar — so
 /// `mine --backend disk` can run without the corpus blob in memory.
-fn cmd_ingest_disk(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
     let corpus = load_corpus(flags)?;
     let dir = flag(flags, "store")?;
     let policy = shard_policy(flags)?;
@@ -556,16 +556,10 @@ fn print_degraded(report: &WcReport) {
             ""
         }
     );
-    if d.wal_records_dropped > 0 || d.wal_bytes_dropped > 0 || d.checkpoints_rejected > 0 {
-        eprintln!(
-            "    ✗ crash recovery: {} WAL records ({} bytes) dropped, {} checkpoints rejected",
-            d.wal_records_dropped, d.wal_bytes_dropped, d.checkpoints_rejected
-        );
-    }
     for l in &d.shard_losses {
         eprintln!(
-            "    ✗ shard {}: {} records / {} bytes dropped ({:?} tail)",
-            l.shard, l.records_dropped, l.bytes_dropped, l.outcome
+            "    ✗ shard {}: {} bytes dropped ({:?} tail)",
+            l.shard, l.bytes_dropped, l.outcome
         );
     }
     for l in d.entities_lost.iter().take(10) {
@@ -589,9 +583,7 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let (plan, policy) = fault_setup(flags)?;
     let corpus = load_corpus(flags)?;
     eprintln!("mining `{}` (Algorithm 2)…", corpus.seed_type);
-    let recovered = open_durability(flags)?;
-    let store = recovered.as_ref().map_or(&corpus.store, |r| &r.store);
-    let faulty = FaultyStore::new(store, plan);
+    let faulty = FaultyStore::new(&corpus.store, plan);
     let fetcher = ResilientFetcher::new(&faulty, policy);
     if !plan.is_clean() {
         eprintln!(
@@ -600,11 +592,7 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             policy.max_attempts
         );
     }
-    let mut result =
-        find_windows_and_patterns(&fetcher, &corpus.universe, corpus.seed_type_id(), &wc);
-    if let Some(rec) = &recovered {
-        rec.stamp(&mut result.degraded, &mut result.stats);
-    }
+    let result = find_windows_and_patterns(&fetcher, &corpus.universe, corpus.seed_type_id(), &wc);
     eprintln!(
         "  {} iterations → {} patterns (final width {}d, tau {:.3})",
         result.iterations,
@@ -637,19 +625,11 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 /// from the sharded segment logs through the snapshot cache instead of an
 /// in-memory corpus. Output is byte-identical to the memory backend.
 fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    if num_flag::<f64>(flags, "fault-rate", 0.0)? > 0.0 {
-        return Err(
-            "flag --fault-rate: fault injection applies to the memory backend only".to_owned(),
-        );
-    }
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
     apply_planner_flags(&mut wc, flags)?;
-    let dir = flag(flags, "store")?;
-    let header = CorpusHeader::load(Path::new(dir).join(HEADER_FILE))
-        .map_err(|e| format!("sharded store {dir}: {e}"))?;
+    let (header, corpus) = open_disk_corpus(flags)?;
     eprintln!("mining `{}` (Algorithm 2, out-of-core)…", header.seed_type);
-    let corpus = open_disk_corpus(flags)?;
     let mut result =
         find_windows_and_patterns(&corpus.store, &header.universe, header.seed_type_id(), &wc);
     corpus.stamp(&mut result.degraded);
@@ -684,41 +664,59 @@ fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_detect(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let corpus = load_corpus(flags)?;
     let top: usize = num_flag(flags, "top", 5)?;
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
-    let (plan, policy) = fault_setup(flags)?;
-    eprintln!("mining `{}`…", corpus.seed_type);
-    let recovered = open_durability(flags)?;
-    let store = recovered.as_ref().map_or(&corpus.store, |r| &r.store);
-    let faulty = FaultyStore::new(store, plan);
-    let fetcher = ResilientFetcher::new(&faulty, policy);
-    let mut result =
-        find_windows_and_patterns(&fetcher, &corpus.universe, corpus.seed_type_id(), &wc);
-    if let Some(rec) = &recovered {
-        rec.stamp(&mut result.degraded, &mut result.stats);
+    if disk_backend(flags)? {
+        let (header, corpus) = open_disk_corpus(flags)?;
+        eprintln!("mining `{}` (out-of-core)…", header.seed_type);
+        let seed = header.seed_type_id();
+        let mut result = find_windows_and_patterns(&corpus.store, &header.universe, seed, &wc);
+        corpus.stamp(&mut result.degraded);
+        print_partials(&corpus.store, &header.universe, seed, &wc, &result, top);
+        corpus.stamp_stats(&mut result.stats);
+        print_degraded(&WcReport::from_result(&result, &header.universe));
+        return Ok(ExitCode::SUCCESS);
     }
+    let (plan, policy) = fault_setup(flags)?;
+    let corpus = load_corpus(flags)?;
+    eprintln!("mining `{}`…", corpus.seed_type);
+    let faulty = FaultyStore::new(&corpus.store, plan);
+    let fetcher = ResilientFetcher::new(&faulty, policy);
+    let seed = corpus.seed_type_id();
+    let result = find_windows_and_patterns(&fetcher, &corpus.universe, seed, &wc);
+    print_partials(&fetcher, &corpus.universe, seed, &wc, &result, top);
+    print_degraded(&WcReport::from_result(&result, &corpus.universe));
+    if fetcher.breaker_tripped() {
+        eprintln!("warning: crawl circuit breaker tripped — coverage is untrustworthy");
+        return Ok(ExitCode::from(EXIT_BREAKER_TRIPPED));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Runs Algorithm 3 on the `top` most frequent discovered patterns and
+/// prints the flagged potential errors.
+fn print_partials(
+    source: &dyn FetchSource,
+    universe: &Universe,
+    seed: TypeId,
+    wc: &WcConfig,
+    result: &WcResult,
+    top: usize,
+) {
     eprintln!(
         "  {} patterns discovered; running Algorithm 3 on the top {}…\n",
         result.discovered.len(),
         top.min(result.discovered.len())
     );
     for d in result.by_frequency().into_iter().take(top) {
-        let report = detect_partial_updates(
-            &fetcher,
-            &corpus.universe,
-            &wc.miner,
-            &d.working,
-            corpus.seed_type_id(),
-            &d.window,
-            2,
-        );
+        let report =
+            detect_partial_updates(source, universe, &wc.miner, &d.working, seed, &d.window, 2);
         println!(
             "pattern (freq {:.2}, window {}):\n  {}",
             d.frequency,
             d.window,
-            d.pattern.display(&corpus.universe)
+            d.pattern.display(universe)
         );
         println!(
             "  {} complete, {} potential errors",
@@ -726,19 +724,13 @@ fn cmd_detect(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             report.partials.len()
         );
         for p in report.partials.iter().take(5) {
-            println!("    ⚠ {}", p.display(&corpus.universe));
+            println!("    ⚠ {}", p.display(universe));
         }
         if report.partials.len() > 5 {
             println!("    … and {} more", report.partials.len() - 5);
         }
         println!();
     }
-    print_degraded(&WcReport::from_result(&result, &corpus.universe));
-    if fetcher.breaker_tripped() {
-        eprintln!("warning: crawl circuit breaker tripped — coverage is untrustworthy");
-        return Ok(ExitCode::from(EXIT_BREAKER_TRIPPED));
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// Index-capacity limits from the serve flags.
@@ -753,7 +745,7 @@ fn index_limits(flags: &HashMap<String, String>) -> Result<IndexLimits, String> 
 /// pattern (shared by `serve`, its reload path, and `suggest`).
 fn mine_and_index(
     corpus: &Corpus,
-    wc: &wiclean::core::config::WcConfig,
+    wc: &WcConfig,
     limits: IndexLimits,
 ) -> Result<PatternIndex, String> {
     let result =
@@ -816,10 +808,7 @@ fn load_stream_corpus(flags: &HashMap<String, String>) -> Result<Corpus, String>
     if !disk_backend(flags)? {
         return load_corpus(flags);
     }
-    let dir = flag(flags, "store")?;
-    let header = CorpusHeader::load(Path::new(dir).join(HEADER_FILE))
-        .map_err(|e| format!("sharded store {dir}: {e}"))?;
-    let sharded = open_disk_corpus(flags)?;
+    let (header, sharded) = open_disk_corpus(flags)?;
     let mut store = RevisionStore::new();
     for entity in sharded.store.entities() {
         let Some(history) = sharded

@@ -89,6 +89,52 @@ fn generate_stats_mine_detect_round_trip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("pattern (freq"), "{stdout}");
 
+    // ingest → detect over the sharded store prints the same patterns and
+    // flagged errors as the in-memory corpus.
+    let store = dir.join("store");
+    std::fs::remove_dir_all(&store).ok();
+    let out = wiclean()
+        .args([
+            "ingest",
+            "--corpus",
+            corpus.to_str().unwrap(),
+            "--store",
+            store.to_str().unwrap(),
+            "--shards",
+            "3",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out_disk = wiclean()
+        .args([
+            "detect",
+            "--backend",
+            "disk",
+            "--store",
+            store.to_str().unwrap(),
+            "--threads",
+            "2",
+            "--top",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out_disk.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out_disk.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out_disk.stdout),
+        stdout,
+        "detect output differs between backends"
+    );
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -350,6 +396,33 @@ fn bad_invocations_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success(), "--replan-factor <= 1.0 must fail");
     assert!(String::from_utf8_lossy(&out.stderr).contains("replan"));
+
+    // Every command takes only its own flags: an unknown one is a usage
+    // error (exit 2), never silently ignored — a retired `--durability`
+    // must not quietly mine the JSON corpus instead of the store. A flag
+    // the selected backend would ignore is refused too (exit 1).
+    for (line, code) in [
+        ("mine --corpus /tmp/x.json --durability /tmp/store", 2),
+        ("detect --corpus /tmp/x.json --durability /tmp/store", 2),
+        (
+            "ingest --corpus /tmp/x.json --store /tmp/s --checkpoint-every 8",
+            2,
+        ),
+        ("ingest --corpus /tmp/x.json --backend disk", 2),
+        ("mine --corpus /tmp/x.json --fault-rat 0.1", 2),
+        ("stats --corpus /tmp/x.json --top 3", 2),
+        ("mine --corpus /tmp/x.json --store /tmp/s", 1),
+        ("detect --backend disk --store /tmp/s --retries 0", 1),
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let out = wiclean().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "`{line}`");
+        let flag = args[args.len() - 2];
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(flag),
+            "`{line}`: the error must name {flag}"
+        );
+    }
 
     let out = wiclean().args(["--help"]).output().unwrap();
     assert!(out.status.success());

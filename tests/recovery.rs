@@ -1,29 +1,29 @@
 //! Kill-and-recover integration: the crawler dies mid-ingestion — a torn
-//! final WAL write at 25%, 50%, and 90% of the stream — and the full
-//! pipeline runs over whatever recovery salvages.
+//! final segment write at 25%, 50%, and 90% of the stream — and the full
+//! pipeline runs over whatever recovery salvages from the sharded store.
 //!
 //! Acceptance properties:
 //!
 //! 1. Recovery never panics and never refuses a directory whose
-//!    checkpoints are intact; it returns exactly the acknowledged prefix
-//!    (the WAL is synced per record here, so nothing buffered is in play).
+//!    `meta.json` is intact; it returns exactly the acknowledged prefix
+//!    (segments are synced per record here, so nothing buffered is in
+//!    play), and the torn frame lands as a per-shard loss.
 //! 2. Mining over the recovered store produces the identical pattern set
 //!    as mining over that same prefix ingested cleanly in memory — a
 //!    crash-recovered corpus is indistinguishable from one that never
 //!    crashed, minus the honestly-reported tail.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wiclean::core::degraded::DegradedCoverage;
-use wiclean::core::miner::MineStats;
 use wiclean::core::pattern::Pattern;
-use wiclean::core::recover::open_recovered;
 use wiclean::core::windows::find_windows_and_patterns;
+use wiclean::core::{open_sharded_corpus, ShardedCorpus};
 use wiclean::eval::quality::default_wc_config;
 use wiclean::revstore::{
-    DurabilityPolicy, DurableStore, FailKind, FailOp, FailSpec, FailpointFs, MemFs, RevisionStore,
-    SyncPolicy, TailOutcome,
+    FailKind, FailOp, FailSpec, FailpointFs, MemFs, MemoryBudget, RevisionStore, ShardPolicy,
+    ShardedStore, SyncPolicy, TailOutcome,
 };
 use wiclean::synth::{generate, scenarios, SynthConfig};
 use wiclean::types::{EntityId, Timestamp};
@@ -61,12 +61,58 @@ fn ingest_clean(prefix: &[(EntityId, Timestamp, String)]) -> RevisionStore {
     s
 }
 
-fn policy() -> DurabilityPolicy {
-    DurabilityPolicy {
+fn policy() -> ShardPolicy {
+    ShardPolicy {
+        shards: 4,
+        snapshot_every: 8,
         sync: SyncPolicy::Always,
-        checkpoint_every: 64,
-        delta_encode: true,
+        ..ShardPolicy::default()
     }
+}
+
+fn budget() -> Arc<MemoryBudget> {
+    Arc::new(MemoryBudget::new(8 << 20))
+}
+
+/// Appends `stream` through a filesystem whose `kill_at`-th append tears
+/// `keep` bytes in and halts — the process dies there — and reopens what
+/// reached the disk. Returns the recovered corpus and the records the
+/// store acknowledged.
+fn crash_and_recover(
+    stream: &[(EntityId, Timestamp, String)],
+    kill_at: u64,
+    keep: usize,
+) -> (ShardedCorpus<Arc<MemFs>>, u64) {
+    let mem = Arc::new(MemFs::new());
+    let fs = FailpointFs::new(
+        mem.clone(),
+        FailSpec::once(FailOp::Append, kill_at, FailKind::TornWrite { keep }),
+    );
+    let dir = PathBuf::from("/crawl");
+    let store = ShardedStore::create(&fs, &dir, policy(), budget()).expect("create store");
+    let mut acked: u64 = 0;
+    for (e, t, text) in stream {
+        if store.append(*e, *t, text).is_err() {
+            break;
+        }
+        acked += 1;
+    }
+    drop(store);
+    let corpus = open_sharded_corpus(mem, Path::new(&dir), policy(), budget())
+        .expect("recovery must not refuse");
+    (corpus, acked)
+}
+
+/// Whether the recovered store serves exactly the histories of `clean`.
+fn same_histories(corpus: &ShardedCorpus<Arc<MemFs>>, clean: &RevisionStore) -> bool {
+    let store = &corpus.store;
+    store.page_count() == clean.page_count()
+        && store.entities().into_iter().all(|e| {
+            let got = store.materialize(e).unwrap().unwrap();
+            clean
+                .peek(e)
+                .is_some_and(|want| got.revisions() == want.revisions())
+        })
 }
 
 fn pattern_set(result: &wiclean::core::windows::WcResult) -> BTreeSet<Pattern> {
@@ -90,57 +136,36 @@ fn kill_and_recover_mines_exactly_the_surviving_prefix() {
 
     for percent in [25u64, 50, 90] {
         let kill_at = total * percent / 100;
-        let mem = Arc::new(MemFs::new());
-        let fs = Arc::new(FailpointFs::new(
-            mem.clone(),
-            // Tear the kill_at-th append a few bytes in and halt the
-            // filesystem — the process is dead from this point on.
-            FailSpec::once(FailOp::Append, kill_at, FailKind::TornWrite { keep: 7 }),
-        ));
-
-        let dir = PathBuf::from("/crawl");
-        let mut ds = DurableStore::create(fs, dir.clone(), policy()).expect("create store");
-        let mut acked: u64 = 0;
-        for (e, t, text) in &stream {
-            if ds.record(*e, *t, text).is_err() {
-                break;
-            }
-            acked += 1;
-        }
+        // Tear the kill_at-th append a few bytes in and halt the
+        // filesystem — the process is dead from this point on.
+        let (corpus, acked) = crash_and_recover(&stream, kill_at, 7);
         assert_eq!(acked, kill_at, "the torn append kills record #{kill_at}");
-        assert!(ds.is_wedged(), "a torn append must wedge the store");
-        drop(ds);
-
-        // The crawler is gone; recover from what hit the disk.
-        let rec = open_recovered(mem, dir, policy()).expect("recovery must not refuse");
-        let n = rec.recovery.records_recovered();
+        let n = corpus.recovery.records_recovered;
         assert_eq!(
             n, acked,
             "per-record sync ⇒ exactly the acked prefix survives"
         );
-        assert_eq!(rec.recovery.tail, TailOutcome::TornTail);
+        assert_eq!(corpus.recovery.losses.len(), 1, "only the torn shard");
+        assert_eq!(corpus.recovery.losses[0].outcome, TailOutcome::TornTail);
         assert!(
-            rec.recovery.bytes_dropped > 0,
+            corpus.recovery.bytes_dropped() > 0,
             "the torn frame is accounted"
         );
-        assert_eq!(rec.recovery.records_dropped, 0);
 
-        let prefix = &stream[..n as usize];
-        let clean = ingest_clean(prefix);
-        assert_eq!(
-            rec.store, clean,
+        let clean = ingest_clean(&stream[..n as usize]);
+        assert!(
+            same_histories(&corpus, &clean),
             "recovered store ≡ clean prefix at {percent}%"
         );
 
         // The losses flow into run accounting like any coverage loss.
         let mut degraded = DegradedCoverage::default();
-        let mut stats = MineStats::default();
-        rec.stamp(&mut degraded, &mut stats);
+        corpus.stamp(&mut degraded);
         assert!(!degraded.is_empty());
-        assert_eq!(stats.wal_bytes_dropped, rec.recovery.bytes_dropped);
+        assert_eq!(degraded.shard_losses, corpus.recovery.losses);
 
         // Full pipeline: recovered vs clean prefix must mine identically.
-        let mined_recovered = find_windows_and_patterns(&rec.store, &universe, seed_type, &wc);
+        let mined_recovered = find_windows_and_patterns(&corpus.store, &universe, seed_type, &wc);
         let mined_clean = find_windows_and_patterns(&clean, &universe, seed_type, &wc);
         assert_eq!(
             pattern_set(&mined_recovered),
@@ -160,21 +185,12 @@ fn kill_and_recover_is_exact_without_mining() {
     let total = stream.len() as u64;
     for percent in [25u64, 50, 90] {
         let kill_at = total * percent / 100;
-        let mem = Arc::new(MemFs::new());
-        let fs = Arc::new(FailpointFs::new(
-            mem.clone(),
-            FailSpec::once(FailOp::Append, kill_at, FailKind::TornWrite { keep: 3 }),
+        let (corpus, acked) = crash_and_recover(&stream, kill_at, 3);
+        assert_eq!(acked, kill_at);
+        assert_eq!(corpus.recovery.records_recovered, kill_at);
+        assert!(same_histories(
+            &corpus,
+            &ingest_clean(&stream[..kill_at as usize])
         ));
-        let dir = PathBuf::from("/crawl");
-        let mut ds = DurableStore::create(fs, dir.clone(), policy()).expect("create store");
-        for (e, t, text) in &stream {
-            if ds.record(*e, *t, text).is_err() {
-                break;
-            }
-        }
-        drop(ds);
-        let rec = open_recovered(mem, dir, policy()).expect("recovery must not refuse");
-        assert_eq!(rec.recovery.records_recovered(), kill_at);
-        assert_eq!(rec.store, ingest_clean(&stream[..kill_at as usize]));
     }
 }
