@@ -602,6 +602,7 @@ impl<'a> WindowMiner<'a> {
             ExpansionMode::Incremental,
             "use mine_window_materialized for ExpansionMode::Materialized"
         );
+        let t0 = Instant::now();
         let pool = self.intra_pool();
         let jpool = self.join_pool();
         let mut state = MineState::new();
@@ -613,6 +614,7 @@ impl<'a> WindowMiner<'a> {
             pool.as_deref(),
         );
         self.run_expansion(
+            t0,
             state,
             seed,
             window,
@@ -632,11 +634,20 @@ impl<'a> WindowMiner<'a> {
         window: &Window,
         entities: impl IntoIterator<Item = EntityId>,
     ) -> WindowResult {
+        let t0 = Instant::now();
         let pool = self.intra_pool();
         let jpool = self.join_pool();
         let mut state = MineState::new();
         self.load_entities(&mut state, entities, window, pool.as_deref());
-        self.run_expansion(state, seed, window, true, pool.as_deref(), jpool.as_deref())
+        self.run_expansion(
+            t0,
+            state,
+            seed,
+            window,
+            true,
+            pool.as_deref(),
+            jpool.as_deref(),
+        )
     }
 
     /// Fetches and extracts one entity's actions — through the shared
@@ -755,9 +766,13 @@ impl<'a> WindowMiner<'a> {
         tax.is_subtype(seed, s) || tax.is_subtype(s, seed)
     }
 
-    /// The main expansion loop shared by both entry points.
+    /// The main expansion loop shared by both entry points. `t0` is when
+    /// the entry point started: `stats.mine` is the time since then minus
+    /// every entity load (`stats.preprocess`), the seed load included.
+    #[allow(clippy::too_many_arguments)]
     fn run_expansion(
         &self,
+        t0: Instant,
         mut state: MineState,
         seed: TypeId,
         window: &Window,
@@ -765,7 +780,6 @@ impl<'a> WindowMiner<'a> {
         pool: Option<&MiningPool>,
         jpool: Option<&MiningPool>,
     ) -> WindowResult {
-        let t0 = Instant::now();
         let mut nodes: Vec<Node> = Vec::new();
         let mut found: HashSet<PatternId> = HashSet::new();
         let mut tested: HashSet<(PatternId, Shape)> = HashSet::new();
@@ -810,15 +824,10 @@ impl<'a> WindowMiner<'a> {
             if new_types.is_empty() {
                 break;
             }
-            let t_mine = t0.elapsed();
             for ty in new_types {
                 state.fetched_types.insert(ty);
                 self.load_entities(&mut state, self.universe.entities_of(ty), window, pool);
             }
-            // `load_entities` accrues into preprocess; keep mine timing by
-            // subtracting later — simplest is to track mine as total minus
-            // preprocess at the end.
-            let _ = t_mine;
         }
 
         // Line 16: select the most specific frequent patterns.
@@ -1759,5 +1768,58 @@ mod tests {
         let (rows, _) = miner.load_shape_rows(all, &fx.window);
         let redone = miner.realize_pattern(&rows, &target.working);
         assert_eq!(redone.sorted_rows(), target.table.sorted_rows());
+    }
+
+    /// A source that sleeps before every fetch of a seed entity.
+    struct SlowSeeds<'a> {
+        inner: &'a wiclean_revstore::RevisionStore,
+        seeds: HashSet<EntityId>,
+        sleep: Duration,
+    }
+
+    impl FetchSource for SlowSeeds<'_> {
+        fn fetch_history(
+            &self,
+            e: EntityId,
+        ) -> Result<Option<wiclean_revstore::FetchedHistory<'_>>, FetchError> {
+            if self.seeds.contains(&e) {
+                std::thread::sleep(self.sleep);
+            }
+            self.inner.fetch_history(e)
+        }
+    }
+
+    #[test]
+    fn preprocess_plus_mine_accounts_for_the_call() {
+        // The seed load is preprocessing and the expansion is mining, so
+        // the two add up to the call's wall time. The seed load sleeps
+        // about as long as a whole fast call takes: a mining clock that
+        // starts after the seed load but subtracts it loses about half the
+        // call. Best of three attempts, against scheduler noise.
+        let fx = soccer_fixture();
+        let seeds: HashSet<EntityId> = fx.universe.entities_of(fx.player_ty).into_iter().collect();
+        let timed = |sleep: Duration| {
+            let source = SlowSeeds {
+                inner: &fx.store,
+                seeds: seeds.clone(),
+                sleep,
+            };
+            let miner = WindowMiner::new(&source, &fx.universe, fx.config());
+            let t0 = Instant::now();
+            let stats = miner.mine_window(fx.player_ty, &fx.window).stats;
+            (t0.elapsed(), stats)
+        };
+        let mut shares = Vec::new();
+        for _ in 0..3 {
+            let (fast, _) = timed(Duration::ZERO);
+            let (wall, stats) = timed(fast / seeds.len() as u32);
+            let accounted = stats.preprocess + stats.mine;
+            assert!(accounted <= wall, "{accounted:?} accounted of {wall:?}");
+            shares.push(accounted.as_secs_f64() / wall.as_secs_f64());
+        }
+        assert!(
+            shares.iter().any(|&s| s >= 0.9),
+            "preprocess + mine cover only {shares:?} of the call"
+        );
     }
 }

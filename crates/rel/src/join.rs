@@ -19,7 +19,8 @@
 //! ([`materialize_pairs`]) gathers the output columns once at the end.
 //! Candidate pruning consumes the pair stream directly
 //! ([`distinct_left_values`]) and skips materialization entirely for
-//! patterns that fail the frequency threshold.
+//! patterns that fail the frequency threshold. Every hash pair stage
+//! indexes its build side with the one flat chained `index::KeyIndex`.
 //!
 //! The table-in/table-out operators ([`join_glue`], [`join_glue_nested`],
 //! [`join_glue_sort_merge`], [`join_glue_partitioned`],
@@ -27,13 +28,13 @@
 //! the exact output row order of the row-oriented seed implementation
 //! (retained in [`crate::rowstore`] for differential testing).
 
-use crate::column::{mix64, Value, NULL_IX};
-use crate::hash::{EntitySet, FastMap};
+use crate::column::NULL_IX;
+use crate::hash::EntitySet;
+use crate::index::{self, KeyCols, KeyIndex, Slot};
 use crate::schema::Schema;
 use crate::table::Table;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use wiclean_types::EntityId;
 
 /// How one right-hand column participates in a glue join.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,6 +85,11 @@ impl BatchRunner for SerialRunner {
 /// output cardinality. See [`crate::plan`] for the re-planning loop that
 /// consumes this.
 pub(crate) type Overflow = usize;
+
+/// The pairs of a pair-stage run given no budget.
+pub(crate) fn uncapped(run: Result<Vec<Pair>, Overflow>) -> Vec<Pair> {
+    run.unwrap_or_else(|_| unreachable!("uncapped join cannot overflow"))
+}
 
 fn output_schema(left: &Table, glue: &[ColumnGlue]) -> Schema {
     let mut schema = left.schema().clone();
@@ -138,14 +144,14 @@ impl GluePlan {
         Self { glued, new_cols }
     }
 
-    /// The glued-key columns of left row `li`, or `None` if any is null.
-    pub(crate) fn left_key(&self, left: &Table, li: usize) -> Option<JoinKey> {
-        pack_key(self.glued.iter().map(|&(lc, _)| left.col(lc).get(li)))
+    /// The left side's glued key columns.
+    pub(crate) fn left_keys<'a>(&self, left: &'a Table) -> KeyCols<'a> {
+        KeyCols(self.glued.iter().map(|&(lc, _)| left.col(lc)).collect())
     }
 
-    /// The glued-key columns of right row `ri`, or `None` if any is null.
-    pub(crate) fn right_key(&self, right: &Table, ri: usize) -> Option<JoinKey> {
-        pack_key(self.glued.iter().map(|&(_, rc)| right.col(rc).get(ri)))
+    /// The right side's glued key columns.
+    pub(crate) fn right_keys<'a>(&self, right: &'a Table) -> KeyCols<'a> {
+        KeyCols(self.glued.iter().map(|&(_, rc)| right.col(rc)).collect())
     }
 
     /// The `≠` post-filter on a key-matched pair. SQL three-valued logic:
@@ -182,67 +188,6 @@ impl GluePlan {
     }
 }
 
-/// A row's glued-key columns, packed.
-///
-/// Glue arity ≤ 2 — by far the common case (patterns glue one or two
-/// variables per extension) — packs into a single `u64`, avoiding a heap
-/// allocation per row on the build and probe sides of every join. Wider keys
-/// fall back to a `Vec`. Both sides of a join derive their key from the same
-/// glue spec, so arities always agree and `Eq`/`Ord`/`Hash` are consistent:
-/// the packed ordering equals the lexicographic `Vec<EntityId>` ordering.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum JoinKey {
-    Small(u64),
-    Big(Vec<EntityId>),
-}
-
-/// Packs glued-column values into a [`JoinKey`]; `None` if any is null (a
-/// null key never equi-matches).
-pub(crate) fn pack_key(vals: impl Iterator<Item = Value>) -> Option<JoinKey> {
-    let (mut a, mut b) = (0u64, 0u64);
-    let mut big: Vec<EntityId> = Vec::new();
-    let mut n = 0usize;
-    for v in vals {
-        let v = v?;
-        match n {
-            0 => a = u64::from(v.as_u32()),
-            1 => b = u64::from(v.as_u32()),
-            2 => {
-                big = vec![
-                    EntityId::from_u32(a as u32),
-                    EntityId::from_u32(b as u32),
-                    v,
-                ];
-            }
-            _ => big.push(v),
-        }
-        n += 1;
-    }
-    Some(match n {
-        0 => JoinKey::Small(0),
-        1 => JoinKey::Small(a),
-        2 => JoinKey::Small((a << 32) | b),
-        _ => JoinKey::Big(big),
-    })
-}
-
-/// Deterministic hash of a key, used to assign radix partitions. Must not
-/// depend on process state (`RandomState` would) — partition assignment
-/// feeds the parallel join whose output is required to be byte-identical
-/// across runs and thread counts.
-pub(crate) fn key_hash(k: &JoinKey) -> u64 {
-    match k {
-        JoinKey::Small(x) => mix64(x ^ 0x9e37_79b9_7f4a_7c15),
-        JoinKey::Big(v) => {
-            let mut h = 0x9e37_79b9_7f4a_7c15u64;
-            for e in v {
-                h = mix64(h ^ u64::from(e.as_u32()));
-            }
-            h
-        }
-    }
-}
-
 /// Hash equijoin pair stage: builds a hash index over the right relation
 /// keyed by its glued columns, probes with the left relation in row order,
 /// and applies the `≠` post-filter. Pairs come out in (left row, right
@@ -254,88 +199,15 @@ pub fn join_glue_pairs(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<
 }
 
 pub(crate) fn hash_pairs(left: &Table, right: &Table, plan: &GluePlan) -> Vec<Pair> {
-    match hash_pairs_capped(left, right, plan, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
-}
-
-/// [`hash_pairs`] with an output budget: aborts mid-probe (partial work
-/// discarded) once the pair count exceeds `cap`. `Ok` results are
-/// byte-identical to the uncapped run.
-pub(crate) fn hash_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for ri in 0..right.len() {
-        if let Some(key) = plan.right_key(right, ri) {
-            index.entry(key).or_default().push(ri as u32);
-        }
-    }
-    let cap = cap.unwrap_or(usize::MAX);
-    let mut pairs = Vec::new();
-    for li in 0..left.len() {
-        let Some(key) = plan.left_key(left, li) else {
-            continue;
-        };
-        let Some(candidates) = index.get(&key) else {
-            continue;
-        };
-        for &ri in candidates {
-            if plan.neq_ok(left, li, right, ri as usize) {
-                pairs.push((li as u32, ri));
-            }
-        }
-        if pairs.len() > cap {
-            return Err(pairs.len());
-        }
-    }
-    Ok(pairs)
-}
-
-/// Build-side-swapped hash pair stage: indexes the **left** relation and
-/// probes with the right — the planner's choice when the left side dwarfs
-/// the right, trading the big build for a probe scan. Probing emits pairs
-/// in right-major order; per-bucket left candidates are ascending and all
-/// `(li, ri)` pairs are distinct, so one final `sort_unstable` restores
-/// exactly the canonical (left row, right row) order of
-/// [`join_glue_pairs`] — byte-identical output (property-tested in
-/// [`crate::plan`]).
-pub(crate) fn hash_pairs_build_left(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for li in 0..left.len() {
-        if let Some(key) = plan.left_key(left, li) {
-            index.entry(key).or_default().push(li as u32);
-        }
-    }
-    let cap = cap.unwrap_or(usize::MAX);
-    let mut pairs = Vec::new();
-    for ri in 0..right.len() {
-        let Some(key) = plan.right_key(right, ri) else {
-            continue;
-        };
-        let Some(candidates) = index.get(&key) else {
-            continue;
-        };
-        for &li in candidates {
-            if plan.neq_ok(left, li as usize, right, ri) {
-                pairs.push((li, ri as u32));
-            }
-        }
-        if pairs.len() > cap {
-            return Err(pairs.len());
-        }
-    }
-    pairs.sort_unstable();
-    Ok(pairs)
+    uncapped(hash_pairs_capped(
+        left,
+        right,
+        plan,
+        &SerialRunner,
+        1,
+        false,
+        None,
+    ))
 }
 
 /// Sort–merge pair stage: both relations are decorated with their glued
@@ -345,10 +217,7 @@ pub(crate) fn hash_pairs_build_left(
 pub fn join_glue_pairs_sort_merge(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    match sort_merge_pairs_capped(left, right, &plan, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
+    uncapped(sort_merge_pairs_capped(left, right, &plan, None))
 }
 
 pub(crate) fn sort_merge_pairs_capped(
@@ -357,30 +226,33 @@ pub(crate) fn sort_merge_pairs_capped(
     plan: &GluePlan,
     cap: Option<usize>,
 ) -> Result<Vec<Pair>, Overflow> {
-    let mut lkeys: Vec<(JoinKey, u32)> = (0..left.len())
-        .filter_map(|i| plan.left_key(left, i).map(|k| (k, i as u32)))
-        .collect();
-    let mut rkeys: Vec<(JoinKey, u32)> = (0..right.len())
-        .filter_map(|i| plan.right_key(right, i).map(|k| (k, i as u32)))
-        .collect();
-    lkeys.sort();
-    rkeys.sort();
+    // Each side's keyed rows, stably sorted by key (row order within a key).
+    let sorted = |keys: &KeyCols, n: usize| {
+        let mut rows: Vec<u32> = (0..n as u32)
+            .filter(|&i| keys.hash(i as usize).is_some())
+            .collect();
+        rows.sort_by(|&a, &b| keys.cmp(a as usize, keys, b as usize));
+        rows
+    };
+    let (lk, rk) = (plan.left_keys(left), plan.right_keys(right));
+    let (lrows, rrows) = (sorted(&lk, left.len()), sorted(&rk, right.len()));
 
     let cap = cap.unwrap_or(usize::MAX);
     let mut pairs = Vec::new();
     let (mut li, mut ri) = (0usize, 0usize);
-    while li < lkeys.len() && ri < rkeys.len() {
-        match lkeys[li].0.cmp(&rkeys[ri].0) {
+    while li < lrows.len() && ri < rrows.len() {
+        let (l0, r0) = (lrows[li] as usize, rrows[ri] as usize);
+        match lk.cmp(l0, &rk, r0) {
             std::cmp::Ordering::Less => li += 1,
             std::cmp::Ordering::Greater => ri += 1,
             std::cmp::Ordering::Equal => {
-                // Delimit the equal-key groups on both sides (compared by
-                // reference — no key clone per group).
-                let key = &lkeys[li].0;
-                let lhi = lkeys[li..].partition_point(|(k, _)| k == key) + li;
-                let rhi = rkeys[ri..].partition_point(|(k, _)| k == key) + ri;
-                for &(_, l_ix) in &lkeys[li..lhi] {
-                    for &(_, r_ix) in &rkeys[ri..rhi] {
+                // Delimit the equal-key groups on both sides.
+                let lhi =
+                    lrows[li..].partition_point(|&l| lk.cmp(l as usize, &rk, r0).is_eq()) + li;
+                let rhi =
+                    rrows[ri..].partition_point(|&r| rk.cmp(r as usize, &lk, l0).is_eq()) + ri;
+                for &l_ix in &lrows[li..lhi] {
+                    for &r_ix in &rrows[ri..rhi] {
                         if plan.neq_ok(left, l_ix as usize, right, r_ix as usize) {
                             pairs.push((l_ix, r_ix));
                         }
@@ -406,10 +278,7 @@ pub(crate) fn sort_merge_pairs_capped(
 pub fn join_glue_pairs_nested(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    match nested_pairs_capped(left, right, &plan, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
+    uncapped(nested_pairs_capped(left, right, &plan, None))
 }
 
 pub(crate) fn nested_pairs_capped(
@@ -459,12 +328,14 @@ pub fn join_glue_pairs_partitioned(
     runner: &dyn BatchRunner,
 ) -> Vec<Pair> {
     validate(left, right, glue);
+    let plan = GluePlan::new(glue);
     if runner.width() <= 1 || left.len() < PARALLEL_MIN_LEFT || right.len() < PARALLEL_MIN_RIGHT {
-        let plan = GluePlan::new(glue);
         return hash_pairs(left, right, &plan);
     }
-    let plan = GluePlan::new(glue);
-    partitioned_pairs(left, right, &plan, runner)
+    let parts = default_partitions(runner);
+    uncapped(hash_pairs_capped(
+        left, right, &plan, runner, parts, false, None,
+    ))
 }
 
 /// Runs `f` over `0..n` on the runner and collects results in index order.
@@ -484,51 +355,33 @@ pub(crate) fn par_map<R: Send>(
         .collect()
 }
 
-fn partitioned_pairs(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    match partitioned_pairs_capped(
-        left,
-        right,
-        plan,
-        runner,
-        default_partitions(runner),
-        false,
-        None,
-    ) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
-}
-
 /// The fixed-heuristic radix fanout: twice the runner width, a power of
 /// two. The adaptive planner may choose any other power of two in `2..=64`.
 pub(crate) fn default_partitions(runner: &dyn BatchRunner) -> usize {
     (runner.width() * 2).next_power_of_two().clamp(2, 64)
 }
 
-/// Radix-partitioned pair stage with a selectable build side, partition
-/// count, and output budget.
+/// The hash pair stage with a selectable build side, radix partition
+/// count, and output budget — every hash strategy runs through it.
 ///
-/// `parts` must be a power of two in `2..=64`. With `build_left = false`
-/// (the classic shape) the right side is scattered and indexed and the
-/// left side probes in contiguous chunks, so pairs come out in canonical
+/// `parts` is a power of two up to 64. With one partition the build side
+/// gets one index and the probe side is scanned serially on the caller:
+/// the serial hash join. With more, the build side is scattered by the
+/// high bits of its key hash, partition indexes build as one batch on the
+/// runner, and contiguous probe chunks probe as a second batch.
+///
+/// With `build_left = false` (the classic shape) the right side is
+/// indexed and the left side probes, so pairs come out in canonical
 /// (left row, right row) order directly. With `build_left = true` the
-/// roles swap: the left side is indexed and right-side probe chunks emit
-/// right-major pairs, and one final `sort_unstable` restores the
-/// canonical order — the pair set is identical and pairs are distinct,
-/// so the sorted stream is byte-identical to the build-right stream.
+/// roles swap — the planner's choice when the left side dwarfs the right:
+/// probing emits right-major pairs, and one final `sort_unstable`
+/// restores the canonical order — the pair set is identical and pairs are
+/// distinct, so the sorted stream is byte-identical to the build-right
+/// stream.
 ///
-/// `cap` is the re-planning budget: probe chunks publish their emitted
-/// pair counts to a shared counter and cooperatively abort once the
-/// total exceeds the cap, returning `Err` with the approximate count
-/// observed at abort. The success path is byte-identical to the
-/// uncapped run (the counter never alters what is emitted, only whether
-/// the join runs to completion).
-pub(crate) fn partitioned_pairs_capped(
+/// `cap` is the re-planning budget (see [`probe_chunks`]); `Ok` results
+/// are byte-identical to the uncapped run.
+pub(crate) fn hash_pairs_capped(
     left: &Table,
     right: &Table,
     plan: &GluePlan,
@@ -538,121 +391,135 @@ pub(crate) fn partitioned_pairs_capped(
     cap: Option<usize>,
 ) -> Result<Vec<Pair>, Overflow> {
     assert!(
-        parts.is_power_of_two() && (2..=64).contains(&parts),
-        "partition count must be a power of two in 2..=64"
+        parts.is_power_of_two() && parts <= 64,
+        "partition count must be a power of two up to 64"
     );
     let shift = 64 - parts.trailing_zeros();
-    let (build, probe) = if build_left {
-        (left, right)
+    let part = |h: u64| h.checked_shr(shift).unwrap_or(0) as usize;
+    let (lkeys, rkeys) = (plan.left_keys(left), plan.right_keys(right));
+    let (bkeys, pkeys, build_len, probe_len) = if build_left {
+        (lkeys, rkeys, left.len(), right.len())
     } else {
-        (right, left)
-    };
-    let build_key = |bi: usize| {
-        if build_left {
-            plan.left_key(build, bi)
-        } else {
-            plan.right_key(build, bi)
-        }
+        (rkeys, lkeys, right.len(), left.len())
     };
 
-    // Scatter the build side: key + radix partition per row, row order
-    // preserved within each partition (so per-bucket candidate lists come
-    // out ascending, exactly as the serial build produces them).
-    let mut bkeys: Vec<Option<JoinKey>> = Vec::with_capacity(build.len());
-    let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); parts];
-    for bi in 0..build.len() {
-        let key = build_key(bi);
-        if let Some(k) = &key {
-            part_rows[(key_hash(k) >> shift) as usize].push(bi as u32);
-        }
-        bkeys.push(key);
-    }
+    let indexes: Vec<KeyIndex> = if parts == 1 {
+        vec![KeyIndex::build(bkeys, 0..build_len)]
+    } else {
+        // Scatter the build side by radix partition, row order preserved
+        // within each partition (so each partition's chains come out
+        // ascending, exactly as the serial build produces them), then
+        // chain one index per partition as a pool batch.
+        let scattered: Vec<Mutex<Vec<Slot>>> = index::scatter(&bkeys, 0..build_len, parts, part)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        par_map(runner, parts, |p| {
+            let slots = std::mem::take(&mut *scattered[p].lock().unwrap());
+            KeyIndex::chain(bkeys.clone(), slots)
+        })
+    };
 
-    // Build one hash index per partition, as a pool batch.
-    let indexes: Vec<FastMap<JoinKey, Vec<u32>>> = par_map(runner, parts, |p| {
-        let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-        for &bi in &part_rows[p] {
-            let key = bkeys[bi as usize].clone().expect("scattered row has key");
-            index.entry(key).or_default().push(bi);
-        }
-        index
-    });
-
-    // Probe contiguous chunks of the probe side in parallel; concatenating
-    // the chunk results in chunk order restores the serial probe order.
-    // The budget is enforced cooperatively: each chunk publishes its
-    // emitted count per probe row and bails once the global total exceeds
-    // the cap.
-    let cap_val = cap.unwrap_or(usize::MAX);
-    let emitted = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-    let tasks = (runner.width() * 4).clamp(1, probe.len().max(1));
-    let chunk = probe.len().div_ceil(tasks).max(1);
-    let chunk_pairs: Vec<Vec<Pair>> = par_map(runner, tasks, |t| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(probe.len());
-        let mut pairs = Vec::new();
-        let mut published = 0usize;
-        for pi in lo..hi {
-            if cap.is_some() && pi % 64 == 0 && aborted.load(Ordering::Relaxed) {
-                return pairs;
-            }
-            let key = if build_left {
-                plan.right_key(probe, pi)
+    // Probe the probe side: serially, or in contiguous parallel chunks.
+    let mut pairs = probe_chunks(runner, 0..probe_len, parts > 1, cap, |pi, pairs| {
+        let Some(h) = pkeys.hash(pi) else {
+            return;
+        };
+        indexes[part(h)].probe_hashed(h, &pkeys, pi, |bi| {
+            let (li, ri) = if build_left {
+                (bi, pi as u32)
             } else {
-                plan.left_key(probe, pi)
+                (pi as u32, bi)
             };
-            let Some(key) = key else {
-                continue;
-            };
-            let index = &indexes[(key_hash(&key) >> shift) as usize];
-            let Some(candidates) = index.get(&key) else {
-                continue;
-            };
-            for &bi in candidates {
-                let (li, ri) = if build_left {
-                    (bi, pi as u32)
-                } else {
-                    (pi as u32, bi)
-                };
-                if plan.neq_ok(left, li as usize, right, ri as usize) {
-                    pairs.push((li, ri));
-                }
+            if plan.neq_ok(left, li as usize, right, ri as usize) {
+                pairs.push((li, ri));
             }
-            if cap.is_some() && pairs.len() - published >= 256 {
-                let total = emitted.fetch_add(pairs.len() - published, Ordering::Relaxed)
-                    + pairs.len()
-                    - published;
-                published = pairs.len();
-                if total > cap_val {
-                    aborted.store(true, Ordering::Relaxed);
-                    return pairs;
-                }
-            }
-        }
-        if cap.is_some() {
-            let total = emitted.fetch_add(pairs.len() - published, Ordering::Relaxed) + pairs.len()
-                - published;
-            if total > cap_val {
-                aborted.store(true, Ordering::Relaxed);
-            }
-        }
-        pairs
-    });
-
-    let total: usize = chunk_pairs.iter().map(Vec::len).sum();
-    if aborted.load(Ordering::Relaxed) || total > cap_val {
-        return Err(total.max(emitted.load(Ordering::Relaxed)));
-    }
-    let mut pairs = Vec::with_capacity(total);
-    for mut c in chunk_pairs {
-        pairs.append(&mut c);
-    }
+        });
+    })?;
     if build_left {
         // Right-major emission within each chunk; restore canonical order.
         pairs.sort_unstable();
     }
     Ok(pairs)
+}
+
+/// Runs `probe_one(row, out)` over the probe rows `range` in row order: as
+/// one serial scan, or — when `parallel` — as contiguous chunks on the
+/// runner whose outputs concatenate in chunk order, restoring the serial
+/// order.
+///
+/// `cap` is the re-planning budget. A serial scan checks its own output
+/// after every row; parallel chunks publish their emitted pair counts to a
+/// shared counter every 256 pairs and cooperatively abort once the total
+/// exceeds it. Either returns `Err` with the count observed at the abort —
+/// exact when serial, approximate otherwise. The counter never alters what is emitted, only whether the
+/// run completes, so the success path is byte-identical to the uncapped
+/// run.
+fn probe_chunks(
+    runner: &dyn BatchRunner,
+    range: std::ops::Range<usize>,
+    parallel: bool,
+    cap: Option<usize>,
+    probe_one: impl Fn(usize, &mut Vec<Pair>) + Sync,
+) -> Result<Vec<Pair>, Overflow> {
+    let cap_val = cap.unwrap_or(usize::MAX);
+    let emitted = AtomicUsize::new(0);
+    let aborted = AtomicBool::new(false);
+    // Adds `n` newly emitted pairs to the shared count; true once over.
+    let publish = |n: usize| {
+        let over = emitted.fetch_add(n, Ordering::Relaxed) + n > cap_val;
+        if over {
+            aborted.store(true, Ordering::Relaxed);
+        }
+        over
+    };
+    let n = range.len();
+    let tasks = if parallel {
+        (runner.width() * 4).clamp(1, n.max(1))
+    } else {
+        1
+    };
+    let chunk = n.div_ceil(tasks).max(1);
+    let shared = cap.is_some() && tasks > 1;
+    let run_chunk = |t: usize| {
+        let lo = range.start + t * chunk;
+        let hi = (lo + chunk).min(range.end);
+        let mut pairs = Vec::new();
+        let mut published = 0usize;
+        for pi in lo..hi {
+            if shared && pi % 64 == 0 && aborted.load(Ordering::Relaxed) {
+                return pairs;
+            }
+            probe_one(pi, &mut pairs);
+            if !shared && pairs.len() > cap_val {
+                return pairs;
+            }
+            if shared && pairs.len() - published >= 256 {
+                let over = publish(pairs.len() - published);
+                published = pairs.len();
+                if over {
+                    return pairs;
+                }
+            }
+        }
+        if shared {
+            publish(pairs.len() - published);
+        }
+        pairs
+    };
+    let mut chunk_pairs = if tasks == 1 {
+        vec![run_chunk(0)]
+    } else {
+        par_map(runner, tasks, run_chunk)
+    };
+    let total: usize = chunk_pairs.iter().map(Vec::len).sum();
+    if aborted.load(Ordering::Relaxed) || total > cap_val {
+        return Err(total.max(emitted.load(Ordering::Relaxed)));
+    }
+    Ok(match chunk_pairs.len() {
+        1 => chunk_pairs.pop().expect("one chunk"),
+        _ => chunk_pairs.concat(),
+    })
 }
 
 /// Delta-aware pair stage for append-only growth (the streaming miner).
@@ -713,137 +580,48 @@ fn delta_pairs(
     assert!(right_old <= right.len(), "right_old beyond right length");
 
     // Part one: stable left prefix × appended right rows. The delta is
-    // the build side; per-bucket row order is ascending (insertion order)
-    // and the prefix probes in row order, so pairs come out canonical.
-    // An empty build side can't match anything — skip the probe scan
-    // entirely (the common one-sided-growth case pays for one part only).
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for ri in right_old..right.len() {
-        if let Some(key) = plan.right_key(right, ri) {
-            index.entry(key).or_default().push(ri as u32);
-        }
-    }
-    let mut pairs = if index.is_empty() {
-        Vec::new()
-    } else {
-        probe_left_range(left, 0, left_old, right, plan, &index, runner)
-    };
+    // the build side; chains are ascending and the prefix probes in row
+    // order, so pairs come out canonical. An empty build side can't match
+    // anything — skip the probe scan entirely (the common one-sided-growth
+    // case pays for one part only).
+    let (lkeys, rkeys) = (plan.left_keys(left), plan.right_keys(right));
+    let index = KeyIndex::build(rkeys.clone(), right_old..right.len());
+    let mut pairs = probe_range(runner, &index, &lkeys, 0..left_old, |li, ri| {
+        plan.neq_ok(left, li as usize, right, ri as usize)
+            .then_some((li, ri))
+    });
 
     // Part two: appended left rows × the full right side. Probing by
     // right row emits (right, left) order; the tail is small, so sort it
     // back to canonical and append — its left rows all sit at or past
     // `left_old`, keeping the concatenation globally ordered.
-    index.clear();
-    for li in left_old..left.len() {
-        if let Some(key) = plan.left_key(left, li) {
-            index.entry(key).or_default().push(li as u32);
-        }
-    }
-    let mut tail = if index.is_empty() {
-        Vec::new()
-    } else {
-        probe_right_range(left, right, plan, &index, runner)
-    };
+    let index = KeyIndex::build(lkeys, left_old..left.len());
+    let mut tail = probe_range(runner, &index, &rkeys, 0..right.len(), |ri, li| {
+        plan.neq_ok(left, li as usize, right, ri as usize)
+            .then_some((li, ri))
+    });
     tail.sort_unstable();
     pairs.append(&mut tail);
     pairs
 }
 
-/// Probes left rows `lo..hi` against an index over right rows, in left
-/// row order (chunk-parallel when the range is large).
-fn probe_left_range(
-    left: &Table,
-    lo: usize,
-    hi: usize,
-    right: &Table,
-    plan: &GluePlan,
-    index: &FastMap<JoinKey, Vec<u32>>,
+/// Probes rows `range` of the probe side against `index` in row order
+/// (chunk-parallel when the range is large). `emit(probe row, build row)`
+/// maps a key match to its pair, or `None` if the `≠` filter rejects it.
+fn probe_range(
     runner: &dyn BatchRunner,
+    index: &KeyIndex,
+    probe: &KeyCols,
+    range: std::ops::Range<usize>,
+    emit: impl Fn(u32, u32) -> Option<Pair> + Sync,
 ) -> Vec<Pair> {
-    if index.is_empty() || lo >= hi {
+    if index.is_empty() {
         return Vec::new();
     }
-    let probe_one = |li: usize, pairs: &mut Vec<Pair>| {
-        let Some(key) = plan.left_key(left, li) else {
-            return;
-        };
-        let Some(candidates) = index.get(&key) else {
-            return;
-        };
-        for &ri in candidates {
-            if plan.neq_ok(left, li, right, ri as usize) {
-                pairs.push((li as u32, ri));
-            }
-        }
-    };
-    let n = hi - lo;
-    if runner.width() <= 1 || n < PARALLEL_MIN_LEFT {
-        let mut pairs = Vec::new();
-        for li in lo..hi {
-            probe_one(li, &mut pairs);
-        }
-        return pairs;
-    }
-    let tasks = (runner.width() * 4).min(n);
-    let chunk = n.div_ceil(tasks);
-    let chunk_pairs = par_map(runner, tasks, |t| {
-        let clo = lo + t * chunk;
-        let chi = (lo + (t + 1) * chunk).min(hi);
-        let mut pairs = Vec::new();
-        for li in clo..chi {
-            probe_one(li, &mut pairs);
-        }
-        pairs
-    });
-    chunk_pairs.concat()
-}
-
-/// Probes every right row against an index over left rows, emitting
-/// (left, right) pairs in right-major order (chunk-parallel when the
-/// right side is large); callers sort the result.
-fn probe_right_range(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    index: &FastMap<JoinKey, Vec<u32>>,
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    if index.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    let probe_one = |ri: usize, pairs: &mut Vec<Pair>| {
-        let Some(key) = plan.right_key(right, ri) else {
-            return;
-        };
-        let Some(candidates) = index.get(&key) else {
-            return;
-        };
-        for &li in candidates {
-            if plan.neq_ok(left, li as usize, right, ri) {
-                pairs.push((li, ri as u32));
-            }
-        }
-    };
-    let n = right.len();
-    if runner.width() <= 1 || n < PARALLEL_MIN_LEFT {
-        let mut pairs = Vec::new();
-        for ri in 0..n {
-            probe_one(ri, &mut pairs);
-        }
-        return pairs;
-    }
-    let tasks = (runner.width() * 4).min(n);
-    let chunk = n.div_ceil(tasks);
-    let chunk_pairs = par_map(runner, tasks, |t| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        let mut pairs = Vec::new();
-        for ri in lo..hi {
-            probe_one(ri, &mut pairs);
-        }
-        pairs
-    });
-    chunk_pairs.concat()
+    let parallel = runner.width() > 1 && range.len() >= PARALLEL_MIN_LEFT;
+    uncapped(probe_chunks(runner, range, parallel, None, |pi, pairs| {
+        index.probe(probe, pi, |bi| pairs.extend(emit(pi as u32, bi)));
+    }))
 }
 
 /// Materialize stage: gathers the output columns of a pair stream once —
@@ -948,28 +726,19 @@ pub fn outer_join_glue(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Tabl
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
 
-    let mut index: FastMap<JoinKey, Vec<u32>> = FastMap::default();
-    for ri in 0..right.len() {
-        if let Some(key) = plan.right_key(right, ri) {
-            index.entry(key).or_default().push(ri as u32);
-        }
-    }
-
+    let lkeys = plan.left_keys(left);
+    let index = KeyIndex::build(plan.right_keys(right), 0..right.len());
     let mut right_matched = vec![false; right.len()];
     let mut pairs: Vec<Pair> = Vec::new();
     for li in 0..left.len() {
         let mut l_matched = false;
-        if let Some(key) = plan.left_key(left, li) {
-            if let Some(candidates) = index.get(&key) {
-                for &ri in candidates {
-                    if plan.neq_ok(left, li, right, ri as usize) {
-                        pairs.push((li as u32, ri));
-                        l_matched = true;
-                        right_matched[ri as usize] = true;
-                    }
-                }
+        index.probe(&lkeys, li, |ri| {
+            if plan.neq_ok(left, li, right, ri as usize) {
+                pairs.push((li as u32, ri));
+                l_matched = true;
+                right_matched[ri as usize] = true;
             }
-        }
+        });
         if !l_matched {
             pairs.push((li as u32, NULL_IX));
         }
@@ -1019,6 +788,8 @@ pub fn outer_join_glue(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Tabl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Value;
+    use wiclean_types::EntityId;
 
     fn v(i: u32) -> Value {
         Some(EntityId::from_u32(i))

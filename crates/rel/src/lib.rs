@@ -16,6 +16,10 @@
 //!   columns once ([`join::materialize_pairs`]). Candidate pruning counts
 //!   support straight off the pair stream ([`join::distinct_left_values`])
 //!   without materializing at all;
+//! * `index::KeyIndex` — the one join key index behind every hash pair
+//!   stage: a flat chained index (power-of-two bucket heads, one slot per
+//!   build row carrying its key hash), allocation-free per key, chains
+//!   ascending so every pair stream keeps the canonical order;
 //! * [`join::join_glue_partitioned`] — the radix-partitioned parallel hash
 //!   join; byte-identical output at any [`BatchRunner`] width;
 //! * [`plan`] — the adaptive cost-based join planner: sampled cardinality
@@ -41,6 +45,7 @@
 
 pub mod column;
 pub mod hash;
+mod index;
 pub mod join;
 pub mod plan;
 pub mod rowstore;

@@ -34,9 +34,9 @@
 
 use crate::hash::FastMap;
 use crate::join::{
-    default_partitions, hash_pairs, hash_pairs_build_left, hash_pairs_capped, key_hash,
-    nested_pairs_capped, partitioned_pairs_capped, sort_merge_pairs_capped, validate, BatchRunner,
-    ColumnGlue, GluePlan, JoinKey, Overflow, Pair,
+    default_partitions, hash_pairs, hash_pairs_capped, nested_pairs_capped,
+    sort_merge_pairs_capped, uncapped, validate, BatchRunner, ColumnGlue, GluePlan, Overflow, Pair,
+    SerialRunner,
 };
 use crate::table::Table;
 use serde::{Deserialize, Serialize};
@@ -161,7 +161,10 @@ const REPLAN_FLOOR: usize = 4096;
 
 // Cost-model weights, in abstract per-row units (relative magnitudes are
 // what matters). Calibrated against the fig5_join / fig_plan benches.
-const C_BUILD: f64 = 2.2; // insert one build row into the hash index
+// Inserting into the flat key index is a sequential scan plus one bucket
+// write; a probe is a hash plus dependent bucket and slot reads, so it
+// measures 2–3× an insert (20–400k-row build sides).
+const C_BUILD: f64 = 0.35; // insert one build row into the key index
 const C_PROBE: f64 = 1.0; // probe one row
 const C_EMIT: f64 = 0.4; // emit one pair
 const C_SORT: f64 = 0.05; // per pair per log2(pairs): canonical-order restore
@@ -281,7 +284,7 @@ pub fn choose_plan(stats: &JoinStats, width: usize) -> JoinPlan {
 /// `√(len/sample)`. The naive linear scale-up overshoots small domains by
 /// an order of magnitude, which underestimates output cardinality and
 /// trips the re-plan budget on perfectly healthy joins.
-fn side_stats(len: usize, key_at: impl Fn(usize) -> Option<JoinKey>) -> SideSample {
+fn side_stats(len: usize, key_hash_at: impl Fn(usize) -> Option<u64>) -> SideSample {
     if len == 0 {
         return SideSample::default();
     }
@@ -290,9 +293,9 @@ fn side_stats(len: usize, key_at: impl Fn(usize) -> Option<JoinKey>) -> SideSamp
     let mut valid = 0usize;
     for s in 0..sample {
         let i = s * len / sample;
-        if let Some(k) = key_at(i) {
+        if let Some(h) = key_hash_at(i) {
             valid += 1;
-            *counts.entry(key_hash(&k)).or_insert(0) += 1;
+            *counts.entry(h).or_insert(0) += 1;
         }
     }
     let est_valid = valid * len / sample;
@@ -366,8 +369,9 @@ pub fn join_stats(left: &Table, right: &Table, glue: &[ColumnGlue]) -> JoinStats
 /// and inherits the distinct estimator's bias); on sparse overlap the
 /// classic estimate is folded in as a floor. Capped at `|L|·|R|`.
 fn sample_join_stats(left: &Table, right: &Table, plan: &GluePlan) -> JoinStats {
-    let ls = side_stats(left.len(), |i| plan.left_key(left, i));
-    let rs = side_stats(right.len(), |i| plan.right_key(right, i));
+    let (lkeys, rkeys) = (plan.left_keys(left), plan.right_keys(right));
+    let ls = side_stats(left.len(), |i| lkeys.hash(i));
+    let rs = side_stats(right.len(), |i| rkeys.hash(i));
     let denom = ls.distinct.max(rs.distinct).max(1) as u128;
     let classic = (ls.valid as u128 * rs.valid as u128 / denom).min(u64::MAX as u128) as u64;
     let cap = (left.len() as u128 * right.len() as u128).min(u64::MAX as u128) as u64;
@@ -397,8 +401,15 @@ fn execute(
     cap: Option<usize>,
 ) -> Result<Vec<Pair>, Overflow> {
     match (plan.strategy, plan.build_side) {
-        (Strategy::Hash, BuildSide::Right) => hash_pairs_capped(left, right, gp, cap),
-        (Strategy::Hash, BuildSide::Left) => hash_pairs_build_left(left, right, gp, cap),
+        (Strategy::Hash, side) => hash_pairs_capped(
+            left,
+            right,
+            gp,
+            &SerialRunner,
+            1,
+            side == BuildSide::Left,
+            cap,
+        ),
         (Strategy::SortMerge, _) => sort_merge_pairs_capped(left, right, gp, cap),
         (Strategy::NestedLoop, _) => nested_pairs_capped(left, right, gp, cap),
         (Strategy::Partitioned, side) => {
@@ -407,7 +418,7 @@ fn execute(
             } else {
                 plan.partitions as usize
             };
-            partitioned_pairs_capped(left, right, gp, runner, parts, side == BuildSide::Left, cap)
+            hash_pairs_capped(left, right, gp, runner, parts, side == BuildSide::Left, cap)
         }
     }
 }
@@ -424,10 +435,7 @@ pub fn join_glue_pairs_planned(
 ) -> Vec<Pair> {
     validate(left, right, glue);
     let gp = GluePlan::new(glue);
-    match execute(plan, left, right, &gp, runner, None) {
-        Ok(pairs) => pairs,
-        Err(_) => unreachable!("uncapped join cannot overflow"),
-    }
+    uncapped(execute(plan, left, right, &gp, runner, None))
 }
 
 /// The adaptive planner: shape cache + epoch, shared (via `Arc`) across
@@ -483,10 +491,7 @@ impl Planner {
         let gp = GluePlan::new(glue);
 
         if let Some(plan) = settings.forced {
-            let pairs = match execute(plan, left, right, &gp, runner, None) {
-                Ok(pairs) => pairs,
-                Err(_) => unreachable!("uncapped join cannot overflow"),
-            };
+            let pairs = uncapped(execute(plan, left, right, &gp, runner, None));
             return (
                 pairs,
                 PlanOutcome {
@@ -549,10 +554,7 @@ impl Planner {
                 plan = choose_plan(&stats, runner.width());
                 outcome.picked = plan.strategy;
                 self.invalidate();
-                match execute(plan, left, right, &gp, runner, None) {
-                    Ok(pairs) => pairs,
-                    Err(_) => unreachable!("uncapped join cannot overflow"),
-                }
+                uncapped(execute(plan, left, right, &gp, runner, None))
             }
         };
 
@@ -812,19 +814,31 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_builds_over_the_smaller_side() {
-        // Small left × huge right: building the index over the right side
-        // costs ~2.2 units per right row; the planner must flip the build.
+    fn cost_model_builds_over_the_larger_side() {
+        // Huge left × small right with a small output: a probe costs more
+        // than an insert, so the planner builds over the left side and
+        // probes with the few right rows, despite the restoring sort…
         let stats = JoinStats {
+            left_rows: 400_000,
+            right_rows: 800,
+            left_distinct: 90_000,
+            right_distinct: 600,
+            est_pairs: 3_500,
+        };
+        let plan = choose_plan(&stats, 1);
+        assert_eq!(plan.strategy, Strategy::Hash);
+        assert_eq!(plan.build_side, BuildSide::Left);
+        // …and keeps the right build side in the mirrored shape.
+        let mirrored = JoinStats {
             left_rows: 800,
             right_rows: 400_000,
             left_distinct: 600,
             right_distinct: 90_000,
             est_pairs: 3_500,
         };
-        let plan = choose_plan(&stats, 1);
+        let plan = choose_plan(&mirrored, 1);
         assert_eq!(plan.strategy, Strategy::Hash);
-        assert_eq!(plan.build_side, BuildSide::Left);
+        assert_eq!(plan.build_side, BuildSide::Right);
 
         // Tiny inputs prefer the nested loop (no index setup at all).
         let tiny = JoinStats {

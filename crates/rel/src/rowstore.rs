@@ -15,7 +15,7 @@
 //! [`join_glue`]: crate::join_glue
 
 use crate::column::Value;
-use crate::join::{pack_key, ColumnGlue, JoinKey};
+use crate::join::ColumnGlue;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::collections::{HashMap, HashSet};
@@ -204,6 +204,51 @@ fn output_schema(left: &RowTable, glue: &[ColumnGlue]) -> Schema {
         }
     }
     schema
+}
+
+/// A row's glued-key columns, packed as the engine packed them when this
+/// reference was frozen.
+///
+/// Glue arity ≤ 2 — by far the common case (patterns glue one or two
+/// variables per extension) — packs into a single `u64`, avoiding a heap
+/// allocation per row on the build and probe sides of every join. Wider keys
+/// fall back to a `Vec`. Both sides of a join derive their key from the same
+/// glue spec, so arities always agree and `Eq`/`Ord`/`Hash` are consistent:
+/// the packed ordering equals the lexicographic `Vec<EntityId>` ordering.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum JoinKey {
+    Small(u64),
+    Big(Vec<EntityId>),
+}
+
+/// Packs glued-column values into a [`JoinKey`]; `None` if any is null (a
+/// null key never equi-matches).
+fn pack_key(vals: impl Iterator<Item = Value>) -> Option<JoinKey> {
+    let (mut a, mut b) = (0u64, 0u64);
+    let mut big: Vec<EntityId> = Vec::new();
+    let mut n = 0usize;
+    for v in vals {
+        let v = v?;
+        match n {
+            0 => a = u64::from(v.as_u32()),
+            1 => b = u64::from(v.as_u32()),
+            2 => {
+                big = vec![
+                    EntityId::from_u32(a as u32),
+                    EntityId::from_u32(b as u32),
+                    v,
+                ];
+            }
+            _ => big.push(v),
+        }
+        n += 1;
+    }
+    Some(match n {
+        0 => JoinKey::Small(0),
+        1 => JoinKey::Small(a),
+        2 => JoinKey::Small((a << 32) | b),
+        _ => JoinKey::Big(big),
+    })
 }
 
 fn right_key(r: &[Value], glue: &[ColumnGlue]) -> Option<JoinKey> {

@@ -9,9 +9,10 @@ use wiclean_rel::rowstore::{
     join_glue_rows, join_glue_sort_merge_rows, outer_join_glue_rows, RowTable,
 };
 use wiclean_rel::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs,
-    join_glue_pairs_partitioned, join_glue_sort_merge, outer_join_glue, ColumnGlue, Schema,
-    SerialRunner, Table, Value,
+    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
+    join_glue_pairs_delta_partitioned, join_glue_pairs_nested, join_glue_pairs_partitioned,
+    join_glue_pairs_planned, join_glue_sort_merge, outer_join_glue, BatchRunner, BuildSide,
+    ColumnGlue, JoinPlan, Pair, Schema, SerialRunner, Strategy as Join, Table, Value,
 };
 use wiclean_types::EntityId;
 
@@ -241,19 +242,6 @@ proptest! {
         prop_assert_eq!(col_outer.sorted_rows(), row_outer.sorted_rows());
     }
 
-    /// The partitioned pair stage is byte-identical to the serial hash
-    /// pair stage (not merely set-equal) on every input.
-    #[test]
-    fn partitioned_pairs_identical_to_hash(
-        left in table_strategy(&["a", "b"]),
-        right in table_strategy(&["x", "y"]),
-        glue in glue_strategy(),
-    ) {
-        let serial = join_glue_pairs(&left, &right, &glue);
-        let part = join_glue_pairs_partitioned(&left, &right, &glue, &SerialRunner);
-        prop_assert_eq!(serial, part);
-    }
-
     /// The distinct-source fast path (support counted off the pair stream)
     /// equals the distinct count of the materialized, deduped join — the
     /// invariant that lets the miner prune candidates without materializing.
@@ -268,5 +256,135 @@ proptest! {
         let mut full = join_glue(&left, &right, &glue);
         full.dedup();
         prop_assert_eq!(fast, full.distinct_values(0));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Every pair stage against the nested-loop reference, pair for pair, on
+// 2- to 4-column tables whose glue specs join on up to four columns.
+// ---------------------------------------------------------------------------
+
+/// A thread-per-worker runner, so the partitioned join runs concurrently.
+struct ThreadRunner(usize);
+
+impl BatchRunner for ThreadRunner {
+    fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
+        std::thread::scope(|s| {
+            for w in 0..self.0 {
+                s.spawn(move || (w..n).step_by(self.0).for_each(f));
+            }
+        });
+    }
+    fn width(&self) -> usize {
+        self.0
+    }
+}
+
+/// Cells drawn from a 3-entity domain; `nulls` of every 6 draws are null
+/// (0 = none, 4 = null-heavy).
+fn wide_table(width: usize, nulls: u8, cells: &[Vec<u8>]) -> Table {
+    let cell = |c: u8| (c >= nulls).then(|| EntityId::from_u32(u32::from(c % 3)));
+    let rows = cells
+        .iter()
+        .map(|r| r[..width].iter().map(|&c| cell(c)).collect::<Vec<_>>());
+    Table::from_rows(Schema::new((0..width).map(|c| format!("c{c}"))), rows)
+}
+
+/// The outer join's expected rows, derived from the nested-loop pairs:
+/// per left row its matches (or one null-padded row), then every unmatched
+/// right row with glued columns taken from the right (last glue wins).
+fn outer_reference(
+    left: &Table,
+    right: &Table,
+    glue: &[ColumnGlue],
+    inner: &[Pair],
+) -> Vec<Vec<Value>> {
+    let new_cols: Vec<usize> = (0..glue.len())
+        .filter(|&j| matches!(glue[j], ColumnGlue::New { .. }))
+        .collect();
+    let new = |ri: Option<usize>| {
+        new_cols
+            .iter()
+            .map(move |&j| ri.and_then(|ri| right.cell(ri, j)))
+    };
+    let mut rows = Vec::new();
+    for li in 0..left.len() {
+        let mut matches: Vec<Option<usize>> = inner
+            .iter()
+            .filter(|p| p.0 as usize == li)
+            .map(|p| Some(p.1 as usize))
+            .collect();
+        if matches.is_empty() {
+            matches.push(None);
+        }
+        for ri in matches {
+            rows.push(left.row(li).into_iter().chain(new(ri)).collect());
+        }
+    }
+    for ri in (0..right.len()).filter(|&ri| inner.iter().all(|p| p.1 as usize != ri)) {
+        let glued = |c| glue.iter().rposition(|g| *g == ColumnGlue::Glued(c));
+        let lcols = (0..left.width()).map(|c| glued(c).and_then(|j| right.cell(ri, j)));
+        rows.push(lcols.chain(new(Some(ri))).collect());
+    }
+    rows
+}
+
+proptest! {
+    /// Every pair stage — hash with either build side, sort–merge,
+    /// partitioned at runner widths 1, 2 and 8, delta at any prefix marks
+    /// — and the outer join equal the nested-loop reference exactly, on
+    /// 2- to 4-column tables with keys of up to four glued columns and
+    /// null-heavy cells.
+    #[test]
+    fn wide_key_joins_equal_nested_reference(
+        dims in (2usize..5, 2usize..5, 0u8..5),
+        lcells in proptest::collection::vec(proptest::collection::vec(0u8..6, 4), 0..14),
+        rcells in proptest::collection::vec(proptest::collection::vec(0u8..6, 4), 0..14),
+        spec in proptest::collection::vec((0u8..3, 0usize..4, proptest::collection::vec(0usize..4, 0..3)), 4),
+        marks in (0usize..15, 0usize..15),
+    ) {
+        let (lw, rw, nulls) = dims;
+        let (left, right) = (wide_table(lw, nulls, &lcells), wide_table(rw, nulls, &rcells));
+        let glue: Vec<ColumnGlue> = spec[..rw]
+            .iter()
+            .enumerate()
+            .map(|(j, (kind, col, d))| match kind {
+                0 | 1 => ColumnGlue::Glued(col % lw),
+                _ => ColumnGlue::New {
+                    name: format!("n{j}"),
+                    distinct_from: d.iter().map(|c| c % lw).collect(),
+                },
+            })
+            .collect();
+        let reference = join_glue_pairs_nested(&left, &right, &glue);
+        prop_assert_eq!(&join_glue_pairs(&left, &right, &glue), &reference);
+        let runners: [&dyn BatchRunner; 3] = [&SerialRunner, &ThreadRunner(2), &ThreadRunner(8)];
+        for build_side in [BuildSide::Left, BuildSide::Right] {
+            for (strategy, runner) in [(Join::Hash, runners[0]), (Join::SortMerge, runners[0])]
+                .into_iter()
+                .chain(runners.map(|r| (Join::Partitioned, r)))
+            {
+                let plan = JoinPlan { strategy, build_side, partitions: 0 };
+                let pairs = join_glue_pairs_planned(&left, &right, &glue, plan, runner);
+                prop_assert_eq!(&pairs, &reference, "{:?} width {}", plan, runner.width());
+            }
+        }
+
+        let (lo, ro) = (marks.0.min(left.len()), marks.1.min(right.len()));
+        let delta: Vec<Pair> = reference
+            .iter()
+            .copied()
+            .filter(|&(li, ri)| li as usize >= lo || ri as usize >= ro)
+            .collect();
+        prop_assert_eq!(&join_glue_pairs_delta(&left, lo, &right, ro, &glue), &delta);
+        for runner in runners {
+            let par = join_glue_pairs_partitioned(&left, &right, &glue, runner);
+            prop_assert_eq!(&par, &reference);
+            let par = join_glue_pairs_delta_partitioned(&left, lo, &right, ro, &glue, runner);
+            prop_assert_eq!(&par, &delta);
+        }
+
+        let outer: Vec<Vec<Value>> = outer_join_glue(&left, &right, &glue).rows().collect();
+        prop_assert_eq!(outer, outer_reference(&left, &right, &glue, &reference));
     }
 }

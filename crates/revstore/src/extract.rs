@@ -141,7 +141,7 @@ pub fn try_extract_actions_full(
     let Some(history) = source.fetch_history(entity)? else {
         return Ok(out);
     };
-    let history = history.as_ref();
+    let history = &*history;
 
     // Base snapshot: page state just before the window opens.
     let mut prev: PageLinks = match window.start.checked_sub(1) {
@@ -219,7 +219,7 @@ pub fn try_extract_actions_incremental(
     let Some(history) = source.fetch_history(entity)? else {
         return Ok(out);
     };
-    let history = history.as_ref();
+    let history = &*history;
 
     let mut syms = SymTable::new();
     let mut parser = IncrementalParser::new();

@@ -9,10 +9,9 @@
 //! failure re-rolls (new attempt number), while a `Gone` page stays gone
 //! on every attempt.
 
-use crate::fetch::{FetchError, FetchSource};
+use crate::fetch::{FetchError, FetchSource, FetchedHistory};
 use crate::store::{CrawlStats, PageHistory, RevisionStore};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -165,7 +164,7 @@ fn garble_text(text: &str, mode: GarbleMode) -> String {
 }
 
 impl FetchSource for FaultyStore<'_> {
-    fn fetch_history(&self, entity: EntityId) -> Result<Option<Cow<'_, PageHistory>>, FetchError> {
+    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
         if self.plan.latency_us > 0 {
             std::thread::sleep(Duration::from_micros(self.plan.latency_us));
         }
@@ -195,7 +194,7 @@ impl FetchSource for FaultyStore<'_> {
             if let Some(history) = history {
                 let mut damaged = history.into_owned();
                 damaged.garble_texts(self.plan.garble_mode);
-                return Ok(Some(Cow::Owned(damaged)));
+                return Ok(Some(FetchedHistory::Owned(damaged)));
             }
         }
         Ok(history)
@@ -246,7 +245,7 @@ mod tests {
         let faulty = FaultyStore::new(&store, FaultPlan::default());
         for i in 0..4 {
             let got = faulty.fetch_history(eid(i)).unwrap().unwrap();
-            assert_eq!(got.as_ref().len(), 2);
+            assert_eq!(got.len(), 2);
         }
         assert!(faulty.fetch_history(eid(99)).unwrap().is_none());
     }
@@ -304,7 +303,7 @@ mod tests {
         for i in 0..32 {
             let healed = fetcher.fetch_history(eid(i)).unwrap().unwrap();
             let clean = store.peek(eid(i)).unwrap();
-            assert_eq!(healed.as_ref().revisions(), clean.revisions());
+            assert_eq!(healed.revisions(), clean.revisions());
         }
     }
 
@@ -320,7 +319,7 @@ mod tests {
         let faulty = FaultyStore::new(&store, plan);
         let got = faulty.fetch_history(eid(0)).unwrap().unwrap();
         let clean = store.peek(eid(0)).unwrap();
-        for (damaged, original) in got.as_ref().revisions().iter().zip(clean.revisions()) {
+        for (damaged, original) in got.revisions().iter().zip(clean.revisions()) {
             assert!(damaged.text.len() < original.text.len());
         }
 
@@ -330,7 +329,7 @@ mod tests {
         };
         let faulty = FaultyStore::new(&store, plan);
         let got = faulty.fetch_history(eid(0)).unwrap().unwrap();
-        assert!(!got.as_ref().revisions()[0].text.contains("]]"));
+        assert!(!got.revisions()[0].text.contains("]]"));
     }
 
     #[test]

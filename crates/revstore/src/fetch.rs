@@ -12,9 +12,10 @@
 use crate::fault::mix64;
 use crate::store::{CrawlStats, PageHistory, RevisionStore};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use wiclean_types::EntityId;
 
@@ -77,11 +78,12 @@ impl std::error::Error for FetchError {}
 /// history (never edited) — that is *not* an error and not degraded
 /// coverage. Errors mean the answer is unknown or the page is lost.
 ///
-/// The `Cow` return lets in-memory sources lend their histories while
+/// The [`FetchedHistory`] return lets in-memory sources lend their
+/// histories, out-of-core sources share the copy their cache holds, and
 /// decorators that rewrite text (e.g. fault injection) return owned copies.
 pub trait FetchSource: Sync {
     /// Fetches the revision history of `entity`.
-    fn fetch_history(&self, entity: EntityId) -> Result<Option<Cow<'_, PageHistory>>, FetchError>;
+    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError>;
 
     /// Snapshot of the crawl-work counters attributable to this source
     /// (decorators merge their own counters with their inner source's).
@@ -101,9 +103,49 @@ pub trait FetchSource: Sync {
     }
 }
 
+/// A fetched page history; derefs to the [`PageHistory`] in every form.
+#[derive(Debug, Clone)]
+pub enum FetchedHistory<'a> {
+    /// Lent by an in-memory source.
+    Borrowed(&'a PageHistory),
+    /// Shared with the source's own cache (no copy of the page texts).
+    Shared(Arc<PageHistory>),
+    /// Produced for this fetch alone.
+    Owned(PageHistory),
+}
+
+impl Deref for FetchedHistory<'_> {
+    type Target = PageHistory;
+
+    fn deref(&self) -> &PageHistory {
+        match self {
+            FetchedHistory::Borrowed(h) => h,
+            FetchedHistory::Shared(h) => h,
+            FetchedHistory::Owned(h) => h,
+        }
+    }
+}
+
+impl PartialEq for FetchedHistory<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl FetchedHistory<'_> {
+    /// The history by value, cloning unless it was already owned here.
+    pub fn into_owned(self) -> PageHistory {
+        match self {
+            FetchedHistory::Borrowed(h) => h.clone(),
+            FetchedHistory::Shared(h) => Arc::unwrap_or_clone(h),
+            FetchedHistory::Owned(h) => h,
+        }
+    }
+}
+
 impl FetchSource for RevisionStore {
-    fn fetch_history(&self, entity: EntityId) -> Result<Option<Cow<'_, PageHistory>>, FetchError> {
-        Ok(self.fetch(entity).map(Cow::Borrowed))
+    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
+        Ok(self.fetch(entity).map(FetchedHistory::Borrowed))
     }
 
     fn crawl_stats(&self) -> CrawlStats {
@@ -118,7 +160,7 @@ impl FetchSource for RevisionStore {
 }
 
 impl<T: FetchSource + ?Sized> FetchSource for &T {
-    fn fetch_history(&self, entity: EntityId) -> Result<Option<Cow<'_, PageHistory>>, FetchError> {
+    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
         (**self).fetch_history(entity)
     }
 
@@ -369,7 +411,7 @@ pub fn backoff_delay_us(policy: &RetryPolicy, attempt: u32, roll: u64, rate_limi
 }
 
 impl<S: FetchSource> FetchSource for ResilientFetcher<S> {
-    fn fetch_history(&self, entity: EntityId) -> Result<Option<Cow<'_, PageHistory>>, FetchError> {
+    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
         if self.breaker_open.load(Ordering::Relaxed) {
             return Err(FetchError::CircuitOpen);
         }
@@ -455,7 +497,7 @@ mod tests {
         fn fetch_history(
             &self,
             _entity: EntityId,
-        ) -> Result<Option<Cow<'_, PageHistory>>, FetchError> {
+        ) -> Result<Option<FetchedHistory<'_>>, FetchError> {
             let mut script = self.script.lock().unwrap();
             if script.is_empty() {
                 Ok(None)

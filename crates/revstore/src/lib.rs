@@ -37,7 +37,9 @@ pub use extract::{
 pub use failfs::{FailKind, FailOp, FailSpec, Failpoint, FailpointFs, MemFs, RealFs, Vfs};
 pub use fault::{mix64, FaultPlan, FaultyStore, GarbleMode};
 pub use feed::{DurableFeed, FeedEvent, RevisionFeed, VecFeed};
-pub use fetch::{backoff_delay_us, FetchError, FetchSource, ResilientFetcher, RetryPolicy};
+pub use fetch::{
+    backoff_delay_us, FetchError, FetchSource, FetchedHistory, ResilientFetcher, RetryPolicy,
+};
 pub use mmap::FileMap;
 pub use reduce::{is_reduced, reduce_actions};
 pub use shard::{

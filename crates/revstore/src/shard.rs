@@ -50,13 +50,12 @@
 
 use crate::failfs::Vfs;
 use crate::fault::mix64;
-use crate::fetch::{FetchError, FetchSource};
+use crate::fetch::{FetchError, FetchSource, FetchedHistory};
 use crate::mmap::FileMap;
 use crate::store::{CrawlStats, PageHistory};
 use crate::wal::{self, crc32, SyncPolicy, TailOutcome, WalError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -762,8 +761,7 @@ impl<V: Vfs> ShardedStore<V> {
             (frames, map)
         };
 
-        let mut bases = HashMap::new();
-        let mut revisions = Vec::with_capacity(frames.len());
+        let mut revisions: Vec<(Timestamp, String)> = Vec::with_capacity(frames.len());
         let mut deltas = 0u64;
         for frame in &frames {
             let start = frame.offset as usize + 8;
@@ -782,7 +780,8 @@ impl<V: Vfs> ShardedStore<V> {
                     frame.offset
                 )));
             }
-            let record = wal::decode_payload(payload, &mut bases)
+            let base = revisions.last().map(|(_, text)| text.as_str());
+            let record = wal::decode_payload(payload, base)
                 .map_err(|e| WalError::Corrupt(format!("shard {shard}: {e}")))?;
             if !frame.full {
                 deltas += 1;
@@ -923,7 +922,7 @@ impl<V: Vfs> ShardedStore<V> {
 }
 
 impl<V: Vfs> FetchSource for ShardedStore<V> {
-    fn fetch_history(&self, entity: EntityId) -> Result<Option<Cow<'_, PageHistory>>, FetchError> {
+    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
         match self.materialize(entity) {
             Ok(Some(history)) => {
                 self.counters.pages_fetched.fetch_add(1, Ordering::Relaxed);
@@ -934,7 +933,7 @@ impl<V: Vfs> FetchSource for ShardedStore<V> {
                 self.counters
                     .bytes_scanned
                     .fetch_add(bytes as u64, Ordering::Relaxed);
-                Ok(Some(Cow::Owned((*history).clone())))
+                Ok(Some(FetchedHistory::Shared(history)))
             }
             Ok(None) => Ok(None),
             Err(_) => {

@@ -24,7 +24,6 @@
 //! the caller learns exactly how many bytes were dropped.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::io;
 use wiclean_types::{EntityId, Timestamp};
 
@@ -187,6 +186,37 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Length of the longest common prefix of `a` and `b`, compared eight
+/// bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let word = |s: &[u8], i: usize| u64::from_ne_bytes(s[i..i + 8].try_into().unwrap());
+    let mut i = 0;
+    while i + 8 <= n && word(a, i) == word(b, i) {
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// Length of the longest common suffix of `a` and `b`, compared eight
+/// bytes at a time.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let word = |s: &[u8], end: usize| u64::from_ne_bytes(s[end - 8..end].try_into().unwrap());
+    let mut k = 0;
+    while k + 8 <= n && word(a, n - k) == word(b, n - k) {
+        k += 8;
+    }
+    while k < n && a[n - k - 1] == b[n - k - 1] {
+        k += 1;
+    }
+    k
+}
+
 /// Encodes one revision's payload, delta-compressing against `base` (the
 /// previous text appended for the same entity in this segment) when that is
 /// strictly smaller.
@@ -200,13 +230,8 @@ pub(crate) fn encode_payload_parts(
     let mut out = Vec::with_capacity(text.len() + 24);
     if let Some(base) = base {
         let base = base.as_bytes();
-        let prefix = base.iter().zip(text).take_while(|(a, b)| a == b).count();
-        let suffix = base[prefix..]
-            .iter()
-            .rev()
-            .zip(text[prefix..].iter().rev())
-            .take_while(|(a, b)| a == b)
-            .count();
+        let prefix = common_prefix(base, text);
+        let suffix = common_suffix(&base[prefix..], &text[prefix..]);
         let mid = &text[prefix..text.len() - suffix];
         // 12 bytes of splice header vs 4 of length header: only delta when
         // it actually saves space.
@@ -239,12 +264,9 @@ pub(crate) fn frame_payload(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Decodes one payload into a record, resolving deltas against `bases`
-/// (previous text per entity, maintained in segment order) and updating it.
-pub(crate) fn decode_payload(
-    payload: &[u8],
-    bases: &mut HashMap<EntityId, String>,
-) -> Result<WalRecord, String> {
+/// Decodes one payload into a record, resolving a delta against `base`:
+/// the text decoded from the entity's previous frame in append order.
+pub(crate) fn decode_payload(payload: &[u8], base: Option<&str>) -> Result<WalRecord, String> {
     let mut cur = Cursor {
         data: payload,
         at: 0,
@@ -263,10 +285,9 @@ pub(crate) fn decode_payload(
             let suffix = cur.u32().ok_or("payload too short for splice suffix")? as usize;
             let len = cur.u32().ok_or("payload too short for splice length")? as usize;
             let mid = cur.take(len).ok_or("splice runs past payload end")?;
-            let base = bases
-                .get(&entity)
-                .ok_or("delta record with no prior full record for its entity")?;
-            let base = base.as_bytes();
+            let base = base
+                .ok_or("delta record with no prior full record for its entity")?
+                .as_bytes();
             if prefix
                 .checked_add(suffix)
                 .is_none_or(|keep| keep > base.len())
@@ -284,7 +305,6 @@ pub(crate) fn decode_payload(
     if !cur.done() {
         return Err("trailing bytes after record payload".to_owned());
     }
-    bases.insert(entity, text.clone());
     Ok(WalRecord { entity, time, text })
 }
 
@@ -318,6 +338,27 @@ mod tests {
     }
 
     #[test]
+    fn common_prefix_and_suffix_match_bytewise_scans() {
+        let texts: Vec<Vec<u8>> = (0..40)
+            .map(|n| (0..n).map(|i| b"abcdefgh"[i % 8]).collect())
+            .collect();
+        for a in &texts {
+            for b in &texts {
+                let mut b = b.clone();
+                let mid = b.len() / 3;
+                if let Some(c) = b.get_mut(mid) {
+                    *c = b'#';
+                }
+                let prefix = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+                let suffix = a.iter().rev().zip(b.iter().rev());
+                let suffix = suffix.take_while(|(x, y)| x == y).count();
+                assert_eq!(common_prefix(a, &b), prefix);
+                assert_eq!(common_suffix(a, &b), suffix);
+            }
+        }
+    }
+
+    #[test]
     fn payloads_round_trip_full_and_delta() {
         let e = EntityId::from_u32(7);
         let base = "shared head\n[[A]]\nshared tail\n";
@@ -327,16 +368,15 @@ mod tests {
         assert_eq!(full[0], TAG_FULL);
         assert_eq!(delta[0], TAG_DELTA);
         assert!(delta.len() < full.len());
-        let mut bases = HashMap::new();
-        let a = decode_payload(&full, &mut bases).unwrap();
-        let b = decode_payload(&delta, &mut bases).unwrap();
+        let a = decode_payload(&full, None).unwrap();
+        let b = decode_payload(&delta, Some(&a.text)).unwrap();
         assert_eq!((a.entity, a.time, a.text.as_str()), (e, 10, base));
         assert_eq!((b.entity, b.time, b.text.as_str()), (e, 20, next));
         // A delta without its base, or with trailing bytes, never decodes.
-        assert!(decode_payload(&delta, &mut HashMap::new()).is_err());
+        assert!(decode_payload(&delta, None).is_err());
         let mut long = full.clone();
         long.push(0);
-        assert!(decode_payload(&long, &mut HashMap::new()).is_err());
+        assert!(decode_payload(&long, None).is_err());
     }
 
     #[test]

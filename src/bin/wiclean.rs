@@ -173,6 +173,8 @@ STREAM FLAGS (incremental streaming miner; see DESIGN.md §7):
                    rows after every N arrivals for it (default 64)
   --shuffle-seed S replay the corpus revisions in a deterministic shuffled
                    arrival order instead of chronologically
+  --tau T          frequency threshold every window is mined at, in (0, 1]
+                   (default: the batch driver's first threshold, 0.8)
   --width S        stream window width in seconds (default: mining w_min)
   --serve HOST:PORT
                    also run the suggestion server; every sealed window
@@ -221,7 +223,7 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
         ],
         "stream" => &[
             &["corpus", "backend", "out", "serve", "max-conns"],
-            &["grace", "refresh-revisions", "shuffle-seed", "width"],
+            &["grace", "refresh-revisions", "shuffle-seed", "tau", "width"],
             STORE_FLAGS,
             MINING_FLAGS,
             PLANNER_FLAGS,
@@ -840,6 +842,10 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
     apply_planner_flags(&mut wc, flags)?;
+    wc.tau0 = num_flag(flags, "tau", wc.tau0)?;
+    if !(wc.tau0 > 0.0 && wc.tau0 <= 1.0) {
+        return Err(format!("flag --tau: `{}` is not in (0, 1]", wc.tau0));
+    }
     let corpus = load_stream_corpus(flags)?;
     wc.stream.grace = num_flag(flags, "grace", wc.stream.grace)?;
     wc.stream.refresh_revisions =
@@ -903,10 +909,11 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     };
 
     eprintln!(
-        "streaming {} revisions of `{}` (width {}d, grace {}s, refresh every {})…",
+        "streaming {} revisions of `{}` (width {}d, tau {}, grace {}s, refresh every {})…",
         total_events,
         corpus.seed_type,
         wc.w_min / 86_400,
+        wc.tau0,
         wc.stream.grace,
         wc.stream.refresh_revisions
     );

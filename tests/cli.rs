@@ -357,6 +357,48 @@ fn planner_flags_round_trip() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "full pipeline — run with --release")]
+fn stream_tau_flag_finds_expert_patterns() {
+    // At the default threshold (0.8) a 1000-seed soccer stream seals only
+    // empty windows; at `--tau 0.4` its windows hold the expert patterns.
+    let dir = std::env::temp_dir().join("wiclean_cli_stream_tau");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (corpus, report) = (dir.join("corpus.json"), dir.join("stream.json"));
+    let run = |args: &[&str]| {
+        let out = wiclean().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let (c, r) = (corpus.to_str().unwrap(), report.to_str().unwrap());
+    run(&[
+        "generate", "--domain", "soccer", "--seeds", "1000", "--out", c,
+    ]);
+    run(&["stream", "--corpus", c, "--tau", "0.4", "--out", r]);
+    let corpus = wiclean::synth::Corpus::load(&corpus).unwrap();
+    let expert: std::collections::BTreeSet<String> = corpus
+        .domain
+        .as_ref()
+        .unwrap()
+        .expert_list(&corpus.universe)
+        .into_iter()
+        .map(|(_, p, _)| p.display(&corpus.universe))
+        .collect();
+    let streamed: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let found = streamed["patterns"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|p| expert.contains(p["display"].as_str().unwrap()))
+        .count();
+    assert!(found >= 4, "{found} expert patterns streamed at tau 0.4");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_invocations_fail_cleanly() {
     let out = wiclean().output().unwrap();
     assert!(!out.status.success(), "no command must fail");
@@ -412,6 +454,10 @@ fn bad_invocations_fail_cleanly() {
         ("mine --corpus /tmp/x.json --fault-rat 0.1", 2),
         ("stats --corpus /tmp/x.json --top 3", 2),
         ("mine --corpus /tmp/x.json --store /tmp/s", 1),
+        ("stream --corpus /tmp/x.json --tau 1.5", 1),
+        ("stream --corpus /tmp/x.json --tau 0", 1),
+        ("stream --corpus /tmp/x.json --tau NaN", 1),
+        ("mine --corpus /tmp/x.json --tau 0.4", 2),
         ("detect --backend disk --store /tmp/s --retries 0", 1),
     ] {
         let args: Vec<&str> = line.split(' ').collect();
