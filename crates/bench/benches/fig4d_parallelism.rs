@@ -23,8 +23,8 @@
 use serde::Serialize;
 use std::time::Instant;
 use wiclean_bench::{bench_miner_config, soccer_world, transfer_window};
-use wiclean_core::parallel::mine_windows_parallel;
-use wiclean_core::WindowMiner;
+use wiclean_core::parallel::mine_windows;
+use wiclean_core::{MiningPool, WindowMiner};
 use wiclean_revstore::{FaultPlan, FaultyStore};
 use wiclean_synth::SynthWorld;
 use wiclean_types::{Window, WEEK, YEAR};
@@ -105,15 +105,14 @@ fn mine_multi(world: &SynthWorld, windows: &[Window], latency_us: u64, threads: 
             ..FaultPlan::default()
         },
     );
-    let results = mine_windows_parallel(
-        &faulty,
-        &world.universe,
-        world.seed_type,
-        windows,
-        bench_miner_config(0.41),
-        threads,
-    );
-    let patterns: Vec<_> = results.iter().map(|r| &r.patterns).collect();
+    let pool = std::sync::Arc::new(MiningPool::new(threads));
+    let miner = WindowMiner::new(&faulty, &world.universe, bench_miner_config(0.41))
+        .with_pool(pool.clone());
+    let results = mine_windows(&miner, world.seed_type, windows, &pool);
+    let patterns: Vec<_> = results
+        .iter()
+        .map(|r| &r.as_ref().expect("window mined").patterns)
+        .collect();
     format!("{patterns:?}")
 }
 

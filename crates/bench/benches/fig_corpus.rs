@@ -23,8 +23,7 @@ use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 use wiclean_core::config::MinerConfig;
-use wiclean_core::parallel::mine_windows_parallel;
-use wiclean_core::{open_sharded_corpus, WindowResult};
+use wiclean_core::{open_sharded_corpus, WindowMiner, WindowResult};
 use wiclean_revstore::{
     MemoryBudget, RealFs, RevisionStore, ShardPolicy, ShardedStore, SyncPolicy,
 };
@@ -289,27 +288,17 @@ fn main() {
     .expect("open sharded corpus");
     assert!(corpus.recovery.is_clean(), "clean ingest must reopen clean");
     let t0 = Instant::now();
-    let results = mine_windows_parallel(
-        &corpus.store,
-        &world.universe,
-        world.seed_type,
-        &[window],
-        miner_config,
-        1,
-    );
+    let result = WindowMiner::new(&corpus.store, &world.universe, miner_config)
+        .mine_window(world.seed_type, &window);
     let disk_wall = t0.elapsed().as_secs_f64();
-    let disk_digest = pattern_digest(&results[0], &world.universe);
+    let disk_digest = pattern_digest(&result, &world.universe);
     let stats = corpus.store.corpus_stats();
     let lookups = stats.snapshot_cache_hits + stats.snapshot_cache_misses;
     let mine_disk = MineCell {
         backend: "disk".to_owned(),
         wall_s: disk_wall,
-        patterns: results[0].patterns.len(),
-        most_specific: results[0]
-            .patterns
-            .iter()
-            .filter(|p| p.most_specific)
-            .count(),
+        patterns: result.patterns.len(),
+        most_specific: result.patterns.iter().filter(|p| p.most_specific).count(),
         snapshot_cache_hits: stats.snapshot_cache_hits,
         snapshot_cache_misses: stats.snapshot_cache_misses,
         snapshot_cache_evictions: stats.snapshot_cache_evictions,
@@ -355,25 +344,15 @@ fn main() {
         }
     }
     let t0 = Instant::now();
-    let results = mine_windows_parallel(
-        &mem_store,
-        &world.universe,
-        world.seed_type,
-        &[window],
-        miner_config,
-        1,
-    );
+    let result = WindowMiner::new(&mem_store, &world.universe, miner_config)
+        .mine_window(world.seed_type, &window);
     let memory_wall = t0.elapsed().as_secs_f64();
-    let memory_digest = pattern_digest(&results[0], &world.universe);
+    let memory_digest = pattern_digest(&result, &world.universe);
     let mine_memory = MineCell {
         backend: "memory".to_owned(),
         wall_s: memory_wall,
-        patterns: results[0].patterns.len(),
-        most_specific: results[0]
-            .patterns
-            .iter()
-            .filter(|p| p.most_specific)
-            .count(),
+        patterns: result.patterns.len(),
+        most_specific: result.patterns.iter().filter(|p| p.most_specific).count(),
         snapshot_cache_hits: 0,
         snapshot_cache_misses: 0,
         snapshot_cache_evictions: 0,

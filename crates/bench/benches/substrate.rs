@@ -5,9 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
 use wiclean_bench::{soccer_world, transfer_window};
-use wiclean_rel::{
-    join_glue, join_glue_nested, join_glue_sort_merge, outer_join_glue, ColumnGlue, Schema, Table,
-};
+use wiclean_rel::{join_glue, join_glue_nested, outer_join_glue, ColumnGlue, Schema, Table};
 use wiclean_revstore::{extract_actions_for, reduce_actions};
 use wiclean_types::EntityId;
 use wiclean_wikitext::render::render_links;
@@ -93,9 +91,6 @@ fn bench_joins(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("nested_loop", rows), &rows, |b, _| {
             b.iter(|| join_glue_nested(&left, &right, &glue))
-        });
-        group.bench_with_input(BenchmarkId::new("sort_merge", rows), &rows, |b, _| {
-            b.iter(|| join_glue_sort_merge(&left, &right, &glue))
         });
         group.bench_with_input(BenchmarkId::new("full_outer", rows), &rows, |b, _| {
             b.iter(|| outer_join_glue(&left, &right, &glue))

@@ -51,12 +51,6 @@ pub struct MiningCaches {
     pub actions: Option<Arc<ActionCache>>,
     /// Pattern interner issuing the ids that key `realizations`.
     pub patterns: Arc<PatternInterner>,
-    /// Shared adaptive join planner: per-shape plan cache plus the replan
-    /// epoch. Sharing it across refinement iterations (and the streaming
-    /// miner's refreshes) is what lets Algorithm 2's later iterations
-    /// reuse plans proven by earlier ones. Always present; whether joins
-    /// consult it is [`crate::config::MinerConfig::planner`]'s call.
-    pub planner: Arc<wiclean_rel::Planner>,
 }
 
 impl Default for MiningCaches {
@@ -65,7 +59,6 @@ impl Default for MiningCaches {
             realizations: None,
             actions: None,
             patterns: Arc::new(PatternInterner::new()),
-            planner: Arc::new(wiclean_rel::Planner::new()),
         }
     }
 }
@@ -84,7 +77,6 @@ impl MiningCaches {
                 .use_action_cache
                 .then(|| Arc::new(ActionCache::new())),
             patterns: Arc::new(PatternInterner::new()),
-            planner: Arc::new(wiclean_rel::Planner::new()),
         }
     }
 }

@@ -14,71 +14,21 @@ pub enum JoinImpl {
     Hash,
     /// Nested loop over the cross product (`PM−join`).
     NestedLoop,
-    /// Sort–merge join: an alternative optimized strategy, useful when the
-    /// realization tables grow large enough that cache-friendly sorted
-    /// merging beats hash probing.
-    SortMerge,
 }
 
-/// Adaptive join-planner knobs ([`wiclean_rel::plan::Planner`]): whether
-/// the cost-based planner chooses pair-stage strategy/build side/partition
-/// count per join, and how tolerant the runtime re-planner is before it
-/// aborts a join whose output overshoots the estimate.
-///
-/// `Deserialize` is hand-written (below) so invalid values are rejected at
-/// config-load time with a clear message (a re-plan factor at or below 1.0
-/// would bail out of joins whose estimates were *correct*).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// Ignored; kept because the frozen benchmark sets it; goes with ROADMAP
+/// item 5. Every join runs the fixed hash pair stage (or the nested loop
+/// under [`JoinImpl::NestedLoop`]) whatever it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannerPolicy {
-    /// Whether joins are planned adaptively. `false` restores the fixed
-    /// heuristics (hash build-right, `PARALLEL_MIN_*` parallel gate) —
-    /// the ablation baseline. Normally driven from
-    /// [`WcConfig::use_adaptive_planner`].
+    /// Ignored; kept because the frozen benchmark sets it; goes with
+    /// ROADMAP item 5.
     pub enabled: bool,
-    /// Re-plan when observed output cardinality exceeds the estimate by
-    /// this factor (> 1.0).
-    pub replan_factor: f64,
 }
 
 impl Default for PlannerPolicy {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            replan_factor: 4.0,
-        }
-    }
-}
-
-impl PlannerPolicy {
-    /// Validates the knob values.
-    pub fn validate(&self) -> Result<(), String> {
-        // Written to reject NaN as well as values at or below 1.0.
-        if self.replan_factor.is_nan() || self.replan_factor <= 1.0 {
-            return Err("planner policy: replan_factor must be greater than 1.0".to_owned());
-        }
-        Ok(())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for PlannerPolicy {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::{content_into_fields, take_field_or_default};
-        const NAME: &str = "PlannerPolicy";
-        let content = serde::Deserializer::deserialize_content(deserializer)?;
-        let mut fields = content_into_fields::<D::Error>(content, NAME)?;
-        let default = Self::default();
-        let policy = Self {
-            enabled: take_field_or_default::<Option<bool>, D::Error>(&mut fields, "enabled", NAME)?
-                .unwrap_or(default.enabled),
-            replan_factor: take_field_or_default::<Option<f64>, D::Error>(
-                &mut fields,
-                "replan_factor",
-                NAME,
-            )?
-            .unwrap_or(default.replan_factor),
-        };
-        policy.validate().map_err(serde::de::Error::custom)?;
-        Ok(policy)
+        Self { enabled: true }
     }
 }
 
@@ -126,15 +76,6 @@ pub struct MinerConfig {
     /// Output is byte-identical at any setting.
     #[serde(default)]
     pub intra_window_threads: usize,
-    /// Intra-join parallelism for the [`JoinImpl::Hash`] pair stage: large
-    /// joins are radix-partitioned by key hash and the partitions run as a
-    /// batch. `0` (auto) runs join partitions on the pool attached to the
-    /// miner when there is one, `1` forces serial joins, and `n > 1` spins
-    /// up a dedicated `n`-wide pool per mining call when none is attached.
-    /// The partitioned join is byte-identical to the serial hash join at
-    /// any width; small inputs fall back to the serial path regardless.
-    #[serde(default)]
-    pub join_threads: usize,
     /// Run extraction through the frozen full-reparse pipeline instead of
     /// the interned incremental one
     /// ([`wiclean_revstore::ExtractMode::FullReparse`]). Output is
@@ -142,18 +83,10 @@ pub struct MinerConfig {
     /// driven from [`WcConfig::use_incremental_extract`].
     #[serde(default)]
     pub full_reparse_extract: bool,
-    /// Adaptive join-planner knobs. Only consulted on the
-    /// [`JoinImpl::Hash`] path (the `NestedLoop`/`SortMerge` ablations
-    /// keep forcing their strategy); absent in legacy configs → defaults
-    /// (planner on). Mined output is byte-identical at any setting.
+    /// Ignored; kept because the frozen benchmark sets it; goes with
+    /// ROADMAP item 5.
     #[serde(default)]
     pub planner: PlannerPolicy,
-    /// Force every planned join through this exact plan, bypassing
-    /// statistics, cache, and re-planning — the `ForcedPlan` hook the
-    /// differential proptests drive. Mined output is byte-identical for
-    /// every valid plan.
-    #[serde(default)]
-    pub forced_plan: Option<wiclean_rel::JoinPlan>,
 }
 
 impl Default for MinerConfig {
@@ -168,10 +101,8 @@ impl Default for MinerConfig {
             expansion: ExpansionMode::Incremental,
             mine_relative: true,
             intra_window_threads: 0,
-            join_threads: 0,
             full_reparse_extract: false,
             planner: PlannerPolicy::default(),
-            forced_plan: None,
         }
     }
 }
@@ -405,11 +336,8 @@ pub struct WcConfig {
     /// the frozen full-reparse reference pipeline — byte-identical output,
     /// ablation/debugging only.
     pub use_incremental_extract: bool,
-    /// Plan joins adaptively (default): the cost-based planner picks
-    /// pair-stage strategy, build side, and partition count from sampled
-    /// statistics, re-planning at runtime when estimates drift. `false`
-    /// restores the fixed heuristics — byte-identical output, ablation
-    /// only. Fine-grained knobs live in [`MinerConfig::planner`].
+    /// Ignored; kept because the frozen benchmark sets it; goes with
+    /// ROADMAP item 5.
     pub use_adaptive_planner: bool,
     /// Watermark/seal knobs of the streaming miner. Only consulted by
     /// `wiclean stream` and [`crate::stream::StreamMiner`]; values are
@@ -448,8 +376,8 @@ impl<'de> serde::Deserialize<'de> for WcConfig {
                 NAME,
             )?
             .unwrap_or(true),
-            // Absent in configs written before the adaptive planner
-            // existed; those must keep meaning "planner on".
+            // Absent in configs written before the flag existed; those
+            // load with the default.
             use_adaptive_planner: take_field_or_default::<Option<bool>, D::Error>(
                 &mut fields,
                 "use_adaptive_planner",
@@ -557,51 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_planner_defaults_on() {
-        assert!(WcConfig::default().use_adaptive_planner);
-        let policy = MinerConfig::default().planner;
-        assert!(policy.enabled);
-        assert!((policy.replan_factor - 4.0).abs() < 1e-9);
-        assert!(MinerConfig::default().forced_plan.is_none());
-
-        // A config serialized before the planner existed must load with
-        // the planner on, not bool's false default.
-        let mut json = serde_json::to_string(&WcConfig::default()).unwrap();
-        json = json.replace(",\"use_adaptive_planner\":true", "");
-        json = json.replace(
-            ",\"planner\":{\"enabled\":true,\"replan_factor\":4.0},\"forced_plan\":null",
-            "",
-        );
-        json = json.replace(
-            ",\"planner\":{\"enabled\":true,\"replan_factor\":4},\"forced_plan\":null",
-            "",
-        );
-        assert!(!json.contains("use_adaptive_planner"));
-        assert!(!json.contains("replan_factor"));
-        let legacy: WcConfig = serde_json::from_str(&json).unwrap();
-        assert!(legacy.use_adaptive_planner);
-        assert!(legacy.miner.planner.enabled);
-        assert!((legacy.miner.planner.replan_factor - 4.0).abs() < 1e-9);
-
-        // An explicit `false` survives the trip.
-        let ablated = WcConfig {
-            use_adaptive_planner: false,
-            ..WcConfig::default()
-        };
-        let back: WcConfig =
-            serde_json::from_str(&serde_json::to_string(&ablated).unwrap()).unwrap();
-        assert!(!back.use_adaptive_planner);
-
-        // A degenerate re-plan factor is rejected at load time: ≤ 1.0
-        // would abort joins whose estimates were correct.
-        let full = serde_json::to_string(&WcConfig::default()).unwrap();
-        let bad = full.replace("\"replan_factor\":4", "\"replan_factor\":1.0");
-        assert_ne!(bad, full, "replace must hit the serialized knob");
-        let err = serde_json::from_str::<WcConfig>(&bad).unwrap_err();
-        assert!(err.to_string().contains("greater than 1.0"), "{err}");
-    }
-
-    #[test]
     fn saved_configs_with_a_durability_key_still_load() {
         // Configs saved while the config carried a `durability` section
         // (the retired checkpoint store's knobs) must keep loading: the
@@ -620,6 +503,19 @@ mod tests {
             serde_json::from_str::<WcConfig>(&zero).unwrap(),
             WcConfig::default()
         );
+
+        // Configs saved while the miner carried the retired join planner's
+        // knobs load too, even with values the old validator rejected.
+        let planner = "\"planner\":{\"enabled\":true}";
+        assert!(full.contains(planner));
+        let legacy_json = full.replacen(
+            planner,
+            "\"planner\":{\"enabled\":true,\"replan_factor\":0.5},\"join_threads\":3,\
+             \"forced_plan\":{\"strategy\":\"SortMerge\",\"build_side\":\"Left\",\"partitions\":4}",
+            1,
+        );
+        let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
+        assert_eq!(legacy, WcConfig::default());
     }
 
     #[test]

@@ -63,11 +63,7 @@ pub use corpus::{ingest_sharded, open_sharded_corpus, ShardedCorpus};
 pub use degraded::{DegradedCoverage, LostEntity};
 pub use interner::{PatternId, PatternInterner};
 pub use miner::{FoundPattern, MineStats, WindowMiner, WindowResult};
-pub use parallel::{
-    mine_windows_on_pool, mine_windows_parallel, mine_windows_parallel_cached,
-    mine_windows_parallel_cached_checked, mine_windows_parallel_checked, run_windows_checked,
-    run_windows_on_pool, WindowFailure,
-};
+pub use parallel::{mine_windows, run_windows, WindowFailure};
 pub use partial::{detect_partial_updates, PartialReport, PartialUpdate};
 pub use pattern::Pattern;
 pub use pool::MiningPool;

@@ -38,8 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wiclean_rel::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_nested,
-    join_glue_pairs_partitioned, join_glue_pairs_sort_merge, join_glue_sort_merge,
-    materialize_pairs, outer_join_glue, ColumnGlue, SerialRunner, Table,
+    materialize_pairs, outer_join_glue, ColumnGlue, Table,
 };
 use wiclean_revstore::{
     reduce_actions, try_extract_actions_with, ActionCache, CacheLookup, ExtractMode,
@@ -151,26 +150,27 @@ pub struct MineStats {
     /// memory budget (0 for in-memory corpora).
     #[serde(default)]
     pub map_residency_releases: u64,
-    /// Joins whose first plan overshot its output budget and were aborted
-    /// mid-join and re-planned (0 when the adaptive planner is off).
+    /// Always 0. Kept because the frozen benchmark reads it; goes with
+    /// ROADMAP item 5.
     #[serde(default)]
     pub replans: usize,
-    /// Planned joins that reused a cached per-shape plan.
+    /// Always 0. Kept because the frozen benchmark reads it; goes with
+    /// ROADMAP item 5.
     #[serde(default)]
     pub plan_cache_hits: usize,
-    /// Planned joins planned from fresh sampled statistics.
-    #[serde(default)]
-    pub plan_cache_misses: usize,
-    /// Planned joins that ran the serial hash strategy (either build side).
+    /// Hash pair stages run: candidate joins, and the streaming miner's
+    /// delta joins.
     #[serde(default)]
     pub plan_picks_hash: usize,
-    /// Planned joins that ran the sort-merge strategy.
+    /// Always 0. Kept because the frozen benchmark reads it; goes with
+    /// ROADMAP item 5.
     #[serde(default)]
     pub plan_picks_sort_merge: usize,
-    /// Planned joins that ran the nested-loop strategy.
+    /// Nested-loop pair stages run (the `PM−join` ablation).
     #[serde(default)]
     pub plan_picks_nested: usize,
-    /// Planned joins that ran the radix-partitioned parallel strategy.
+    /// Always 0. Kept because the frozen benchmark reads it; goes with
+    /// ROADMAP item 5.
     #[serde(default)]
     pub plan_picks_partitioned: usize,
 }
@@ -212,42 +212,10 @@ impl MineStats {
         self.map_residency_releases += other.map_residency_releases;
         self.replans += other.replans;
         self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
         self.plan_picks_hash += other.plan_picks_hash;
         self.plan_picks_sort_merge += other.plan_picks_sort_merge;
         self.plan_picks_nested += other.plan_picks_nested;
         self.plan_picks_partitioned += other.plan_picks_partitioned;
-    }
-
-    /// Folds one planned join's outcome into the counters.
-    pub fn record_plan(&mut self, outcome: &wiclean_rel::PlanOutcome) {
-        if outcome.replanned {
-            self.replans += 1;
-        }
-        if outcome.cache_hit {
-            self.plan_cache_hits += 1;
-        }
-        if outcome.cache_miss {
-            self.plan_cache_misses += 1;
-        }
-        match outcome.picked {
-            wiclean_rel::Strategy::Hash => self.plan_picks_hash += 1,
-            wiclean_rel::Strategy::SortMerge => self.plan_picks_sort_merge += 1,
-            wiclean_rel::Strategy::NestedLoop => self.plan_picks_nested += 1,
-            wiclean_rel::Strategy::Partitioned => self.plan_picks_partitioned += 1,
-        }
-    }
-
-    /// Share of planned joins that reused a cached per-shape plan; 0 when
-    /// the planner never consulted its cache (off, forced, or only
-    /// fast-path joins ran).
-    pub fn plan_cache_hit_rate(&self) -> f64 {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cache_hits as f64 / total as f64
-        }
     }
 
     /// Folds an out-of-core corpus' counter snapshot into this run's stats
@@ -383,7 +351,6 @@ pub struct WindowMiner<'a> {
     action_cache: Option<Arc<ActionCache>>,
     interner: Arc<PatternInterner>,
     pool: Option<Arc<MiningPool>>,
-    planner: Arc<wiclean_rel::Planner>,
 }
 
 /// Internal expansion node: a frequent pattern under construction.
@@ -429,9 +396,6 @@ struct Evaluated {
     rows_probed: usize,
     /// Pairs the pair stage emitted (0 on cache hits).
     pairs_matched: usize,
-    /// What the adaptive planner did for this join (`None` on cache hits
-    /// and when the planner is off).
-    plan: Option<wiclean_rel::PlanOutcome>,
 }
 
 /// What evaluating one [`CandidateSpec`] produced.
@@ -468,7 +432,6 @@ impl<'a> WindowMiner<'a> {
             action_cache: None,
             interner: Arc::new(PatternInterner::new()),
             pool: None,
-            planner: Arc::new(wiclean_rel::Planner::new()),
         }
     }
 
@@ -510,15 +473,6 @@ impl<'a> WindowMiner<'a> {
         self
     }
 
-    /// Attaches a shared adaptive join planner (per-shape plan cache +
-    /// replan epoch): refinement iterations and streaming refreshes
-    /// sharing one planner reuse each other's proven plans. Whether joins
-    /// consult it is governed by [`MinerConfig::planner`].
-    pub fn with_planner(mut self, planner: Arc<wiclean_rel::Planner>) -> Self {
-        self.planner = planner;
-        self
-    }
-
     /// Attaches whatever caches `caches` carries (either cache may be
     /// absent; the pattern interner is always present and keeps the
     /// realization-cache/interner pairing consistent across miners).
@@ -526,7 +480,6 @@ impl<'a> WindowMiner<'a> {
         self.cache = caches.realizations;
         self.action_cache = caches.actions;
         self.interner = caches.patterns;
-        self.planner = caches.planner;
         self
     }
 
@@ -545,47 +498,9 @@ impl<'a> WindowMiner<'a> {
         }
     }
 
-    /// The batch runner for radix-partitioned join pair stages:
-    /// `join_threads == 1` forces serial joins, `0` (auto) reuses the
-    /// attached pool when there is one, and `n > 1` spins up a dedicated
-    /// pool when none is attached. Small joins fall back to the serial path
-    /// inside the join regardless.
-    pub(crate) fn join_pool(&self) -> Option<Arc<MiningPool>> {
-        match self.config.join_threads {
-            1 => None,
-            0 => self.pool.clone(),
-            n => self
-                .pool
-                .clone()
-                .or_else(|| Some(Arc::new(MiningPool::new(n)))),
-        }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &MinerConfig {
         &self.config
-    }
-
-    /// Whether the adaptive planner drives this run's pair stages: on the
-    /// [`JoinImpl::Hash`] path when [`MinerConfig::planner`] enables it,
-    /// or whenever a forced plan is set. The `NestedLoop`/`SortMerge`
-    /// ablations otherwise keep forcing their strategy unplanned.
-    pub(crate) fn planner_active(&self) -> bool {
-        (self.config.planner.enabled && self.config.join_impl == JoinImpl::Hash)
-            || self.config.forced_plan.is_some()
-    }
-
-    /// The per-call planner knobs this config describes.
-    pub(crate) fn planner_settings(&self) -> wiclean_rel::PlannerSettings {
-        wiclean_rel::PlannerSettings {
-            replan_factor: self.config.planner.replan_factor,
-            forced: self.config.forced_plan,
-        }
-    }
-
-    /// The shared adaptive planner.
-    pub(crate) fn planner(&self) -> &Arc<wiclean_rel::Planner> {
-        &self.planner
     }
 
     /// The pattern interner (shared across miners driving one cache).
@@ -604,7 +519,6 @@ impl<'a> WindowMiner<'a> {
         );
         let t0 = Instant::now();
         let pool = self.intra_pool();
-        let jpool = self.join_pool();
         let mut state = MineState::new();
         // Line 1: fetch + reduce + abstract the seed entities' actions.
         self.load_entities(
@@ -613,15 +527,7 @@ impl<'a> WindowMiner<'a> {
             window,
             pool.as_deref(),
         );
-        self.run_expansion(
-            t0,
-            state,
-            seed,
-            window,
-            false,
-            pool.as_deref(),
-            jpool.as_deref(),
-        )
+        self.run_expansion(t0, state, seed, window, false, pool.as_deref())
     }
 
     /// The `PM−inc` entry point: the caller supplies the full entity set of
@@ -636,18 +542,9 @@ impl<'a> WindowMiner<'a> {
     ) -> WindowResult {
         let t0 = Instant::now();
         let pool = self.intra_pool();
-        let jpool = self.join_pool();
         let mut state = MineState::new();
         self.load_entities(&mut state, entities, window, pool.as_deref());
-        self.run_expansion(
-            t0,
-            state,
-            seed,
-            window,
-            true,
-            pool.as_deref(),
-            jpool.as_deref(),
-        )
+        self.run_expansion(t0, state, seed, window, true, pool.as_deref())
     }
 
     /// Fetches and extracts one entity's actions — through the shared
@@ -769,7 +666,6 @@ impl<'a> WindowMiner<'a> {
     /// The main expansion loop shared by both entry points. `t0` is when
     /// the entry point started: `stats.mine` is the time since then minus
     /// every entity load (`stats.preprocess`), the seed load included.
-    #[allow(clippy::too_many_arguments)]
     fn run_expansion(
         &self,
         t0: Instant,
@@ -778,7 +674,6 @@ impl<'a> WindowMiner<'a> {
         window: &Window,
         materialized: bool,
         pool: Option<&MiningPool>,
-        jpool: Option<&MiningPool>,
     ) -> WindowResult {
         let mut nodes: Vec<Node> = Vec::new();
         let mut found: HashSet<PatternId> = HashSet::new();
@@ -803,7 +698,6 @@ impl<'a> WindowMiner<'a> {
                     seed,
                     Some((window, &fetched)),
                     pool,
-                    jpool,
                     &mut nodes,
                     &mut found,
                     &mut tested,
@@ -855,7 +749,7 @@ impl<'a> WindowMiner<'a> {
                 if !p.most_specific {
                     continue;
                 }
-                let (rels, rel_stats) = self.mine_relative(&state.rows, seed, p, pool, jpool);
+                let (rels, rel_stats) = self.mine_relative(&state.rows, seed, p, pool);
                 state.stats.absorb(&rel_stats);
                 p.rel_patterns = rels;
             }
@@ -950,7 +844,6 @@ impl<'a> WindowMiner<'a> {
         seed: TypeId,
         cache_ctx: Option<(&Window, &BTreeSet<TypeId>)>,
         pool: Option<&MiningPool>,
-        jpool: Option<&MiningPool>,
         nodes: &mut Vec<Node>,
         found: &mut HashSet<PatternId>,
         tested: &mut HashSet<(PatternId, Shape)>,
@@ -972,14 +865,14 @@ impl<'a> WindowMiner<'a> {
                 match pool {
                     Some(pool) if specs.len() > 1 && pool.width() > 1 => pool.map(&specs, |spec| {
                         self.evaluate_candidate(
-                            rows, frozen, known, seed, cache_ctx, jpool, spec, score, threshold,
+                            rows, frozen, known, seed, cache_ctx, spec, score, threshold,
                         )
                     }),
                     _ => specs
                         .iter()
                         .map(|spec| {
                             self.evaluate_candidate(
-                                rows, frozen, known, seed, cache_ctx, jpool, spec, score, threshold,
+                                rows, frozen, known, seed, cache_ctx, spec, score, threshold,
                             )
                         })
                         .collect(),
@@ -1070,7 +963,6 @@ impl<'a> WindowMiner<'a> {
         found: &HashSet<PatternId>,
         seed: TypeId,
         cache_ctx: Option<(&Window, &BTreeSet<TypeId>)>,
-        jpool: Option<&MiningPool>,
         spec: &CandidateSpec,
         score: &(dyn Fn(usize, usize, f64, f64) -> f64 + Sync),
         threshold: f64,
@@ -1109,7 +1001,6 @@ impl<'a> WindowMiner<'a> {
                         materialized: false,
                         rows_probed: 0,
                         pairs_matched: 0,
-                        plan: None,
                     }));
                 }
             }
@@ -1123,54 +1014,34 @@ impl<'a> WindowMiner<'a> {
         let glue = candidate_glue(self.universe, &parent.wp, &spec.action, spec.target_is_new);
 
         // Pair stage: matching (left, right) row indices, no output rows
-        // built yet. Every strategy emits the same canonical pair order,
-        // so the adaptive planner's choice — and the fixed-heuristic
-        // fallback when it's disabled — are byte-identical at any runner
-        // width and any plan.
-        let (pairs, plan) = if self.planner_active() {
-            let serial = SerialRunner;
-            let runner: &dyn wiclean_rel::BatchRunner = match jpool {
-                Some(jpool) => jpool,
-                None => &serial,
-            };
-            let (pairs, outcome) = self.planner.pair_join(
-                &self.planner_settings(),
-                seed.index() as u64,
-                &parent.table,
-                &right,
-                &glue,
-                runner,
-            );
-            (pairs, Some(outcome))
-        } else {
-            let pairs = match self.config.join_impl {
-                JoinImpl::Hash => match jpool {
-                    Some(jpool) => join_glue_pairs_partitioned(&parent.table, &right, &glue, jpool),
-                    None => join_glue_pairs(&parent.table, &right, &glue),
-                },
-                JoinImpl::NestedLoop => join_glue_pairs_nested(&parent.table, &right, &glue),
-                JoinImpl::SortMerge => join_glue_pairs_sort_merge(&parent.table, &right, &glue),
-            };
-            (pairs, None)
+        // built yet. Both engines emit the same canonical pair order.
+        let pairs = match self.config.join_impl {
+            JoinImpl::Hash => join_glue_pairs(&parent.table, &right, &glue),
+            JoinImpl::NestedLoop => join_glue_pairs_nested(&parent.table, &right, &glue),
         };
 
         // Distinct-source fast path: the pattern's source variable is the
         // left table's column 0, and a join (deduped or not) cannot change
         // the set of distinct source values — so support and frequency come
-        // straight off the pair stream.
-        let support = support_from_distinct(
-            &distinct_left_values(&parent.table, 0, &pairs),
-            seed,
-            self.universe,
-        );
-        let freq = frequency_from_support(support, seed, self.universe);
-        let accepted = accept(support, freq);
-        // Only surviving candidates pay for gather + dedup.
-        let table = accepted.then(|| {
+        // straight off the pair stream, and only surviving candidates pay
+        // for gather + dedup. Unit tests can gather every candidate and
+        // count support off its table instead, to check the fast path.
+        let gather = || {
             let mut t = materialize_pairs(&parent.table, &right, &glue, &pairs);
             t.dedup();
             t
-        });
+        };
+        let (support, table) = if gather_every_candidate() {
+            let t = gather();
+            (support_count(&t, 0, seed, self.universe), Some(t))
+        } else {
+            let distinct = distinct_left_values(&parent.table, 0, &pairs);
+            (support_from_distinct(&distinct, seed, self.universe), None)
+        };
+        let freq = frequency_from_support(support, seed, self.universe);
+        let accepted = accept(support, freq);
+        let materialized = accepted || table.is_some();
+        let table = accepted.then(|| table.unwrap_or_else(gather));
         EvalOutcome::Done(Box::new(Evaluated {
             id,
             canonical,
@@ -1180,10 +1051,9 @@ impl<'a> WindowMiner<'a> {
             freq,
             via_cache: false,
             accepted,
-            materialized: accepted,
+            materialized,
             rows_probed: parent.table.len(),
             pairs_matched: pairs.len(),
-            plan,
         }))
     }
 
@@ -1213,9 +1083,6 @@ impl<'a> WindowMiner<'a> {
             // duplicates were each evaluated against the frozen frontier.
             stats.rows_probed += ev.rows_probed;
             stats.pairs_matched += ev.pairs_matched;
-            if let Some(plan) = &ev.plan {
-                stats.record_plan(plan);
-            }
             if ev.via_cache {
                 stats.cache_hits += 1;
             } else {
@@ -1223,6 +1090,10 @@ impl<'a> WindowMiner<'a> {
                     stats.cache_misses += 1;
                 }
                 stats.joins_executed += 1;
+                match self.config.join_impl {
+                    JoinImpl::Hash => stats.plan_picks_hash += 1,
+                    JoinImpl::NestedLoop => stats.plan_picks_nested += 1,
+                }
                 if ev.materialized {
                     stats.tables_materialized += 1;
                 } else {
@@ -1274,7 +1145,6 @@ impl<'a> WindowMiner<'a> {
         seed: TypeId,
         parent: &FoundPattern,
         pool: Option<&MiningPool>,
-        jpool: Option<&MiningPool>,
     ) -> (Vec<RelPattern>, MineStats) {
         let mut stats = MineStats::default();
 
@@ -1310,7 +1180,6 @@ impl<'a> WindowMiner<'a> {
             seed,
             None,
             pool,
-            jpool,
             &mut nodes,
             &mut found,
             &mut tested,
@@ -1409,28 +1278,10 @@ impl<'a> WindowMiner<'a> {
                 }
             };
             let glue = vec![ColumnGlue::Glued(src_col), tgt_glue];
-            table = if outer {
-                outer_join_glue(&table, &right, &glue)
-            } else if self.planner_active() {
-                // Planned path: same shape cache as candidate evaluation,
-                // keyed by the pattern's source type. Outcome counters are
-                // only accrued on the candidate-evaluation path; this
-                // helper has no stats sink.
-                let (pairs, _outcome) = self.planner.pair_join(
-                    &self.planner_settings(),
-                    first.source.ty.index() as u64,
-                    &table,
-                    &right,
-                    &glue,
-                    &SerialRunner,
-                );
-                materialize_pairs(&table, &right, &glue, &pairs)
-            } else {
-                match self.config.join_impl {
-                    JoinImpl::Hash => join_glue(&table, &right, &glue),
-                    JoinImpl::NestedLoop => join_glue_nested(&table, &right, &glue),
-                    JoinImpl::SortMerge => join_glue_sort_merge(&table, &right, &glue),
-                }
+            table = match (outer, self.config.join_impl) {
+                (true, _) => outer_join_glue(&table, &right, &glue),
+                (false, JoinImpl::Hash) => join_glue(&table, &right, &glue),
+                (false, JoinImpl::NestedLoop) => join_glue_nested(&table, &right, &glue),
             };
             table.dedup();
         }
@@ -1501,6 +1352,18 @@ pub(crate) fn candidate_glue(
     vec![ColumnGlue::Glued(src_col), tgt_glue]
 }
 
+/// Whether candidate evaluation gathers every candidate's table, instead
+/// of only those that clear the threshold (a unit-test switch).
+#[cfg(not(test))]
+fn gather_every_candidate() -> bool {
+    false
+}
+
+#[cfg(test)]
+fn gather_every_candidate() -> bool {
+    tests::GATHER_EVERY_CANDIDATE.get()
+}
+
 impl MineState {
     fn new() -> Self {
         Self {
@@ -1517,6 +1380,12 @@ impl MineState {
 mod tests {
     use super::*;
     use crate::testutil::soccer_fixture;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Makes this thread's candidate evaluations gather every table.
+        pub(super) static GATHER_EVERY_CANDIDATE: Cell<bool> = const { Cell::new(false) };
+    }
 
     #[test]
     fn finds_transfer_pattern_in_fixture() {
@@ -1557,6 +1426,10 @@ mod tests {
         assert!(result.patterns.is_empty());
     }
 
+    /// The nested loop finds what the hash join finds, with the same
+    /// realization tables and the same logical join counters
+    /// (`rows_probed` = parent rows offered to the pair stage,
+    /// `pairs_matched` = pairs it matched).
     #[test]
     fn nested_loop_agrees_with_hash() {
         let fx = soccer_fixture();
@@ -1567,9 +1440,20 @@ mod tests {
         let miner_n = WindowMiner::new(&fx.store, &fx.universe, config);
         let rn = miner_n.mine_window(fx.player_ty, &fx.window);
 
-        let ph: BTreeSet<Pattern> = rh.patterns.iter().map(|p| p.pattern.clone()).collect();
-        let pn: BTreeSet<Pattern> = rn.patterns.iter().map(|p| p.pattern.clone()).collect();
-        assert_eq!(ph, pn, "PM and PM−join must find identical patterns");
+        assert_eq!(rh.patterns.len(), rn.patterns.len());
+        for (h, n) in rh.patterns.iter().zip(&rn.patterns) {
+            assert_eq!(
+                h.pattern, n.pattern,
+                "PM and PM−join must find identical patterns"
+            );
+            assert_eq!(h.table, n.table);
+        }
+        assert!(rh.stats.pairs_matched > 0);
+        assert_eq!(rh.stats.rows_probed, rn.stats.rows_probed);
+        assert_eq!(rh.stats.pairs_matched, rn.stats.pairs_matched);
+        let picks = |s: &MineStats| (s.plan_picks_hash, s.plan_picks_nested);
+        assert_eq!(picks(&rh.stats), (rh.stats.joins_executed, 0));
+        assert_eq!(picks(&rn.stats), (0, rn.stats.joins_executed));
     }
 
     #[test]
@@ -1609,6 +1493,9 @@ mod tests {
         );
     }
 
+    /// Pruning a candidate off its pair stream, without a gather, mines
+    /// exactly what gathering every candidate and counting support off
+    /// its table mines.
     #[test]
     fn fast_path_prunes_subthreshold_candidates() {
         let fx = soccer_fixture();
@@ -1622,75 +1509,16 @@ mod tests {
         );
         assert!(r.stats.join_prune_rate() > 0.0);
         assert!(r.stats.pairs_matched >= r.stats.tables_materialized);
-    }
 
-    #[test]
-    fn forced_join_threads_agree_with_serial() {
-        let fx = soccer_fixture();
-        let mut config = fx.config();
-        config.join_threads = 1;
-        let serial =
-            WindowMiner::new(&fx.store, &fx.universe, config).mine_window(fx.player_ty, &fx.window);
-        config.join_threads = 4; // dedicated join pool, partitioned pair stage
-        let par =
-            WindowMiner::new(&fx.store, &fx.universe, config).mine_window(fx.player_ty, &fx.window);
-
-        assert_eq!(serial.patterns.len(), par.patterns.len());
-        for (a, b) in serial.patterns.iter().zip(&par.patterns) {
-            assert_eq!(a.pattern, b.pattern);
-            assert_eq!(a.support, b.support);
-            assert_eq!(a.table.sorted_rows(), b.table.sorted_rows());
-        }
-        assert_eq!(serial.stats.pairs_matched, par.stats.pairs_matched);
-    }
-
-    /// `rows_probed` / `pairs_matched` are *logical* join-work counters —
-    /// parent rows offered to the pair stage and pairs it matched — so
-    /// every forced (strategy × build side × partition count) plan must
-    /// report totals byte-identical to the default adaptive run.
-    #[test]
-    fn every_strategy_reports_identical_join_counters() {
-        use wiclean_rel::{BuildSide, JoinPlan, Strategy};
-        let fx = soccer_fixture();
-        let baseline = WindowMiner::new(&fx.store, &fx.universe, fx.config())
-            .mine_window(fx.player_ty, &fx.window);
-        assert!(baseline.stats.rows_probed > 0);
-        assert!(baseline.stats.pairs_matched > 0);
-
-        for strategy in [
-            Strategy::Hash,
-            Strategy::SortMerge,
-            Strategy::NestedLoop,
-            Strategy::Partitioned,
-        ] {
-            for build_side in [BuildSide::Left, BuildSide::Right] {
-                for partitions in [0u32, 4] {
-                    let mut config = fx.config();
-                    config.join_threads = 3; // give Partitioned a real pool
-                    config.forced_plan = Some(JoinPlan {
-                        strategy,
-                        build_side,
-                        partitions,
-                    });
-                    let r = WindowMiner::new(&fx.store, &fx.universe, config)
-                        .mine_window(fx.player_ty, &fx.window);
-                    let tag = format!("{strategy:?}/{build_side:?}/p{partitions}");
-                    assert_eq!(
-                        r.stats.rows_probed, baseline.stats.rows_probed,
-                        "rows_probed drifted under {tag}"
-                    );
-                    assert_eq!(
-                        r.stats.pairs_matched, baseline.stats.pairs_matched,
-                        "pairs_matched drifted under {tag}"
-                    );
-                    assert_eq!(r.patterns.len(), baseline.patterns.len(), "{tag}");
-                    for (a, b) in r.patterns.iter().zip(&baseline.patterns) {
-                        assert_eq!(a.pattern, b.pattern, "{tag}");
-                        assert_eq!(a.table.sorted_rows(), b.table.sorted_rows(), "{tag}");
-                    }
-                }
-            }
-        }
+        GATHER_EVERY_CANDIDATE.set(true);
+        let gathered = miner.mine_window(fx.player_ty, &fx.window);
+        GATHER_EVERY_CANDIDATE.set(false);
+        assert_eq!(gathered.stats.tables_pruned, 0);
+        assert_eq!(gathered.stats.tables_materialized, r.stats.joins_executed);
+        assert_eq!(
+            format!("{:?}", r.patterns),
+            format!("{:?}", gathered.patterns)
+        );
     }
 
     #[test]

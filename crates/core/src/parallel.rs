@@ -16,15 +16,11 @@
 //! caches, the pattern interner — is lock-free or non-poisoning, so
 //! observing it after a caught panic is sound.)
 
-use crate::cache::MiningCaches;
-use crate::config::MinerConfig;
 use crate::miner::{WindowMiner, WindowResult};
 use crate::pool::MiningPool;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use wiclean_revstore::FetchSource;
-use wiclean_types::{TypeId, Universe, Window};
+use wiclean_types::{TypeId, Window};
 
 /// A window whose worker panicked: the window is reported, everything else
 /// completes.
@@ -79,32 +75,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     )
 }
 
-/// Runs `mine` over every window on a fresh [`MiningPool`] with `threads`
-/// total width (1 = sequential on the calling thread), isolating
-/// per-window panics. Results are returned in window order; a panicked
-/// window yields `Err(WindowFailure)` carrying `seed` and leaves every
-/// other window's result intact.
+/// Runs `mine` over every window as one batch on `pool` (width 1 =
+/// sequential on the calling thread), isolating per-window panics.
+/// Results are returned in window order; a panicked window yields
+/// `Err(WindowFailure)` carrying `seed` and leaves every other window's
+/// result intact. Nested intra-window batches submitted by miners holding
+/// the same pool interleave with the window tasks (work stealing).
 ///
 /// Generic over the mining closure so tests (and embedders with custom
-/// per-window work) can inject faults; the mining entry points below pass
-/// [`WindowMiner::mine_window`]. To share one pool between the window
-/// level and the miners' intra-window evaluation (or across Algorithm 2
-/// iterations), build the pool yourself and use [`run_windows_on_pool`].
-pub fn run_windows_checked(
-    windows: &[Window],
-    seed: TypeId,
-    threads: usize,
-    mine: impl Fn(&Window) -> WindowResult + Sync,
-) -> Vec<Result<WindowResult, WindowFailure>> {
-    assert!(threads >= 1, "need at least one worker");
-    let pool = MiningPool::new(threads);
-    run_windows_on_pool(windows, seed, &pool, mine)
-}
-
-/// [`run_windows_checked`] on a caller-owned pool: window tasks are one
-/// batch on `pool`, and nested intra-window batches submitted by miners
-/// holding the same pool interleave with them (work stealing).
-pub fn run_windows_on_pool(
+/// per-window work) can inject faults; [`mine_windows`] passes
+/// [`WindowMiner::mine_window`].
+pub fn run_windows(
     windows: &[Window],
     seed: TypeId,
     pool: &MiningPool,
@@ -122,104 +103,19 @@ pub fn run_windows_on_pool(
     })
 }
 
-/// Mines every window in `windows` w.r.t. `seed`, fanning the independent
-/// runs out over `threads` workers (1 = fully sequential). Results are
-/// returned in window order. Panics if any window's worker panicked; use
-/// [`mine_windows_parallel_checked`] to receive failures as values.
-pub fn mine_windows_parallel(
-    source: &dyn FetchSource,
-    universe: &Universe,
+/// Mines every window in `windows` w.r.t. `seed` with `miner`, the
+/// windows fanned out over `pool` ([`run_windows`]). Attach the same pool
+/// to the miner ([`WindowMiner::with_pool`]) and each miner nests its
+/// candidate-evaluation batches into it, so a single slow window spreads
+/// over every idle worker; Algorithm 2 builds one pool and one set of
+/// caches and reuses them across every refinement iteration.
+pub fn mine_windows(
+    miner: &WindowMiner<'_>,
     seed: TypeId,
     windows: &[Window],
-    config: MinerConfig,
-    threads: usize,
-) -> Vec<WindowResult> {
-    mine_windows_parallel_cached(
-        source,
-        universe,
-        seed,
-        windows,
-        config,
-        threads,
-        MiningCaches::none(),
-    )
-}
-
-/// [`mine_windows_parallel`] with shared caches — Algorithm 2 passes a
-/// [`MiningCaches`] bundle so refinement iterations reuse candidate
-/// realization tables and preprocessing outcomes; the per-window workers
-/// share both caches concurrently.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_windows_parallel_cached(
-    source: &dyn FetchSource,
-    universe: &Universe,
-    seed: TypeId,
-    windows: &[Window],
-    config: MinerConfig,
-    threads: usize,
-    caches: MiningCaches,
-) -> Vec<WindowResult> {
-    mine_windows_parallel_cached_checked(source, universe, seed, windows, config, threads, caches)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|f| panic!("{f}")))
-        .collect()
-}
-
-/// Fault-isolating variant of [`mine_windows_parallel`].
-pub fn mine_windows_parallel_checked(
-    source: &dyn FetchSource,
-    universe: &Universe,
-    seed: TypeId,
-    windows: &[Window],
-    config: MinerConfig,
-    threads: usize,
+    pool: &MiningPool,
 ) -> Vec<Result<WindowResult, WindowFailure>> {
-    mine_windows_parallel_cached_checked(
-        source,
-        universe,
-        seed,
-        windows,
-        config,
-        threads,
-        MiningCaches::none(),
-    )
-}
-
-/// Fault-isolating variant of [`mine_windows_parallel_cached`].
-#[allow(clippy::too_many_arguments)]
-pub fn mine_windows_parallel_cached_checked(
-    source: &dyn FetchSource,
-    universe: &Universe,
-    seed: TypeId,
-    windows: &[Window],
-    config: MinerConfig,
-    threads: usize,
-    caches: MiningCaches,
-) -> Vec<Result<WindowResult, WindowFailure>> {
-    assert!(threads >= 1, "need at least one worker");
-    let pool = Arc::new(MiningPool::new(threads));
-    mine_windows_on_pool(source, universe, seed, windows, config, caches, &pool)
-}
-
-/// [`mine_windows_parallel_cached_checked`] on a caller-owned pool —
-/// Algorithm 2 builds one pool and reuses it across every refinement
-/// iteration. One pool serves both levels: window tasks are a batch on it,
-/// and each miner (holding the same pool) nests its candidate-evaluation
-/// batches into it, so a single slow window spreads over every idle worker.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_windows_on_pool(
-    source: &dyn FetchSource,
-    universe: &Universe,
-    seed: TypeId,
-    windows: &[Window],
-    config: MinerConfig,
-    caches: MiningCaches,
-    pool: &Arc<MiningPool>,
-) -> Vec<Result<WindowResult, WindowFailure>> {
-    let miner = WindowMiner::new(source, universe, config)
-        .with_caches(caches)
-        .with_pool(Arc::clone(pool));
-    run_windows_on_pool(windows, seed, pool, |w| miner.mine_window(seed, w))
+    run_windows(windows, seed, pool, |w| miner.mine_window(seed, w))
 }
 
 #[cfg(test)]
@@ -229,27 +125,28 @@ mod tests {
     use crate::testutil::soccer_fixture;
     use std::collections::BTreeSet;
 
+    /// Mines `windows` over the fixture on a fresh `threads`-wide pool
+    /// shared with the miner, unwrapping every window's result.
+    fn mine_fixture(
+        fx: &crate::testutil::Fixture,
+        windows: &[Window],
+        threads: usize,
+    ) -> Vec<WindowResult> {
+        let pool = std::sync::Arc::new(MiningPool::new(threads));
+        let miner = WindowMiner::new(&fx.store, &fx.universe, fx.config()).with_pool(pool.clone());
+        mine_windows(&miner, fx.player_ty, windows, &pool)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|f| panic!("{f}")))
+            .collect()
+    }
+
     #[test]
     fn parallel_equals_sequential() {
         let fx = soccer_fixture();
         // Split the fixture window into 4 sub-windows.
         let windows = Window::split_span(fx.window.start, fx.window.end, fx.window.len() / 4);
-        let seq = mine_windows_parallel(
-            &fx.store,
-            &fx.universe,
-            fx.player_ty,
-            &windows,
-            fx.config(),
-            1,
-        );
-        let par = mine_windows_parallel(
-            &fx.store,
-            &fx.universe,
-            fx.player_ty,
-            &windows,
-            fx.config(),
-            4,
-        );
+        let seq = mine_fixture(&fx, &windows, 1);
+        let par = mine_fixture(&fx, &windows, 4);
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.window, p.window);
@@ -262,22 +159,13 @@ mod tests {
     #[test]
     fn empty_window_list() {
         let fx = soccer_fixture();
-        let out = mine_windows_parallel(&fx.store, &fx.universe, fx.player_ty, &[], fx.config(), 4);
-        assert!(out.is_empty());
+        assert!(mine_fixture(&fx, &[], 4).is_empty());
     }
 
     #[test]
     fn more_threads_than_windows_is_fine() {
         let fx = soccer_fixture();
-        let out = mine_windows_parallel(
-            &fx.store,
-            &fx.universe,
-            fx.player_ty,
-            &[fx.window],
-            fx.config(),
-            16,
-        );
-        assert_eq!(out.len(), 1);
+        assert_eq!(mine_fixture(&fx, &[fx.window], 16).len(), 1);
     }
 
     #[test]
@@ -291,7 +179,7 @@ mod tests {
         let poison = windows[1];
 
         let miner = WindowMiner::new(&fx.store, &fx.universe, fx.config());
-        let out = run_windows_checked(&windows, fx.player_ty, 4, |w| {
+        let out = run_windows(&windows, fx.player_ty, &MiningPool::new(4), |w| {
             if *w == poison {
                 panic!("injected worker fault");
             }
@@ -299,14 +187,7 @@ mod tests {
         });
 
         assert_eq!(out.len(), windows.len());
-        let clean = mine_windows_parallel(
-            &fx.store,
-            &fx.universe,
-            fx.player_ty,
-            &windows,
-            fx.config(),
-            1,
-        );
+        let clean = mine_fixture(&fx, &windows, 1);
         for (i, r) in out.iter().enumerate() {
             if windows[i] == poison {
                 let failure = r.as_ref().expect_err("poisoned window must fail");
@@ -333,10 +214,10 @@ mod tests {
     fn sequential_path_also_isolates_panics() {
         let fx = soccer_fixture();
         let windows = [fx.window];
-        let out = run_windows_checked(
+        let out = run_windows(
             &windows,
             fx.player_ty,
-            1,
+            &MiningPool::new(1),
             |_w| -> crate::miner::WindowResult { panic!("boom {}", 42) },
         );
         assert_eq!(out.len(), 1);
@@ -350,10 +231,10 @@ mod tests {
         let fx = soccer_fixture();
         let windows = [fx.window];
 
-        let out = run_windows_checked(
+        let out = run_windows(
             &windows,
             fx.player_ty,
-            1,
+            &MiningPool::new(1),
             |_w| -> crate::miner::WindowResult { std::panic::panic_any(17usize) },
         );
         let failure = out[0].as_ref().unwrap_err();
@@ -363,10 +244,10 @@ mod tests {
             failure.panic
         );
 
-        let out = run_windows_checked(
+        let out = run_windows(
             &windows,
             fx.player_ty,
-            1,
+            &MiningPool::new(1),
             |_w| -> crate::miner::WindowResult {
                 std::panic::panic_any(std::borrow::Cow::<'static, str>::Owned(
                     "cow payload".to_string(),
@@ -383,10 +264,10 @@ mod tests {
         // Arbitrary payloads at least identify themselves as non-string.
         #[derive(Debug)]
         struct Opaque;
-        let out = run_windows_checked(
+        let out = run_windows(
             &windows,
             fx.player_ty,
-            1,
+            &MiningPool::new(1),
             |_w| -> crate::miner::WindowResult { std::panic::panic_any(Opaque) },
         );
         let failure = out[0].as_ref().unwrap_err();

@@ -63,8 +63,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 use wiclean_rel::{
-    distinct_left_values, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_delta_partitioned, materialize_pairs, ColumnGlue, Table,
+    distinct_left_values, join_glue_pairs, join_glue_pairs_delta, materialize_pairs, Table,
 };
 use wiclean_revstore::{
     reduce_actions, ActionCache, FeedEvent, FetchError, RevisionFeed, RevisionStore,
@@ -98,7 +97,6 @@ impl StreamConfig {
     pub fn from_wc(config: &WcConfig) -> Self {
         let mut miner = config.miner;
         miner.tau = config.tau0;
-        miner.planner.enabled = config.use_adaptive_planner;
         Self {
             width: config.w_min,
             timeline_start: config.timeline_start,
@@ -652,48 +650,9 @@ fn stream_evaluate(
                 // current without ever materializing a table, until the
                 // appended rows push it over τ.
                 let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-                let delta = if miner.planner_active() {
-                    // The planner decides serial vs parallel delta (byte-
-                    // identical either way), caching the verdict per shape.
-                    let jpool = miner.join_pool();
-                    let width = jpool
-                        .as_ref()
-                        .map_or(1, |p| wiclean_rel::BatchRunner::width(p.as_ref()));
-                    let arity = glue
-                        .iter()
-                        .filter(|g| matches!(g, ColumnGlue::Glued(_)))
-                        .count();
-                    let (parallel, outcome) = miner.planner().delta_join_parallel(
-                        &miner.planner_settings(),
-                        seed.index() as u64,
-                        left.len(),
-                        entry.left_len,
-                        right.len(),
-                        entry.right_len,
-                        arity,
-                        width,
-                    );
-                    stats.record_plan(&outcome);
-                    match (parallel, jpool) {
-                        (true, Some(pool)) => join_glue_pairs_delta_partitioned(
-                            left,
-                            entry.left_len,
-                            right,
-                            entry.right_len,
-                            &glue,
-                            pool.as_ref(),
-                        ),
-                        _ => join_glue_pairs_delta(
-                            left,
-                            entry.left_len,
-                            right,
-                            entry.right_len,
-                            &glue,
-                        ),
-                    }
-                } else {
-                    join_glue_pairs_delta(left, entry.left_len, right, entry.right_len, &glue)
-                };
+                let delta =
+                    join_glue_pairs_delta(left, entry.left_len, right, entry.right_len, &glue);
+                stats.plan_picks_hash += 1;
                 stats.delta_rows_joined +=
                     (left.len() - entry.left_len + right.len() - entry.right_len) as u64;
                 let mut distinct = entry.distinct;
@@ -781,26 +740,8 @@ fn stream_evaluate(
 
     // Full evaluation — byte-identical to the batch candidate path.
     let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-    let pairs = if miner.planner_active() {
-        let jpool = miner.join_pool();
-        let serial = wiclean_rel::SerialRunner;
-        let runner: &dyn wiclean_rel::BatchRunner = match &jpool {
-            Some(pool) => pool.as_ref(),
-            None => &serial,
-        };
-        let (pairs, outcome) = miner.planner().pair_join(
-            &miner.planner_settings(),
-            seed.index() as u64,
-            left,
-            right,
-            &glue,
-            runner,
-        );
-        stats.record_plan(&outcome);
-        pairs
-    } else {
-        join_glue_pairs(left, right, &glue)
-    };
+    let pairs = join_glue_pairs(left, right, &glue);
+    stats.plan_picks_hash += 1;
     let distinct = distinct_left_values(left, 0, &pairs);
     let support = support_from_distinct(&distinct, seed, universe);
     let freq = frequency_from_support(support, seed, universe);
@@ -858,9 +799,6 @@ pub struct StreamMiner<'u> {
     interner: Arc<PatternInterner>,
     absorb: Arc<RealizationCache>,
     action_cache: Option<Arc<ActionCache>>,
-    /// Shared adaptive join planner: delta-join and full-join plans proven
-    /// in one refresh are reused by later refreshes of every window.
-    planner: Arc<wiclean_rel::Planner>,
     /// Open windows keyed by window start (sealing walks them in order).
     windows: BTreeMap<Timestamp, WindowState>,
     max_event: Option<Timestamp>,
@@ -886,7 +824,6 @@ impl<'u> StreamMiner<'u> {
             interner: Arc::new(PatternInterner::new()),
             absorb: Arc::new(RealizationCache::new()),
             action_cache,
-            planner: Arc::new(wiclean_rel::Planner::new()),
             windows: BTreeMap::new(),
             max_event: None,
             sealed_high: 0,
@@ -1010,8 +947,7 @@ impl<'u> StreamMiner<'u> {
     /// stable).
     fn miner(&self) -> WindowMiner<'_> {
         let mut m = WindowMiner::new(&self.store, self.universe, self.config.miner)
-            .with_pattern_interner(self.interner.clone())
-            .with_planner(self.planner.clone());
+            .with_pattern_interner(self.interner.clone());
         if let Some(ac) = &self.action_cache {
             m = m.with_action_cache(ac.clone());
         }
@@ -1094,7 +1030,7 @@ impl<'u> StreamMiner<'u> {
                 if !p.most_specific {
                     continue;
                 }
-                let (rels, rel_stats) = miner.mine_relative(&final_rows, self.seed, p, None, None);
+                let (rels, rel_stats) = miner.mine_relative(&final_rows, self.seed, p, None);
                 ws.stats.absorb(&rel_stats);
                 p.rel_patterns = rels;
             }
@@ -1358,56 +1294,6 @@ mod tests {
                     streamed.stats.delta_rows_joined > 0,
                     "chronological per-event cadence must exercise the delta-join path"
                 );
-            }
-        }
-    }
-
-    /// The delta-join accounting (`rows_probed` = fresh delta rows,
-    /// `pairs_matched` = delta pairs) is independent of the pair-stage
-    /// strategy: forcing any plan through a chronological per-event stream
-    /// — which exercises `join_glue_pairs_delta*` — must leave the join
-    /// counters byte-identical to the adaptive run.
-    #[test]
-    fn forced_plans_keep_delta_join_counters_identical() {
-        use wiclean_rel::{BuildSide, JoinPlan, Strategy};
-        let fx = soccer_fixture();
-        let mut events = events_of(&fx.store);
-        events.sort_by_key(|e| e.time);
-        let run = |forced: Option<JoinPlan>| {
-            let mut cfg = stream_config(&fx, fx.window.len(), 1);
-            cfg.miner.forced_plan = forced;
-            let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, cfg);
-            let mut feed = VecFeed::new(events.clone());
-            sm.ingest_from(&mut feed);
-            sm.flush();
-            let r = sm
-                .sealed()
-                .iter()
-                .find(|r| r.window == fx.window)
-                .expect("fixture window sealed");
-            (
-                r.stats.rows_probed,
-                r.stats.pairs_matched,
-                r.stats.delta_rows_joined,
-            )
-        };
-        let (rows, pairs, delta) = run(None);
-        assert!(delta > 0, "per-event cadence must take the delta-join path");
-        for strategy in [
-            Strategy::Hash,
-            Strategy::SortMerge,
-            Strategy::NestedLoop,
-            Strategy::Partitioned,
-        ] {
-            for build_side in [BuildSide::Left, BuildSide::Right] {
-                let (fr, fp, fd) = run(Some(JoinPlan {
-                    strategy,
-                    build_side,
-                    partitions: 0,
-                }));
-                assert_eq!(fr, rows, "rows_probed drifted under {strategy:?}");
-                assert_eq!(fp, pairs, "pairs_matched drifted under {strategy:?}");
-                assert_eq!(fd, delta, "delta_rows_joined drifted under {strategy:?}");
             }
         }
     }

@@ -11,8 +11,8 @@
 use crate::cache::MiningCaches;
 use crate::config::WcConfig;
 use crate::degraded::DegradedCoverage;
-use crate::miner::{MineStats, RelPattern, WindowResult};
-use crate::parallel::{mine_windows_on_pool, WindowFailure};
+use crate::miner::{MineStats, RelPattern, WindowMiner, WindowResult};
+use crate::parallel::{mine_windows, WindowFailure};
 use crate::pattern::{most_specific, Pattern, WorkingPattern};
 use crate::pool::MiningPool;
 use std::collections::HashMap;
@@ -147,16 +147,10 @@ pub fn find_windows_and_patterns(
         let mut miner_config = config.miner;
         miner_config.tau = tau;
         miner_config.full_reparse_extract = !config.use_incremental_extract;
-        miner_config.planner.enabled = config.use_adaptive_planner;
-        let outcomes = mine_windows_on_pool(
-            source,
-            universe,
-            seed,
-            &windows,
-            miner_config,
-            caches.clone(),
-            &pool,
-        );
+        let miner = WindowMiner::new(source, universe, miner_config)
+            .with_caches(caches.clone())
+            .with_pool(Arc::clone(&pool));
+        let outcomes = mine_windows(&miner, seed, &windows, &pool);
         let mut results = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             match outcome {
@@ -505,72 +499,6 @@ mod cache_tests {
             a.stats.bytes_parsed + a.stats.bytes_skipped,
             b.stats.bytes_parsed,
             "both modes account for every revision byte"
-        );
-    }
-
-    #[test]
-    fn adaptive_planner_ablation_matches() {
-        let fx = soccer_fixture();
-        let base = WcConfig {
-            w_min: fx.window.len() / 2,
-            tau0: 0.8,
-            max_window: fx.window.len(),
-            min_tau: 0.2,
-            timeline_start: 0,
-            timeline_end: fx.window.end,
-            miner: fx.config(),
-            threads: 1,
-            ..WcConfig::default()
-        };
-        let mut planned = base;
-        planned.use_adaptive_planner = true;
-        let mut fixed = base;
-        fixed.use_adaptive_planner = false;
-
-        let a = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &planned);
-        let b = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &fixed);
-
-        // The planner only picks *how* each join runs, never what it
-        // returns: the whole search trajectory must be byte-identical.
-        let pa: Vec<(P, usize)> = a
-            .discovered
-            .iter()
-            .map(|d| (d.pattern.clone(), d.support))
-            .collect();
-        let pb: Vec<(P, usize)> = b
-            .discovered
-            .iter()
-            .map(|d| (d.pattern.clone(), d.support))
-            .collect();
-        assert_eq!(pa, pb, "planning must not change the discovered set");
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.stats.joins_executed, b.stats.joins_executed);
-        assert_eq!(a.stats.candidates_considered, b.stats.candidates_considered);
-        assert_eq!(a.stats.rows_probed, b.stats.rows_probed);
-        assert_eq!(a.stats.pairs_matched, b.stats.pairs_matched);
-
-        // Every planned join picks some strategy; the ablated run plans
-        // nothing at all.
-        let picks = |s: &crate::MineStats| {
-            s.plan_picks_hash
-                + s.plan_picks_sort_merge
-                + s.plan_picks_nested
-                + s.plan_picks_partitioned
-        };
-        assert!(
-            picks(&a.stats) > 0,
-            "planner-on run must plan its joins: {:?}",
-            a.stats
-        );
-        assert_eq!(
-            (
-                picks(&b.stats),
-                b.stats.plan_cache_hits,
-                b.stats.plan_cache_misses,
-                b.stats.replans
-            ),
-            (0, 0, 0, 0),
-            "ablated run must not touch the planner"
         );
     }
 }

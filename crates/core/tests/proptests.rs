@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use wiclean_core::abstract_action::AbstractAction;
 use wiclean_core::config::{MinerConfig, WcConfig};
 use wiclean_core::miner::{WindowMiner, WindowResult};
-use wiclean_core::parallel::run_windows_checked;
+use wiclean_core::parallel::run_windows;
 use wiclean_core::pattern::{most_specific, Pattern};
 use wiclean_core::var::Var;
 use wiclean_core::windows::{find_windows_and_patterns, WcResult};
@@ -267,17 +267,6 @@ fn exact_digest(result: &WindowResult) -> String {
     let mut stats = result.stats.clone();
     stats.preprocess = std::time::Duration::ZERO;
     stats.mine = std::time::Duration::ZERO;
-    // Planner counters depend on evaluation interleaving — the per-shape
-    // plan cache is shared across worker threads, so which join pays the
-    // miss (and which plan a replan lands on) varies run to run. The mined
-    // output stays byte-identical regardless; only the counters float.
-    stats.replans = 0;
-    stats.plan_cache_hits = 0;
-    stats.plan_cache_misses = 0;
-    stats.plan_picks_hash = 0;
-    stats.plan_picks_sort_merge = 0;
-    stats.plan_picks_nested = 0;
-    stats.plan_picks_partitioned = 0;
     format!("{:?}|{:?}|{:?}", result.patterns, stats, result.degraded)
 }
 
@@ -358,7 +347,8 @@ proptest! {
             .map(|w| miner.mine_window(player_ty, w))
             .collect();
 
-        let out = run_windows_checked(&windows, player_ty, 4, |w| {
+        let pool = wiclean_core::MiningPool::new(4);
+        let out = run_windows(&windows, player_ty, &pool, |w| {
             let i = windows.iter().position(|x| x == w).unwrap();
             if poison_mask & (1 << i) != 0 {
                 panic!("injected worker fault in window {i}");
@@ -737,127 +727,28 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Forced-plan differential properties: the adaptive planner's contract is
-// that every (strategy × build side × partition count) produces the same
-// bytes — so a randomly forced plan must mine, stream, and crash-replay
-// identically to the default adaptive choice.
+// Join-engine differential property: the `PM−join` nested loop mines what
+// the hash join mines, byte for byte, at any thread count.
 // ---------------------------------------------------------------------------
-
-use wiclean_rel::{BuildSide, JoinPlan, Strategy as PlanStrategy};
-
-/// Decodes a proptest-drawn plan: any strategy, either build side, and a
-/// partition count covering the whole legal range (0 = derive from the
-/// runner width).
-fn drawn_plan(strategy_ix: usize, build_left: bool, part_ix: usize) -> JoinPlan {
-    JoinPlan {
-        strategy: [
-            PlanStrategy::Hash,
-            PlanStrategy::SortMerge,
-            PlanStrategy::NestedLoop,
-            PlanStrategy::Partitioned,
-        ][strategy_ix],
-        build_side: if build_left {
-            BuildSide::Left
-        } else {
-            BuildSide::Right
-        },
-        partitions: [0u32, 2, 4, 8, 16, 32, 64][part_ix],
-    }
-}
 
 proptest! {
     // Each case runs real mining; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batch mining under any forced plan is identical to the default
-    /// adaptive plan — same patterns, supports, realization tables, and
+    /// Batch mining with the nested-loop pair stage is identical to the
+    /// hash join — same patterns, supports, realization tables, and
     /// logical join counters — at any thread count.
     #[test]
-    fn forced_plans_mine_byte_identically(
-        strategy_ix in 0usize..4,
-        build_left in any::<bool>(),
-        part_ix in 0usize..7,
-        threads in 1usize..5,
-    ) {
+    fn nested_loop_mines_byte_identically(threads in 1usize..5) {
         let (u, store, player_ty, window) = transfer_world();
         let baseline = WindowMiner::new(&store, &u, transfer_config())
             .mine_window(player_ty, &window);
         let mut config = transfer_config();
         config.intra_window_threads = threads;
-        config.join_threads = threads;
-        config.forced_plan = Some(drawn_plan(strategy_ix, build_left, part_ix));
-        let forced = WindowMiner::new(&store, &u, config).mine_window(player_ty, &window);
-        prop_assert_eq!(digest(&baseline), digest(&forced));
-        prop_assert_eq!(baseline.stats.rows_probed, forced.stats.rows_probed);
-        prop_assert_eq!(baseline.stats.pairs_matched, forced.stats.pairs_matched);
-    }
-
-    /// The streaming miner under any forced plan seals every window to the
-    /// batch answer (which mines under the default adaptive plan) at any
-    /// arrival order — forced plans flow through the delta-join path too.
-    #[test]
-    fn forced_plans_stream_byte_identically(
-        strategy_ix in 0usize..4,
-        build_left in any::<bool>(),
-        part_ix in 0usize..7,
-        shuffle_seed in any::<u64>(),
-        cadence in 1u64..4,
-    ) {
-        let (u, store, player_ty, _) = transfer_world();
-        let mut cfg = stream_cfg(90, 200, cadence);
-        cfg.miner.forced_plan = Some(drawn_plan(strategy_ix, build_left, part_ix));
-        assert_stream_matches_batch(
-            &u,
-            player_ty,
-            drain(VecFeed::shuffled(feed_events(&store), shuffle_seed)),
-            cfg,
-            2,
-        )?;
-    }
-
-    /// Crash-replay under a forced plan: a torn write kills the feed,
-    /// recovery replays the delivered prefix, and streaming that replay
-    /// with any forced plan still seals to the batch answer.
-    #[test]
-    fn forced_plans_survive_wal_fault_replay(
-        strategy_ix in 0usize..4,
-        build_left in any::<bool>(),
-        part_ix in 0usize..7,
-        shuffle_seed in any::<u64>(),
-        kill_at in 3u64..40,
-    ) {
-        let (u, store, player_ty, _) = transfer_world();
-        let events = drain(VecFeed::shuffled(feed_events(&store), shuffle_seed));
-        let policy = ShardPolicy {
-            shards: 3,
-            sync: SyncPolicy::Always,
-            ..ShardPolicy::default()
-        };
-        let fs = Arc::new(MemFs::new());
-        let spec = FailSpec::once(FailOp::Append, kill_at, FailKind::TornWrite { keep: 5 });
-        let failing = Arc::new(FailpointFs::new(fs.clone(), spec));
-        let mut feed = DurableFeed::create(failing, "/feed", policy).unwrap();
-        let mut delivered = 0usize;
-        for e in events {
-            if feed.push(e.entity, e.time, &e.text).is_err() {
-                break; // torn write: the event was neither logged nor delivered
-            }
-            delivered += 1;
-        }
-        drop(feed); // crash without a flush
-
-        let mut replay = DurableFeed::open(fs, "/feed", policy).unwrap();
-        prop_assert_eq!(
-            replay.recovery().records_recovered as usize,
-            delivered,
-            "recovery returns exactly the delivered prefix"
-        );
-        let mut replayed = Vec::new();
-        while let Some(e) = replay.next_event() {
-            replayed.push(e);
-        }
-        let mut cfg = stream_cfg(90, 200, 2);
-        cfg.miner.forced_plan = Some(drawn_plan(strategy_ix, build_left, part_ix));
-        assert_stream_matches_batch(&u, player_ty, replayed, cfg, 1)?;
+        config.join_impl = wiclean_core::JoinImpl::NestedLoop;
+        let nested = WindowMiner::new(&store, &u, config).mine_window(player_ty, &window);
+        prop_assert_eq!(digest(&baseline), digest(&nested));
+        prop_assert_eq!(baseline.stats.rows_probed, nested.stats.rows_probed);
+        prop_assert_eq!(baseline.stats.pairs_matched, nested.stats.pairs_matched);
     }
 }

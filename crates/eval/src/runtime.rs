@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use wiclean_baselines::{run_variant, Variant};
 use wiclean_core::config::MinerConfig;
-use wiclean_core::parallel::mine_windows_parallel;
+use wiclean_core::parallel::mine_windows;
+use wiclean_core::{MiningPool, WindowMiner};
 use wiclean_synth::{generate, scenarios, SynthConfig, SynthWorld};
 use wiclean_types::{Window, DAY, WEEK, YEAR};
 
@@ -47,18 +48,6 @@ pub struct TimedRun {
     /// materialization saving of the fast path.
     #[serde(default)]
     pub prune_rate: f64,
-    /// Mid-join bailouts that discarded partial work and re-planned.
-    #[serde(default)]
-    pub replans: usize,
-    /// Candidate joins whose plan came from the per-shape plan cache.
-    #[serde(default)]
-    pub plan_cache_hits: usize,
-    /// Candidate joins that sampled statistics and ran the cost model.
-    #[serde(default)]
-    pub plan_cache_misses: usize,
-    /// Share of planned joins served from the plan cache.
-    #[serde(default)]
-    pub plan_cache_hit_rate: f64,
 }
 
 /// The planted transfer window (first two weeks of "August").
@@ -112,10 +101,6 @@ fn timed_variant(
         tables_materialized: result.stats.tables_materialized,
         tables_pruned: result.stats.tables_pruned,
         prune_rate: result.stats.join_prune_rate(),
-        replans: result.stats.replans,
-        plan_cache_hits: result.stats.plan_cache_hits,
-        plan_cache_misses: result.stats.plan_cache_misses,
-        plan_cache_hit_rate: result.stats.plan_cache_hit_rate(),
     }
 }
 
@@ -234,16 +219,15 @@ pub fn fig4d(sizes: &[usize], max_threads: usize, rng: u64) -> Vec<ParallelRun> 
                 let mut config = base_miner_config(0.3);
                 config.intra_window_threads = intra;
                 let t0 = Instant::now();
-                let results = mine_windows_parallel(
-                    &world.store,
-                    &world.universe,
-                    world.seed_type,
-                    &windows,
-                    config,
-                    threads,
-                );
+                let pool = std::sync::Arc::new(MiningPool::new(threads));
+                let miner =
+                    WindowMiner::new(&world.store, &world.universe, config).with_pool(pool.clone());
+                let results = mine_windows(&miner, world.seed_type, &windows, &pool);
                 let wall = t0.elapsed();
-                let entities: usize = results.iter().map(|r| r.stats.entities_processed).sum();
+                let entities: usize = results
+                    .iter()
+                    .map(|r| r.as_ref().expect("window mined").stats.entities_processed)
+                    .sum();
                 out.push(ParallelRun {
                     label: format!("{n}"),
                     entities,
@@ -483,7 +467,7 @@ pub fn render_corpus_runs(rows: &[CorpusRun]) -> String {
 /// the join engine's materialization-saving columns appended.
 pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
     let mut s = format!(
-        "{axis:>10} {:>12} {:>10} {:>12} {:>12} {:>9} {:>10} {:>8} {:>7} {:>7} {:>7} {:>9}\n",
+        "{axis:>10} {:>12} {:>10} {:>12} {:>12} {:>9} {:>10} {:>8} {:>7} {:>7}\n",
         "algorithm",
         "entities",
         "preproc(s)",
@@ -492,13 +476,11 @@ pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
         "probed",
         "mat",
         "pruned",
-        "save",
-        "replans",
-        "plan-hit"
+        "save"
     );
     for r in rows {
         s.push_str(&format!(
-            "{:>10} {:>12} {:>10} {:>12.3} {:>12.3} {:>9} {:>10} {:>8} {:>7} {:>6.0}% {:>7} {:>8.0}%\n",
+            "{:>10} {:>12} {:>10} {:>12.3} {:>12.3} {:>9} {:>10} {:>8} {:>7} {:>6.0}%\n",
             r.label,
             r.algorithm,
             r.entities,
@@ -508,9 +490,7 @@ pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
             r.rows_probed,
             r.tables_materialized,
             r.tables_pruned,
-            r.prune_rate * 100.0,
-            r.replans,
-            r.plan_cache_hit_rate * 100.0
+            r.prune_rate * 100.0
         ));
     }
     s
@@ -538,13 +518,6 @@ pub fn render_parallel(rows: &[ParallelRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_timed_shows_planner_columns() {
-        let header = render_timed(&[], "seeds");
-        assert!(header.contains("replans"));
-        assert!(header.contains("plan-hit"));
-    }
 
     #[test]
     fn transfer_window_matches_planted_slot() {

@@ -26,8 +26,7 @@ pub const NULL_IX: u32 = u32::MAX;
 const NULL_SENTINEL: EntityId = EntityId::from_u32(0);
 
 /// A 64-bit finalizer (MurmurHash3 fmix64). Deterministic across runs and
-/// platforms — the join partitioner and the dedup bucketing both rely on
-/// stable hashes for reproducible work splits.
+/// platforms — the join key index and the dedup bucketing both use it.
 #[inline]
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;

@@ -1,16 +1,10 @@
 //! Deterministic fast hashing for the engine's internal maps and sets.
 //!
-//! The columnar operators key their maps by [`EntityId`]s, packed join
-//! keys, and premixed 64-bit row hashes — short, non-adversarial keys for
+//! The columnar operators key their maps by [`EntityId`]s and premixed
+//! 64-bit row hashes — short, non-adversarial keys for
 //! which std's SipHash (and its per-process `RandomState` seed) costs far
 //! more than it buys. A single multiply-mix round ([`mix64`]) disperses
-//! these keys just as well, and the determinism is load-bearing: radix
-//! partition assignment derives from key hashes and feeds the parallel
-//! join whose output must be byte-identical across runs and thread counts.
-//!
-//! The row-oriented reference engine ([`crate::rowstore`]) deliberately
-//! keeps std hashing — it is the frozen seed implementation the benchmarks
-//! compare against.
+//! these keys just as well, and deterministically across runs.
 
 use crate::column::mix64;
 use std::collections::{HashMap, HashSet};

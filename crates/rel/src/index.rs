@@ -9,8 +9,8 @@
 //! * **Ordering.** Slots are laid down in ascending build-row order and
 //!   chained by prepending in *reverse* slot order, so every chain — and
 //!   therefore every key's run of matches within a chain — is ascending.
-//!   Probing in probe-row order thus yields the canonical pair order each
-//!   strategy reproduces.
+//!   Probing in probe-row order thus yields the canonical pair order the
+//!   nested loop also emits.
 //! * **Collisions.** The hash only picks the bucket and pre-screens slots;
 //!   a match is decided by comparing the glued column values exactly, so
 //!   keys sharing a bucket or even a hash never cross-match.
@@ -30,7 +30,7 @@ impl KeyCols<'_> {
     /// The key hash of row `i`, or `None` if any key column is null there.
     /// Keys of up to two columns pack into one word before a single
     /// [`mix64`] (a bijection, so such keys never collide); wider keys fold
-    /// one round per column. Seed-free: radix partitions derive from it.
+    /// one round per column.
     #[inline]
     pub(crate) fn hash(&self, i: usize) -> Option<u64> {
         let word = |c: &Column| {
@@ -64,32 +64,10 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// One indexed build row.
 #[derive(Clone, Copy)]
-pub(crate) struct Slot {
+struct Slot {
     hash: u64,
     row: u32,
     next: u32,
-}
-
-/// One [`Slot`] per keyed row among `rows`, scattered into `parts`
-/// partitions by `part(key hash)`; rows stay ascending within each
-/// partition. Rows with a null key are skipped.
-pub(crate) fn scatter(
-    keys: &KeyCols,
-    rows: std::ops::Range<usize>,
-    parts: usize,
-    part: impl Fn(u64) -> usize,
-) -> Vec<Vec<Slot>> {
-    let mut out = vec![Vec::with_capacity(rows.len() / parts); parts];
-    for row in rows {
-        if let Some(hash) = keys.hash(row) {
-            out[part(hash)].push(Slot {
-                hash,
-                row: row as u32,
-                next: NO_SLOT,
-            });
-        }
-    }
-    out
 }
 
 /// A flat chained hash index over build rows (see the module docs).
@@ -102,15 +80,25 @@ pub(crate) struct KeyIndex<'a> {
 
 impl<'a> KeyIndex<'a> {
     /// Indexes the keyed rows among `rows` of the side whose key columns
-    /// are `keys`, as one partition.
+    /// are `keys`. Rows with a null key are skipped.
     pub(crate) fn build(keys: KeyCols<'a>, rows: std::ops::Range<usize>) -> Self {
-        let slots = scatter(&keys, rows, 1, |_| 0).pop().unwrap_or_default();
+        let mut slots = Vec::with_capacity(rows.len());
+        for row in rows {
+            if let Some(hash) = keys.hash(row) {
+                slots.push(Slot {
+                    hash,
+                    row: row as u32,
+                    next: NO_SLOT,
+                });
+            }
+        }
         Self::chain(keys, slots)
     }
 
-    /// Threads one partition's [`scatter`]ed `slots` into bucket chains.
-    /// Prepending in reverse slot order leaves every chain ascending.
-    pub(crate) fn chain(keys: KeyCols<'a>, mut slots: Vec<Slot>) -> Self {
+    /// Threads `slots`, laid down in ascending row order, into bucket
+    /// chains. Prepending in reverse slot order leaves every chain
+    /// ascending.
+    fn chain(keys: KeyCols<'a>, mut slots: Vec<Slot>) -> Self {
         let mask = slots.len().next_power_of_two() as u64 - 1;
         let mut head = vec![NO_SLOT; mask as usize + 1];
         for (s, slot) in slots.iter_mut().enumerate().rev() {
@@ -177,7 +165,7 @@ mod tests {
             .filter(|&r| keys.hash(r).is_some())
             .map(|r| r as u32)
             .collect();
-        let mut slots = scatter(&keys, 0..7, 1, |_| 0).pop().unwrap();
+        let mut slots = KeyIndex::build(keys.clone(), 0..7).slots;
         slots.iter_mut().for_each(|s| s.hash = 0);
         let index = KeyIndex::chain(keys.clone(), slots);
         for &i in &keyed {

@@ -11,30 +11,26 @@
 //!   against the same-type left columns (the paper requires distinct
 //!   variables to realize as distinct entities).
 //!
-//! Every strategy runs in two stages. The *pair* stage
-//! ([`join_glue_pairs`], [`join_glue_pairs_sort_merge`],
-//! [`join_glue_pairs_nested`], [`join_glue_pairs_partitioned`]) produces
-//! the stream of matching `(left row, right row)` index pairs with the
-//! `≠`-post-filter applied on column slices; the *materialize* stage
-//! ([`materialize_pairs`]) gathers the output columns once at the end.
-//! Candidate pruning consumes the pair stream directly
+//! Both engines run in two stages. The *pair* stage ([`join_glue_pairs`],
+//! the hash join, or [`join_glue_pairs_nested`], the paper's `PM−join`
+//! nested loop) produces the stream of matching `(left row, right row)`
+//! index pairs with the `≠`-post-filter applied on column slices; the
+//! *materialize* stage ([`materialize_pairs`]) gathers the output columns
+//! once at the end. Candidate pruning consumes the pair stream directly
 //! ([`distinct_left_values`]) and skips materialization entirely for
 //! patterns that fail the frequency threshold. Every hash pair stage
 //! indexes its build side with the one flat chained `index::KeyIndex`.
 //!
 //! The table-in/table-out operators ([`join_glue`], [`join_glue_nested`],
-//! [`join_glue_sort_merge`], [`join_glue_partitioned`],
 //! [`outer_join_glue`]) are thin compositions of the two stages and keep
 //! the exact output row order of the row-oriented seed implementation
-//! (retained in [`crate::rowstore`] for differential testing).
+//! (kept as the row-at-a-time reference of the property suite).
 
 use crate::column::NULL_IX;
 use crate::hash::EntitySet;
-use crate::index::{self, KeyCols, KeyIndex, Slot};
+use crate::index::{KeyCols, KeyIndex};
 use crate::schema::Schema;
 use crate::table::Table;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// How one right-hand column participates in a glue join.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,43 +50,6 @@ pub enum ColumnGlue {
 /// A matched (left row, right row) index pair.
 pub type Pair = (u32, u32);
 
-/// Executes index batches on worker threads. Implemented by
-/// `core::pool::MiningPool`; defined here so `rel` can parallelize without
-/// depending on `core`. `run_batch` must invoke `f(i)` exactly once for
-/// every `i < n` (on any thread) and return after all invocations finish.
-pub trait BatchRunner: Sync {
-    /// Runs `f(0..n)`, blocking until all invocations complete.
-    fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync));
-    /// Worker count (1 = serial).
-    fn width(&self) -> usize;
-}
-
-/// A [`BatchRunner`] that runs everything on the caller.
-pub struct SerialRunner;
-
-impl BatchRunner for SerialRunner {
-    fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        for i in 0..n {
-            f(i);
-        }
-    }
-    fn width(&self) -> usize {
-        1
-    }
-}
-
-/// A pair-stage run exceeded its output budget: the partial work was
-/// discarded and the payload is the (approximate) pair count observed at
-/// the abort — at least one past the budget, an underestimate of the true
-/// output cardinality. See [`crate::plan`] for the re-planning loop that
-/// consumes this.
-pub(crate) type Overflow = usize;
-
-/// The pairs of a pair-stage run given no budget.
-pub(crate) fn uncapped(run: Result<Vec<Pair>, Overflow>) -> Vec<Pair> {
-    run.unwrap_or_else(|_| unreachable!("uncapped join cannot overflow"))
-}
-
 fn output_schema(left: &Table, glue: &[ColumnGlue]) -> Schema {
     let mut schema = left.schema().clone();
     for g in glue {
@@ -101,7 +60,7 @@ fn output_schema(left: &Table, glue: &[ColumnGlue]) -> Schema {
     schema
 }
 
-pub(crate) fn validate(left: &Table, right: &Table, glue: &[ColumnGlue]) {
+fn validate(left: &Table, right: &Table, glue: &[ColumnGlue]) {
     assert_eq!(
         glue.len(),
         right.width(),
@@ -121,16 +80,16 @@ pub(crate) fn validate(left: &Table, right: &Table, glue: &[ColumnGlue]) {
 
 /// The glue spec resolved to column indices: equi-join pairs in glue
 /// order, and new output columns with their `≠` constraint targets.
-pub(crate) struct GluePlan {
+struct GluePlan {
     /// (left column, right column) per `Glued` entry, in glue order.
-    pub(crate) glued: Vec<(usize, usize)>,
+    glued: Vec<(usize, usize)>,
     /// (right column, distinct-from left columns) per `New` entry, in
     /// glue order.
     new_cols: Vec<(usize, Vec<usize>)>,
 }
 
 impl GluePlan {
-    pub(crate) fn new(glue: &[ColumnGlue]) -> Self {
+    fn new(glue: &[ColumnGlue]) -> Self {
         let mut glued = Vec::new();
         let mut new_cols = Vec::new();
         for (j, g) in glue.iter().enumerate() {
@@ -145,18 +104,18 @@ impl GluePlan {
     }
 
     /// The left side's glued key columns.
-    pub(crate) fn left_keys<'a>(&self, left: &'a Table) -> KeyCols<'a> {
+    fn left_keys<'a>(&self, left: &'a Table) -> KeyCols<'a> {
         KeyCols(self.glued.iter().map(|&(lc, _)| left.col(lc)).collect())
     }
 
     /// The right side's glued key columns.
-    pub(crate) fn right_keys<'a>(&self, right: &'a Table) -> KeyCols<'a> {
+    fn right_keys<'a>(&self, right: &'a Table) -> KeyCols<'a> {
         KeyCols(self.glued.iter().map(|&(_, rc)| right.col(rc)).collect())
     }
 
     /// The `≠` post-filter on a key-matched pair. SQL three-valued logic:
     /// `≠` against a null is vacuously satisfied.
-    pub(crate) fn neq_ok(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
+    fn neq_ok(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
         for (rc, distinct_from) in &self.new_cols {
             let rcol = right.col(*rc);
             if !rcol.is_valid(ri) {
@@ -174,9 +133,9 @@ impl GluePlan {
     }
 
     /// Whether the pair satisfies all glue conditions (equi + `≠`); used
-    /// by the nested-loop strategy, which has no key index. A null never
+    /// by the nested loop, which has no key index. A null never
     /// equi-matches.
-    pub(crate) fn pair_matches(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
+    fn pair_matches(&self, left: &Table, li: usize, right: &Table, ri: usize) -> bool {
         for &(lc, rc) in &self.glued {
             let (l, r) = (left.col(lc), right.col(rc));
             if !l.is_valid(li) || !r.is_valid(ri) || l.value_unchecked(li) != r.value_unchecked(ri)
@@ -191,86 +150,15 @@ impl GluePlan {
 /// Hash equijoin pair stage: builds a hash index over the right relation
 /// keyed by its glued columns, probes with the left relation in row order,
 /// and applies the `≠` post-filter. Pairs come out in (left row, right
-/// build order) order — the canonical order every strategy reproduces.
+/// build order) order — the canonical order every pair stage reproduces.
 pub fn join_glue_pairs(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    hash_pairs(left, right, &plan)
-}
-
-pub(crate) fn hash_pairs(left: &Table, right: &Table, plan: &GluePlan) -> Vec<Pair> {
-    uncapped(hash_pairs_capped(
-        left,
-        right,
-        plan,
-        &SerialRunner,
-        1,
-        false,
-        None,
-    ))
-}
-
-/// Sort–merge pair stage: both relations are decorated with their glued
-/// keys and sorted, and matching key groups are cross-checked. The pair
-/// stream is then reordered to the canonical hash-join order so all
-/// strategies materialize identical tables.
-pub fn join_glue_pairs_sort_merge(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
-    validate(left, right, glue);
-    let plan = GluePlan::new(glue);
-    uncapped(sort_merge_pairs_capped(left, right, &plan, None))
-}
-
-pub(crate) fn sort_merge_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    // Each side's keyed rows, stably sorted by key (row order within a key).
-    let sorted = |keys: &KeyCols, n: usize| {
-        let mut rows: Vec<u32> = (0..n as u32)
-            .filter(|&i| keys.hash(i as usize).is_some())
-            .collect();
-        rows.sort_by(|&a, &b| keys.cmp(a as usize, keys, b as usize));
-        rows
-    };
-    let (lk, rk) = (plan.left_keys(left), plan.right_keys(right));
-    let (lrows, rrows) = (sorted(&lk, left.len()), sorted(&rk, right.len()));
-
-    let cap = cap.unwrap_or(usize::MAX);
-    let mut pairs = Vec::new();
-    let (mut li, mut ri) = (0usize, 0usize);
-    while li < lrows.len() && ri < rrows.len() {
-        let (l0, r0) = (lrows[li] as usize, rrows[ri] as usize);
-        match lk.cmp(l0, &rk, r0) {
-            std::cmp::Ordering::Less => li += 1,
-            std::cmp::Ordering::Greater => ri += 1,
-            std::cmp::Ordering::Equal => {
-                // Delimit the equal-key groups on both sides.
-                let lhi =
-                    lrows[li..].partition_point(|&l| lk.cmp(l as usize, &rk, r0).is_eq()) + li;
-                let rhi =
-                    rrows[ri..].partition_point(|&r| rk.cmp(r as usize, &lk, l0).is_eq()) + ri;
-                for &l_ix in &lrows[li..lhi] {
-                    for &r_ix in &rrows[ri..rhi] {
-                        if plan.neq_ok(left, l_ix as usize, right, r_ix as usize) {
-                            pairs.push((l_ix, r_ix));
-                        }
-                    }
-                }
-                if pairs.len() > cap {
-                    return Err(pairs.len());
-                }
-                li = lhi;
-                ri = rhi;
-            }
-        }
-    }
-    // Canonical order: left row, then right row. Within one key group the
-    // right side is already ascending, but left rows sharing a key arrive
-    // grouped by the sort, not by row number.
-    pairs.sort_unstable();
-    Ok(pairs)
+    let index = KeyIndex::build(plan.right_keys(right), 0..right.len());
+    probe_range(&index, &plan.left_keys(left), 0..left.len(), |li, ri| {
+        plan.neq_ok(left, li as usize, right, ri as usize)
+            .then_some((li, ri))
+    })
 }
 
 /// Nested-loop pair stage over the cross product — the paper's `PM−join`
@@ -278,16 +166,6 @@ pub(crate) fn sort_merge_pairs_capped(
 pub fn join_glue_pairs_nested(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    uncapped(nested_pairs_capped(left, right, &plan, None))
-}
-
-pub(crate) fn nested_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    let cap = cap.unwrap_or(usize::MAX);
     let mut pairs = Vec::new();
     for li in 0..left.len() {
         for ri in 0..right.len() {
@@ -295,231 +173,8 @@ pub(crate) fn nested_pairs_capped(
                 pairs.push((li as u32, ri as u32));
             }
         }
-        if pairs.len() > cap {
-            return Err(pairs.len());
-        }
     }
-    Ok(pairs)
-}
-
-/// Inputs smaller than this on the probe side are not worth fanning out.
-/// With the adaptive planner enabled (the default) these two constants are
-/// superseded by its cost model; they remain the fixed-heuristic gate of
-/// [`join_glue_pairs_partitioned`] — the planner-off fallback.
-pub(crate) const PARALLEL_MIN_LEFT: usize = 4096;
-/// Build sides smaller than this are not worth partitioning.
-pub(crate) const PARALLEL_MIN_RIGHT: usize = 512;
-
-/// Radix-partitioned parallel hash join pair stage.
-///
-/// The build side is split into partitions by the high bits of a
-/// deterministic key hash; partition indexes are built as one batch on the
-/// runner, then contiguous probe-side chunks are probed as a second batch
-/// and their pair streams concatenated in chunk order. Partition
-/// assignment, per-bucket order, and chunk concatenation are all
-/// independent of the worker count, so the result is **byte-identical** to
-/// [`join_glue_pairs`] at any `width()` — the same determinism contract
-/// the mining pool established. Small inputs fall back to the serial
-/// strategy.
-pub fn join_glue_pairs_partitioned(
-    left: &Table,
-    right: &Table,
-    glue: &[ColumnGlue],
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    validate(left, right, glue);
-    let plan = GluePlan::new(glue);
-    if runner.width() <= 1 || left.len() < PARALLEL_MIN_LEFT || right.len() < PARALLEL_MIN_RIGHT {
-        return hash_pairs(left, right, &plan);
-    }
-    let parts = default_partitions(runner);
-    uncapped(hash_pairs_capped(
-        left, right, &plan, runner, parts, false, None,
-    ))
-}
-
-/// Runs `f` over `0..n` on the runner and collects results in index order.
-pub(crate) fn par_map<R: Send>(
-    runner: &dyn BatchRunner,
-    n: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    runner.run_batch(n, &|i| {
-        let r = f(i);
-        *slots[i].lock().unwrap() = Some(r);
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("batch task did not run"))
-        .collect()
-}
-
-/// The fixed-heuristic radix fanout: twice the runner width, a power of
-/// two. The adaptive planner may choose any other power of two in `2..=64`.
-pub(crate) fn default_partitions(runner: &dyn BatchRunner) -> usize {
-    (runner.width() * 2).next_power_of_two().clamp(2, 64)
-}
-
-/// The hash pair stage with a selectable build side, radix partition
-/// count, and output budget — every hash strategy runs through it.
-///
-/// `parts` is a power of two up to 64. With one partition the build side
-/// gets one index and the probe side is scanned serially on the caller:
-/// the serial hash join. With more, the build side is scattered by the
-/// high bits of its key hash, partition indexes build as one batch on the
-/// runner, and contiguous probe chunks probe as a second batch.
-///
-/// With `build_left = false` (the classic shape) the right side is
-/// indexed and the left side probes, so pairs come out in canonical
-/// (left row, right row) order directly. With `build_left = true` the
-/// roles swap — the planner's choice when the left side dwarfs the right:
-/// probing emits right-major pairs, and one final `sort_unstable`
-/// restores the canonical order — the pair set is identical and pairs are
-/// distinct, so the sorted stream is byte-identical to the build-right
-/// stream.
-///
-/// `cap` is the re-planning budget (see [`probe_chunks`]); `Ok` results
-/// are byte-identical to the uncapped run.
-pub(crate) fn hash_pairs_capped(
-    left: &Table,
-    right: &Table,
-    plan: &GluePlan,
-    runner: &dyn BatchRunner,
-    parts: usize,
-    build_left: bool,
-    cap: Option<usize>,
-) -> Result<Vec<Pair>, Overflow> {
-    assert!(
-        parts.is_power_of_two() && parts <= 64,
-        "partition count must be a power of two up to 64"
-    );
-    let shift = 64 - parts.trailing_zeros();
-    let part = |h: u64| h.checked_shr(shift).unwrap_or(0) as usize;
-    let (lkeys, rkeys) = (plan.left_keys(left), plan.right_keys(right));
-    let (bkeys, pkeys, build_len, probe_len) = if build_left {
-        (lkeys, rkeys, left.len(), right.len())
-    } else {
-        (rkeys, lkeys, right.len(), left.len())
-    };
-
-    let indexes: Vec<KeyIndex> = if parts == 1 {
-        vec![KeyIndex::build(bkeys, 0..build_len)]
-    } else {
-        // Scatter the build side by radix partition, row order preserved
-        // within each partition (so each partition's chains come out
-        // ascending, exactly as the serial build produces them), then
-        // chain one index per partition as a pool batch.
-        let scattered: Vec<Mutex<Vec<Slot>>> = index::scatter(&bkeys, 0..build_len, parts, part)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        par_map(runner, parts, |p| {
-            let slots = std::mem::take(&mut *scattered[p].lock().unwrap());
-            KeyIndex::chain(bkeys.clone(), slots)
-        })
-    };
-
-    // Probe the probe side: serially, or in contiguous parallel chunks.
-    let mut pairs = probe_chunks(runner, 0..probe_len, parts > 1, cap, |pi, pairs| {
-        let Some(h) = pkeys.hash(pi) else {
-            return;
-        };
-        indexes[part(h)].probe_hashed(h, &pkeys, pi, |bi| {
-            let (li, ri) = if build_left {
-                (bi, pi as u32)
-            } else {
-                (pi as u32, bi)
-            };
-            if plan.neq_ok(left, li as usize, right, ri as usize) {
-                pairs.push((li, ri));
-            }
-        });
-    })?;
-    if build_left {
-        // Right-major emission within each chunk; restore canonical order.
-        pairs.sort_unstable();
-    }
-    Ok(pairs)
-}
-
-/// Runs `probe_one(row, out)` over the probe rows `range` in row order: as
-/// one serial scan, or — when `parallel` — as contiguous chunks on the
-/// runner whose outputs concatenate in chunk order, restoring the serial
-/// order.
-///
-/// `cap` is the re-planning budget. A serial scan checks its own output
-/// after every row; parallel chunks publish their emitted pair counts to a
-/// shared counter every 256 pairs and cooperatively abort once the total
-/// exceeds it. Either returns `Err` with the count observed at the abort —
-/// exact when serial, approximate otherwise. The counter never alters what is emitted, only whether the
-/// run completes, so the success path is byte-identical to the uncapped
-/// run.
-fn probe_chunks(
-    runner: &dyn BatchRunner,
-    range: std::ops::Range<usize>,
-    parallel: bool,
-    cap: Option<usize>,
-    probe_one: impl Fn(usize, &mut Vec<Pair>) + Sync,
-) -> Result<Vec<Pair>, Overflow> {
-    let cap_val = cap.unwrap_or(usize::MAX);
-    let emitted = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-    // Adds `n` newly emitted pairs to the shared count; true once over.
-    let publish = |n: usize| {
-        let over = emitted.fetch_add(n, Ordering::Relaxed) + n > cap_val;
-        if over {
-            aborted.store(true, Ordering::Relaxed);
-        }
-        over
-    };
-    let n = range.len();
-    let tasks = if parallel {
-        (runner.width() * 4).clamp(1, n.max(1))
-    } else {
-        1
-    };
-    let chunk = n.div_ceil(tasks).max(1);
-    let shared = cap.is_some() && tasks > 1;
-    let run_chunk = |t: usize| {
-        let lo = range.start + t * chunk;
-        let hi = (lo + chunk).min(range.end);
-        let mut pairs = Vec::new();
-        let mut published = 0usize;
-        for pi in lo..hi {
-            if shared && pi % 64 == 0 && aborted.load(Ordering::Relaxed) {
-                return pairs;
-            }
-            probe_one(pi, &mut pairs);
-            if !shared && pairs.len() > cap_val {
-                return pairs;
-            }
-            if shared && pairs.len() - published >= 256 {
-                let over = publish(pairs.len() - published);
-                published = pairs.len();
-                if over {
-                    return pairs;
-                }
-            }
-        }
-        if shared {
-            publish(pairs.len() - published);
-        }
-        pairs
-    };
-    let mut chunk_pairs = if tasks == 1 {
-        vec![run_chunk(0)]
-    } else {
-        par_map(runner, tasks, run_chunk)
-    };
-    let total: usize = chunk_pairs.iter().map(Vec::len).sum();
-    if aborted.load(Ordering::Relaxed) || total > cap_val {
-        return Err(total.max(emitted.load(Ordering::Relaxed)));
-    }
-    Ok(match chunk_pairs.len() {
-        1 => chunk_pairs.pop().expect("one chunk"),
-        _ => chunk_pairs.concat(),
-    })
+    pairs
 }
 
 /// Delta-aware pair stage for append-only growth (the streaming miner).
@@ -547,46 +202,16 @@ pub fn join_glue_pairs_delta(
     glue: &[ColumnGlue],
 ) -> Vec<Pair> {
     validate(left, right, glue);
-    let plan = GluePlan::new(glue);
-    delta_pairs(left, left_old, right, right_old, &plan, &SerialRunner)
-}
-
-/// [`join_glue_pairs_delta`] with the probe sides chunked across a
-/// [`BatchRunner`]; byte-identical to the serial variant at any
-/// `width()` (chunk concatenation restores probe order, and part two is
-/// sorted regardless).
-pub fn join_glue_pairs_delta_partitioned(
-    left: &Table,
-    left_old: usize,
-    right: &Table,
-    right_old: usize,
-    glue: &[ColumnGlue],
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
-    validate(left, right, glue);
-    let plan = GluePlan::new(glue);
-    delta_pairs(left, left_old, right, right_old, &plan, runner)
-}
-
-fn delta_pairs(
-    left: &Table,
-    left_old: usize,
-    right: &Table,
-    right_old: usize,
-    plan: &GluePlan,
-    runner: &dyn BatchRunner,
-) -> Vec<Pair> {
     assert!(left_old <= left.len(), "left_old beyond left length");
     assert!(right_old <= right.len(), "right_old beyond right length");
+    let plan = GluePlan::new(glue);
 
-    // Part one: stable left prefix × appended right rows. The delta is
-    // the build side; chains are ascending and the prefix probes in row
-    // order, so pairs come out canonical. An empty build side can't match
-    // anything — skip the probe scan entirely (the common one-sided-growth
-    // case pays for one part only).
+    // Part one: stable left prefix × appended right rows. An empty build
+    // side can't match anything, so the common one-sided-growth case pays
+    // for one part only.
     let (lkeys, rkeys) = (plan.left_keys(left), plan.right_keys(right));
     let index = KeyIndex::build(rkeys.clone(), right_old..right.len());
-    let mut pairs = probe_range(runner, &index, &lkeys, 0..left_old, |li, ri| {
+    let mut pairs = probe_range(&index, &lkeys, 0..left_old, |li, ri| {
         plan.neq_ok(left, li as usize, right, ri as usize)
             .then_some((li, ri))
     });
@@ -596,7 +221,7 @@ fn delta_pairs(
     // back to canonical and append — its left rows all sit at or past
     // `left_old`, keeping the concatenation globally ordered.
     let index = KeyIndex::build(lkeys, left_old..left.len());
-    let mut tail = probe_range(runner, &index, &rkeys, 0..right.len(), |ri, li| {
+    let mut tail = probe_range(&index, &rkeys, 0..right.len(), |ri, li| {
         plan.neq_ok(left, li as usize, right, ri as usize)
             .then_some((li, ri))
     });
@@ -605,23 +230,23 @@ fn delta_pairs(
     pairs
 }
 
-/// Probes rows `range` of the probe side against `index` in row order
-/// (chunk-parallel when the range is large). `emit(probe row, build row)`
-/// maps a key match to its pair, or `None` if the `≠` filter rejects it.
+/// Probes rows `range` of the probe side against `index` in row order.
+/// `emit(probe row, build row)` maps a key match to its pair, or `None` if
+/// the `≠` filter rejects it.
 fn probe_range(
-    runner: &dyn BatchRunner,
     index: &KeyIndex,
     probe: &KeyCols,
     range: std::ops::Range<usize>,
-    emit: impl Fn(u32, u32) -> Option<Pair> + Sync,
+    emit: impl Fn(u32, u32) -> Option<Pair>,
 ) -> Vec<Pair> {
+    let mut pairs = Vec::new();
     if index.is_empty() {
-        return Vec::new();
+        return pairs;
     }
-    let parallel = runner.width() > 1 && range.len() >= PARALLEL_MIN_LEFT;
-    uncapped(probe_chunks(runner, range, parallel, None, |pi, pairs| {
+    for pi in range {
         index.probe(probe, pi, |bi| pairs.extend(emit(pi as u32, bi)));
-    }))
+    }
+    pairs
 }
 
 /// Materialize stage: gathers the output columns of a pair stream once —
@@ -682,30 +307,11 @@ pub fn join_glue(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
     materialize_pairs(left, right, glue, &pairs)
 }
 
-/// The same operator computed by sort–merge; semantically identical
-/// (property-tested).
-pub fn join_glue_sort_merge(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
-    let pairs = join_glue_pairs_sort_merge(left, right, glue);
-    materialize_pairs(left, right, glue, &pairs)
-}
-
 /// The same operator computed by a conventional main-memory nested loop
 /// over the cross product — the paper's `PM−join` baseline. Semantically
 /// identical to [`join_glue`] (property-tested), asymptotically slower.
 pub fn join_glue_nested(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Table {
     let pairs = join_glue_pairs_nested(left, right, glue);
-    materialize_pairs(left, right, glue, &pairs)
-}
-
-/// The same operator computed by the radix-partitioned parallel hash join;
-/// byte-identical to [`join_glue`] at any worker count.
-pub fn join_glue_partitioned(
-    left: &Table,
-    right: &Table,
-    glue: &[ColumnGlue],
-    runner: &dyn BatchRunner,
-) -> Table {
-    let pairs = join_glue_pairs_partitioned(left, right, glue, runner);
     materialize_pairs(left, right, glue, &pairs)
 }
 
@@ -843,14 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_agrees_with_hash() {
-        let h = join_glue(&left_table(), &right_table(), &glue());
-        let m = join_glue_sort_merge(&left_table(), &right_table(), &glue());
-        assert_eq!(h.sorted_rows(), m.sorted_rows());
-    }
-
-    #[test]
-    fn sort_merge_handles_duplicate_keys() {
+    fn duplicate_keys_cross_on_both_sides() {
         let left = Table::from_rows(
             Schema::new(["player", "old_team"]),
             [vec![v(1), v(10)], vec![v(1), v(20)], vec![v(2), v(30)]],
@@ -860,19 +459,9 @@ mod tests {
             [vec![v(1), v(11)], vec![v(1), v(12)]],
         );
         let h = join_glue(&left, &right, &glue());
-        let m = join_glue_sort_merge(&left, &right, &glue());
-        assert_eq!(h.sorted_rows(), m.sorted_rows());
-        assert_eq!(m.len(), 4, "2 left × 2 right key-1 rows");
-    }
-
-    #[test]
-    fn sort_merge_skips_null_keys() {
-        let left = Table::from_rows(
-            Schema::new(["player", "old_team"]),
-            [vec![None, v(10)], vec![v(1), v(10)]],
-        );
-        let m = join_glue_sort_merge(&left, &right_table(), &glue());
-        assert_eq!(m.len(), 1);
+        let n = join_glue_nested(&left, &right, &glue());
+        assert_eq!(h.sorted_rows(), n.sorted_rows());
+        assert_eq!(h.len(), 4, "2 left × 2 right key-1 rows");
     }
 
     #[test]
@@ -881,9 +470,7 @@ mod tests {
         // the miner's fast path counts support off the raw stream.
         let (l, r, g) = (left_table(), right_table(), glue());
         let h = join_glue_pairs(&l, &r, &g);
-        assert_eq!(h, join_glue_pairs_sort_merge(&l, &r, &g));
         assert_eq!(h, join_glue_pairs_nested(&l, &r, &g));
-        assert_eq!(h, join_glue_pairs_partitioned(&l, &r, &g, &SerialRunner));
     }
 
     #[test]
@@ -1017,32 +604,7 @@ mod tests {
         assert_eq!(fast, full.distinct_values(0));
     }
 
-    /// A thread-per-task runner for exercising the partitioned join with
-    /// real concurrency (core's MiningPool is not visible from here).
-    struct TestRunner(usize);
-
-    impl BatchRunner for TestRunner {
-        fn width(&self) -> usize {
-            self.0
-        }
-        fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..self.0.min(n).max(1) {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        f(i);
-                    });
-                }
-            });
-        }
-    }
-
-    /// Pseudo-random tables big enough to clear the parallel gate.
+    /// Pseudo-random tables with many repeated keys.
     fn big_tables() -> (Table, Table) {
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move |m: u32| {
@@ -1052,36 +614,14 @@ mod tests {
             (state % u64::from(m)) as u32
         };
         let mut left = Table::new(Schema::new(["player", "old_team"]));
-        for _ in 0..PARALLEL_MIN_LEFT + 500 {
+        for _ in 0..4600 {
             left.push_row(&[v(next(1500)), v(next(40))]);
         }
         let mut right = Table::new(Schema::new(["player", "new_team"]));
-        for _ in 0..PARALLEL_MIN_RIGHT + 700 {
+        for _ in 0..1200 {
             right.push_row(&[v(next(1500)), v(next(40))]);
         }
         (left, right)
-    }
-
-    #[test]
-    fn partitioned_join_is_byte_identical_across_widths() {
-        let (left, right) = big_tables();
-        let g = glue();
-        let serial = join_glue_pairs(&left, &right, &g);
-        assert!(!serial.is_empty(), "workload must produce matches");
-        for width in [2, 3, 8] {
-            let par = join_glue_pairs_partitioned(&left, &right, &g, &TestRunner(width));
-            assert_eq!(serial, par, "width {width} diverged");
-        }
-        let t_serial = join_glue(&left, &right, &g);
-        let t_par = join_glue_partitioned(&left, &right, &g, &TestRunner(8));
-        assert_eq!(t_serial, t_par, "materialized tables must be identical");
-    }
-
-    #[test]
-    fn partitioned_join_small_input_falls_back() {
-        let g = glue();
-        let par = join_glue_pairs_partitioned(&left_table(), &right_table(), &g, &TestRunner(8));
-        assert_eq!(par, join_glue_pairs(&left_table(), &right_table(), &g));
     }
 
     /// The full pair stream restricted to pairs touching an appended row
@@ -1131,26 +671,6 @@ mod tests {
             join_glue_pairs_delta(&l, 0, &r, 0, &g),
             join_glue_pairs(&l, &r, &g)
         );
-    }
-
-    #[test]
-    fn delta_join_partitioned_is_byte_identical_across_widths() {
-        let (left, right) = big_tables();
-        let g = glue();
-        let (left_old, right_old) = (left.len() / 3, right.len() / 3);
-        let serial = join_glue_pairs_delta(&left, left_old, &right, right_old, &g);
-        assert!(!serial.is_empty());
-        for width in [2, 3, 8] {
-            let par = join_glue_pairs_delta_partitioned(
-                &left,
-                left_old,
-                &right,
-                right_old,
-                &g,
-                &TestRunner(width),
-            );
-            assert_eq!(serial, par, "width {width} diverged");
-        }
     }
 
     #[test]

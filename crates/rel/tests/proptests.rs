@@ -2,17 +2,16 @@
 //!
 //! The central property is *differential*: the hash join must agree with
 //! the nested-loop join on every input — the two are the paper's `PM` vs
-//! `PM−join` realization computations, which must only differ in speed.
+//! `PM−join` realization computations, which must only differ in speed —
+//! and both must agree with the row-at-a-time reference in [`rowstore`].
+
+mod rowstore;
 
 use proptest::prelude::*;
-use wiclean_rel::rowstore::{
-    join_glue_rows, join_glue_sort_merge_rows, outer_join_glue_rows, RowTable,
-};
+use rowstore::{join_glue_nested_rows, join_glue_rows, outer_join_glue_rows, RowTable};
 use wiclean_rel::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_delta_partitioned, join_glue_pairs_nested, join_glue_pairs_partitioned,
-    join_glue_pairs_planned, join_glue_sort_merge, outer_join_glue, BatchRunner, BuildSide,
-    ColumnGlue, JoinPlan, Pair, Schema, SerialRunner, Strategy as Join, Table, Value,
+    join_glue_pairs_nested, outer_join_glue, ColumnGlue, Pair, Schema, Table, Value,
 };
 use wiclean_types::EntityId;
 
@@ -52,19 +51,17 @@ fn glue_strategy() -> impl Strategy<Value = Vec<ColumnGlue>> {
 }
 
 proptest! {
-    /// Hash join ≡ nested loop join ≡ sort–merge join, on all inputs and
-    /// glue specs.
+    /// Hash join ≡ nested loop join, on all inputs and glue specs: the
+    /// same pair stream pair for pair, hence the same table row for row.
     #[test]
-    fn hash_equals_nested_equals_sort_merge(
+    fn hash_equals_nested(
         left in table_strategy(&["a", "b"]),
         right in table_strategy(&["x", "y"]),
         glue in glue_strategy(),
     ) {
-        let h = join_glue(&left, &right, &glue);
-        let n = join_glue_nested(&left, &right, &glue);
-        let m = join_glue_sort_merge(&left, &right, &glue);
-        prop_assert_eq!(h.sorted_rows(), n.sorted_rows());
-        prop_assert_eq!(h.sorted_rows(), m.sorted_rows());
+        let h = join_glue_pairs(&left, &right, &glue);
+        prop_assert_eq!(&h, &join_glue_pairs_nested(&left, &right, &glue));
+        prop_assert_eq!(join_glue(&left, &right, &glue), join_glue_nested(&left, &right, &glue));
     }
 
     /// The inner join is a sub-multiset of the outer join, and the outer
@@ -171,8 +168,9 @@ fn nullish_table_strategy(cols: &'static [&'static str]) -> impl Strategy<Value 
 }
 
 proptest! {
-    /// Columnar inner joins (hash, sort–merge, partitioned) agree with the
-    /// row-oriented reference under set semantics.
+    /// Columnar inner joins (hash, nested loop) agree with the row-oriented
+    /// reference joins under set semantics, before and after dedup, and in
+    /// distinct-source support.
     #[test]
     fn columnar_joins_match_row_reference(
         left in table_strategy(&["a", "b"]),
@@ -181,14 +179,17 @@ proptest! {
     ) {
         let (rl, rr) = (RowTable::from_table(&left), RowTable::from_table(&right));
 
-        let col_hash = join_glue(&left, &right, &glue);
         let row_hash = join_glue_rows(&rl, &rr, &glue);
-        prop_assert_eq!(col_hash.sorted_rows(), row_hash.sorted_rows());
-        prop_assert_eq!(col_hash.schema().names(), row_hash.schema().names());
-
-        let col_sm = join_glue_sort_merge(&left, &right, &glue);
-        let row_sm = join_glue_sort_merge_rows(&rl, &rr, &glue);
-        prop_assert_eq!(col_sm.sorted_rows(), row_sm.sorted_rows());
+        let mut row_deduped = join_glue_nested_rows(&rl, &rr, &glue);
+        prop_assert_eq!(row_hash.sorted_rows(), row_deduped.sorted_rows());
+        row_deduped.dedup();
+        for mut col in [join_glue(&left, &right, &glue), join_glue_nested(&left, &right, &glue)] {
+            prop_assert_eq!(col.sorted_rows(), row_hash.sorted_rows());
+            prop_assert_eq!(col.schema().names(), row_hash.schema().names());
+            col.dedup();
+            prop_assert_eq!(col.sorted_rows(), row_deduped.sorted_rows());
+            prop_assert_eq!(col.distinct_count(0), row_deduped.distinct_values(0).len());
+        }
     }
 
     /// The columnar outer join agrees with the row-oriented reference —
@@ -264,22 +265,6 @@ proptest! {
 // 2- to 4-column tables whose glue specs join on up to four columns.
 // ---------------------------------------------------------------------------
 
-/// A thread-per-worker runner, so the partitioned join runs concurrently.
-struct ThreadRunner(usize);
-
-impl BatchRunner for ThreadRunner {
-    fn run_batch(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        std::thread::scope(|s| {
-            for w in 0..self.0 {
-                s.spawn(move || (w..n).step_by(self.0).for_each(f));
-            }
-        });
-    }
-    fn width(&self) -> usize {
-        self.0
-    }
-}
-
 /// Cells drawn from a 3-entity domain; `nulls` of every 6 draws are null
 /// (0 = none, 4 = null-heavy).
 fn wide_table(width: usize, nulls: u8, cells: &[Vec<u8>]) -> Table {
@@ -330,10 +315,9 @@ fn outer_reference(
 }
 
 proptest! {
-    /// Every pair stage — hash with either build side, sort–merge,
-    /// partitioned at runner widths 1, 2 and 8, delta at any prefix marks
-    /// — and the outer join equal the nested-loop reference exactly, on
-    /// 2- to 4-column tables with keys of up to four glued columns and
+    /// The hash pair stage, the delta pair stage at any prefix marks and
+    /// the outer join equal the nested-loop reference exactly, on 2- to
+    /// 4-column tables with keys of up to four glued columns and
     /// null-heavy cells.
     #[test]
     fn wide_key_joins_equal_nested_reference(
@@ -358,17 +342,6 @@ proptest! {
             .collect();
         let reference = join_glue_pairs_nested(&left, &right, &glue);
         prop_assert_eq!(&join_glue_pairs(&left, &right, &glue), &reference);
-        let runners: [&dyn BatchRunner; 3] = [&SerialRunner, &ThreadRunner(2), &ThreadRunner(8)];
-        for build_side in [BuildSide::Left, BuildSide::Right] {
-            for (strategy, runner) in [(Join::Hash, runners[0]), (Join::SortMerge, runners[0])]
-                .into_iter()
-                .chain(runners.map(|r| (Join::Partitioned, r)))
-            {
-                let plan = JoinPlan { strategy, build_side, partitions: 0 };
-                let pairs = join_glue_pairs_planned(&left, &right, &glue, plan, runner);
-                prop_assert_eq!(&pairs, &reference, "{:?} width {}", plan, runner.width());
-            }
-        }
 
         let (lo, ro) = (marks.0.min(left.len()), marks.1.min(right.len()));
         let delta: Vec<Pair> = reference
@@ -377,12 +350,6 @@ proptest! {
             .filter(|&(li, ri)| li as usize >= lo || ri as usize >= ro)
             .collect();
         prop_assert_eq!(&join_glue_pairs_delta(&left, lo, &right, ro, &glue), &delta);
-        for runner in runners {
-            let par = join_glue_pairs_partitioned(&left, &right, &glue, runner);
-            prop_assert_eq!(&par, &reference);
-            let par = join_glue_pairs_delta_partitioned(&left, lo, &right, ro, &glue, runner);
-            prop_assert_eq!(&par, &delta);
-        }
 
         let outer: Vec<Vec<Value>> = outer_join_glue(&left, &right, &glue).rows().collect();
         prop_assert_eq!(outer, outer_reference(&left, &right, &glue, &reference));

@@ -1,24 +1,13 @@
 //! The row-oriented reference engine.
 //!
-//! This is the pre-columnar implementation of [`Table`]/[`join_glue`]
-//! retained verbatim: a flat row-major `Vec<Value>` buffer, fully
-//! materialized joins, and `Vec`-keyed dedup. It serves two purposes:
-//!
-//! * **differential testing** — the property suite checks every columnar
-//!   operator against this engine under set semantics;
-//! * **benchmarking** — `fig5_join` measures the columnar engine's speedup
-//!   against this baseline on the realization-pipeline workload.
-//!
-//! It is deliberately not optimized; do not use it outside tests/benches.
-//!
-//! [`Table`]: crate::Table
-//! [`join_glue`]: crate::join_glue
+//! The pre-columnar implementation of `Table`/`join_glue`, kept as the
+//! row-at-a-time oracle the property suite compares the columnar engine
+//! against under set semantics: a flat row-major `Vec<Value>` buffer,
+//! fully materialized joins, `Vec`-keyed join indexes and dedup. It is
+//! deliberately unoptimized.
 
-use crate::column::Value;
-use crate::join::ColumnGlue;
-use crate::schema::Schema;
-use crate::table::Table;
 use std::collections::{HashMap, HashSet};
+use wiclean_rel::{ColumnGlue, Schema, Table, Value};
 use wiclean_types::EntityId;
 
 /// A relation stored in one flat, row-major buffer (`width` cells per row).
@@ -37,18 +26,6 @@ impl RowTable {
             data: Vec::new(),
             rows: 0,
         }
-    }
-
-    /// Creates a table and bulk-loads rows.
-    pub fn from_rows<R>(schema: Schema, rows: impl IntoIterator<Item = R>) -> Self
-    where
-        R: AsRef<[Value]>,
-    {
-        let mut t = Self::new(schema);
-        for r in rows {
-            t.push_row(r.as_ref());
-        }
-        t
     }
 
     /// Converts a columnar table (transposes every row).
@@ -83,11 +60,6 @@ impl RowTable {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
     }
 
     /// Appends a row; its arity must match the schema.
@@ -206,65 +178,25 @@ fn output_schema(left: &RowTable, glue: &[ColumnGlue]) -> Schema {
     schema
 }
 
-/// A row's glued-key columns, packed as the engine packed them when this
-/// reference was frozen.
-///
-/// Glue arity ≤ 2 — by far the common case (patterns glue one or two
-/// variables per extension) — packs into a single `u64`, avoiding a heap
-/// allocation per row on the build and probe sides of every join. Wider keys
-/// fall back to a `Vec`. Both sides of a join derive their key from the same
-/// glue spec, so arities always agree and `Eq`/`Ord`/`Hash` are consistent:
-/// the packed ordering equals the lexicographic `Vec<EntityId>` ordering.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum JoinKey {
-    Small(u64),
-    Big(Vec<EntityId>),
-}
-
-/// Packs glued-column values into a [`JoinKey`]; `None` if any is null (a
-/// null key never equi-matches).
-fn pack_key(vals: impl Iterator<Item = Value>) -> Option<JoinKey> {
-    let (mut a, mut b) = (0u64, 0u64);
-    let mut big: Vec<EntityId> = Vec::new();
-    let mut n = 0usize;
-    for v in vals {
-        let v = v?;
-        match n {
-            0 => a = u64::from(v.as_u32()),
-            1 => b = u64::from(v.as_u32()),
-            2 => {
-                big = vec![
-                    EntityId::from_u32(a as u32),
-                    EntityId::from_u32(b as u32),
-                    v,
-                ];
-            }
-            _ => big.push(v),
-        }
-        n += 1;
-    }
-    Some(match n {
-        0 => JoinKey::Small(0),
-        1 => JoinKey::Small(a),
-        2 => JoinKey::Small((a << 32) | b),
-        _ => JoinKey::Big(big),
-    })
-}
+/// A row's glued-key values in glue order; `None` if any is null (a null
+/// key never equi-matches).
+type JoinKey = Vec<EntityId>;
 
 fn right_key(r: &[Value], glue: &[ColumnGlue]) -> Option<JoinKey> {
-    pack_key(
-        glue.iter()
-            .enumerate()
-            .filter(|(_, g)| matches!(g, ColumnGlue::Glued(_)))
-            .map(|(j, _)| r[j]),
-    )
+    glue.iter()
+        .enumerate()
+        .filter(|(_, g)| matches!(g, ColumnGlue::Glued(_)))
+        .map(|(j, _)| r[j])
+        .collect()
 }
 
 fn left_key(l: &[Value], glue: &[ColumnGlue]) -> Option<JoinKey> {
-    pack_key(glue.iter().filter_map(|g| match g {
-        ColumnGlue::Glued(i) => Some(l[*i]),
-        ColumnGlue::New { .. } => None,
-    }))
+    glue.iter()
+        .filter_map(|g| match g {
+            ColumnGlue::Glued(i) => Some(l[*i]),
+            ColumnGlue::New { .. } => None,
+        })
+        .collect()
 }
 
 /// Row-at-a-time hash join with gluing semantics (fully materialized).
@@ -291,55 +223,6 @@ pub fn join_glue_rows(left: &RowTable, right: &RowTable, glue: &[ColumnGlue]) ->
             if pair_matches(l, r, glue) {
                 combined_row(l, r, glue, &mut row);
                 out.push_row(&row);
-            }
-        }
-    }
-    out
-}
-
-/// Row-at-a-time sort–merge join (per-group key clone, as in the seed).
-pub fn join_glue_sort_merge_rows(
-    left: &RowTable,
-    right: &RowTable,
-    glue: &[ColumnGlue],
-) -> RowTable {
-    let mut out = RowTable::new(output_schema(left, glue));
-
-    let mut lkeys: Vec<(JoinKey, usize)> = left
-        .rows()
-        .enumerate()
-        .filter_map(|(i, r)| left_key(r, glue).map(|k| (k, i)))
-        .collect();
-    let mut rkeys: Vec<(JoinKey, usize)> = right
-        .rows()
-        .enumerate()
-        .filter_map(|(i, r)| right_key(r, glue).map(|k| (k, i)))
-        .collect();
-    lkeys.sort();
-    rkeys.sort();
-
-    let mut row = Vec::with_capacity(out.width());
-    let (mut li, mut ri) = (0usize, 0usize);
-    while li < lkeys.len() && ri < rkeys.len() {
-        match lkeys[li].0.cmp(&rkeys[ri].0) {
-            std::cmp::Ordering::Less => li += 1,
-            std::cmp::Ordering::Greater => ri += 1,
-            std::cmp::Ordering::Equal => {
-                let key = lkeys[li].0.clone();
-                let lhi = lkeys[li..].partition_point(|(k, _)| *k == key) + li;
-                let rhi = rkeys[ri..].partition_point(|(k, _)| *k == key) + ri;
-                for &(_, l_ix) in &lkeys[li..lhi] {
-                    let l = left.row(l_ix);
-                    for &(_, r_ix) in &rkeys[ri..rhi] {
-                        let r = right.row(r_ix);
-                        if pair_matches(l, r, glue) {
-                            combined_row(l, r, glue, &mut row);
-                            out.push_row(&row);
-                        }
-                    }
-                }
-                li = lhi;
-                ri = rhi;
             }
         }
     }
@@ -452,7 +335,7 @@ mod tests {
                 distinct_from: vec![1],
             },
         ];
-        let col = crate::join::join_glue(&left, &right, &glue);
+        let col = wiclean_rel::join_glue(&left, &right, &glue);
         let row = join_glue_rows(
             &RowTable::from_table(&left),
             &RowTable::from_table(&right),

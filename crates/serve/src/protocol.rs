@@ -245,6 +245,61 @@ mod tests {
         );
     }
 
+    /// Valid requests of every op, for the mutation half of the hostile
+    /// bytes property.
+    const VALID: [&str; 6] = [
+        r#"{"op":"suggest","entity":"Wayne Rooney"}"#,
+        r#"{"op":"suggest","entity":"E","sig":{"edit":"+","rel":"plays_for"}}"#,
+        r#"{"op":"suggest","entity":"E","sig":{"edit":"remove","rel":"r"}}"#,
+        r#"{"op":"reload","spec":"soccer"}"#,
+        r#"{"op":"stats"}"#,
+        r#"{"op":"ping"}"#,
+    ];
+
+    /// The parser never panics and no error carries a line break.
+    fn check_hostile(bytes: &[u8]) -> Result<(), proptest::test_runner::TestCaseError> {
+        let line = String::from_utf8_lossy(bytes);
+        if let Err(e) = parse_request(&line) {
+            proptest::prop_assert!(!e.contains(['\n', '\r']), "{:?} -> {:?}", line, e);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Lines of 0–512 arbitrary bytes, decoded lossily.
+        #[test]
+        fn arbitrary_bytes_never_panic_or_break_lines(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..513),
+        ) {
+            check_hostile(&bytes)?;
+        }
+
+        /// Valid requests with bytes overwritten, inserted and deleted.
+        #[test]
+        fn mutated_requests_never_panic_or_break_lines(
+            which in 0usize..VALID.len(),
+            edits in proptest::collection::vec(
+                (0u8..3, proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+                1..6,
+            ),
+        ) {
+            let mut bytes = VALID[which].as_bytes().to_vec();
+            for (kind, at, byte) in edits {
+                let at = at % (bytes.len() + 1);
+                match kind {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            check_hostile(&bytes)?;
+        }
+    }
+
     #[test]
     fn error_line_flattens_newlines() {
         let line = error_line(3, "boom\nline2\r");

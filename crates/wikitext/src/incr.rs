@@ -31,9 +31,9 @@
 //!   (whole-text stripping would join lines); line-local comments and refs
 //!   are stripped per line and splice fine — important because every
 //!   synthetic snapshot opens with a one-line autogenerated comment;
-//! * any `#REDIRECT` occurrence after comment stripping (the redirect
-//!   check runs against the whole stripped text, not a line, and
-//!   stripping can fuse a marker out of fragments like
+//! * any `#REDIRECT` occurrence, in any ASCII case, after comment
+//!   stripping (the redirect check runs against the whole stripped text,
+//!   not a line, and stripping can fuse a marker out of fragments like
 //!   `#RED<!--x-->IRECT`) — on the splice path only the touched lines
 //!   need the comment-aware scan, since a line-local predecessor is
 //!   redirect-free;
@@ -183,13 +183,13 @@ fn count_newlines(bytes: &[u8]) -> usize {
 }
 
 /// Scans `window` for a `#REDIRECT` occurrence as the frozen parser would
-/// see it — i.e. after `<!-- … -->` comment stripping, which can fuse
-/// fragments like `#RED<!--x-->IRECT` into a live redirect marker that a
-/// raw-byte search misses. `Err(())` means a comment opens in the window
-/// without closing inside it, so the caller cannot decide locally and must
-/// take the whole-text path.
+/// see it — in any ASCII case, and after `<!-- … -->` comment stripping,
+/// which can fuse fragments like `#RED<!--x-->IRECT` into a live redirect
+/// marker that a raw-byte search misses. `Err(())` means a comment opens
+/// in the window without closing inside it, so the caller cannot decide
+/// locally and must take the whole-text path.
 fn window_synthesizes_redirect(window: &[u8]) -> Result<bool, ()> {
-    const REDIRECT: &[u8] = b"#REDIRECT";
+    const REDIRECT: &[u8] = crate::parse::REDIRECT.as_bytes();
     let mut matched = 0usize;
     let mut i = 0usize;
     while i < window.len() {
@@ -203,7 +203,7 @@ fn window_synthesizes_redirect(window: &[u8]) -> Result<bool, ()> {
                 None => return Err(()),
             }
         }
-        if window[i] == REDIRECT[matched] {
+        if window[i].eq_ignore_ascii_case(&REDIRECT[matched]) {
             matched += 1;
             if matched == REDIRECT.len() {
                 return Ok(true);

@@ -206,7 +206,7 @@ pub fn parse_page_checked(text: &str) -> (PageLinks, ParseIssues) {
     let mut infobox_depth = 0i32;
 
     // Redirect stubs: the whole page is just a pointer.
-    if let Some(rest) = text.trim_start().strip_prefix("#REDIRECT") {
+    if let Some(rest) = strip_redirect(&text) {
         if let Some(target) = scan_links_counted(rest, &mut issues).first() {
             page.redirect = Some((*target).to_owned());
         }
@@ -484,6 +484,18 @@ pub(crate) fn eof_issues(state: LineState, issues: &mut ParseIssues) {
     }
 }
 
+/// The redirect magic word. MediaWiki matches it in any ASCII case.
+pub(crate) const REDIRECT: &str = "#REDIRECT";
+
+/// What follows a leading [`REDIRECT`] magic word (any ASCII case) in
+/// comment-stripped `text`, or `None` if the page is no redirect stub.
+fn strip_redirect(text: &str) -> Option<&str> {
+    let text = text.trim_start();
+    let head = text.get(..REDIRECT.len())?;
+    head.eq_ignore_ascii_case(REDIRECT)
+        .then(|| &text[REDIRECT.len()..])
+}
+
 /// [`parse_page_checked`] with interned output: identical structure and
 /// issue counts, but links come back as [`Sym`] pairs against `syms`.
 ///
@@ -497,7 +509,7 @@ pub fn parse_page_interned(text: &str, syms: &mut SymTable) -> (SymLinks, ParseI
     };
     let mut page = SymLinks::new();
 
-    if let Some(rest) = text.trim_start().strip_prefix("#REDIRECT") {
+    if let Some(rest) = strip_redirect(&text) {
         if let Some(target) = scan_links_counted(rest, &mut issues).first() {
             page.redirect = Some(syms.intern(target));
         }

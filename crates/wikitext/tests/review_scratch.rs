@@ -32,3 +32,18 @@ fn redirect_synthesized_by_comment_stripping() {
         "#RED<!--x-->IRECT [[T]]\n{{Infobox a\n| f = [[B]]\n}}\n",
     ]);
 }
+
+#[test]
+fn redirect_magic_word_is_case_insensitive() {
+    // MediaWiki matches `#REDIRECT` in any ASCII case, comments stripped
+    // first; the incremental gate must see every spelling the frozen
+    // parser does.
+    let body = "{{Infobox a\n| f = [[B]]\n}}\n== s ==\n* [[A]]\n";
+    for marker in ["#redirect", "#Redirect", "#red<!--x-->irect", "#REDirect"] {
+        let stub = format!("{marker} [[T]]\n{body}");
+        let page = wiclean_wikitext::parse_page(&stub);
+        assert_eq!(page.redirect.as_deref(), Some("T"), "{marker}");
+        check(&[body, &stub, body]);
+        check(&["== s ==\n* [[A]]\n", &stub]);
+    }
+}

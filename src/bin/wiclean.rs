@@ -108,29 +108,18 @@ USAGE:
   wiclean generate --domain <soccer|cinema|politics|software> [--seeds N] [--rng S] --out FILE
   wiclean stats    --corpus FILE
   wiclean ingest   --corpus FILE --store DIR [--threads N] [CORPUS BACKEND FLAGS]
-  wiclean mine     --corpus FILE [--threads N] [--extract MODE] [PLANNER FLAGS] [--out FILE] [FAULT FLAGS]
-  wiclean mine     --backend disk --store DIR [--threads N] [--extract MODE] [PLANNER FLAGS] [--out FILE] [CORPUS BACKEND FLAGS]
+  wiclean mine     --corpus FILE [--threads N] [--extract MODE] [--out FILE] [FAULT FLAGS]
+  wiclean mine     --backend disk --store DIR [--threads N] [--extract MODE] [--out FILE] [CORPUS BACKEND FLAGS]
   wiclean detect   --corpus FILE [--threads N] [--extract MODE] [--top K] [FAULT FLAGS]
   wiclean detect   --backend disk --store DIR [--threads N] [--extract MODE] [--top K] [CORPUS BACKEND FLAGS]
   wiclean serve    --corpus FILE [--addr HOST:PORT] [--max-conns N] [--threads N] [SERVE FLAGS]
-  wiclean stream   --corpus FILE [--serve HOST:PORT] [--out FILE] [STREAM FLAGS] [PLANNER FLAGS]
-  wiclean stream   --backend disk --store DIR [--serve HOST:PORT] [--out FILE] [STREAM FLAGS] [PLANNER FLAGS]
+  wiclean stream   --corpus FILE [--serve HOST:PORT] [--out FILE] [STREAM FLAGS]
+  wiclean stream   --backend disk --store DIR [--serve HOST:PORT] [--out FILE] [STREAM FLAGS]
   wiclean suggest  --corpus FILE --entity NAME [--edit add|remove] [--rel NAME] [--threads N]
 
 MODE (extraction pipeline, both produce byte-identical output):
   incremental      prediff-gated interned extraction (default)
   full             frozen full-reparse reference path (ablation)
-
-PLANNER FLAGS (adaptive join planning, `mine` and `stream`; all plan
-choices produce byte-identical mining output):
-  --planner on|off `on` (default): per-join sampled statistics + cost
-                   model pick the pair-stage strategy, build side, and
-                   partition count, with mid-join re-planning and a
-                   per-shape plan cache; `off`: the fixed heuristics
-                   (hash build-right, hard-coded parallel gate)
-  --replan-factor F
-                   re-plan a join when its observed output exceeds the
-                   estimate by this factor (> 1.0; default 4.0)
 
 CORPUS BACKEND FLAGS (crash-safe, out-of-core sharded store; see DESIGN.md §8):
   --backend B      `memory` (default): revisions live in RAM, loaded from
@@ -193,7 +182,6 @@ written, but coverage is untrustworthy).";
 /// Flag groups shared by several commands (the groups of the usage text).
 const STORE_FLAGS: &[&str] = &["store", "shards", "snapshot-every", "memory-budget"];
 const MINING_FLAGS: &[&str] = &["threads", "extract"];
-const PLANNER_FLAGS: &[&str] = &["planner", "replan-factor"];
 const FAULT_FLAGS: &[&str] = &["fault-rate", "fault-seed", "retries"];
 const INDEX_FLAGS: &[&str] = &["max-patterns", "max-entities"];
 
@@ -207,7 +195,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
             &["corpus", "backend", "out"],
             STORE_FLAGS,
             MINING_FLAGS,
-            PLANNER_FLAGS,
             FAULT_FLAGS,
         ],
         "detect" => &[
@@ -226,7 +213,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
             &["grace", "refresh-revisions", "shuffle-seed", "tau", "width"],
             STORE_FLAGS,
             MINING_FLAGS,
-            PLANNER_FLAGS,
             INDEX_FLAGS,
         ],
         "suggest" => &[
@@ -306,28 +292,6 @@ fn apply_extract_mode(wc: &mut WcConfig, flags: &HashMap<String, String>) -> Res
             "flag --extract: `{other}` is not `incremental` or `full`"
         )),
     }
-}
-
-/// Applies the `--planner` / `--replan-factor` flags to a mining config.
-/// Both produce byte-identical mining output; the planner only changes
-/// how fast the pair stage runs.
-fn apply_planner_flags(wc: &mut WcConfig, flags: &HashMap<String, String>) -> Result<(), String> {
-    match flags.get("planner").map(String::as_str) {
-        None | Some("on") => {}
-        Some("off") => wc.use_adaptive_planner = false,
-        Some(other) => return Err(format!("flag --planner: `{other}` is not on|off")),
-    }
-    if let Some(v) = flags.get("replan-factor") {
-        let factor: f64 = v
-            .parse()
-            .map_err(|_| format!("flag --replan-factor: cannot parse `{v}`"))?;
-        wc.miner.planner.replan_factor = factor;
-        wc.miner
-            .planner
-            .validate()
-            .map_err(|e| format!("flag --replan-factor: {e}"))?;
-    }
-    Ok(())
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -581,7 +545,6 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     }
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
-    apply_planner_flags(&mut wc, flags)?;
     let (plan, policy) = fault_setup(flags)?;
     let corpus = load_corpus(flags)?;
     eprintln!("mining `{}` (Algorithm 2)…", corpus.seed_type);
@@ -629,7 +592,6 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
-    apply_planner_flags(&mut wc, flags)?;
     let (header, corpus) = open_disk_corpus(flags)?;
     eprintln!("mining `{}` (Algorithm 2, out-of-core)…", header.seed_type);
     let mut result =
@@ -841,7 +803,6 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let mut wc = default_wc_config(threads(flags)?);
     apply_extract_mode(&mut wc, flags)?;
-    apply_planner_flags(&mut wc, flags)?;
     wc.tau0 = num_flag(flags, "tau", wc.tau0)?;
     if !(wc.tau0 > 0.0 && wc.tau0 <= 1.0) {
         return Err(format!("flag --tau: `{}` is not in (0, 1]", wc.tau0));
