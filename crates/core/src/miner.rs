@@ -141,8 +141,8 @@ pub struct MineStats {
     /// Snapshot-cache evictions forced by the memory budget.
     #[serde(default)]
     pub snapshot_cache_evictions: u64,
-    /// Delta frames decoded while materializing snapshots (the replay work
-    /// `snapshot_every` bounds per materialization).
+    /// Delta frames decoded while reading page histories from a sharded
+    /// store (the replay work `snapshot_every` bounds per revision).
     #[serde(default)]
     pub delta_chain_replays: u64,
     /// Times the sharded store handed its segments' resident pages back to

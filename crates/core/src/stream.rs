@@ -47,7 +47,7 @@
 
 use crate::abstract_action::AbstractAction;
 use crate::cache::{AbsorbEntry, RealizationCache};
-use crate::config::{MinerConfig, StreamPolicy, WcConfig};
+use crate::config::{JoinImpl, MinerConfig, StreamPolicy, WcConfig};
 use crate::degraded::DegradedCoverage;
 use crate::interner::{PatternId, PatternInterner};
 use crate::miner::{
@@ -63,7 +63,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 use wiclean_rel::{
-    distinct_left_values, join_glue_pairs, join_glue_pairs_delta, materialize_pairs, Table,
+    distinct_left_values, join_glue_pairs, join_glue_pairs_delta, join_glue_pairs_delta_nested,
+    materialize_pairs, ColumnGlue, Pair, Table,
 };
 use wiclean_revstore::{
     reduce_actions, ActionCache, FeedEvent, FetchError, RevisionFeed, RevisionStore,
@@ -566,6 +567,34 @@ fn extract_contribution(
     })
 }
 
+/// Runs the pair stage the miner's [`JoinImpl`] picks and counts it under
+/// that pick: over only the pairs touching rows appended since `marks`
+/// (left and right prefix lengths) when given, else over the whole inputs.
+fn pair_stage(
+    miner: &WindowMiner<'_>,
+    left: &Table,
+    right: &Table,
+    glue: &[ColumnGlue],
+    marks: Option<(usize, usize)>,
+    stats: &mut MineStats,
+) -> Vec<Pair> {
+    match (miner.config().join_impl, marks) {
+        (JoinImpl::Hash, None) => {
+            stats.plan_picks_hash += 1;
+            join_glue_pairs(left, right, glue)
+        }
+        (JoinImpl::Hash, Some((lo, ro))) => {
+            stats.plan_picks_hash += 1;
+            join_glue_pairs_delta(left, lo, right, ro, glue)
+        }
+        (JoinImpl::NestedLoop, marks) => {
+            stats.plan_picks_nested += 1;
+            let (lo, ro) = marks.unwrap_or((0, 0));
+            join_glue_pairs_delta_nested(left, lo, right, ro, glue)
+        }
+    }
+}
+
 /// Evaluates one candidate extension with memoized absorb state: a pure
 /// hit when nothing grew, a delta join over only the appended rows when
 /// the inputs grew append-only, and a full (batch-identical) join
@@ -650,9 +679,8 @@ fn stream_evaluate(
                 // current without ever materializing a table, until the
                 // appended rows push it over τ.
                 let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-                let delta =
-                    join_glue_pairs_delta(left, entry.left_len, right, entry.right_len, &glue);
-                stats.plan_picks_hash += 1;
+                let marks = Some((entry.left_len, entry.right_len));
+                let delta = pair_stage(miner, left, right, &glue, marks, stats);
                 stats.delta_rows_joined +=
                     (left.len() - entry.left_len + right.len() - entry.right_len) as u64;
                 let mut distinct = entry.distinct;
@@ -740,8 +768,7 @@ fn stream_evaluate(
 
     // Full evaluation — byte-identical to the batch candidate path.
     let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-    let pairs = join_glue_pairs(left, right, &glue);
-    stats.plan_picks_hash += 1;
+    let pairs = pair_stage(miner, left, right, &glue, None, stats);
     let distinct = distinct_left_values(left, 0, &pairs);
     let support = support_from_distinct(&distinct, seed, universe);
     let freq = frequency_from_support(support, seed, universe);
@@ -1296,6 +1323,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn nested_loop_config_streams_with_the_nested_loop() {
+        let fx = soccer_fixture();
+        let mut config = stream_config(&fx, fx.window.len(), 1);
+        config.miner.join_impl = JoinImpl::NestedLoop;
+        let miner_config = config.miner;
+        let mut in_order = events_of(&fx.store);
+        in_order.sort_by_key(|e| e.time);
+        let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, config);
+        sm.ingest_from(&mut VecFeed::new(in_order));
+        sm.flush();
+        let streamed = sm
+            .sealed()
+            .iter()
+            .find(|r| r.window == fx.window)
+            .expect("fixture window sealed");
+
+        let batch = WindowMiner::new(&fx.store, &fx.universe, miner_config)
+            .mine_window(fx.player_ty, &fx.window);
+        assert_equivalent(streamed, &batch);
+        let s = &streamed.stats;
+        assert!(s.delta_rows_joined > 0, "the delta path ran");
+        assert_eq!(s.plan_picks_hash, 0, "no hash pair stage under NestedLoop");
+        assert!(
+            s.plan_picks_nested >= s.joins_executed && s.joins_executed > 0,
+            "every stream join counts as nested: {s:?}"
+        );
     }
 
     #[test]

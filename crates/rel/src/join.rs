@@ -164,11 +164,29 @@ pub fn join_glue_pairs(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<
 /// Nested-loop pair stage over the cross product — the paper's `PM−join`
 /// baseline. Already emits the canonical (left, right) order.
 pub fn join_glue_pairs_nested(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
+    join_glue_pairs_delta_nested(left, 0, right, 0, glue)
+}
+
+/// Nested-loop form of [`join_glue_pairs_delta`], for the `PM−join`
+/// baseline on the streaming path: the same pairs in the same canonical
+/// order, found by testing every (left, right) pair that touches an
+/// appended row. With both marks at 0 it is the full nested loop.
+pub fn join_glue_pairs_delta_nested(
+    left: &Table,
+    left_old: usize,
+    right: &Table,
+    right_old: usize,
+    glue: &[ColumnGlue],
+) -> Vec<Pair> {
     validate(left, right, glue);
+    assert!(left_old <= left.len(), "left_old beyond left length");
+    assert!(right_old <= right.len(), "right_old beyond right length");
     let plan = GluePlan::new(glue);
     let mut pairs = Vec::new();
     for li in 0..left.len() {
-        for ri in 0..right.len() {
+        // A stable left row pairs only with appended right rows.
+        let first = if li < left_old { right_old } else { 0 };
+        for ri in first..right.len() {
             if plan.pair_matches(left, li, right, ri) {
                 pairs.push((li as u32, ri as u32));
             }

@@ -45,7 +45,8 @@ pub use column::{Column, Value, NULL_IX};
 pub use hash::{EntitySet, FastHasher, FastMap, FastSet};
 pub use join::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_nested, materialize_pairs, outer_join_glue, ColumnGlue, Pair,
+    join_glue_pairs_delta_nested, join_glue_pairs_nested, materialize_pairs, outer_join_glue,
+    ColumnGlue, Pair,
 };
 pub use schema::Schema;
 pub use table::Table;

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use rowstore::{join_glue_nested_rows, join_glue_rows, outer_join_glue_rows, RowTable};
 use wiclean_rel::{
     distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_nested, outer_join_glue, ColumnGlue, Pair, Schema, Table, Value,
+    join_glue_pairs_delta_nested, join_glue_pairs_nested, outer_join_glue, ColumnGlue, Pair,
+    Schema, Table, Value,
 };
 use wiclean_types::EntityId;
 
@@ -315,7 +316,7 @@ fn outer_reference(
 }
 
 proptest! {
-    /// The hash pair stage, the delta pair stage at any prefix marks and
+    /// The hash pair stage, both delta pair stages at any prefix marks and
     /// the outer join equal the nested-loop reference exactly, on 2- to
     /// 4-column tables with keys of up to four glued columns and
     /// null-heavy cells.
@@ -350,6 +351,7 @@ proptest! {
             .filter(|&(li, ri)| li as usize >= lo || ri as usize >= ro)
             .collect();
         prop_assert_eq!(&join_glue_pairs_delta(&left, lo, &right, ro, &glue), &delta);
+        prop_assert_eq!(&join_glue_pairs_delta_nested(&left, lo, &right, ro, &glue), &delta);
 
         let outer: Vec<Vec<Value>> = outer_join_glue(&left, &right, &glue).rows().collect();
         prop_assert_eq!(outer, outer_reference(&left, &right, &glue, &reference));

@@ -33,7 +33,7 @@ pub enum ExtractMode {
 }
 
 /// Result of extracting one entity's actions within a window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtractOutcome {
     /// Resolved actions, in revision order.
     pub actions: Vec<Action>,
@@ -138,7 +138,7 @@ pub fn try_extract_actions_full(
     window: &Window,
 ) -> Result<ExtractOutcome, FetchError> {
     let mut out = ExtractOutcome::default();
-    let Some(history) = source.fetch_history(entity)? else {
+    let Some(history) = source.fetch_window(entity, window)? else {
         return Ok(out);
     };
     let history = &*history;
@@ -216,7 +216,7 @@ pub fn try_extract_actions_incremental(
     window: &Window,
 ) -> Result<ExtractOutcome, FetchError> {
     let mut out = ExtractOutcome::default();
-    let Some(history) = source.fetch_history(entity)? else {
+    let Some(history) = source.fetch_window(entity, window)? else {
         return Ok(out);
     };
     let history = &*history;

@@ -17,7 +17,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wiclean_types::EntityId;
+use wiclean_types::{EntityId, Window};
 
 /// Why a fetch failed. `Transient` and `RateLimited` are worth retrying;
 /// the rest are terminal for the current request.
@@ -84,6 +84,25 @@ impl std::error::Error for FetchError {}
 pub trait FetchSource: Sync {
     /// Fetches the revision history of `entity`.
     fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError>;
+
+    /// Fetches what extraction over `window` reads of `entity`'s history:
+    /// a history whose [`PageHistory::snapshot_at`]`(window.start − 1)` and
+    /// [`PageHistory::revisions_in`]`(window)` equal the full history's.
+    /// It may leave out every other revision, so read nothing else from it.
+    /// It fails exactly when [`fetch_history`](Self::fetch_history) would,
+    /// and counts the same crawl work.
+    ///
+    /// The default is the full history. An out-of-core source overrides it
+    /// to replay only the window's revisions into owned text; decorators
+    /// that rewrite text keep the default, so their rewrite still applies.
+    fn fetch_window(
+        &self,
+        entity: EntityId,
+        window: &Window,
+    ) -> Result<Option<FetchedHistory<'_>>, FetchError> {
+        let _ = window;
+        self.fetch_history(entity)
+    }
 
     /// Snapshot of the crawl-work counters attributable to this source
     /// (decorators merge their own counters with their inner source's).
@@ -162,6 +181,14 @@ impl FetchSource for RevisionStore {
 impl<T: FetchSource + ?Sized> FetchSource for &T {
     fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
         (**self).fetch_history(entity)
+    }
+
+    fn fetch_window(
+        &self,
+        entity: EntityId,
+        window: &Window,
+    ) -> Result<Option<FetchedHistory<'_>>, FetchError> {
+        (**self).fetch_window(entity, window)
     }
 
     fn crawl_stats(&self) -> CrawlStats {
@@ -410,15 +437,20 @@ pub fn backoff_delay_us(policy: &RetryPolicy, attempt: u32, roll: u64, rate_limi
     wait_us.min(policy.max_backoff_us)
 }
 
-impl<S: FetchSource> FetchSource for ResilientFetcher<S> {
-    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
+impl<S: FetchSource> ResilientFetcher<S> {
+    /// Runs `fetch` under the policy: retries, backoff, budget and breaker.
+    fn with_retries<'s>(
+        &'s self,
+        entity: EntityId,
+        fetch: impl Fn() -> Result<Option<FetchedHistory<'s>>, FetchError>,
+    ) -> Result<Option<FetchedHistory<'s>>, FetchError> {
         if self.breaker_open.load(Ordering::Relaxed) {
             return Err(FetchError::CircuitOpen);
         }
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            match self.inner.fetch_history(entity) {
+            match fetch() {
                 Ok(history) => {
                     self.consecutive_failures.store(0, Ordering::Relaxed);
                     return Ok(history);
@@ -454,6 +486,20 @@ impl<S: FetchSource> FetchSource for ResilientFetcher<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: FetchSource> FetchSource for ResilientFetcher<S> {
+    fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
+        self.with_retries(entity, || self.inner.fetch_history(entity))
+    }
+
+    fn fetch_window(
+        &self,
+        entity: EntityId,
+        window: &Window,
+    ) -> Result<Option<FetchedHistory<'_>>, FetchError> {
+        self.with_retries(entity, || self.inner.fetch_window(entity, window))
     }
 
     fn crawl_stats(&self) -> CrawlStats {

@@ -47,5 +47,5 @@ pub use shard::{
     ShardedStore, SnapshotCache, SnapshotCacheStats,
 };
 pub use store::{CrawlStats, PageHistory, Revision, RevisionStore};
-pub use wal::{SyncPolicy, TailOutcome, WalError, WalRecord};
+pub use wal::{SyncPolicy, TailOutcome, WalError};
 pub use wiclean_wikitext::EditOp;

@@ -20,24 +20,34 @@
 //!   behind its own lock) and fail independently — a torn write in one
 //!   segment cannot touch another's bytes, and recovery reports losses
 //!   per shard.
-//! * **mmap-backed reads.** Materialization reads frames through
-//!   [`Vfs::map`]: a zero-copy `mmap(2)` view on a real filesystem, an
-//!   owned read on [`MemFs`](crate::failfs::MemFs) so every fault test
-//!   still runs. Only the in-memory *frame index* (offsets, lengths,
-//!   timestamps) and the bounded caches below stay on the heap.
-//! * **Bounded working set.** Materialized histories land in a
+//! * **mmap-backed reads.** Reads take frames through [`Vfs::map`]: a
+//!   zero-copy `mmap(2)` view on a real filesystem, an owned read on
+//!   [`MemFs`](crate::failfs::MemFs) so every fault test still runs. Only
+//!   the in-memory *frame index* (offsets, lengths, per-entity time order)
+//!   and the bounded caches below stay on the heap.
+//! * **Window-scoped extraction reads.** [`FetchSource::fetch_window`]
+//!   replays an entity's chain through one reusable buffer, splicing
+//!   deltas in place, and keeps owned text only for the last revision
+//!   before the window and the revisions inside it: no per-revision
+//!   `String` outside the window, no sort, no [`SnapshotCache`] traffic.
+//!   An entity whose log arrived out of time order is materialized
+//!   instead.
+//! * **Bounded working set.** [`materialize`](ShardedStore::materialize)d
+//!   histories (what [`FetchSource::fetch_history`] serves) land in a
 //!   byte-budgeted LRU ([`SnapshotCache`]) charged against a shared
-//!   [`MemoryBudget`], so the hot window's working set stays warm while
-//!   the corpus itself never needs to fit in RAM. During ingest the
-//!   per-shard delta bases are bounded the same way: evicting a base
-//!   simply restarts that entity's chain with a full frame.
+//!   [`MemoryBudget`], so a hot working set stays warm while the corpus
+//!   itself never needs to fit in RAM. During ingest the per-shard delta
+//!   bases are bounded the same way: evicting a base simply restarts that
+//!   entity's chain with a full frame.
 //!
-//! **Mining equivalence.** Frames are decoded in arrival order and folded
-//! through [`PageHistory::extend`] — one stable sort by timestamp, exactly
-//! what [`RevisionStore::record_batch`] does — so a mined result over a
-//! `ShardedStore` is byte-identical to the in-memory store at any shard
-//! count, snapshot interval, or cache budget (differential proptests pin
-//! this).
+//! **Mining equivalence.** Both reads verify every frame's CRC and every
+//! decoded text's UTF-8, so they lose or serve a page alike. A full read
+//! folds the frames through [`PageHistory::extend`] — one stable sort by
+//! timestamp, exactly what [`RevisionStore::record_batch`] does; a window
+//! read returns, for an in-order log, the same revisions for the window's
+//! base snapshot and its span. So a mined result over a `ShardedStore` is
+//! byte-identical to the in-memory store at any shard count, snapshot
+//! interval, or cache budget (differential proptests pin this).
 //!
 //! **Crash safety.** Opening a store scans each segment's longest valid
 //! frame prefix (CRC + structural header checks), truncates anything
@@ -60,7 +70,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wiclean_types::{EntityId, Timestamp};
+use wiclean_types::{EntityId, Timestamp, Window};
 
 /// On-disk format version of a sharded store directory.
 const SHARD_STORE_VERSION: u32 = 1;
@@ -393,7 +403,7 @@ pub struct CorpusStats {
     pub snapshot_cache_misses: u64,
     /// Snapshot-cache evictions.
     pub snapshot_cache_evictions: u64,
-    /// Delta frames decoded while materializing snapshots.
+    /// Delta frames decoded while reading page histories (both readers).
     pub delta_chain_replays: u64,
     /// Times the store handed its segments' resident pages back to the
     /// kernel (`madvise(MADV_DONTNEED)`) because the pages faulted in by
@@ -423,6 +433,41 @@ struct FrameRef {
 struct EntityLog {
     frames: Vec<FrameRef>,
     max_time: Timestamp,
+    /// Whether some frame arrived with a time below `max_time`: arrival
+    /// order is then not time order, and only a sorted materialization
+    /// answers window queries.
+    out_of_order: bool,
+}
+
+impl EntityLog {
+    /// Indexes one more frame of the entity; returns whether it arrived
+    /// out of time order.
+    fn push(&mut self, frame: FrameRef, time: Timestamp) -> bool {
+        self.frames.push(frame);
+        if time < self.max_time {
+            self.out_of_order = true;
+            return true;
+        }
+        self.max_time = time;
+        false
+    }
+}
+
+/// An entity's frame list and a segment view covering it, taken under
+/// the shard lock and then decoded lock-free.
+struct Chain {
+    shard: u32,
+    frames: Vec<FrameRef>,
+    map: Arc<FileMap>,
+    in_order: bool,
+}
+
+/// What one chain replay kept, and the read work it did.
+struct Replay {
+    /// The kept revisions, in arrival order.
+    kept: Vec<(Timestamp, String)>,
+    /// Text bytes decoded, over every revision of the chain.
+    bytes: u64,
 }
 
 struct ShardState {
@@ -659,15 +704,13 @@ impl<V: Vfs> ShardedStore<V> {
             return Err(e.into());
         }
 
-        log.frames.push(FrameRef {
+        let frame_ref = FrameRef {
             offset: state.bytes,
             len: payload.len() as u32,
             full,
-        });
-        if time < log.max_time {
+        };
+        if log.push(frame_ref, time) {
             self.counters.out_of_order.fetch_add(1, Ordering::Relaxed);
-        } else {
-            log.max_time = time;
         }
         state.bytes += frame.len() as u64;
         if full {
@@ -749,44 +792,71 @@ impl<V: Vfs> ShardedStore<V> {
         if let Some(hit) = self.cache.get(entity) {
             return Ok(Some(hit));
         }
-        let shard = self.shard_of(entity);
-        let (frames, map) = {
-            let mut state = self.states[shard as usize].lock();
-            let Some(log) = state.index.get(&entity) else {
-                return Ok(None);
-            };
-            let frames = log.frames.clone();
-            let need = frames.last().map_or(0, |f| f.offset + 8 + f.len as u64);
-            let map = self.segment_map(&mut state, shard, need)?;
-            (frames, map)
+        let Some(chain) = self.chain(entity)? else {
+            return Ok(None);
         };
+        let replay = self.replay(&chain, None)?;
+        let mut history = PageHistory::new();
+        history.extend(replay.kept);
+        let history = Arc::new(history);
+        let bytes = history_bytes(&history);
+        self.cache.insert(entity, Arc::clone(&history), bytes);
+        Ok(Some(history))
+    }
 
-        let mut revisions: Vec<(Timestamp, String)> = Vec::with_capacity(frames.len());
+    /// Locates `entity`'s frames: `None` if it has no revisions.
+    fn chain(&self, entity: EntityId) -> Result<Option<Chain>, WalError> {
+        let shard = self.shard_of(entity);
+        let mut state = self.states[shard as usize].lock();
+        let Some(log) = state.index.get(&entity) else {
+            return Ok(None);
+        };
+        let frames = log.frames.clone();
+        let in_order = !log.out_of_order;
+        let need = frames.last().map_or(0, |f| f.offset + 8 + f.len as u64);
+        let map = self.segment_map(&mut state, shard, need)?;
+        Ok(Some(Chain {
+            shard,
+            frames,
+            map,
+            in_order,
+        }))
+    }
+
+    /// Replays `chain` in arrival order through one reusable buffer,
+    /// verifying every frame's CRC and every decoded text's UTF-8, and
+    /// keeps an owned copy of the revisions `window` needs: with `None`
+    /// all of them; with a window (only valid on an in-order chain) the
+    /// last revision before `window.start` and those inside the window.
+    fn replay(&self, chain: &Chain, window: Option<&Window>) -> Result<Replay, WalError> {
+        let Chain {
+            shard, frames, map, ..
+        } = chain;
+        let corrupt = |e: String| WalError::Corrupt(format!("shard {shard}: {e}"));
+        let keep = |i: usize, time: Timestamp| match window {
+            None => true,
+            Some(w) if time >= w.start => time < w.end,
+            // Before the window: keep only the last such revision, the one
+            // whose successor (read from its header) is not before it.
+            Some(w) => frames
+                .get(i + 1)
+                .and_then(|next| frame_time(map, next))
+                .is_none_or(|next| next >= w.start),
+        };
+        let mut replay = Replay {
+            kept: Vec::with_capacity(if window.is_none() { frames.len() } else { 0 }),
+            bytes: 0,
+        };
+        let mut buf = Vec::new();
         let mut deltas = 0u64;
-        for frame in &frames {
-            let start = frame.offset as usize + 8;
-            let end = start + frame.len as usize;
-            let payload = map.get(start..end).ok_or_else(|| {
-                WalError::Corrupt(format!("shard {shard}: frame runs past mapped segment"))
-            })?;
-            let stored_crc = u32::from_le_bytes(
-                map[frame.offset as usize + 4..frame.offset as usize + 8]
-                    .try_into()
-                    .expect("4 crc bytes"),
-            );
-            if crc32(payload) != stored_crc {
-                return Err(WalError::Corrupt(format!(
-                    "shard {shard}: frame at {} fails its checksum (bit rot after open?)",
-                    frame.offset
-                )));
+        for (i, frame) in frames.iter().enumerate() {
+            let payload = verified_payload(map, frame).map_err(corrupt)?;
+            let (time, text) = wal::decode_into(payload, &mut buf, i > 0).map_err(corrupt)?;
+            replay.bytes += text.len() as u64;
+            if keep(i, time) {
+                replay.kept.push((time, text.to_owned()));
             }
-            let base = revisions.last().map(|(_, text)| text.as_str());
-            let record = wal::decode_payload(payload, base)
-                .map_err(|e| WalError::Corrupt(format!("shard {shard}: {e}")))?;
-            if !frame.full {
-                deltas += 1;
-            }
-            revisions.push((record.time, record.text));
+            deltas += u64::from(!frame.full);
         }
         if deltas > 0 {
             self.counters
@@ -794,13 +864,27 @@ impl<V: Vfs> ShardedStore<V> {
                 .fetch_add(deltas, Ordering::Relaxed);
         }
         self.note_map_touch(frames.len() as u64);
+        Ok(replay)
+    }
 
-        let mut history = PageHistory::new();
-        history.extend(revisions);
-        let history = Arc::new(history);
-        let bytes = history_bytes(&history);
-        self.cache.insert(entity, Arc::clone(&history), bytes);
-        Ok(Some(history))
+    /// Counts one fetched page against the crawl counters.
+    fn count_fetch(&self, revisions: u64, bytes: u64) {
+        self.counters.pages_fetched.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .revisions_scanned
+            .fetch_add(revisions, Ordering::Relaxed);
+        self.counters
+            .bytes_scanned
+            .fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// The fetch error for an entity whose chain is unreadable (post-open
+    /// bit rot): the page is lost to this run, exactly like a crawl's
+    /// deleted page.
+    fn gone(&self, entity: EntityId) -> FetchError {
+        FetchError::Gone {
+            revisions_lost: self.history_version(entity),
+        }
     }
 
     /// Accounts `frames` decoded frames against the residency budget and
@@ -925,26 +1009,36 @@ impl<V: Vfs> FetchSource for ShardedStore<V> {
     fn fetch_history(&self, entity: EntityId) -> Result<Option<FetchedHistory<'_>>, FetchError> {
         match self.materialize(entity) {
             Ok(Some(history)) => {
-                self.counters.pages_fetched.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .revisions_scanned
-                    .fetch_add(history.len() as u64, Ordering::Relaxed);
                 let bytes: usize = history.revisions().iter().map(|r| r.text.len()).sum();
-                self.counters
-                    .bytes_scanned
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
+                self.count_fetch(history.len() as u64, bytes as u64);
                 Ok(Some(FetchedHistory::Shared(history)))
             }
             Ok(None) => Ok(None),
-            Err(_) => {
-                // The chain is unreadable (post-open bit rot): the page is
-                // lost to this run, exactly like a crawl's deleted page.
-                let lost = self.history_version(entity);
-                Err(FetchError::Gone {
-                    revisions_lost: lost,
-                })
-            }
+            Err(_) => Err(self.gone(entity)),
         }
+    }
+
+    /// Replays the entity's chain and keeps only what `window` needs, with
+    /// no snapshot-cache traffic; an out-of-order log is materialized and
+    /// sorted instead, through [`fetch_history`](Self::fetch_history).
+    fn fetch_window(
+        &self,
+        entity: EntityId,
+        window: &Window,
+    ) -> Result<Option<FetchedHistory<'_>>, FetchError> {
+        let chain = match self.chain(entity) {
+            Ok(Some(chain)) if chain.in_order => chain,
+            Ok(Some(_)) => return self.fetch_history(entity),
+            Ok(None) => return Ok(None),
+            Err(_) => return Err(self.gone(entity)),
+        };
+        let replay = self
+            .replay(&chain, Some(window))
+            .map_err(|_| self.gone(entity))?;
+        self.count_fetch(chain.frames.len() as u64, replay.bytes);
+        let mut history = PageHistory::new();
+        history.extend(replay.kept);
+        Ok(Some(FetchedHistory::Owned(history)))
     }
 
     fn crawl_stats(&self) -> CrawlStats {
@@ -965,6 +1059,33 @@ impl<V: Vfs> FetchSource for ShardedStore<V> {
             .get(&entity)
             .map_or(0, |log| log.frames.len() as u64)
     }
+}
+
+/// The payload of `frame` in `map`, after checking it against the CRC
+/// stored in its header.
+fn verified_payload<'m>(map: &'m [u8], frame: &FrameRef) -> Result<&'m [u8], String> {
+    let at = frame.offset as usize;
+    let (Some(header), Some(payload)) = (
+        map.get(at..at + 8),
+        map.get(at + 8..at + 8 + frame.len as usize),
+    ) else {
+        return Err("frame runs past mapped segment".to_owned());
+    };
+    let stored_crc = u32::from_le_bytes(header[4..8].try_into().expect("4 crc bytes"));
+    if crc32(payload) != stored_crc {
+        return Err(format!(
+            "frame at {at} fails its checksum (bit rot after open?)"
+        ));
+    }
+    Ok(payload)
+}
+
+/// The timestamp in `frame`'s payload header, read without decoding the
+/// frame; `None` if the frame lies outside `map`.
+fn frame_time(map: &[u8], frame: &FrameRef) -> Option<Timestamp> {
+    let at = frame.offset as usize + 8 + 5;
+    let bytes = map.get(at..at + 8)?;
+    Some(u64::from_le_bytes(bytes.try_into().expect("8 time bytes")))
 }
 
 /// `dir/shard-NNNN.seg`.
@@ -1031,13 +1152,12 @@ fn scan_segment(data: &[u8], index: &mut HashMap<EntityId, EntityLog>) -> Segmen
         }
         match parse_frame_header(payload, index) {
             Some((entity, time, full)) => {
-                let log = index.entry(entity).or_default();
-                log.frames.push(FrameRef {
+                let frame = FrameRef {
                     offset: at as u64,
                     len,
                     full,
-                });
-                log.max_time = log.max_time.max(time);
+                };
+                index.entry(entity).or_default().push(frame, time);
                 records += 1;
             }
             None => {
@@ -1578,6 +1698,92 @@ mod tests {
         assert_eq!(scan.outcome, TailOutcome::CorruptFrame);
         assert_eq!(scan.records, 0);
         assert_eq!(scan.dropped_bytes, data.len() as u64);
+    }
+
+    /// Segments written by the store before the slicing-by-16 CRC kernel
+    /// (two shards, a full frame every 3 revisions, entity 2 out of time
+    /// order, a multi-byte character spliced by a delta), as hex.
+    const EARLIER_SEGMENTS: [&str; 2] = [
+        concat!(
+            "2d0000005d31e66301020000000c000000000000001c0000003d3d20436172656572203d3d0a2a205b5b506c61796572",
+            "20315d5d0a1a0000006765dd850202000000050000000000000018000000030000000100000032",
+        ),
+        concat!(
+            "420000005091a62701010000000a00000000000000310000007b7b496e666f626f7820700a7c2063757272656e745f63",
+            "6c7562203d205b5b436c756220415d5d0a7d7d0a70726f73650a1a0000007fa871760201000000140000000000000024",
+            "0000000c000000010000004228000000e3ed67c902010000001e0000000000000024000000010000000f000000435d5d",
+            "0a7d7d0a70726f736520c3a945000000652c104e01010000002800000000000000340000007b7b496e666f626f782070",
+            "0a7c2063757272656e745f636c7562203d205b5b436c756220415d5d0a7d7d0a70726f736520c3a90a13000000422677",
+            "ca0103000000010000000000000002000000720a",
+        ),
+    ];
+
+    #[test]
+    fn store_written_before_the_crc_kernel_opens_clean() {
+        let hex = |h: &str| -> Vec<u8> {
+            (0..h.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let fs = MemFs::new();
+        let dir = Path::new("/earlier");
+        fs.create_dir_all(dir).unwrap();
+        let meta = r#"{"version":1,"shards":2,"snapshot_every":3}"#;
+        fs.write(&dir.join("meta.json"), meta.as_bytes()).unwrap();
+        for (shard, seg) in EARLIER_SEGMENTS.iter().enumerate() {
+            fs.write(&segment_path(dir, shard as u32), &hex(seg))
+                .unwrap();
+        }
+        let (store, report) = ShardedStore::open(&fs, dir, policy(9, 9), budget(1 << 20)).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.records_recovered, 7);
+
+        let mut reference = RevisionStore::new();
+        for (e, t, text) in [
+            (
+                1,
+                10,
+                "{{Infobox p\n| current_club = [[Club A]]\n}}\nprose\n",
+            ),
+            (2, 12, "== Career ==\n* [[Player 1]]\n"),
+            (
+                1,
+                20,
+                "{{Infobox p\n| current_club = [[Club B]]\n}}\nprose\n",
+            ),
+            (
+                1,
+                30,
+                "{{Infobox p\n| current_club = [[Club C]]\n}}\nprose \u{e9}\n",
+            ),
+            (2, 5, "== Career ==\n* [[Player 2]]\n"),
+            (
+                1,
+                40,
+                "{{Infobox p\n| current_club = [[Club A]]\n}}\nprose \u{e9}\n",
+            ),
+            (3, 1, "r\n"),
+        ] {
+            reference.record(EntityId::from_u32(e), t, text.to_owned());
+        }
+        let window = Window::new(15, 35);
+        for e in 1..=3 {
+            let entity = EntityId::from_u32(e);
+            let want = reference.peek(entity).unwrap();
+            let trimmed = store.fetch_window(entity, &window).unwrap().unwrap();
+            assert_eq!(trimmed.revisions_in(&window), want.revisions_in(&window));
+            assert_eq!(trimmed.snapshot_at(14), want.snapshot_at(14));
+            let got = store.materialize(entity).unwrap().unwrap();
+            assert_eq!(got.revisions(), want.revisions());
+        }
+        // The window read keeps only the base and the window's revisions.
+        let trimmed = store
+            .fetch_window(EntityId::from_u32(1), &window)
+            .unwrap()
+            .unwrap();
+        let times: Vec<Timestamp> = trimmed.revisions().iter().map(|r| r.time).collect();
+        assert_eq!(times, [10, 20, 30]);
     }
 
     #[test]

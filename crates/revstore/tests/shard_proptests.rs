@@ -20,11 +20,13 @@
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use wiclean_revstore::wal::crc32;
 use wiclean_revstore::{
-    FailKind, FailOp, FailSpec, FailpointFs, MemFs, MemoryBudget, RevisionStore, ShardPolicy,
-    ShardedStore, SyncPolicy, TailOutcome, Vfs,
+    try_extract_actions_with, CrawlStats, ExtractMode, FailKind, FailOp, FailSpec, FailpointFs,
+    FetchSource, MemFs, MemoryBudget, PageHistory, RevisionStore, ShardPolicy, ShardedStore,
+    SyncPolicy, TailOutcome, Vfs,
 };
-use wiclean_types::{EntityId, Timestamp};
+use wiclean_types::{EntityId, Timestamp, TypeId, Universe, Window};
 
 /// A revision text assembled from a small line vocabulary, so consecutive
 /// revisions share lines (the delta encoder's working regime) but can also
@@ -84,6 +86,131 @@ fn ingest(
     }
     sharded.flush().unwrap();
     (reference, sharded)
+}
+
+/// A universe that resolves some of [`text_strategy`]'s links (clubs
+/// under `current_club`, two of the players) and leaves the rest
+/// unresolved, so extraction exercises every counter.
+fn club_universe() -> Universe {
+    let mut u = Universe::new("Thing");
+    let page = u.taxonomy_mut().add("Page", TypeId::from_u32(0)).unwrap();
+    u.relation("current_club");
+    for n in 0..4 {
+        u.add_entity(&format!("Club {n}"), page).unwrap();
+    }
+    for n in 0..2 {
+        u.add_entity(&format!("Player {n}"), page).unwrap();
+    }
+    u
+}
+
+/// Arbitrary windows over the append timestamps' range, empty ones and
+/// ones starting at 0 included.
+fn window_strategy() -> impl Strategy<Value = Vec<Window>> {
+    proptest::collection::vec(
+        (0u64..1_100, 0u64..400).prop_map(|(start, len)| Window::new(start, start + len)),
+        1..5,
+    )
+}
+
+/// Checks that `trimmed` answers the two queries extraction makes over
+/// `window` exactly as the full history does.
+fn check_window_view(
+    trimmed: &PageHistory,
+    full: &PageHistory,
+    window: &Window,
+) -> Result<(), TestCaseError> {
+    if let Some(before) = window.start.checked_sub(1) {
+        prop_assert_eq!(trimmed.snapshot_at(before), full.snapshot_at(before));
+    }
+    prop_assert_eq!(trimmed.revisions_in(window), full.revisions_in(window));
+    Ok(())
+}
+
+/// The crawl counters a fetch moves, as the difference of two snapshots.
+fn crawl_delta(before: CrawlStats, after: CrawlStats) -> (u64, u64, u64) {
+    (
+        after.pages_fetched - before.pages_fetched,
+        after.revisions_scanned - before.revisions_scanned,
+        after.bytes_scanned - before.bytes_scanned,
+    )
+}
+
+/// Frames an arbitrary payload exactly as the store's writer does
+/// (`len:u32 crc:u32 payload`), so it passes the open scan's checksum.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 8);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Structurally valid frames with hostile contents: full texts of
+/// arbitrary bytes (not always UTF-8), and splices with arbitrary
+/// prefix/suffix lengths and middles, over three entities.
+fn hostile_segment() -> impl Strategy<Value = Vec<u8>> {
+    let full = (
+        0u32..3,
+        0u64..50,
+        proptest::collection::vec(any::<u8>(), 0..24),
+    )
+        .prop_map(|(e, t, text)| {
+            let mut p = vec![0x01];
+            p.extend_from_slice(&e.to_le_bytes());
+            p.extend_from_slice(&t.to_le_bytes());
+            p.extend_from_slice(&(text.len() as u32).to_le_bytes());
+            p.extend_from_slice(&text);
+            p
+        });
+    let delta = (
+        0u32..3,
+        0u64..50,
+        0u32..30,
+        0u32..30,
+        proptest::collection::vec(any::<u8>(), 0..12),
+    )
+        .prop_map(|(e, t, prefix, suffix, mid)| {
+            let mut p = vec![0x02];
+            p.extend_from_slice(&e.to_le_bytes());
+            p.extend_from_slice(&t.to_le_bytes());
+            p.extend_from_slice(&prefix.to_le_bytes());
+            p.extend_from_slice(&suffix.to_le_bytes());
+            p.extend_from_slice(&(mid.len() as u32).to_le_bytes());
+            p.extend_from_slice(&mid);
+            p
+        });
+    proptest::collection::vec(prop_oneof![full, delta], 0..12)
+        .prop_map(|payloads| payloads.iter().flat_map(|p| frame(p)).collect())
+}
+
+/// Writes `bytes` as shard 0 of a one-shard store at `/store` (meta
+/// written by a real creation) and opens it.
+fn open_hostile(bytes: &[u8]) -> ShardedStore<Arc<MemFs>> {
+    let fs = Arc::new(MemFs::new());
+    let dir = PathBuf::from("/store");
+    drop(ShardedStore::create(fs.clone(), &dir, policy(1, 4), budget()).unwrap());
+    fs.write(&dir.join("shard-0000.seg"), bytes).unwrap();
+    let (store, _) = ShardedStore::open(fs, &dir, policy(1, 4), budget()).unwrap();
+    store
+}
+
+/// Reads every entity of `store` through both read paths, which must
+/// agree: both lose the page, or both serve the same window view.
+fn check_read_paths_agree<V: Vfs>(
+    store: &ShardedStore<V>,
+    window: &Window,
+) -> Result<(), TestCaseError> {
+    for entity in store.entities() {
+        let windowed = store.fetch_window(entity, window);
+        let full = store.fetch_history(entity);
+        match (windowed, full) {
+            (Ok(Some(w)), Ok(Some(f))) => check_window_view(&w, &f, window)?,
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "read paths disagree: {:?} vs {:?}", a, b),
+        }
+    }
+    Ok(())
 }
 
 /// How many revisions each shard of `store` holds.
@@ -401,6 +528,125 @@ proptest! {
             kept.iter().sum::<u64>() <= acked.iter().sum::<u64>() + 1,
             "only the failing append may land unacknowledged"
         );
+    }
+}
+
+proptest! {
+    /// The window-scoped read equals the in-memory store on the two
+    /// queries extraction makes, for in-order and out-of-order logs, at
+    /// any shard count and checkpoint cadence. Extraction over the sharded
+    /// store equals extraction over the in-memory store, actions and every
+    /// counter, in both modes, and the window read counts the same crawl
+    /// work as a full fetch.
+    #[test]
+    fn window_reads_and_extraction_match_in_memory_store(
+        appends in append_strategy(),
+        in_order in any::<bool>(),
+        shards in 1u32..5,
+        snapshot_every in 1u32..7,
+        windows in window_strategy(),
+    ) {
+        let mut appends = appends;
+        if in_order {
+            appends.sort_by_key(|a| a.1);
+        }
+        let fs = Arc::new(MemFs::new());
+        let dir = PathBuf::from("/store");
+        let (reference, sharded) = ingest(fs, &dir, &appends, shards, snapshot_every);
+        let u = club_universe();
+        for entity in sharded.entities() {
+            let full = reference.peek(entity).unwrap();
+            for w in &windows {
+                let before = sharded.crawl_stats();
+                let trimmed = sharded.fetch_window(entity, w).unwrap().unwrap();
+                let mid = sharded.crawl_stats();
+                check_window_view(&trimmed, full, w)?;
+                drop(sharded.fetch_history(entity).unwrap());
+                let after = sharded.crawl_stats();
+                prop_assert_eq!(crawl_delta(before, mid), crawl_delta(mid, after));
+                for mode in [ExtractMode::Incremental, ExtractMode::FullReparse] {
+                    let disk = try_extract_actions_with(&sharded, &u, entity, w, mode).unwrap();
+                    let memory = try_extract_actions_with(&reference, &u, entity, w, mode).unwrap();
+                    prop_assert_eq!(disk, memory);
+                }
+            }
+        }
+        let absent = EntityId::from_u32(99);
+        prop_assert!(sharded.fetch_window(absent, &windows[0]).unwrap().is_none());
+    }
+
+    /// Arbitrary bytes as a segment file never make `open` panic, and
+    /// whatever it indexes reads the same through both read paths.
+    #[test]
+    fn arbitrary_segment_bytes_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        start in 0u64..60,
+        len in 0u64..60,
+    ) {
+        let store = open_hostile(&bytes);
+        check_read_paths_agree(&store, &Window::new(start, start + len))?;
+    }
+
+    /// Frames that pass the open scan but carry hostile contents
+    /// (non-UTF-8 text, splices past their base) never panic a read, and
+    /// both read paths lose or serve each page alike.
+    #[test]
+    fn hostile_frames_fail_both_read_paths_alike(
+        bytes in hostile_segment(),
+        start in 0u64..60,
+        len in 0u64..60,
+    ) {
+        let store = open_hostile(&bytes);
+        check_read_paths_agree(&store, &Window::new(start, start + len))?;
+    }
+
+    /// One byte flipped after `open` and before the first read: for every
+    /// entity the window read and the full read both report the page gone,
+    /// or both serve exactly the written texts — never different text.
+    #[test]
+    fn flip_after_open_fails_both_read_paths_alike(
+        appends in append_strategy(),
+        in_order in any::<bool>(),
+        shards in 1u32..4,
+        snapshot_every in 1u32..5,
+        victim in 0u32..4,
+        offset_frac in 0.0f64..1.0,
+        xor in 1u8..=255,
+        windows in window_strategy(),
+    ) {
+        let mut appends = appends;
+        if in_order {
+            appends.sort_by_key(|a| a.1);
+        }
+        let fs = Arc::new(MemFs::new());
+        let dir = PathBuf::from("/store");
+        let (reference, sharded) = ingest(fs.clone(), &dir, &appends, shards, snapshot_every);
+        drop(sharded);
+        let (store, recovery) =
+            ShardedStore::open(fs.clone(), &dir, policy(shards, snapshot_every), budget())
+                .unwrap();
+        prop_assert!(recovery.is_clean());
+        let seg = dir.join(format!("shard-{:04}.seg", victim % shards));
+        prop_assume!(fs.exists(&seg));
+        let seg_len = fs.len(&seg).unwrap();
+        fs.corrupt_byte(&seg, ((seg_len - 1) as f64 * offset_frac) as u64, xor)
+            .unwrap();
+
+        for entity in store.entities() {
+            let written = reference.peek(entity).unwrap();
+            for w in &windows {
+                match (store.fetch_window(entity, w), store.materialize(entity)) {
+                    (Ok(Some(trimmed)), Ok(Some(full))) => {
+                        check_window_view(&trimmed, written, w)?;
+                        prop_assert_eq!(full.revisions(), written.revisions());
+                    }
+                    (Err(gone), Err(_)) => {
+                        prop_assert_eq!(gone, store.fetch_history(entity).unwrap_err());
+                    }
+                    (a, b) => prop_assert!(false, "read paths disagree: {:?} vs {:?}", a, b),
+                }
+            }
+        }
     }
 }
 
