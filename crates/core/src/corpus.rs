@@ -5,7 +5,7 @@
 //! per-shard recovery kept and dropped: a shard's lost tail is coverage
 //! the run can no longer observe. This module glues the sharded
 //! store to the run accounting so every caller (CLI, eval drivers, the
-//! corpus bench, tests) reports identically, and provides the parallel
+//! `corpus_scale` run, tests) reports identically, and provides the parallel
 //! per-shard ingest that converts an in-memory [`RevisionStore`] into
 //! segment logs on the shared [`MiningPool`].
 

@@ -2,7 +2,8 @@
 //! re-mine-from-scratch baseline over one synthetic corpus and fail loudly
 //! if anything is off.
 //!
-//! Usage: `stream_smoke [seeds] [refresh_revisions]` (defaults: 150, 16).
+//! Usage: `stream_smoke [seeds] [refresh_revisions] [hot]` (defaults: 150,
+//! 16, whole feed).
 //! The sequence CI runs:
 //!
 //! 1. generate a soccer corpus and stream every revision chronologically
@@ -30,8 +31,8 @@ fn main() -> ExitCode {
     let refresh: u64 = args
         .next()
         .map_or(16, |a| a.parse().expect("refresh cadence"));
-    // `hot` restricts the run to the dense planted transfer window (the
-    // regime the fig_stream bench reports); default covers the whole feed.
+    // `hot` restricts the run to the dense planted transfer window, where
+    // every refresh lands in mined data; default covers the whole feed.
     let hot = args.next().as_deref() == Some("hot");
 
     println!(

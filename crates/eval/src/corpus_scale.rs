@@ -1,4 +1,4 @@
-//! Out-of-core corpus figure (repo extension) — mining a million-entity
+//! Out-of-core corpus scale (repo extension): mining a million-entity
 //! synthetic corpus from delta-encoded sharded segment logs within a
 //! bounded memory budget, against the in-memory store as the baseline.
 //!
@@ -6,23 +6,23 @@
 //! performs one club transfer inside the planted two-week window), ingested
 //! one entity history at a time so nothing but the out-of-core store ever
 //! holds the revisions. Phase order matters: the disk-backend phases run
-//! FIRST and the process' peak RSS (`VmHWM`) is read right after the disk
+//! first and the process' peak RSS (`VmHWM`) is read right after the disk
 //! mine, so the recorded peak covers exactly the out-of-core pipeline —
 //! the in-memory baseline, which deliberately holds the whole corpus in
-//! RAM, runs afterwards. The cell asserts the correctness anchor — the
-//! disk and memory backends discover byte-identical patterns — before
-//! reporting a number.
+//! RAM, runs afterwards.
 //!
-//! Headlines, asserted in full mode: delta encoding stores a revision in
-//! ≤ 25% of the full-text bytes, and the disk-backend mine of a ≥ 1M-entity
-//! corpus peaks under 2 GiB RSS. Results land in `BENCH_corpus.json` at
-//! the repo root. Set `WICLEAN_BENCH_FAST=1` for a CI-sized smoke run (no
-//! JSON write).
+//! [`corpus_scale`] asserts before it reports: delta encoding stores a
+//! revision in ≤ 25% of the full-text bytes, the store reopens clean, a
+//! `current_club` pattern is found, and the disk and memory backends
+//! discover byte-identical patterns. At full scale (1M players) it also
+//! asserts the disk phases peak under 2 GiB RSS. The `corpus_scale` binary
+//! runs the full scale and writes `BENCH_corpus.json`; the test below runs
+//! the 2,000-player fast scale.
 
 use serde::Serialize;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use wiclean_core::config::MinerConfig;
 use wiclean_core::{open_sharded_corpus, WindowMiner, WindowResult};
 use wiclean_revstore::{
     MemoryBudget, RealFs, RevisionStore, ShardPolicy, ShardedStore, SyncPolicy,
@@ -30,87 +30,82 @@ use wiclean_revstore::{
 use wiclean_synth::{build_bulk_universe, BulkConfig, BulkWorld};
 use wiclean_types::{Universe, Window};
 
-/// One backend's ingest measurements.
-#[derive(Serialize)]
-struct IngestCell {
-    entities: u64,
-    revisions: u64,
+/// One ingest's measurements.
+#[derive(Debug, Serialize)]
+pub struct IngestCell {
+    pub entities: u64,
+    pub revisions: u64,
     /// Raw wikitext bytes fed in.
-    text_bytes: u64,
+    pub text_bytes: u64,
     /// Valid segment bytes the store wrote.
-    bytes_on_disk: u64,
-    bytes_per_revision: f64,
-    wall_s: f64,
-    mb_per_s: f64,
-    frames_full: u64,
-    frames_delta: u64,
+    pub bytes_on_disk: u64,
+    pub bytes_per_revision: f64,
+    pub wall_s: f64,
+    pub mb_per_s: f64,
+    pub frames_full: u64,
+    pub frames_delta: u64,
 }
 
 /// One backend's mining measurements over the planted transfer window.
-#[derive(Serialize)]
-struct MineCell {
-    backend: String,
-    wall_s: f64,
-    patterns: usize,
-    most_specific: usize,
-    snapshot_cache_hits: u64,
-    snapshot_cache_misses: u64,
-    snapshot_cache_evictions: u64,
-    snapshot_cache_hit_rate: f64,
-    delta_chain_replays: u64,
+#[derive(Debug, Serialize)]
+pub struct MineCell {
+    pub backend: String,
+    pub wall_s: f64,
+    pub patterns: usize,
+    pub most_specific: usize,
+    pub snapshot_cache_hits: u64,
+    pub snapshot_cache_misses: u64,
+    pub snapshot_cache_evictions: u64,
+    pub snapshot_cache_hit_rate: f64,
+    pub delta_chain_replays: u64,
 }
 
-#[derive(Serialize)]
-struct Report {
-    host_cores: usize,
-    fast_mode: bool,
-    rng_seed: u64,
-    players: u32,
-    clubs: u32,
-    revisions_per_player: u32,
-    shards: u32,
-    snapshot_every: u32,
-    memory_budget_bytes: u64,
+/// The whole run, as written to `BENCH_corpus.json`.
+#[derive(Debug, Serialize)]
+pub struct CorpusScaleReport {
+    pub host_cores: usize,
+    pub fast_mode: bool,
+    pub rng_seed: u64,
+    pub players: u32,
+    pub clubs: u32,
+    pub revisions_per_player: u32,
+    pub shards: u32,
+    pub snapshot_every: u32,
+    pub memory_budget_bytes: u64,
     /// Per-shard ingest delta-base budget (bytes); see the policy comment
-    /// in `main` for why the bench pins it well below the default.
-    ingest_base_budget_bytes: u64,
+    /// in [`corpus_scale`] for why it sits well below the default.
+    pub ingest_base_budget_bytes: u64,
     /// Total entities in the corpus (the ≥ 1M acceptance bar).
-    entities: u64,
+    pub entities: u64,
     /// Delta-encoded ingest (the real configuration).
-    ingest_delta: IngestCell,
-    /// Full-text ingest baseline (`snapshot_every = 1`, possibly over a
-    /// subset — bytes/revision is what is compared, and it is per-entity).
-    ingest_full: IngestCell,
+    pub ingest_delta: IngestCell,
+    /// Full-text ingest baseline (`snapshot_every = 1`, over a subset at
+    /// full scale — bytes/revision is what is compared, and it is
+    /// per-entity).
+    pub ingest_full: IngestCell,
     /// `ingest_delta.bytes_per_revision / ingest_full.bytes_per_revision`;
     /// asserted ≤ 0.25.
-    delta_to_full_ratio: f64,
-    mine_disk: MineCell,
-    mine_memory: MineCell,
+    pub delta_to_full_ratio: f64,
+    pub mine_disk: MineCell,
+    pub mine_memory: MineCell,
     /// Peak process RSS (VmHWM, MiB) measured right after the disk mine,
-    /// before the in-memory baseline was built; asserted ≤ 2048 in full
-    /// mode.
-    rss_peak_disk_phase_mb: u64,
+    /// before the in-memory baseline was built; asserted ≤ 2048 at full
+    /// scale.
+    pub rss_peak_disk_phase_mb: u64,
     /// Disk and memory backends discovered byte-identical patterns.
-    digest_identical: bool,
+    pub digest_identical: bool,
     /// Disk mine wall-clock over memory mine wall-clock.
-    disk_vs_memory_wall_ratio: f64,
+    pub disk_vs_memory_wall_ratio: f64,
 }
 
 /// Peak resident set (VmHWM) of this process, in MiB.
 fn peak_rss_mb() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb / 1024;
-        }
-    }
-    0
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|kb| kb.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0, |kb| kb / 1024)
 }
 
 /// Streams `take` entity histories (all of them if `None`) into a fresh
@@ -118,19 +113,17 @@ fn peak_rss_mb() -> u64 {
 /// history plus the store's own index.
 fn stream_ingest(
     world: &BulkWorld,
-    dir: &std::path::Path,
+    dir: &Path,
     policy: ShardPolicy,
-    budget: Arc<MemoryBudget>,
+    budget_bytes: u64,
     take: Option<usize>,
-) -> (ShardedStore<RealFs>, IngestCell) {
+) -> IngestCell {
     let _ = std::fs::remove_dir_all(dir);
+    let budget = Arc::new(MemoryBudget::new(budget_bytes));
     let store = ShardedStore::create(RealFs, dir, policy, budget).expect("create sharded store");
-    let limit = take.unwrap_or(usize::MAX);
-    let mut entities = 0u64;
-    let mut revisions = 0u64;
-    let mut text_bytes = 0u64;
+    let (mut entities, mut revisions, mut text_bytes) = (0u64, 0u64, 0u64);
     let t0 = Instant::now();
-    for (entity, history) in world.histories().take(limit) {
+    for (entity, history) in world.histories().take(take.unwrap_or(usize::MAX)) {
         revisions += history.len() as u64;
         text_bytes += history.iter().map(|(_, t)| t.len() as u64).sum::<u64>();
         store
@@ -141,7 +134,7 @@ fn stream_ingest(
     store.flush().expect("flush segments");
     let wall = t0.elapsed().as_secs_f64();
     let stats = store.corpus_stats();
-    let cell = IngestCell {
+    IngestCell {
         entities,
         revisions,
         text_bytes,
@@ -151,8 +144,7 @@ fn stream_ingest(
         mb_per_s: text_bytes as f64 / (1 << 20) as f64 / wall.max(1e-9),
         frames_full: stats.frames_full,
         frames_delta: stats.frames_delta,
-    };
-    (store, cell)
+    }
 }
 
 /// A sorted, printable digest of the frequent patterns a window mine
@@ -175,25 +167,17 @@ fn pattern_digest(result: &WindowResult, universe: &Universe) -> Vec<String> {
     lines
 }
 
-fn main() {
-    let fast_mode = std::env::var_os("WICLEAN_BENCH_FAST").is_some();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+/// Runs generate → delta ingest → full-text ingest → reopen and disk mine
+/// → in-memory mine, with segment files under `dir` (removed at the end).
+/// `fast_mode` runs 2,000 players over 16 clubs; otherwise 1M players over
+/// 64 clubs. Panics if any invariant in the module docs fails.
+pub fn corpus_scale(fast_mode: bool, dir: &Path) -> CorpusScaleReport {
     let rng_seed = 0xC0A9u64;
-
-    let config = if fast_mode {
-        BulkConfig {
-            players: 2_000,
-            clubs: 16,
-            revisions_per_player: 8,
-            seed: rng_seed,
-        }
-    } else {
-        BulkConfig {
-            players: 1_000_000,
-            clubs: 64,
-            revisions_per_player: 8,
-            seed: rng_seed,
-        }
+    let config = BulkConfig {
+        players: if fast_mode { 2_000 } else { 1_000_000 },
+        clubs: if fast_mode { 16 } else { 64 },
+        revisions_per_player: 8,
+        seed: rng_seed,
     };
     // `ingest_base_budget` is PER SHARD, and a streamed ingest appends each
     // entity's whole history exactly once — a retained base is dead weight
@@ -216,48 +200,28 @@ fn main() {
         config.players, config.clubs, config.revisions_per_player
     );
     let world = build_bulk_universe(config);
-    let entities = config.entity_total();
-    println!("  universe built: peak RSS {} MiB", peak_rss_mb());
-
-    let tmp = std::env::temp_dir().join("wiclean-bench-corpus");
-    let delta_dir = tmp.join("delta");
-    let full_dir = tmp.join("full");
+    let delta_dir = dir.join("delta");
+    let full_dir = dir.join("full");
 
     // Phase 1 (disk): delta-encoded ingest at the real cadence.
-    let (store, ingest_delta) = stream_ingest(
-        &world,
-        &delta_dir,
-        policy,
-        Arc::new(MemoryBudget::new(budget_bytes)),
-        None,
-    );
+    let ingest_delta = stream_ingest(&world, &delta_dir, policy, budget_bytes, None);
     println!(
-        "  delta ingest: {} revisions, {:.1} MB/s, {:.1} bytes/revision ({} full + {} delta frames)",
-        ingest_delta.revisions,
-        ingest_delta.mb_per_s,
-        ingest_delta.bytes_per_revision,
-        ingest_delta.frames_full,
-        ingest_delta.frames_delta
+        "  delta ingest: {} revisions, {:.1} MB/s, {:.1} bytes/revision",
+        ingest_delta.revisions, ingest_delta.mb_per_s, ingest_delta.bytes_per_revision
     );
-    drop(store);
-    println!("  after delta ingest: peak RSS {} MiB", peak_rss_mb());
 
     // Phase 2 (disk): full-text baseline, snapshot frame every revision.
-    let (store, ingest_full) = stream_ingest(
+    let full_policy = ShardPolicy {
+        snapshot_every: 1,
+        ..policy
+    };
+    let ingest_full = stream_ingest(
         &world,
         &full_dir,
-        ShardPolicy {
-            snapshot_every: 1,
-            ..policy
-        },
-        Arc::new(MemoryBudget::new(budget_bytes)),
+        full_policy,
+        budget_bytes,
         full_baseline_take,
     );
-    println!(
-        "  full-text baseline: {} entities, {:.1} bytes/revision",
-        ingest_full.entities, ingest_full.bytes_per_revision
-    );
-    drop(store);
     let _ = std::fs::remove_dir_all(&full_dir);
     let delta_to_full_ratio = ingest_delta.bytes_per_revision / ingest_full.bytes_per_revision;
     println!("  delta/full bytes-per-revision ratio: {delta_to_full_ratio:.3}");
@@ -272,13 +236,7 @@ fn main() {
         BulkConfig::transfer_window_start(),
         BulkConfig::transfer_window_end(),
     );
-    let miner_config = MinerConfig {
-        tau: 0.5,
-        max_abstraction_height: 1,
-        max_pattern_actions: 4,
-        mine_relative: false,
-        ..MinerConfig::default()
-    };
+    let miner_config = crate::runtime::base_miner_config(0.5);
     let corpus = open_sharded_corpus(
         RealFs,
         &delta_dir,
@@ -311,10 +269,6 @@ fn main() {
     };
     drop(corpus);
     assert!(
-        !disk_digest.is_empty(),
-        "the planted transfer pattern must be discovered"
-    );
-    assert!(
         disk_digest.iter().any(|l| l.contains("current_club")),
         "expected a current_club pattern, got {disk_digest:?}"
     );
@@ -323,11 +277,8 @@ fn main() {
     // ingest, and the disk mine — everything but the in-memory baseline.
     let rss_peak_disk_phase_mb = peak_rss_mb();
     println!(
-        "  disk mine: {:.1}s, {} patterns, cache hit rate {:.3}, peak RSS {} MiB",
-        mine_disk.wall_s,
-        mine_disk.patterns,
-        mine_disk.snapshot_cache_hit_rate,
-        rss_peak_disk_phase_mb
+        "  disk mine: {disk_wall:.1}s, {} patterns, peak RSS {rss_peak_disk_phase_mb} MiB",
+        mine_disk.patterns
     );
     if !fast_mode {
         assert!(
@@ -360,19 +311,15 @@ fn main() {
         delta_chain_replays: 0,
     };
     drop(mem_store);
-    let _ = std::fs::remove_dir_all(&tmp);
-
+    let _ = std::fs::remove_dir_all(dir);
     assert_eq!(
         disk_digest, memory_digest,
         "backends must discover byte-identical patterns"
     );
-    let ratio = disk_wall / memory_wall.max(1e-9);
-    println!(
-        "  memory mine: {memory_wall:.1}s; disk/memory wall ratio {ratio:.2}; digests identical"
-    );
+    println!("  memory mine: {memory_wall:.1}s; digests identical");
 
-    let report = Report {
-        host_cores,
+    CorpusScaleReport {
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         fast_mode,
         rng_seed,
         players: config.players,
@@ -382,7 +329,7 @@ fn main() {
         snapshot_every: policy.snapshot_every,
         memory_budget_bytes: budget_bytes,
         ingest_base_budget_bytes: policy.ingest_base_budget,
-        entities,
+        entities: config.entity_total(),
         ingest_delta,
         ingest_full,
         delta_to_full_ratio,
@@ -390,14 +337,26 @@ fn main() {
         mine_memory,
         rss_peak_disk_phase_mb,
         digest_identical: true,
-        disk_vs_memory_wall_ratio: ratio,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_corpus.json");
-    if fast_mode {
-        println!("fast mode: skipping write of {path}");
-    } else {
-        std::fs::write(path, json + "\n").expect("write BENCH_corpus.json");
-        println!("wrote {path}");
+        disk_vs_memory_wall_ratio: disk_wall / memory_wall.max(1e-9),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "mining run — run with --release")]
+    fn fast_scale_disk_matches_memory() {
+        let dir = std::env::temp_dir().join(format!("wiclean-corpus-scale-{}", std::process::id()));
+        let report = corpus_scale(true, &dir);
+        assert!(!dir.exists(), "segment files are removed");
+        assert_eq!(report.entities, 2_016);
+        assert!(report.delta_to_full_ratio <= 0.25, "{report:?}");
+        assert!(report.digest_identical);
+        assert_eq!(report.mine_disk.patterns, report.mine_memory.patterns);
+        assert!(report.mine_disk.delta_chain_replays > 0, "{report:?}");
+        assert_eq!(report.ingest_full.frames_delta, 0);
+        assert!(report.ingest_delta.frames_delta > 0);
     }
 }

@@ -12,11 +12,13 @@
 //! | Table 1 — refinement heuristics grid | [`grid`] | `table1` |
 //! | Robustness under degraded crawls | [`robustness`] | `robustness` |
 //! | Crash-recovery fault sweep | [`recovery`] | `recovery` |
+//! | Out-of-core corpus at 1M entities | [`corpus_scale`] | `corpus_scale` |
 //!
 //! Absolute times will differ from the paper's testbed; the harness is
 //! about reproducing the *shape* of each result (who wins, by what factor,
 //! where preprocessing dominates).
 
+pub mod corpus_scale;
 pub mod grid;
 pub mod metrics;
 pub mod quality;
@@ -33,9 +35,6 @@ pub use recovery::{
     render_recovery, run_recovery, FaultClass, RecoveryCell, RecoverySweepReport, ALL_FAULT_CLASSES,
 };
 pub use robustness::{run_robustness, RobustnessCell, RobustnessReport, DEFAULT_FAULT_RATES};
-pub use runtime::{
-    backend_comparison, fig4a, fig4b, fig4c, fig4d, preprocess_cache_ablation, render_corpus_runs,
-    CacheRun, CorpusRun,
-};
+pub use runtime::{fig4a, fig4b, fig4c, fig4d};
 pub use smalldata::{run_smalldata, SmallDataReport};
 pub use streaming::{render_stream_cells, stream_vs_full_remine, StreamCell};

@@ -241,237 +241,6 @@ pub fn fig4d(sizes: &[usize], max_threads: usize, rng: u64) -> Vec<ParallelRun> 
     out
 }
 
-/// One row of the preprocessing-cache ablation: a full Algorithm 2 search
-/// with or without the shared action-extraction cache, and where its
-/// preprocessing time went.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CacheRun {
-    /// `"PM"` (cache on) or `"PM-prep-cache"` (ablated).
-    pub label: String,
-    /// Revision-log crawling/parsing/reduction time across all iterations.
-    pub preprocess: Duration,
-    /// Pattern-mining time across all iterations.
-    pub mine: Duration,
-    /// Preprocessing lookups served as exact cache hits.
-    pub action_cache_hits: usize,
-    /// Preprocessing lookups served by composing cached sub-windows.
-    pub action_cache_composed: usize,
-    /// Preprocessing lookups that re-parsed from raw text.
-    pub action_cache_misses: usize,
-    /// Share of lookups served without re-parsing.
-    pub hit_rate: f64,
-    /// Wikitext bytes fed through a parser on cache misses.
-    #[serde(default)]
-    pub bytes_parsed: u64,
-    /// Wikitext bytes the incremental extractor spliced through unchanged.
-    #[serde(default)]
-    pub bytes_skipped: u64,
-    /// Share of extraction bytes skipped by the prediff gate.
-    #[serde(default)]
-    pub skip_rate: f64,
-    /// Patterns discovered (sanity: both rows must agree).
-    pub patterns: usize,
-}
-
-/// Preprocessing-cache ablation: the same window/threshold search with and
-/// without the shared [`wiclean_revstore::ActionCache`]. Refinement
-/// re-extracts every entity each iteration; the cached run serves those
-/// lookups from memory (and assembles widened windows from cached
-/// sub-windows), so its preprocessing share shrinks while discoveries stay
-/// identical.
-pub fn preprocess_cache_ablation(seeds: usize, rng: u64) -> Vec<CacheRun> {
-    use wiclean_core::windows::find_windows_and_patterns;
-    let world = soccer_world(seeds, rng);
-    let mut out = Vec::new();
-    for &use_action_cache in &[true, false] {
-        let mut wc = crate::quality::default_wc_config(2);
-        wc.use_action_cache = use_action_cache;
-        let r = find_windows_and_patterns(&world.store, &world.universe, world.seed_type, &wc);
-        out.push(CacheRun {
-            label: if use_action_cache {
-                "PM"
-            } else {
-                "PM-prep-cache"
-            }
-            .to_owned(),
-            preprocess: r.stats.preprocess,
-            mine: r.stats.mine,
-            action_cache_hits: r.stats.action_cache_hits,
-            action_cache_composed: r.stats.action_cache_composed,
-            action_cache_misses: r.stats.action_cache_misses,
-            hit_rate: r.stats.action_cache_hit_rate(),
-            bytes_parsed: r.stats.bytes_parsed,
-            bytes_skipped: r.stats.bytes_skipped,
-            skip_rate: r.stats.extract_skip_rate(),
-            patterns: r.discovered.len(),
-        });
-    }
-    out
-}
-
-/// Renders the preprocessing-cache ablation rows.
-pub fn render_cache_runs(rows: &[CacheRun]) -> String {
-    let mut s = format!(
-        "{:>15} {:>12} {:>10} {:>8} {:>10} {:>8} {:>9} {:>12} {:>12} {:>9} {:>9}\n",
-        "algorithm",
-        "preproc(s)",
-        "mining(s)",
-        "hits",
-        "composed",
-        "misses",
-        "hit-rate",
-        "parsed(B)",
-        "skipped(B)",
-        "skip-rate",
-        "patterns"
-    );
-    for r in rows {
-        s.push_str(&format!(
-            "{:>15} {:>12.3} {:>10.3} {:>8} {:>10} {:>8} {:>9.3} {:>12} {:>12} {:>9.3} {:>9}\n",
-            r.label,
-            r.preprocess.as_secs_f64(),
-            r.mine.as_secs_f64(),
-            r.action_cache_hits,
-            r.action_cache_composed,
-            r.action_cache_misses,
-            r.hit_rate,
-            r.bytes_parsed,
-            r.bytes_skipped,
-            r.skip_rate,
-            r.patterns
-        ));
-    }
-    s
-}
-
-/// One row of the corpus-backend comparison: the same Algorithm 2 search
-/// over the in-memory store or the out-of-core sharded store, with the
-/// disk row's I/O and snapshot-cache counters attached.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CorpusRun {
-    /// `"memory"` or `"disk"`.
-    pub label: String,
-    /// Pattern-mining time.
-    pub mine: Duration,
-    /// Valid segment bytes on disk (0 for the memory backend).
-    pub bytes_on_disk: u64,
-    /// Snapshot-cache hits while mining.
-    pub snapshot_cache_hits: u64,
-    /// Snapshot-cache misses (each one materialized from segment frames).
-    pub snapshot_cache_misses: u64,
-    /// Snapshots evicted to stay under the byte budget.
-    pub snapshot_cache_evictions: u64,
-    /// Delta frames decoded while reading page histories.
-    pub delta_chain_replays: u64,
-    /// Page histories fetched while mining.
-    pub pages_fetched: u64,
-    /// Patterns discovered (sanity: both rows must agree).
-    pub patterns: usize,
-}
-
-impl CorpusRun {
-    /// Share of snapshot lookups served without touching segment frames.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.snapshot_cache_hits + self.snapshot_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.snapshot_cache_hits as f64 / total as f64
-    }
-}
-
-/// Corpus-backend comparison: the same window/threshold search over the
-/// plain in-memory store and over an out-of-core sharded store built from
-/// it (delta-encoded segments, byte-budgeted snapshot cache). Discoveries
-/// must be identical; the disk row carries the counters that explain what
-/// the out-of-core path paid for the memory it saved.
-pub fn backend_comparison(seeds: usize, rng: u64, budget_bytes: u64) -> Vec<CorpusRun> {
-    use std::sync::Arc;
-    use wiclean_core::windows::find_windows_and_patterns;
-    use wiclean_core::{ingest_sharded, open_sharded_corpus, MiningPool};
-    use wiclean_revstore::{
-        FetchSource, MemFs, MemoryBudget, ShardPolicy, ShardedStore, SyncPolicy,
-    };
-
-    let world = soccer_world(seeds, rng);
-    let wc = crate::quality::default_wc_config(2);
-    let mut out = Vec::new();
-
-    let fetched_before = world.store.stats().pages_fetched;
-    let r = find_windows_and_patterns(&world.store, &world.universe, world.seed_type, &wc);
-    out.push(CorpusRun {
-        label: "memory".to_owned(),
-        mine: r.stats.mine,
-        bytes_on_disk: 0,
-        snapshot_cache_hits: 0,
-        snapshot_cache_misses: 0,
-        snapshot_cache_evictions: 0,
-        delta_chain_replays: 0,
-        pages_fetched: world.store.stats().pages_fetched - fetched_before,
-        patterns: r.discovered.len(),
-    });
-
-    let fs = Arc::new(MemFs::new());
-    let dir = std::path::PathBuf::from("/corpus");
-    let policy = ShardPolicy {
-        sync: SyncPolicy::Never,
-        ..ShardPolicy::default()
-    };
-    let budget = Arc::new(MemoryBudget::new(budget_bytes));
-    {
-        let dest = ShardedStore::create(fs.clone(), &dir, policy, budget.clone()).unwrap();
-        ingest_sharded(&MiningPool::new(2), &world.store, &dest).unwrap();
-    }
-    let corpus = open_sharded_corpus(fs, &dir, policy, budget).unwrap();
-    let mut r = find_windows_and_patterns(&corpus.store, &world.universe, world.seed_type, &wc);
-    corpus.stamp_stats(&mut r.stats);
-    out.push(CorpusRun {
-        label: "disk".to_owned(),
-        mine: r.stats.mine,
-        bytes_on_disk: r.stats.bytes_on_disk,
-        snapshot_cache_hits: r.stats.snapshot_cache_hits,
-        snapshot_cache_misses: r.stats.snapshot_cache_misses,
-        snapshot_cache_evictions: r.stats.snapshot_cache_evictions,
-        delta_chain_replays: r.stats.delta_chain_replays,
-        pages_fetched: corpus.store.crawl_stats().pages_fetched,
-        patterns: r.discovered.len(),
-    });
-    out
-}
-
-/// Renders the corpus-backend comparison rows.
-pub fn render_corpus_runs(rows: &[CorpusRun]) -> String {
-    let mut s = format!(
-        "{:>8} {:>10} {:>12} {:>10} {:>10} {:>10} {:>9} {:>10} {:>8} {:>9}\n",
-        "backend",
-        "mining(s)",
-        "disk(B)",
-        "hits",
-        "misses",
-        "evicted",
-        "hit-rate",
-        "replays",
-        "pages",
-        "patterns"
-    );
-    for r in rows {
-        s.push_str(&format!(
-            "{:>8} {:>10.3} {:>12} {:>10} {:>10} {:>10} {:>9.3} {:>10} {:>8} {:>9}\n",
-            r.label,
-            r.mine.as_secs_f64(),
-            r.bytes_on_disk,
-            r.snapshot_cache_hits,
-            r.snapshot_cache_misses,
-            r.snapshot_cache_evictions,
-            r.cache_hit_rate(),
-            r.delta_chain_replays,
-            r.pages_fetched,
-            r.patterns
-        ));
-    }
-    s
-}
-
 /// Renders timed runs as the paper's stacked-bar data (text table), with
 /// the join engine's materialization-saving columns appended.
 pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
@@ -527,6 +296,13 @@ pub fn render_parallel(rows: &[ParallelRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use wiclean_core::pattern::Pattern;
+    use wiclean_core::windows::{find_windows_and_patterns, WcResult};
+    use wiclean_core::{ingest_sharded, open_sharded_corpus};
+    use wiclean_revstore::{
+        FetchSource, MemFs, MemoryBudget, ShardPolicy, ShardedStore, SyncPolicy,
+    };
 
     #[test]
     fn transfer_window_matches_planted_slot() {
@@ -549,21 +325,33 @@ mod tests {
         assert!(render_timed(&rows, "seeds").contains("PM"));
     }
 
+    /// The patterns a search discovered, in discovery order.
+    fn patterns(r: &WcResult) -> Vec<&Pattern> {
+        r.discovered.iter().map(|d| &d.pattern).collect()
+    }
+
     #[test]
     #[cfg_attr(debug_assertions, ignore = "mining run — run with --release")]
     fn preprocess_cache_cuts_preprocessing_not_patterns() {
-        let rows = preprocess_cache_ablation(150, 0xCACE);
-        assert_eq!(rows.len(), 2);
-        let (cached, uncached) = (&rows[0], &rows[1]);
-        assert_eq!(cached.label, "PM");
-        assert_eq!(uncached.label, "PM-prep-cache");
-        assert_eq!(cached.patterns, uncached.patterns, "identical discoveries");
+        let world = soccer_world(150, 0xCACE);
+        let search = |use_action_cache| {
+            let mut wc = crate::quality::default_wc_config(2);
+            wc.use_action_cache = use_action_cache;
+            find_windows_and_patterns(&world.store, &world.universe, world.seed_type, &wc)
+        };
+        let (cached, uncached) = (search(true), search(false));
+        assert_eq!(
+            patterns(&cached),
+            patterns(&uncached),
+            "identical discoveries"
+        );
+        let (cached, uncached) = (&cached.stats, &uncached.stats);
         assert!(
             cached.action_cache_hits + cached.action_cache_composed > 0,
             "refinement must reuse preprocessing: {cached:?}"
         );
-        assert!(cached.hit_rate > 0.0);
-        assert_eq!(uncached.hit_rate, 0.0);
+        assert!(cached.action_cache_hit_rate() > 0.0);
+        assert_eq!(uncached.action_cache_hit_rate(), 0.0);
         // The whole point: the cached run spends measurably less time in
         // preprocessing (refinement re-extracts everything otherwise).
         assert!(
@@ -572,35 +360,51 @@ mod tests {
             cached.preprocess,
             uncached.preprocess
         );
-        // Incremental extraction is on by default: both rows splice some
-        // revision bytes through unchanged, and the rendered table says so.
-        assert!(cached.skip_rate > 0.0, "cached {cached:?}");
-        assert!(uncached.skip_rate > 0.0, "uncached {uncached:?}");
-        let rendered = render_cache_runs(&rows);
-        assert!(rendered.contains("hit-rate"));
-        assert!(rendered.contains("skip-rate"));
+        // Incremental extraction is on by default: both runs splice some
+        // revision bytes through unchanged.
+        assert!(cached.extract_skip_rate() > 0.0, "cached {cached:?}");
+        assert!(uncached.extract_skip_rate() > 0.0, "uncached {uncached:?}");
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "mining run — run with --release")]
     fn backend_comparison_finds_identical_patterns() {
+        let world = soccer_world(150, 0xD15C);
+        let wc = crate::quality::default_wc_config(2);
+        let fetched_before = world.store.stats().pages_fetched;
+        let memory = find_windows_and_patterns(&world.store, &world.universe, world.seed_type, &wc);
+        let memory_pages = world.store.stats().pages_fetched - fetched_before;
+
+        let fs = Arc::new(MemFs::new());
+        let dir = std::path::PathBuf::from("/corpus");
+        let policy = ShardPolicy {
+            sync: SyncPolicy::Never,
+            ..ShardPolicy::default()
+        };
         // A budget small enough to force evictions on a 150-seed world.
-        let rows = backend_comparison(150, 0xD15C, 1 << 20);
-        assert_eq!(rows.len(), 2);
-        let (memory, disk) = (&rows[0], &rows[1]);
-        assert_eq!(memory.label, "memory");
-        assert_eq!(disk.label, "disk");
-        assert_eq!(memory.patterns, disk.patterns, "identical discoveries");
-        assert!(disk.bytes_on_disk > 0);
+        let budget = Arc::new(MemoryBudget::new(1 << 20));
+        let dest = ShardedStore::create(fs.clone(), &dir, policy, budget.clone()).unwrap();
+        ingest_sharded(&MiningPool::new(2), &world.store, &dest).unwrap();
+        drop(dest);
+        let corpus = open_sharded_corpus(fs, &dir, policy, budget).unwrap();
+        let mut disk =
+            find_windows_and_patterns(&corpus.store, &world.universe, world.seed_type, &wc);
+        corpus.stamp_stats(&mut disk.stats);
+
+        assert_eq!(patterns(&memory), patterns(&disk), "identical discoveries");
+        assert!(disk.stats.bytes_on_disk > 0);
         // Extraction reads window-scoped chain replays, which bypass the
         // snapshot cache: the read work shows as pages fetched and delta
         // frames decoded.
-        assert!(disk.pages_fetched > 0, "the disk backend fetched pages");
-        assert!(memory.pages_fetched > 0, "the memory backend fetched pages");
-        assert!(disk.delta_chain_replays > 0, "delta frames were decoded");
-        let rendered = render_corpus_runs(&rows);
-        assert!(rendered.contains("hit-rate"));
-        assert!(rendered.contains("disk"));
+        assert!(
+            corpus.store.crawl_stats().pages_fetched > 0,
+            "the disk backend fetched pages"
+        );
+        assert!(memory_pages > 0, "the memory backend fetched pages");
+        assert!(
+            disk.stats.delta_chain_replays > 0,
+            "delta frames were decoded"
+        );
     }
 
     #[test]

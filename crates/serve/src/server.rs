@@ -335,8 +335,8 @@ fn handle_request(line: &str, shared: &Shared) -> String {
                 },
             };
             // The timed suggestion path: pin the index generation, look up,
-            // rank. This is the figure the bench reports as server-side
-            // latency.
+            // rank. This is the server-side latency each response carries
+            // and `stats` aggregates.
             let t0 = Instant::now();
             let (index, epoch) = shared.epoch.load_with_epoch();
             let found = index.suggest_by_name(&entity, sig);

@@ -63,11 +63,11 @@ fn revision_text_strategy() -> impl Strategy<Value = String> {
 
 /// Asserts the incremental parser tracks the frozen parse+diff oracle at
 /// every revision of `history`.
-fn assert_incremental_matches_frozen(history: &[String]) -> Result<(), TestCaseError> {
+fn assert_incremental_matches_frozen<S: AsRef<str>>(history: &[S]) -> Result<(), TestCaseError> {
     let mut syms = SymTable::new();
     let mut incr = IncrementalParser::new();
     let mut prev = PageLinks::new();
-    for (i, text) in history.iter().enumerate() {
+    for (i, text) in history.iter().map(AsRef::as_ref).enumerate() {
         let (frozen_page, frozen_issues) = parse_page_checked(text);
         let frozen_edits = diff_links(&prev, &frozen_page);
 
@@ -226,5 +226,36 @@ proptest! {
             history.push(render_links("Test Page", "thing", &state));
         }
         assert_incremental_matches_frozen(&history)?;
+    }
+}
+
+#[test]
+fn swar_newline_vt_adjacency() {
+    // '\n' immediately followed by 0x0B inside an 8-byte chunk
+    let r1 = "aaaaaa\n\u{b}bbbbbb\ncccccc\n== s ==\n* [[A]]\n";
+    let r2 = "aaaaaa\n\u{b}bbbbbb\ncccccc\n== s ==\n* [[B]]\n";
+    assert_incremental_matches_frozen(&[r1, r2]).unwrap();
+}
+
+#[test]
+fn redirect_synthesized_by_comment_stripping() {
+    assert_incremental_matches_frozen(&[
+        "== s ==\n* [[A]]\n",
+        "#RED<!--x-->IRECT [[T]]\n{{Infobox a\n| f = [[B]]\n}}\n",
+    ])
+    .unwrap();
+}
+
+#[test]
+fn redirect_magic_word_is_case_insensitive() {
+    // MediaWiki matches `#REDIRECT` in any ASCII case, comments stripped
+    // first; the incremental gate must see every spelling the frozen
+    // parser does.
+    let body = "{{Infobox a\n| f = [[B]]\n}}\n== s ==\n* [[A]]\n";
+    for marker in ["#redirect", "#Redirect", "#red<!--x-->irect", "#REDirect"] {
+        let stub = format!("{marker} [[T]]\n{body}");
+        assert_eq!(parse_page(&stub).redirect.as_deref(), Some("T"), "{marker}");
+        assert_incremental_matches_frozen(&[body, stub.as_str(), body]).unwrap();
+        assert_incremental_matches_frozen(&["== s ==\n* [[A]]\n", stub.as_str()]).unwrap();
     }
 }
