@@ -11,20 +11,78 @@
 //!    response must be `ok`;
 //! 4. issue an admin `reload` mid-run: the epoch must advance, traffic
 //!    after it must be answered by the new generation;
-//! 5. assert the final stats: zero errors, zero caught panics, exactly
-//!    one swap, and every request accounted for.
+//! 5. send `requests` more suggest requests pipelined over one connection,
+//!    in bursts of [`BURST`] lines per write: every response must be `ok`
+//!    and on the new epoch, and the server must have answered them in
+//!    fewer writes than responses;
+//! 6. assert the final stats: zero errors, zero caught panics, exactly
+//!    one swap, every request accounted for, and fewer writes than
+//!    responses.
 //!
 //! Exits nonzero on any violation so CI can gate on it.
 
+use serde_json::Value;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 use wiclean_core::windows::find_windows_and_patterns;
 use wiclean_eval::quality::default_wc_config;
 use wiclean_serve::{
     serve, IndexLimits, PatternIndex, PatternSet, ReloadFn, ServeConfig, SuggestClient,
 };
 use wiclean_synth::{generate, scenarios, SynthConfig};
+
+/// Requests per pipelined burst.
+const BURST: usize = 64;
+
+/// Sends `count` suggest requests over one connection, [`BURST`] lines per
+/// write, and checks that every response is `ok` and answered by `epoch`.
+/// Returns (failures, responses read).
+fn pipelined(addr: SocketAddr, names: &[String], count: usize, epoch: u64) -> (usize, usize) {
+    let stream = TcpStream::connect(addr).expect("connect pipelined");
+    stream.set_nodelay(true).ok();
+    // A response the server holds back fails the run instead of hanging it.
+    stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let (mut failures, mut answered) = (0usize, 0usize);
+    for first in (0..count).step_by(BURST) {
+        let burst = first..count.min(first + BURST);
+        let lines: String = burst
+            .clone()
+            .map(|i| {
+                let entity = serde_json::to_string(&names[i % names.len()]).expect("name");
+                format!("{{\"op\":\"suggest\",\"entity\":{entity}}}\n")
+            })
+            .collect();
+        if let Err(e) = writer.write_all(lines.as_bytes()) {
+            eprintln!("FAIL(pipelined): burst at request {first} not sent: {e}");
+            return (failures + count - answered, answered);
+        }
+        for i in burst {
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(n) if n > 0 => {
+                    answered += 1;
+                    let v: Value = serde_json::from_str(&line).unwrap_or(Value::Null);
+                    let ok = v.get("ok").and_then(|b| b.as_bool()) == Some(true);
+                    if !ok || v.get("epoch").and_then(|e| e.as_u64()) != Some(epoch) {
+                        eprintln!("FAIL(pipelined): request {i} → {}", line.trim_end());
+                        failures += 1;
+                    }
+                }
+                other => {
+                    eprintln!("FAIL(pipelined): request {i} dropped: {other:?}");
+                    return (failures + count - answered, answered);
+                }
+            }
+        }
+    }
+    (failures, answered)
+}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -152,18 +210,37 @@ fn main() -> ExitCode {
     answered += a2;
     suggestions_seen += s2;
 
-    let stats = handle.stats();
-    let errors = stats.errors.load(Ordering::Relaxed);
-    let panics = stats.panics_caught.load(Ordering::Relaxed);
-    let swaps = stats.swaps.load(Ordering::Relaxed);
+    let writes_before = handle.stats().writes.load(Ordering::Relaxed);
+    let (f3, piped) = pipelined(addr, &names, requests, 2);
+    failures += f3;
+    let piped_writes = handle.stats().writes.load(Ordering::Relaxed) - writes_before;
+    println!("  pipelined: {piped}/{requests} answered in {piped_writes} writes");
+    if piped_writes >= piped as u64 {
+        eprintln!("FAIL: {piped} pipelined responses took {piped_writes} writes");
+        failures += 1;
+    }
+
+    let snapshot = handle.stats().snapshot(handle.epoch());
     println!(
-        "\n  {answered}/{requests} answered, {suggestions_seen} suggestions served, \
-         {errors} errors, {panics} panics, {swaps} swaps, suggest p99 {:?} µs",
-        stats.snapshot(handle.epoch()).suggest_p99_us
+        "\n  {answered}/{requests} answered one at a time, {suggestions_seen} suggestions \
+         served, {} errors, {} panics, {} swaps, {} responses in {} writes, suggest p99 {:?} µs",
+        snapshot.errors,
+        snapshot.panics_caught,
+        snapshot.swaps,
+        snapshot.requests,
+        snapshot.writes,
+        snapshot.suggest_p99_us
     );
     handle.shutdown();
 
-    if failures > 0 || answered != requests || errors != 0 || panics != 0 || swaps != 1 {
+    if failures > 0
+        || answered != requests
+        || piped != requests
+        || snapshot.errors != 0
+        || snapshot.panics_caught != 0
+        || snapshot.swaps != 1
+        || snapshot.writes >= snapshot.requests
+    {
         eprintln!("FAIL: serve smoke violated its invariants");
         return ExitCode::FAILURE;
     }

@@ -8,8 +8,8 @@
 //! holds the revisions. Phase order matters: the disk-backend phases run
 //! first and the process' peak RSS (`VmHWM`) is read right after the disk
 //! mine, so the recorded peak covers exactly the out-of-core pipeline —
-//! the in-memory baseline, which deliberately holds the whole corpus in
-//! RAM, runs afterwards.
+//! the in-memory baseline, which holds every revision the window mine
+//! reads in RAM, runs afterwards.
 //!
 //! [`corpus_scale`] asserts before it reports: delta encoding stores a
 //! revision in ≤ 25% of the full-text bytes, the store reopens clean, a
@@ -287,10 +287,16 @@ pub fn corpus_scale(fast_mode: bool, dir: &Path) -> CorpusScaleReport {
         );
     }
 
-    // Phase 4 (memory baseline): the whole corpus in RAM, same mine.
+    // Phase 4 (memory baseline): the same mine over the in-memory store,
+    // holding only what it reads (the `FetchSource::fetch_window`
+    // contract): each entity's last revision before the window opens and
+    // its revisions inside the window. The whole corpus would not fit in
+    // RAM at full scale.
     let mut mem_store = RevisionStore::new();
     for (entity, history) in world.histories() {
-        for (time, text) in history {
+        let base = history.partition_point(|(time, _)| *time < window.start);
+        let end = history.partition_point(|(time, _)| *time < window.end);
+        for (time, text) in history.into_iter().take(end).skip(base.saturating_sub(1)) {
             mem_store.record(entity, time, text);
         }
     }

@@ -31,8 +31,12 @@ impl SuggestClient {
 
     /// Sends one raw request line and returns the raw response line.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per request: on a `TCP_NODELAY` socket a separate
+        // newline write would go out as a segment of its own.
+        let mut request = Vec::with_capacity(line.len() + 1);
+        request.extend_from_slice(line.as_bytes());
+        request.push(b'\n');
+        self.writer.write_all(&request)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -2,7 +2,10 @@
 //!
 //! One request per line, one response line back. Requests are parsed
 //! defensively from [`serde_json::Value`] — the server must survive any
-//! bytes a client sends — while responses are derive-serialized structs.
+//! bytes a client sends. Responses are derive-serialized structs, except
+//! on the hot path: [`write_suggest_response`] renders a `suggest` answer
+//! straight from the index into the connection's output buffer, byte for
+//! byte what serializing the matching [`SuggestResponse`] gives.
 //! Every response carries `ok` and the `epoch` of the index generation
 //! that answered it, which is what the hot-swap differential test keys on.
 //!
@@ -19,10 +22,11 @@
 //! {"op":"panic"}             // debug builds of the harness only
 //! ```
 
-use crate::index::IndexStats;
+use crate::index::{IndexStats, StoredSuggestion};
 use crate::stats::StatsSnapshot;
 use serde::Serialize;
 use serde_json::Value;
+use std::io::Write;
 use wiclean_wikitext::EditOp;
 
 /// The edit signature as it appears on the wire (names, not ids — clients
@@ -123,7 +127,8 @@ pub struct SuggestionOut {
     pub confidence: f64,
 }
 
-/// Response to `suggest`.
+/// Response to `suggest`. The server renders it with
+/// [`write_suggest_response`], which writes the same bytes.
 #[derive(Debug, Clone, Serialize)]
 pub struct SuggestResponse {
     /// Always `true` on this type.
@@ -198,6 +203,71 @@ pub fn error_line(epoch: u64, error: &str) -> String {
         error: flat,
     })
     .expect("error response serializes")
+}
+
+/// Appends the `suggest` response for `suggestions` to `out`, without its
+/// line break: the bytes `serde_json::to_string` gives for the
+/// [`SuggestResponse`] of the same epoch, suggestions and latency, but
+/// rendered from the index's own strings, with no owned copies and no
+/// serializer tree in between.
+pub fn write_suggest_response(
+    out: &mut Vec<u8>,
+    epoch: u64,
+    suggestions: &[&StoredSuggestion],
+    latency_ns: u64,
+) {
+    // Writes into a `Vec` cannot fail.
+    let _ = write!(out, "{{\"ok\":true,\"epoch\":{epoch},\"suggestions\":[");
+    for (i, s) in suggestions.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(b"{\"text\":");
+        write_json_str(out, &s.text);
+        out.extend_from_slice(b",\"pattern\":");
+        write_json_str(out, &s.pattern_text);
+        out.extend_from_slice(b",\"confidence\":");
+        if s.confidence.is_finite() {
+            let _ = write!(out, "{}", s.confidence);
+        } else {
+            // The serializer's stand-in for a non-finite float.
+            out.extend_from_slice(b"null");
+        }
+        out.push(b'}');
+    }
+    let _ = write!(out, "],\"latency_ns\":{latency_ns}}}");
+}
+
+/// Appends `s` as a JSON string literal with the serializer's escapes:
+/// `\"`, `\\`, `\n`, `\r`, `\t`, `\u00xx` for the other control
+/// characters, and every other character (non-ASCII included) as is.
+/// Runs that need no escape are copied whole.
+fn write_json_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut unicode = *b"\\u0000";
+    let mut run = 0;
+    out.push(b'"');
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                unicode[4] = HEX[usize::from(b >> 4)];
+                unicode[5] = HEX[usize::from(b & 0xf)];
+                &unicode
+            }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escape);
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 #[cfg(test)]

@@ -9,6 +9,15 @@
 //! pin a worker and starve queued ones (a bug the serve smoke harness
 //! caught in an earlier pool-based design). Handler threads poll the stop
 //! flag through bounded reads, so shutdown never waits on an idle client.
+//!
+//! Responses are appended to a per-connection output buffer and written
+//! with one `write_all` once the read buffer holds no further complete
+//! request line (so the next read could block), once the buffer passes
+//! `OUT_CAP`, and before the handler returns. A pipelined burst thus
+//! costs one system call instead of one per response, while a lone
+//! request is still written the moment it is answered; `stats` counts the
+//! writes.
+//!
 //! Three properties the tests pin down:
 //!
 //! * **Sub-ms suggestion path** — a `suggest` request is a symbol lookup,
@@ -28,8 +37,8 @@
 use crate::epoch::EpochPtr;
 use crate::index::{ActionSig, PatternIndex};
 use crate::protocol::{
-    error_line, parse_request, AckResponse, ReloadResponse, Request, StatsResponse,
-    SuggestResponse, SuggestionOut,
+    error_line, parse_request, write_suggest_response, AckResponse, ReloadResponse, Request,
+    StatsResponse,
 };
 use crate::stats::ServeStats;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -46,6 +55,10 @@ use wiclean_types::Universe;
 /// client can neither grow a handler's buffer without bound nor lose its
 /// connection by overrunning it.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Response bytes a connection buffers before it writes them out, even
+/// while further pipelined requests are waiting to be answered.
+const OUT_CAP: usize = 64 << 10;
 
 /// Rebuilds a [`PatternIndex`] on demand for the `reload` op. The argument
 /// is the request's optional `spec` string; the closure owns whatever it
@@ -231,42 +244,51 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // by a pause arrives whole, and bytes are decoded only once the line
     // is complete, so a multi-byte character split across reads survives.
     let mut line: Vec<u8> = Vec::new();
+    // Responses not yet written, each with its line break. A pipelined
+    // burst is answered in one write, not one write per response.
+    let mut out: Vec<u8> = Vec::new();
     // Set once the current line overran MAX_REQUEST_BYTES and was
     // answered: its remaining bytes are skipped up to the newline.
     let mut skipping = false;
     loop {
         let room = (MAX_REQUEST_BYTES + 2 - line.len()) as u64;
         match (&mut reader).take(room).read_until(b'\n', &mut line) {
-            Ok(0) => return, // client closed
+            Ok(0) => {
+                // Client closed.
+                let _ = flush(&mut writer, &mut out, shared);
+                return;
+            }
             Ok(_) => {
                 let complete = line.last() == Some(&b'\n');
-                let response = if skipping {
+                if skipping {
                     skipping = !complete;
-                    None
                 } else if line.len() - usize::from(complete) > MAX_REQUEST_BYTES {
                     skipping = !complete;
-                    Some(reject_line(
+                    reject_line(
                         shared,
                         &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
-                    ))
+                        &mut out,
+                    );
                 } else {
                     // A complete line, or the last one before the client
                     // closed without a newline.
                     match std::str::from_utf8(&line) {
-                        Ok(text) if text.trim().is_empty() => None,
-                        Ok(text) => Some(handle_request_guarded(text.trim(), shared)),
-                        Err(_) => Some(reject_line(shared, "request line is not valid UTF-8")),
-                    }
-                };
-                line.clear();
-                if let Some(response) = response {
-                    let mut out = response.into_bytes();
-                    out.push(b'\n');
-                    if writer.write_all(&out).is_err() {
-                        return;
+                        Ok(text) if text.trim().is_empty() => {}
+                        Ok(text) => handle_request_guarded(text.trim(), shared, &mut out),
+                        Err(_) => reject_line(shared, "request line is not valid UTF-8", &mut out),
                     }
                 }
-                if shared.stop.load(Ordering::Acquire) {
+                line.clear();
+                let stop = shared.stop.load(Ordering::Acquire);
+                // Write out once no further complete request is buffered
+                // (the next read could block), the buffer is full, or the
+                // handler is about to return.
+                if (stop || out.len() >= OUT_CAP || !reader.buffer().contains(&b'\n'))
+                    && flush(&mut writer, &mut out, shared).is_err()
+                {
+                    return;
+                }
+                if stop {
                     return;
                 }
             }
@@ -278,40 +300,69 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     return;
                 }
             }
-            Err(_) => return,
+            Err(_) => {
+                let _ = flush(&mut writer, &mut out, shared);
+                return;
+            }
         }
     }
+}
+
+/// Writes the buffered responses with one `write_all` and empties the
+/// buffer.
+fn flush(writer: &mut TcpStream, out: &mut Vec<u8>, shared: &Shared) -> std::io::Result<()> {
+    if out.is_empty() {
+        return Ok(());
+    }
+    shared.stats.writes.fetch_add(1, Ordering::Relaxed);
+    let written = writer.write_all(out);
+    out.clear();
+    written
 }
 
 /// Answers a line that never reached the request parser (too long, not
 /// UTF-8) with an error, counted like any rejected request.
-fn reject_line(shared: &Shared, message: &str) -> String {
+fn reject_line(shared: &Shared, message: &str, out: &mut Vec<u8>) {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-    error_line(shared.epoch.epoch(), message)
+    push_error(shared, message, out);
+    out.push(b'\n');
 }
 
-/// Runs one request under `catch_unwind`: a handler panic becomes an error
-/// response, never a dead worker thread.
-fn handle_request_guarded(line: &str, shared: &Shared) -> String {
+/// Runs one request under `catch_unwind` and appends its response line to
+/// `out`: a handler panic becomes an error response, never a dead worker
+/// thread or a half-rendered line.
+fn handle_request_guarded(line: &str, shared: &Shared, out: &mut Vec<u8>) {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    match catch_unwind(AssertUnwindSafe(|| handle_request(line, shared))) {
-        Ok(response) => response,
-        Err(_) => {
-            shared.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            error_line(shared.epoch.epoch(), "internal error: handler panicked")
-        }
+    let start = out.len();
+    if catch_unwind(AssertUnwindSafe(|| handle_request(line, shared, out))).is_err() {
+        shared.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
+        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+        out.truncate(start);
+        out.extend_from_slice(
+            error_line(shared.epoch.epoch(), "internal error: handler panicked").as_bytes(),
+        );
     }
+    out.push(b'\n');
 }
 
-fn handle_request(line: &str, shared: &Shared) -> String {
+/// Appends `response` to `out` as compact JSON.
+fn push_json<T: serde::Serialize>(out: &mut Vec<u8>, response: &T) {
+    let json = serde_json::to_string(response).expect("response serializes");
+    out.extend_from_slice(json.as_bytes());
+}
+
+/// Appends an error response to `out`, counted as an error.
+fn push_error(shared: &Shared, message: &str, out: &mut Vec<u8>) {
+    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+    out.extend_from_slice(error_line(shared.epoch.epoch(), message).as_bytes());
+}
+
+/// Answers one request, appending its response (without the line break)
+/// to `out`.
+fn handle_request(line: &str, shared: &Shared, out: &mut Vec<u8>) {
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return error_line(shared.epoch.epoch(), &e);
-        }
+        Err(e) => return push_error(shared, &e, out),
     };
     match request {
         Request::Suggest { entity, sig } => {
@@ -326,108 +377,95 @@ fn handle_request(line: &str, shared: &Shared) -> String {
                 Some(ws) => match shared.universe.lookup_relation(&ws.rel) {
                     Some(rel) => Some(ActionSig { op: ws.op, rel }),
                     None => {
-                        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        return error_line(
-                            shared.epoch.epoch(),
-                            &format!("unknown relation {:?}", ws.rel),
-                        );
+                        return push_error(shared, &format!("unknown relation {:?}", ws.rel), out)
                     }
                 },
             };
             // The timed suggestion path: pin the index generation, look up,
             // rank. This is the server-side latency each response carries
-            // and `stats` aggregates.
+            // and `stats` aggregates; rendering comes after it.
             let t0 = Instant::now();
             let (index, epoch) = shared.epoch.load_with_epoch();
             let found = index.suggest_by_name(&entity, sig);
-            let suggestions: Vec<SuggestionOut> = found
-                .iter()
-                .map(|s| SuggestionOut {
-                    text: s.text.clone(),
-                    pattern: s.pattern_text.clone(),
-                    confidence: s.confidence,
-                })
-                .collect();
             let latency_ns = t0.elapsed().as_nanos() as u64;
             shared.stats.record_latency_ns(latency_ns);
             shared
                 .stats
                 .suggestions_returned
-                .fetch_add(suggestions.len() as u64, Ordering::Relaxed);
-            serde_json::to_string(&SuggestResponse {
-                ok: true,
-                epoch,
-                suggestions,
-                latency_ns,
-            })
-            .expect("suggest response serializes")
+                .fetch_add(found.len() as u64, Ordering::Relaxed);
+            write_suggest_response(out, epoch, &found, latency_ns);
         }
         Request::Stats => {
             let (index, epoch) = shared.epoch.load_with_epoch();
-            serde_json::to_string(&StatsResponse {
-                ok: true,
-                epoch,
-                serve: shared.stats.snapshot(epoch),
-                index: index.stats().clone(),
-            })
-            .expect("stats response serializes")
+            push_json(
+                out,
+                &StatsResponse {
+                    ok: true,
+                    epoch,
+                    serve: shared.stats.snapshot(epoch),
+                    index: index.stats().clone(),
+                },
+            );
         }
-        Request::Reload { spec } => match &shared.reload {
-            None => {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+        Request::Reload { spec } => {
+            let Some(reload) = &shared.reload else {
                 shared
                     .stats
                     .reloads_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                error_line(shared.epoch.epoch(), "reload not configured")
-            }
-            Some(reload) => match reload(spec.as_deref()) {
+                return push_error(shared, "reload not configured", out);
+            };
+            match reload(spec.as_deref()) {
                 Ok(index) => {
                     let patterns = index.stats().patterns;
                     let suggestions = index.stats().suggestions;
                     let epoch = shared.epoch.swap(index);
                     shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
-                    serde_json::to_string(&ReloadResponse {
-                        ok: true,
-                        epoch,
-                        patterns,
-                        suggestions,
-                    })
-                    .expect("reload response serializes")
+                    push_json(
+                        out,
+                        &ReloadResponse {
+                            ok: true,
+                            epoch,
+                            patterns,
+                            suggestions,
+                        },
+                    );
                 }
                 Err(e) => {
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
                     shared
                         .stats
                         .reloads_rejected
                         .fetch_add(1, Ordering::Relaxed);
-                    error_line(shared.epoch.epoch(), &format!("reload rejected: {e}"))
+                    push_error(shared, &format!("reload rejected: {e}"), out);
                 }
+            }
+        }
+        Request::Ping => push_json(
+            out,
+            &AckResponse {
+                ok: true,
+                epoch: shared.epoch.epoch(),
+                ack: "pong".to_string(),
             },
-        },
-        Request::Ping => serde_json::to_string(&AckResponse {
-            ok: true,
-            epoch: shared.epoch.epoch(),
-            ack: "pong".to_string(),
-        })
-        .expect("ack serializes"),
+        ),
         Request::Shutdown => {
             shared.stop.store(true, Ordering::Release);
             // Unblock the accept loop so the server actually winds down.
             let _ = TcpStream::connect(shared.addr);
-            serde_json::to_string(&AckResponse {
-                ok: true,
-                epoch: shared.epoch.epoch(),
-                ack: "shutting down".to_string(),
-            })
-            .expect("ack serializes")
+            push_json(
+                out,
+                &AckResponse {
+                    ok: true,
+                    epoch: shared.epoch.epoch(),
+                    ack: "shutting down".to_string(),
+                },
+            );
         }
         Request::Panic => {
             if shared.enable_debug_ops {
                 panic!("debug op: deliberate panic");
             }
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            error_line(shared.epoch.epoch(), "debug ops disabled")
+            push_error(shared, "debug ops disabled", out);
         }
     }
 }

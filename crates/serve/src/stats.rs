@@ -29,6 +29,9 @@ pub struct ServeStats {
     /// Reloads rejected (build failure or oversized set); previous index
     /// kept.
     pub reloads_rejected: AtomicU64,
+    /// Socket writes of response bytes. A pipelined burst is answered in
+    /// one write, so `requests / writes` is the responses sent per write.
+    pub writes: AtomicU64,
     /// Log2-bucketed suggestion-path latency, nanoseconds.
     latency: [AtomicU64; BUCKETS],
 }
@@ -50,6 +53,7 @@ impl ServeStats {
             panics_caught: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             reloads_rejected: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             latency: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -96,6 +100,7 @@ impl ServeStats {
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             reloads_rejected: self.reloads_rejected.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
             suggest_p50_us: to_us(self.latency_quantile_ns(0.50)),
             suggest_p90_us: to_us(self.latency_quantile_ns(0.90)),
             suggest_p99_us: to_us(self.latency_quantile_ns(0.99)),
@@ -123,6 +128,8 @@ pub struct StatsSnapshot {
     pub swaps: u64,
     /// Rejected reloads (previous index kept).
     pub reloads_rejected: u64,
+    /// Socket writes of response bytes (one per pipelined burst).
+    pub writes: u64,
     /// Suggestion-path p50, microseconds.
     pub suggest_p50_us: Option<f64>,
     /// Suggestion-path p90, microseconds.

@@ -1,15 +1,18 @@
 //! End-to-end server behavior: liveness, hostile input, panic-proofing,
-//! admin reload (including rejection paths), stats consistency, and wire
-//! shutdown.
+//! admin reload (including rejection paths), stats consistency, wire
+//! shutdown, and pipelined bursts answered in one write each.
 
 mod common;
 
 use common::soccer_world;
+use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+use wiclean_serve::index::StoredSuggestion;
+use wiclean_serve::protocol::{write_suggest_response, SuggestResponse, SuggestionOut};
 use wiclean_serve::{
     serve, IndexLimits, PatternIndex, PatternSet, ReloadFn, ServeConfig, SuggestClient,
     MAX_REQUEST_BYTES,
@@ -389,4 +392,242 @@ fn split_and_oversized_requests_keep_the_connection_usable() {
 
     assert_eq!(handle.stats().errors.load(Ordering::Relaxed), 2);
     handle.shutdown();
+}
+
+/// A raw connection whose reads time out, so a response the server holds
+/// back fails the test instead of hanging it.
+fn raw_connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    (stream.try_clone().unwrap(), BufReader::new(stream))
+}
+
+fn read_response(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("response arrives before the read timeout");
+    assert!(line.ends_with('\n'), "whole response line: {line:?}");
+    line.trim_end().to_owned()
+}
+
+/// A `suggest` response without its `latency_ns`, the one field that
+/// differs between two answers to the same request.
+fn without_latency(response: &str) -> &str {
+    let at = response
+        .rfind(",\"latency_ns\":")
+        .unwrap_or_else(|| panic!("suggest response: {response:?}"));
+    &response[..at]
+}
+
+#[test]
+fn pipelined_burst_answers_in_order_with_fewer_writes() {
+    let fx = soccer_world();
+    let index = build(&fx, 0.8, IndexLimits::default()).unwrap();
+    let mut handle = serve(
+        ServeConfig::default(),
+        Arc::new(fx.universe.clone()),
+        index,
+        None,
+    )
+    .unwrap();
+    // A mix of entities with and without suggestions, signatures that keep
+    // and drop them, and an unknown page.
+    let mut names = fx.all_names();
+    names.push("No Such Page".to_owned());
+    let mut requests = Vec::new();
+    for name in &names {
+        let entity = serde_json::to_string(name).unwrap();
+        requests.push(format!(r#"{{"op":"suggest","entity":{entity}}}"#));
+        for edit in ["add", "remove"] {
+            requests.push(format!(
+                r#"{{"op":"suggest","entity":{entity},"sig":{{"edit":"{edit}","rel":"current_club"}}}}"#
+            ));
+        }
+    }
+    let requests: Vec<String> = requests.iter().cycle().take(64).cloned().collect();
+
+    let mut client = SuggestClient::connect(handle.addr()).unwrap();
+    let one_at_a_time: Vec<String> = requests
+        .iter()
+        .map(|r| client.send_line(r).unwrap())
+        .collect();
+    assert!(
+        one_at_a_time
+            .iter()
+            .any(|r| !r.contains("\"suggestions\":[]")),
+        "the mix has answers with suggestions"
+    );
+
+    let writes_before = handle.stats().writes.load(Ordering::Relaxed);
+    let (mut writer, mut reader) = raw_connect(handle.addr());
+    let burst: String = requests.iter().map(|r| format!("{r}\n")).collect();
+    writer.write_all(burst.as_bytes()).unwrap();
+    for (i, expected) in one_at_a_time.iter().enumerate() {
+        let got = read_response(&mut reader);
+        assert_eq!(
+            without_latency(&got),
+            without_latency(expected),
+            "response {i} to {}",
+            requests[i]
+        );
+    }
+    let writes = handle.stats().writes.load(Ordering::Relaxed) - writes_before;
+    assert!(
+        writes < requests.len() as u64,
+        "{writes} writes for {} pipelined responses",
+        requests.len()
+    );
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        stats["serve"]["requests"].as_u64(),
+        Some(2 * requests.len() as u64 + 1)
+    );
+    assert!(stats["serve"]["writes"].as_u64().unwrap() < 2 * requests.len() as u64);
+    handle.shutdown();
+}
+
+#[test]
+fn complete_lines_before_a_partial_one_are_answered_at_once() {
+    let fx = soccer_world();
+    let index = build(&fx, 0.8, IndexLimits::default()).unwrap();
+    let mut handle = serve(
+        ServeConfig::default(),
+        Arc::new(fx.universe.clone()),
+        index,
+        None,
+    )
+    .unwrap();
+    let (mut writer, mut reader) = raw_connect(handle.addr());
+    let entity = fx.universe.entity_name(fx.partial_player);
+    let last = format!("{{\"op\":\"suggest\",\"entity\":\"{entity}\"}}\n");
+    let (head, tail) = last.split_at(12);
+    writer
+        .write_all(format!("{{\"op\":\"ping\"}}\n{last}{head}").as_bytes())
+        .unwrap();
+    // Both complete lines are answered while the third waits for its end.
+    assert!(read_response(&mut reader).contains("pong"));
+    let first = read_response(&mut reader);
+    assert!(first.starts_with("{\"ok\":true,"), "{first}");
+    writer.write_all(tail.as_bytes()).unwrap();
+    let second = read_response(&mut reader);
+    assert_eq!(without_latency(&second), without_latency(&first));
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_ping_and_shutdown_are_both_acknowledged() {
+    let fx = soccer_world();
+    let index = build(&fx, 0.8, IndexLimits::default()).unwrap();
+    let mut handle = serve(
+        ServeConfig::default(),
+        Arc::new(fx.universe.clone()),
+        index,
+        None,
+    )
+    .unwrap();
+    let (mut writer, mut reader) = raw_connect(handle.addr());
+    writer
+        .write_all(b"{\"op\":\"ping\"}\n{\"op\":\"shutdown\"}\n")
+        .unwrap();
+    assert!(read_response(&mut reader).contains("\"ack\":\"pong\""));
+    assert!(read_response(&mut reader).contains("\"ack\":\"shutting down\""));
+    handle.wait();
+}
+
+#[test]
+fn a_panic_inside_a_burst_answers_only_its_own_request() {
+    let fx = soccer_world();
+    let index = build(&fx, 0.8, IndexLimits::default()).unwrap();
+    let mut handle = serve(
+        ServeConfig {
+            enable_debug_ops: true,
+            ..ServeConfig::default()
+        },
+        Arc::new(fx.universe.clone()),
+        index,
+        None,
+    )
+    .unwrap();
+    let (mut writer, mut reader) = raw_connect(handle.addr());
+    let entity = fx.universe.entity_name(fx.partial_player);
+    let suggest = format!("{{\"op\":\"suggest\",\"entity\":\"{entity}\"}}\n");
+    writer
+        .write_all(format!("{suggest}{{\"op\":\"panic\"}}\n{suggest}").as_bytes())
+        .unwrap();
+    let before = read_response(&mut reader);
+    let panicked = read_response(&mut reader);
+    let after = read_response(&mut reader);
+    assert!(panicked.starts_with("{\"ok\":false,"), "{panicked}");
+    assert!(panicked.contains("panicked"), "{panicked}");
+    assert_eq!(without_latency(&before), without_latency(&after));
+    assert_eq!(handle.stats().panics_caught.load(Ordering::Relaxed), 1);
+    handle.shutdown();
+}
+
+/// Texts that exercise every escape the serializer makes: quotes,
+/// backslashes, each control character, and non-ASCII characters.
+fn text_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec((0u8..6, any::<u32>()), 0..24).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(kind, x)| match kind {
+                0 => '"',
+                1 => '\\',
+                2 => char::from(b"\x00\x08\t\n\x0c\r\x1b\x1f\x7f"[x as usize % 9]),
+                3 => char::from(b' ' + (x % 95) as u8),
+                4 => ['é', 'ß', '€', '漢', '😀', '\u{2028}'][x as usize % 6],
+                _ => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    })
+}
+
+fn confidence_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        2 => (0u32..=1000).prop_map(|c| f64::from(c) / 1000.0),
+        1 => any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+proptest! {
+    /// The direct renderer writes exactly the bytes serializing the
+    /// matching `SuggestResponse` gives.
+    #[test]
+    fn direct_render_equals_serde(
+        epoch in any::<u64>(),
+        latency_ns in any::<u64>(),
+        found in prop::collection::vec(
+            (text_strategy(), text_strategy(), confidence_strategy()),
+            0..5,
+        ),
+    ) {
+        let stored: Vec<StoredSuggestion> = found
+            .iter()
+            .enumerate()
+            .map(|(i, (text, pattern, confidence))| StoredSuggestion {
+                pattern_ix: i as u32,
+                pattern_text: pattern.clone(),
+                text: text.clone(),
+                confidence: *confidence,
+            })
+            .collect();
+        let refs: Vec<&StoredSuggestion> = stored.iter().collect();
+        let mut out = b"prior bytes\n".to_vec();
+        write_suggest_response(&mut out, epoch, &refs, latency_ns);
+        let expected = serde_json::to_string(&SuggestResponse {
+            ok: true,
+            epoch,
+            suggestions: found
+                .into_iter()
+                .map(|(text, pattern, confidence)| SuggestionOut { text, pattern, confidence })
+                .collect(),
+            latency_ns,
+        })
+        .unwrap();
+        prop_assert_eq!(String::from_utf8(out).unwrap(), format!("prior bytes\n{expected}"));
+    }
 }

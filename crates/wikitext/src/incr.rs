@@ -10,8 +10,8 @@
 //! fall out of the patch itself: a link pair whose reference count crosses
 //! zero is an add/remove. Per-splice work beyond the prefix/suffix scan is
 //! proportional to the edit span, not the page: line counts derive from
-//! the changed middle's newline delta and the redirect gate scans only the
-//! touched lines.
+//! the changed middle's newline delta, and the gates run only on the lines
+//! fed to the machine.
 //!
 //! # Determinism contract
 //!
@@ -31,12 +31,13 @@
 //!   (whole-text stripping would join lines); line-local comments and refs
 //!   are stripped per line and splice fine — important because every
 //!   synthetic snapshot opens with a one-line autogenerated comment;
-//! * any `#REDIRECT` occurrence, in any ASCII case, after comment
-//!   stripping (the redirect check runs against the whole stripped text,
-//!   not a line, and stripping can fuse a marker out of fragments like
-//!   `#RED<!--x-->IRECT`) — on the splice path only the touched lines
-//!   need the comment-aware scan, since a line-local predecessor is
-//!   redirect-free;
+//! * any `#REDIRECT` occurrence, in any ASCII case, in a line after its
+//!   comments and refs are stripped (the redirect check runs against the
+//!   whole stripped text, not a line, and stripping can fuse a marker out
+//!   of fragments like `#RED<!--x-->IRECT` or `#RED<ref name=x />IRECT`).
+//!   Once every line passed the comment and ref gate, the whole stripped
+//!   text is the stripped lines joined, and the marker holds no newline,
+//!   so a stripped marker anywhere lies inside one prepared line;
 //! * the first snapshot after a fallback (no per-line records to splice
 //!   against) — handled by rebuilding the record list in one pass.
 
@@ -93,11 +94,13 @@ struct LineRec {
     unterminated_links: u64,
 }
 
-/// Per-line comment/ref stripping for the splice path.
+/// Per-line comment/ref stripping for the line machine.
 ///
 /// Returns the line as the machine should see it, or `Err` if the line
-/// opens a comment or ref it does not close — those constructs span lines,
-/// so the snapshot must take the whole-text path.
+/// opens a comment or ref it does not close — those constructs span lines
+/// — or if the stripped line holds a `#REDIRECT` marker in any ASCII case,
+/// which may make the whole page a redirect stub. Either way the snapshot
+/// must take the whole-text path.
 fn prepare_line(line: &str) -> Result<Cow<'_, str>, ()> {
     let mut prepared = Cow::Borrowed(line);
     if prepared.contains("<!--") {
@@ -116,7 +119,20 @@ fn prepare_line(line: &str) -> Result<Cow<'_, str>, ()> {
         }
         prepared = Cow::Owned(stripped);
     }
+    if has_redirect_marker(&prepared) {
+        return Err(());
+    }
     Ok(prepared)
+}
+
+/// Whether `text` contains the `#REDIRECT` magic word in any ASCII case.
+fn has_redirect_marker(text: &str) -> bool {
+    const REDIRECT: &[u8] = crate::parse::REDIRECT.as_bytes();
+    text.match_indices('#').any(|(i, _)| {
+        text.as_bytes()
+            .get(i..i + REDIRECT.len())
+            .is_some_and(|w| w.eq_ignore_ascii_case(REDIRECT))
+    })
 }
 
 /// Longest common prefix of two byte slices, compared in chunks so the
@@ -182,40 +198,6 @@ fn count_newlines(bytes: &[u8]) -> usize {
     total + chunks.remainder().iter().filter(|&&b| b == b'\n').count()
 }
 
-/// Scans `window` for a `#REDIRECT` occurrence as the frozen parser would
-/// see it — in any ASCII case, and after `<!-- … -->` comment stripping,
-/// which can fuse fragments like `#RED<!--x-->IRECT` into a live redirect
-/// marker that a raw-byte search misses. `Err(())` means a comment opens
-/// in the window without closing inside it, so the caller cannot decide
-/// locally and must take the whole-text path.
-fn window_synthesizes_redirect(window: &[u8]) -> Result<bool, ()> {
-    const REDIRECT: &[u8] = crate::parse::REDIRECT.as_bytes();
-    let mut matched = 0usize;
-    let mut i = 0usize;
-    while i < window.len() {
-        if window[i..].starts_with(b"<!--") {
-            // Skip the comment without resetting the partial match.
-            match window[i + 4..].windows(3).position(|w| w == b"-->") {
-                Some(j) => {
-                    i += 4 + j + 3;
-                    continue;
-                }
-                None => return Err(()),
-            }
-        }
-        if window[i].eq_ignore_ascii_case(&REDIRECT[matched]) {
-            matched += 1;
-            if matched == REDIRECT.len() {
-                return Ok(true);
-            }
-        } else {
-            matched = usize::from(window[i] == REDIRECT[0]);
-        }
-        i += 1;
-    }
-    Ok(false)
-}
-
 /// Incremental revision-to-revision parser over one page history.
 ///
 /// Feed snapshots in timeline order with [`advance`](Self::advance); each
@@ -279,27 +261,16 @@ impl<'a> IncrementalParser<'a> {
                 bytes_skipped: text.len() as u64,
             };
         }
-        let outcome = if self.line_local && self.prev_text.is_some() {
-            // A line-local previous snapshot is redirect-free (a redirect
-            // would have forced the whole-text path and dropped the
-            // records), so `splice` checks `#REDIRECT` over the changed
-            // span only and gates the fallback itself.
-            match self.splice(text, syms) {
-                Ok(outcome) => outcome,
-                Err(()) => self.full_reparse(text, syms),
-            }
-        } else if window_synthesizes_redirect(text.as_bytes()).unwrap_or(true) {
-            // The redirect check runs on whole-text-stripped, trimmed input
-            // (`<!--c-->\n#REDIRECT` IS a redirect), so any post-strip
-            // occurrence — including one fused out of comment fragments —
-            // forces the whole-text path.
-            self.full_reparse(text, syms)
+        // Both line paths gate every line they feed (`prepare_line`); a
+        // line that fails sends the snapshot down the whole-text path. The
+        // splice feeds only changed lines: the lines it re-uses passed the
+        // gate when the line-local previous snapshot was parsed.
+        let step = if self.line_local && self.prev_text.is_some() {
+            self.splice(text, syms)
         } else {
-            match self.rebuild(text, syms) {
-                Ok(outcome) => outcome,
-                Err(()) => self.full_reparse(text, syms),
-            }
+            self.rebuild(text, syms)
         };
+        let outcome = step.unwrap_or_else(|()| self.full_reparse(text, syms));
         self.prev_text = Some(text);
         outcome
     }
@@ -398,27 +369,6 @@ impl<'a> IncrementalParser<'a> {
         let limit = ob.len().min(nb.len());
         let pb = common_prefix_bytes(ob, nb);
         let sb = common_suffix_bytes(ob, nb, limit - pb);
-
-        // Any `#REDIRECT` in the new text must overlap the changed middle:
-        // an occurrence wholly inside a shared byte region would exist in
-        // the (redirect-free) previous snapshot too. Because comment
-        // stripping can fuse a marker out of fragments (`#RED<!--x-->IRECT`),
-        // the gate scans the *touched lines* (middle extended to the line
-        // boundaries either side — complete lines in the shared regions are
-        // identical whole lines of the line-local previous snapshot, so
-        // their comments are self-contained), comment-aware, not the raw
-        // middle for the literal bytes.
-        let scan_from = nb[..pb]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |i| i + 1);
-        let scan_to = nb[nb.len() - sb..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(nb.len(), |i| nb.len() - sb + i + 1);
-        if window_synthesizes_redirect(&nb[scan_from..scan_to]).unwrap_or(true) {
-            return Err(());
-        }
 
         // Snap to line boundaries. A line is re-usable when it *and its
         // delimiting newline* fall inside a common region, so equal bytes

@@ -49,6 +49,11 @@ fn revision_text_strategy() -> impl Strategy<Value = String> {
     prop_oneof![
         6 => links_strategy().prop_map(|l| render_links("Test Page", "thing", &l)),
         1 => name_strategy().prop_map(|t| format!("#REDIRECT [[{t}]]\n")),
+        // A marker fused by ref stripping, ahead of a page that would
+        // otherwise have links.
+        1 => (name_strategy(), links_strategy()).prop_map(|(t, l)| {
+            format!("#RED<ref name=x />IRECT [[{t}]]\n{}", render_links("Test Page", "thing", &l))
+        }),
         1 => ".{0,200}",
         2 => (links_strategy(), 0usize..400).prop_map(|(l, cut)| {
             let text = render_links("Test Page", "thing", &l);
@@ -248,11 +253,18 @@ fn redirect_synthesized_by_comment_stripping() {
 
 #[test]
 fn redirect_magic_word_is_case_insensitive() {
-    // MediaWiki matches `#REDIRECT` in any ASCII case, comments stripped
-    // first; the incremental gate must see every spelling the frozen
-    // parser does.
+    // MediaWiki matches `#REDIRECT` in any ASCII case, comments and refs
+    // stripped first; the incremental gate must see every spelling the
+    // frozen parser does.
     let body = "{{Infobox a\n| f = [[B]]\n}}\n== s ==\n* [[A]]\n";
-    for marker in ["#redirect", "#Redirect", "#red<!--x-->irect", "#REDirect"] {
+    for marker in [
+        "#redirect",
+        "#Redirect",
+        "#red<!--x-->irect",
+        "#REDirect",
+        "#RED<ref name=x />IRECT",
+        "#red<ref>y</ref>irect",
+    ] {
         let stub = format!("{marker} [[T]]\n{body}");
         assert_eq!(parse_page(&stub).redirect.as_deref(), Some("T"), "{marker}");
         assert_incremental_matches_frozen(&[body, stub.as_str(), body]).unwrap();
