@@ -17,12 +17,12 @@ pub enum JoinImpl {
 }
 
 /// Ignored; kept because the frozen benchmark sets it; goes with ROADMAP
-/// item 5. Every join runs the fixed hash pair stage (or the nested loop
+/// item 2. Every join runs the fixed hash pair stage (or the nested loop
 /// under [`JoinImpl::NestedLoop`]) whatever it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannerPolicy {
     /// Ignored; kept because the frozen benchmark sets it; goes with
-    /// ROADMAP item 5.
+    /// ROADMAP item 2.
     pub enabled: bool,
 }
 
@@ -67,24 +67,12 @@ pub struct MinerConfig {
     pub expansion: ExpansionMode,
     /// Whether relative frequent patterns are mined for each found pattern.
     pub mine_relative: bool,
-    /// Intra-window parallelism: candidate extensions of one window's
-    /// frontier are evaluated on the shared work pool. `0` (auto) uses the
-    /// pool attached to the miner when there is one (so a parallel driver's
-    /// pool is shared between window-level and intra-window tasks), `1`
-    /// forces sequential intra-window evaluation, and `n > 1` spins up a
-    /// dedicated `n`-wide pool per mining call when none is attached.
-    /// Output is byte-identical at any setting.
-    #[serde(default)]
-    pub intra_window_threads: usize,
-    /// Run extraction through the frozen full-reparse pipeline instead of
-    /// the interned incremental one
-    /// ([`wiclean_revstore::ExtractMode::FullReparse`]). Output is
-    /// byte-identical either way; set for ablation/debugging. Normally
-    /// driven from [`WcConfig::use_incremental_extract`].
+    /// Ignored; kept because the frozen benchmark sets it; goes with
+    /// ROADMAP item 2. Extraction always runs the incremental pipeline.
     #[serde(default)]
     pub full_reparse_extract: bool,
     /// Ignored; kept because the frozen benchmark sets it; goes with
-    /// ROADMAP item 5.
+    /// ROADMAP item 2.
     #[serde(default)]
     pub planner: PlannerPolicy,
 }
@@ -100,7 +88,6 @@ impl Default for MinerConfig {
             join_impl: JoinImpl::Hash,
             expansion: ExpansionMode::Incremental,
             mine_relative: true,
-            intra_window_threads: 0,
             full_reparse_extract: false,
             planner: PlannerPolicy::default(),
         }
@@ -293,9 +280,9 @@ impl<'de> serde::Deserialize<'de> for CorpusPolicy {
 
 /// Full configuration of Algorithm 2 (window and threshold search).
 ///
-/// `Deserialize` is hand-written (below) so that configs serialized before
-/// `use_incremental_extract` existed load with the flag *on* — the derive's
-/// `#[serde(default)]` would silently turn the new extractor off.
+/// `Deserialize` is hand-written (below) so that keys added after a config
+/// was saved load with their defaults, and nested policies are validated
+/// at load time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WcConfig {
     /// Initial (minimal) window width `W_min`; system default two weeks.
@@ -315,7 +302,9 @@ pub struct WcConfig {
     /// Per-window miner parameters (τ/τ_rel fields are overridden by the
     /// refinement loop).
     pub miner: MinerConfig,
-    /// Worker threads for per-window parallelism (1 = sequential).
+    /// Width of the one work pool a run shares between window-level tasks
+    /// and each miner's intra-window candidate and extraction batches
+    /// (1 = sequential). Output is byte-identical at any width.
     pub threads: usize,
     /// Hard cap on refinement iterations (degenerate policies — window
     /// factor 1.0 or zero threshold reduction, as Table 1's grid samples —
@@ -330,14 +319,11 @@ pub struct WcConfig {
     /// from cached sub-window extractions instead of re-diffing wikitext.
     /// Disable for ablation.
     pub use_action_cache: bool,
-    /// Extract actions with the interned incremental parser (default):
-    /// revision texts are line-diffed against their predecessor and only
-    /// changed spans re-parsed. `false` routes every extraction through
-    /// the frozen full-reparse reference pipeline — byte-identical output,
-    /// ablation/debugging only.
+    /// Ignored; kept because the frozen benchmark sets it; goes with
+    /// ROADMAP item 2. Extraction always runs the incremental pipeline.
     pub use_incremental_extract: bool,
     /// Ignored; kept because the frozen benchmark sets it; goes with
-    /// ROADMAP item 5.
+    /// ROADMAP item 2.
     pub use_adaptive_planner: bool,
     /// Watermark/seal knobs of the streaming miner. Only consulted by
     /// `wiclean stream` and [`crate::stream::StreamMiner`]; values are
@@ -368,8 +354,8 @@ impl<'de> serde::Deserialize<'de> for WcConfig {
             max_iterations: take_field(&mut fields, "max_iterations", NAME)?,
             use_cache: take_field(&mut fields, "use_cache", NAME)?,
             use_action_cache: take_field(&mut fields, "use_action_cache", NAME)?,
-            // Absent in configs written before the incremental extractor
-            // existed; those must keep meaning "incremental on".
+            // Absent in configs written before the flag existed; those
+            // load with the default.
             use_incremental_extract: take_field_or_default::<Option<bool>, D::Error>(
                 &mut fields,
                 "use_incremental_extract",
@@ -462,29 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_extract_defaults_on() {
-        assert!(WcConfig::default().use_incremental_extract);
-        assert!(!MinerConfig::default().full_reparse_extract);
-
-        // A config serialized before the flag existed must load with the
-        // incremental extractor on, not bool's false default.
-        let mut json = serde_json::to_string(&WcConfig::default()).unwrap();
-        json = json.replace(",\"use_incremental_extract\":true", "");
-        assert!(!json.contains("use_incremental_extract"));
-        let legacy: WcConfig = serde_json::from_str(&json).unwrap();
-        assert!(legacy.use_incremental_extract);
-
-        // And an explicit `false` survives the trip.
-        let ablated = WcConfig {
-            use_incremental_extract: false,
-            ..WcConfig::default()
-        };
-        let back: WcConfig =
-            serde_json::from_str(&serde_json::to_string(&ablated).unwrap()).unwrap();
-        assert!(!back.use_incremental_extract);
-    }
-
-    #[test]
     fn saved_configs_with_a_durability_key_still_load() {
         // Configs saved while the config carried a `durability` section
         // (the retired checkpoint store's knobs) must keep loading: the
@@ -514,6 +477,25 @@ mod tests {
              \"forced_plan\":{\"strategy\":\"SortMerge\",\"build_side\":\"Left\",\"partitions\":4}",
             1,
         );
+        let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
+        assert_eq!(legacy, WcConfig::default());
+
+        // Configs saved while the miner carried its own intra-window thread
+        // count load too; `threads` is the one thread setting now.
+        let extract = "\"full_reparse_extract\":false";
+        assert!(full.contains(extract));
+        let legacy_json = full.replacen(
+            extract,
+            "\"intra_window_threads\":3,\"full_reparse_extract\":false",
+            1,
+        );
+        let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
+        assert_eq!(legacy, WcConfig::default());
+
+        // Configs saved before the extraction flag existed load with the
+        // default.
+        let legacy_json = full.replacen(",\"use_incremental_extract\":true", "", 1);
+        assert!(!legacy_json.contains("use_incremental_extract"));
         let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
         assert_eq!(legacy, WcConfig::default());
     }

@@ -18,11 +18,10 @@
 //!   with chains of full outer joins, and suggesting completions;
 //! * **edit assistance** ([`assist`]): periodic-window detection and online
 //!   completion suggestions for in-flight edits;
-//! * **value-specific instantiations** ([`specialize`]): detecting pattern
-//!   variables dominated by one entity (the paper's "pattern specific to
-//!   PSG" future-work item);
 //! * the **parallel driver** ([`parallel`]): embarrassingly parallel
-//!   processing of the non-overlapping windows.
+//!   processing of the non-overlapping windows on one [`pool::MiningPool`],
+//!   sized by [`config::WcConfig::threads`] and shared with each window's
+//!   intra-window candidate and extraction batches.
 //!
 //! The two optimizations the paper ablates (hash-join realization tables
 //! and incremental graph construction) are configuration axes
@@ -44,8 +43,6 @@ pub mod pattern;
 pub mod pool;
 pub mod realization;
 pub mod report;
-pub mod signal;
-pub mod specialize;
 pub mod stream;
 pub mod var;
 pub mod windows;
@@ -68,8 +65,6 @@ pub use partial::{detect_partial_updates, PartialReport, PartialUpdate};
 pub use pattern::Pattern;
 pub use pool::MiningPool;
 pub use report::{DegradedReport, WcReport};
-pub use signal::{edit_volume_signal, significant_windows, WindowSignal};
-pub use specialize::{specialize_pattern, Specialization};
 pub use stream::{wc_result_from_sealed, StreamConfig, StreamMiner};
 pub use var::Var;
 pub use windows::{find_windows_and_patterns, WcResult};

@@ -41,8 +41,8 @@ use wiclean_rel::{
     materialize_pairs, outer_join_glue, ColumnGlue, Table,
 };
 use wiclean_revstore::{
-    reduce_actions, try_extract_actions_with, ActionCache, CacheLookup, ExtractMode,
-    ExtractOutcome, FetchError, FetchSource,
+    reduce_actions, try_extract_actions, ActionCache, CacheLookup, ExtractOutcome, FetchError,
+    FetchSource,
 };
 use wiclean_types::{EntityId, TypeId, Universe, Window};
 
@@ -105,8 +105,7 @@ pub struct MineStats {
     #[serde(default)]
     pub bytes_parsed: u64,
     /// Wikitext bytes the incremental extractor skipped: unchanged
-    /// prefix/suffix lines spliced through without re-parsing (0 under
-    /// [`wiclean_revstore::ExtractMode::FullReparse`]).
+    /// prefix/suffix lines spliced through without re-parsing.
     #[serde(default)]
     pub bytes_skipped: u64,
     /// Cumulative seal-to-result lag of streamed windows: microseconds from
@@ -151,11 +150,11 @@ pub struct MineStats {
     #[serde(default)]
     pub map_residency_releases: u64,
     /// Always 0. Kept because the frozen benchmark reads it; goes with
-    /// ROADMAP item 5.
+    /// ROADMAP item 2.
     #[serde(default)]
     pub replans: usize,
     /// Always 0. Kept because the frozen benchmark reads it; goes with
-    /// ROADMAP item 5.
+    /// ROADMAP item 2.
     #[serde(default)]
     pub plan_cache_hits: usize,
     /// Hash pair stages run: candidate joins, and the streaming miner's
@@ -163,14 +162,14 @@ pub struct MineStats {
     #[serde(default)]
     pub plan_picks_hash: usize,
     /// Always 0. Kept because the frozen benchmark reads it; goes with
-    /// ROADMAP item 5.
+    /// ROADMAP item 2.
     #[serde(default)]
     pub plan_picks_sort_merge: usize,
     /// Nested-loop pair stages run (the `PM−join` ablation).
     #[serde(default)]
     pub plan_picks_nested: usize,
     /// Always 0. Kept because the frozen benchmark reads it; goes with
-    /// ROADMAP item 5.
+    /// ROADMAP item 2.
     #[serde(default)]
     pub plan_picks_partitioned: usize,
 }
@@ -456,9 +455,10 @@ impl<'a> WindowMiner<'a> {
     }
 
     /// Attaches a shared work pool: intra-window candidate evaluation and
-    /// entity preprocessing then fan out over it (subject to
-    /// [`MinerConfig::intra_window_threads`]). The window-level driver
-    /// shares one pool between window tasks and intra-window tasks.
+    /// entity preprocessing then fan out over it; without one they run
+    /// inline. The window-level driver shares one pool between window
+    /// tasks and intra-window tasks. Output is byte-identical at any pool
+    /// width.
     pub fn with_pool(mut self, pool: Arc<MiningPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -483,21 +483,6 @@ impl<'a> WindowMiner<'a> {
         self
     }
 
-    /// The intra-window pool for this run: `intra_window_threads == 1`
-    /// disables intra-window parallelism, `0` (auto) uses the attached pool
-    /// when there is one, and `n > 1` spins up a dedicated pool when none
-    /// is attached.
-    pub(crate) fn intra_pool(&self) -> Option<Arc<MiningPool>> {
-        match self.config.intra_window_threads {
-            1 => None,
-            0 => self.pool.clone(),
-            n => self
-                .pool
-                .clone()
-                .or_else(|| Some(Arc::new(MiningPool::new(n)))),
-        }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &MinerConfig {
         &self.config
@@ -518,16 +503,11 @@ impl<'a> WindowMiner<'a> {
             "use mine_window_materialized for ExpansionMode::Materialized"
         );
         let t0 = Instant::now();
-        let pool = self.intra_pool();
+        let pool = self.pool.as_deref();
         let mut state = MineState::new();
         // Line 1: fetch + reduce + abstract the seed entities' actions.
-        self.load_entities(
-            &mut state,
-            self.universe.entities_of(seed),
-            window,
-            pool.as_deref(),
-        );
-        self.run_expansion(t0, state, seed, window, false, pool.as_deref())
+        self.load_entities(&mut state, self.universe.entities_of(seed), window, pool);
+        self.run_expansion(t0, state, seed, window, false, pool)
     }
 
     /// The `PM−inc` entry point: the caller supplies the full entity set of
@@ -541,10 +521,10 @@ impl<'a> WindowMiner<'a> {
         entities: impl IntoIterator<Item = EntityId>,
     ) -> WindowResult {
         let t0 = Instant::now();
-        let pool = self.intra_pool();
+        let pool = self.pool.as_deref();
         let mut state = MineState::new();
-        self.load_entities(&mut state, entities, window, pool.as_deref());
-        self.run_expansion(t0, state, seed, window, true, pool.as_deref())
+        self.load_entities(&mut state, entities, window, pool);
+        self.run_expansion(t0, state, seed, window, true, pool)
     }
 
     /// Fetches and extracts one entity's actions — through the shared
@@ -552,16 +532,11 @@ impl<'a> WindowMiner<'a> {
     /// path either way and are never cached). Pure per entity, so a batch
     /// of extractions can run in any order on the pool.
     pub(crate) fn extract_entity(&self, e: EntityId, window: &Window) -> Extracted {
-        let mode = if self.config.full_reparse_extract {
-            ExtractMode::FullReparse
-        } else {
-            ExtractMode::Incremental
-        };
         match &self.action_cache {
             Some(cache) => cache
-                .extract_with(self.source, self.universe, e, window, mode)
+                .extract(self.source, self.universe, e, window)
                 .map(|(outcome, lookup)| (outcome, Some(lookup))),
-            None => try_extract_actions_with(self.source, self.universe, e, window, mode)
+            None => try_extract_actions(self.source, self.universe, e, window)
                 .map(|outcome| (Arc::new(outcome), None)),
         }
     }
@@ -1307,9 +1282,8 @@ impl<'a> WindowMiner<'a> {
         entities: impl IntoIterator<Item = EntityId>,
         window: &Window,
     ) -> (ShapeRows, MineStats, DegradedCoverage) {
-        let pool = self.intra_pool();
         let mut state = MineState::new();
-        self.load_entities(&mut state, entities, window, pool.as_deref());
+        self.load_entities(&mut state, entities, window, self.pool.as_deref());
         let mut degraded = state.degraded;
         degraded.normalize();
         (state.rows, state.stats, degraded)

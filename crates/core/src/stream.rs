@@ -95,6 +95,8 @@ impl StreamConfig {
     /// configured timeline, at the initial threshold `tau0` — exactly the
     /// batch driver's first iteration, which is the one the stream mines
     /// continuously (width/threshold refinement is a batch concept).
+    /// [`WcConfig::threads`] is not read: the streaming miner runs every
+    /// refresh and seal inline.
     pub fn from_wc(config: &WcConfig) -> Self {
         let mut miner = config.miner;
         miner.tau = config.tau0;

@@ -146,7 +146,6 @@ pub fn find_windows_and_patterns(
         let windows = Window::split_span(config.timeline_start, config.timeline_end, width);
         let mut miner_config = config.miner;
         miner_config.tau = tau;
-        miner_config.full_reparse_extract = !config.use_incremental_extract;
         let miner = WindowMiner::new(source, universe, miner_config)
             .with_caches(caches.clone())
             .with_pool(Arc::clone(&pool));
@@ -449,142 +448,5 @@ mod cache_tests {
             (0, 0, 0),
             "ablated run must not touch the action cache"
         );
-    }
-
-    #[test]
-    fn incremental_extract_ablation_matches() {
-        let fx = soccer_fixture();
-        let base = WcConfig {
-            w_min: fx.window.len() / 2,
-            tau0: 0.8,
-            max_window: fx.window.len(),
-            min_tau: 0.2,
-            timeline_start: 0,
-            timeline_end: fx.window.end,
-            miner: fx.config(),
-            threads: 1,
-            ..WcConfig::default()
-        };
-        let mut incremental = base;
-        incremental.use_incremental_extract = true;
-        let mut frozen = base;
-        frozen.use_incremental_extract = false;
-
-        let a = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &incremental);
-        let b = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &frozen);
-
-        // The incremental extractor is an implementation swap, not a model
-        // change: the whole search trajectory must be byte-identical.
-        let pa: Vec<(P, usize)> = a
-            .discovered
-            .iter()
-            .map(|d| (d.pattern.clone(), d.support))
-            .collect();
-        let pb: Vec<(P, usize)> = b
-            .discovered
-            .iter()
-            .map(|d| (d.pattern.clone(), d.support))
-            .collect();
-        assert_eq!(pa, pb, "extract mode must not change the discovered set");
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.stats.actions_extracted, b.stats.actions_extracted);
-        assert_eq!(a.stats.reduced_actions, b.stats.reduced_actions);
-        assert_eq!(a.stats.joins_executed, b.stats.joins_executed);
-        assert_eq!(a.stats.candidates_considered, b.stats.candidates_considered);
-
-        // Only the byte accounting may differ: the frozen path never skips.
-        assert_eq!(b.stats.bytes_skipped, 0, "full reparse skips nothing");
-        assert_eq!(b.stats.extract_skip_rate(), 0.0);
-        assert_eq!(
-            a.stats.bytes_parsed + a.stats.bytes_skipped,
-            b.stats.bytes_parsed,
-            "both modes account for every revision byte"
-        );
-    }
-}
-
-/// Merges each pattern's occurrence windows across per-window results when
-/// they are adjacent or overlapping — §4.3's observation that "there are
-/// very few meaningful (update-wise) time frames that overlap and those can
-/// be merged into a somewhat longer window that includes both update
-/// patterns". A pattern frequent in `[d196, d210)` and `[d210, d224)` is
-/// reported once over `[d196, d224)`.
-pub fn merge_pattern_windows(results: &[WindowResult]) -> HashMap<Pattern, Vec<Window>> {
-    let mut occurrences: HashMap<Pattern, Vec<Window>> = HashMap::new();
-    for r in results {
-        for p in r.most_specific() {
-            occurrences
-                .entry(p.pattern.clone())
-                .or_default()
-                .push(r.window);
-        }
-    }
-    for windows in occurrences.values_mut() {
-        windows.sort();
-        let mut merged: Vec<Window> = Vec::with_capacity(windows.len());
-        for w in windows.drain(..) {
-            match merged.last_mut() {
-                Some(last) if w.start <= last.end => *last = last.merge(&w),
-                _ => merged.push(w),
-            }
-        }
-        *windows = merged;
-    }
-    occurrences
-}
-
-#[cfg(test)]
-mod merge_tests {
-    use super::*;
-    use crate::miner::FoundPattern;
-    use crate::testutil::soccer_fixture;
-    use wiclean_rel::{Schema, Table};
-
-    fn result_with(fx: &crate::testutil::Fixture, window: Window) -> WindowResult {
-        let wp = fx.expected_pair_working();
-        let found = FoundPattern {
-            pattern: wp.canonical(),
-            table: Table::new(Schema::new(wp.column_names())),
-            working: wp,
-            support: 4,
-            frequency: 0.8,
-            most_specific: true,
-            rel_patterns: Vec::new(),
-        };
-        WindowResult {
-            window,
-            seed: fx.player_ty,
-            patterns: vec![found],
-            stats: MineStats::default(),
-            degraded: crate::degraded::DegradedCoverage::default(),
-        }
-    }
-
-    #[test]
-    fn adjacent_windows_merge_disjoint_stay() {
-        let fx = soccer_fixture();
-        let results = vec![
-            result_with(&fx, Window::new(0, 100)),
-            result_with(&fx, Window::new(100, 200)), // adjacent → merge
-            result_with(&fx, Window::new(500, 600)), // disjoint → separate
-        ];
-        let merged = merge_pattern_windows(&results);
-        let pattern = fx.expected_pair_pattern();
-        assert_eq!(
-            merged[&pattern],
-            vec![Window::new(0, 200), Window::new(500, 600)]
-        );
-    }
-
-    #[test]
-    fn unsorted_input_is_handled() {
-        let fx = soccer_fixture();
-        let results = vec![
-            result_with(&fx, Window::new(100, 200)),
-            result_with(&fx, Window::new(0, 100)),
-        ];
-        let merged = merge_pattern_windows(&results);
-        let pattern = fx.expected_pair_pattern();
-        assert_eq!(merged[&pattern], vec![Window::new(0, 200)]);
     }
 }

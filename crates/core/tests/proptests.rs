@@ -10,6 +10,7 @@ use wiclean_core::parallel::run_windows;
 use wiclean_core::pattern::{most_specific, Pattern};
 use wiclean_core::var::Var;
 use wiclean_core::windows::{find_windows_and_patterns, WcResult};
+use wiclean_core::MiningPool;
 use wiclean_revstore::{
     EditOp, FaultPlan, FaultyStore, ResilientFetcher, RetryPolicy, RevisionStore,
 };
@@ -288,9 +289,9 @@ proptest! {
             // Fresh FaultyStore per run: its per-entity attempt counters
             // must start equal so all runs see the same fault pattern.
             let faulty = FaultyStore::new(&store, FaultPlan::transient_only(rate, fault_seed));
-            let mut config = transfer_config();
-            config.intra_window_threads = threads;
-            let result = WindowMiner::new(&faulty, &u, config).mine_window(player_ty, &window);
+            let result = WindowMiner::new(&faulty, &u, transfer_config())
+                .with_pool(Arc::new(MiningPool::new(threads)))
+                .mine_window(player_ty, &window);
             exact_digest(&result)
         };
         let sequential = mine_with(1);
@@ -556,9 +557,8 @@ fn assert_stream_matches_batch(
         total as u64,
         "every event is either recorded or counted late — never silently dropped"
     );
-    let mut batch_config = transfer_config();
-    batch_config.intra_window_threads = batch_threads;
-    let miner = WindowMiner::new(sm.store(), u, batch_config);
+    let miner = WindowMiner::new(sm.store(), u, transfer_config())
+        .with_pool(Arc::new(MiningPool::new(batch_threads)));
     for r in sm.sealed() {
         let batch = miner.mine_window(player_ty, &r.window);
         prop_assert_eq!(
@@ -744,9 +744,10 @@ proptest! {
         let baseline = WindowMiner::new(&store, &u, transfer_config())
             .mine_window(player_ty, &window);
         let mut config = transfer_config();
-        config.intra_window_threads = threads;
         config.join_impl = wiclean_core::JoinImpl::NestedLoop;
-        let nested = WindowMiner::new(&store, &u, config).mine_window(player_ty, &window);
+        let nested = WindowMiner::new(&store, &u, config)
+            .with_pool(Arc::new(MiningPool::new(threads)))
+            .mine_window(player_ty, &window);
         prop_assert_eq!(digest(&baseline), digest(&nested));
         prop_assert_eq!(baseline.stats.rows_probed, nested.stats.rows_probed);
         prop_assert_eq!(baseline.stats.pairs_matched, nested.stats.pairs_matched);

@@ -24,10 +24,7 @@ fn main() {
     } else {
         sizes
     };
-    eprintln!(
-        "Figure 4(d): all-window mining, 1 vs {threads} threads × intra-window \
-         off/shared, sizes {sizes:?}"
-    );
+    eprintln!("Figure 4(d): all-window mining, 1 vs {threads} threads, sizes {sizes:?}");
     let rows = fig4d(&sizes, threads, 0x41D);
     println!("{}", render_parallel(&rows));
 }

@@ -194,48 +194,37 @@ pub struct ParallelRun {
     pub entities: usize,
     /// Worker threads.
     pub threads: usize,
-    /// The [`MinerConfig::intra_window_threads`] knob: 1 pins candidate
-    /// evaluation sequential (window-level parallelism only), 0 lets the
-    /// intra-window work share the window pool (two-level).
-    #[serde(default)]
-    pub intra: usize,
     /// Wall-clock time for all windows.
     pub wall: Duration,
 }
 
 /// Figure 4(d): the embarrassingly parallel multi-window computation, one
 /// worker vs. `max_threads` workers, for growing seed sets (paper: 500 /
-/// 1K / 2K / 3K on 1 vs 16 cores) — extended with the intra-window axis:
-/// each thread count runs once with intra-window parallelism pinned off
-/// (`intra = 1`) and once sharing the window pool (`intra = 0`, auto).
-/// Pattern output is identical in all four cells.
+/// 1K / 2K / 3K on 1 vs 16 cores). The window tasks and each window's
+/// intra-window batches share one pool. Pattern output is identical in
+/// both cells.
 pub fn fig4d(sizes: &[usize], max_threads: usize, rng: u64) -> Vec<ParallelRun> {
     let mut out = Vec::new();
     for &n in sizes {
         let world = soccer_world(n, rng);
         let windows = Window::split_span(2 * WEEK, YEAR, 2 * WEEK);
         for &threads in &[1usize, max_threads] {
-            for &intra in &[1usize, 0] {
-                let mut config = base_miner_config(0.3);
-                config.intra_window_threads = intra;
-                let t0 = Instant::now();
-                let pool = std::sync::Arc::new(MiningPool::new(threads));
-                let miner =
-                    WindowMiner::new(&world.store, &world.universe, config).with_pool(pool.clone());
-                let results = mine_windows(&miner, world.seed_type, &windows, &pool);
-                let wall = t0.elapsed();
-                let entities: usize = results
-                    .iter()
-                    .map(|r| r.as_ref().expect("window mined").stats.entities_processed)
-                    .sum();
-                out.push(ParallelRun {
-                    label: format!("{n}"),
-                    entities,
-                    threads,
-                    intra,
-                    wall,
-                });
-            }
+            let t0 = Instant::now();
+            let pool = std::sync::Arc::new(MiningPool::new(threads));
+            let miner = WindowMiner::new(&world.store, &world.universe, base_miner_config(0.3))
+                .with_pool(pool.clone());
+            let results = mine_windows(&miner, world.seed_type, &windows, &pool);
+            let wall = t0.elapsed();
+            let entities: usize = results
+                .iter()
+                .map(|r| r.as_ref().expect("window mined").stats.entities_processed)
+                .sum();
+            out.push(ParallelRun {
+                label: format!("{n}"),
+                entities,
+                threads,
+                wall,
+            });
         }
     }
     out
@@ -277,16 +266,15 @@ pub fn render_timed(rows: &[TimedRun], axis: &str) -> String {
 /// Renders parallel runs (Figure 4(d)).
 pub fn render_parallel(rows: &[ParallelRun]) -> String {
     let mut s = format!(
-        "{:>8} {:>12} {:>8} {:>8} {:>10}\n",
-        "seeds", "entities", "threads", "intra", "wall(s)"
+        "{:>8} {:>12} {:>8} {:>10}\n",
+        "seeds", "entities", "threads", "wall(s)"
     );
     for r in rows {
         s.push_str(&format!(
-            "{:>8} {:>12} {:>8} {:>8} {:>10.3}\n",
+            "{:>8} {:>12} {:>8} {:>10.3}\n",
             r.label,
             r.entities,
             r.threads,
-            if r.intra == 1 { "off" } else { "shared" },
             r.wall.as_secs_f64()
         ));
     }
@@ -411,15 +399,15 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "mining run — run with --release")]
     fn fig4d_parallel_matches_sequential_results() {
         let rows = fig4d(&[100], 2, 0x41D);
-        // 2 thread counts × 2 intra-window settings.
-        assert_eq!(rows.len(), 4);
+        // 1 thread vs 2 threads.
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].threads, 1);
+        assert_eq!(rows[1].threads, 2);
         assert!(
             rows.iter().all(|r| r.entities == rows[0].entities),
             "same work in every cell"
         );
-        assert_eq!(rows.iter().filter(|r| r.intra == 0).count(), 2);
         let rendered = render_parallel(&rows);
-        assert!(rendered.contains("intra"));
-        assert!(rendered.contains("shared"));
+        assert!(rendered.contains("threads"));
     }
 }

@@ -9,7 +9,7 @@
 //! projection a column clone instead of a row-by-row copy.
 //!
 //! Null representation: a validity bitmap (bit set ⇔ cell holds a value)
-//! over a dense value vector. Null cells store [`NULL_SENTINEL`] in the
+//! over a dense value vector. Null cells store `NULL_SENTINEL` in the
 //! value vector, so two columns with equal value vectors and equal bitmaps
 //! are equal cell-for-cell and the derived `PartialEq`/`Hash` are sound.
 

@@ -3,7 +3,7 @@
 //! The columnar operators key their maps by [`EntityId`]s and premixed
 //! 64-bit row hashes — short, non-adversarial keys for
 //! which std's SipHash (and its per-process `RandomState` seed) costs far
-//! more than it buys. A single multiply-mix round ([`mix64`]) disperses
+//! more than it buys. A single multiply-mix round (`mix64`) disperses
 //! these keys just as well, and deterministically across runs.
 
 use crate::column::mix64;
@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use wiclean_types::EntityId;
 
-/// A [`Hasher`] applying one [`mix64`] round per written word.
+/// A [`Hasher`] applying one `mix64` round per written word.
 #[derive(Default)]
 pub struct FastHasher(u64);
 

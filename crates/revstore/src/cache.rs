@@ -31,7 +31,7 @@
 //! thereafter — and a deterministic per-entity fault (gone, garbled text)
 //! keeps cached and uncached runs byte-identical.
 
-use crate::extract::{try_extract_actions_with, ExtractMode, ExtractOutcome};
+use crate::extract::{try_extract_actions, ExtractOutcome};
 use crate::fetch::{FetchError, FetchSource};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -129,20 +129,6 @@ impl ActionCache {
         entity: EntityId,
         window: &Window,
     ) -> Result<(Arc<ExtractOutcome>, CacheLookup), FetchError> {
-        self.extract_with(source, universe, entity, window, ExtractMode::default())
-    }
-
-    /// [`extract`](Self::extract) with an explicit [`ExtractMode`] for
-    /// cache-missing extractions. Both modes produce identical outcomes,
-    /// so entries cached under one mode are freely served to the other.
-    pub fn extract_with(
-        &self,
-        source: &dyn FetchSource,
-        universe: &Universe,
-        entity: EntityId,
-        window: &Window,
-        mode: ExtractMode,
-    ) -> Result<(Arc<ExtractOutcome>, CacheLookup), FetchError> {
         let version = source.history_version(entity);
         let key = (entity, version);
         let span = (window.start, window.end);
@@ -163,9 +149,7 @@ impl ActionCache {
             return Ok((outcome, CacheLookup::Composed));
         }
 
-        let outcome = Arc::new(try_extract_actions_with(
-            source, universe, entity, window, mode,
-        )?);
+        let outcome = Arc::new(try_extract_actions(source, universe, entity, window)?);
         self.inner
             .write()
             .entry(key)
@@ -254,7 +238,6 @@ fn compose(parts: &[Arc<ExtractOutcome>]) -> ExtractOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::try_extract_actions;
     use crate::store::RevisionStore;
     use wiclean_types::TypeId;
 
@@ -380,21 +363,6 @@ mod tests {
         let after_hit = cache.stats();
         assert_eq!(after_hit.bytes_parsed, after_miss.bytes_parsed);
         assert_eq!(after_hit.bytes_skipped, after_miss.bytes_skipped);
-    }
-
-    #[test]
-    fn cache_modes_share_entries() {
-        let (u, s, e) = setup();
-        let cache = ActionCache::new();
-        let w = Window::new(0, 100);
-        let (a, l1) = cache
-            .extract_with(&s, &u, e, &w, ExtractMode::FullReparse)
-            .unwrap();
-        let (b, l2) = cache
-            .extract_with(&s, &u, e, &w, ExtractMode::Incremental)
-            .unwrap();
-        assert_eq!((l1, l2), (CacheLookup::Miss, CacheLookup::Hit));
-        assert!(Arc::ptr_eq(&a, &b), "modes share the same cached outcome");
     }
 
     #[test]

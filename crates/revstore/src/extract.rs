@@ -1,36 +1,24 @@
 //! Extracting timestamped actions from page histories by snapshot diffing.
 //!
-//! Two extraction modes produce byte-identical actions and counters:
+//! [`try_extract_actions`] is the one extraction pipeline: one page-local
+//! [`SymTable`] per entity, an [`IncrementalParser`] that re-parses only
+//! the lines a revision changed, and memoized symbol→id resolution so
+//! relation/target strings are looked up once per distinct string instead
+//! of once per edit.
 //!
-//! * [`ExtractMode::FullReparse`] — the frozen reference: parse every
-//!   snapshot from scratch with the owned-string parser and diff
-//!   consecutive [`PageLinks`] sets;
-//! * [`ExtractMode::Incremental`] — the default: one page-local
-//!   [`SymTable`] per entity, an [`IncrementalParser`] that re-parses only
-//!   the lines a revision changed, and memoized symbol→id resolution so
-//!   relation/target strings are looked up once per distinct string
-//!   instead of once per edit.
-//!
-//! Differential proptests (`tests/proptests.rs`) pin the equivalence,
-//! including under injected faults and out-of-order ingestion.
+//! [`try_extract_actions_full`] is the frozen reference: it parses every
+//! snapshot from scratch with the owned-string parser and diffs consecutive
+//! [`PageLinks`] sets. Nothing in the miner runs it; it is public only as
+//! the oracle of the differential proptests (`tests/proptests.rs` and
+//! `tests/shard_proptests.rs`), which pin byte-identical actions and
+//! counters, including under injected faults, out-of-order ingestion and
+//! the disk backend.
 
 use crate::action::Action;
 use crate::fetch::{FetchError, FetchSource};
 use crate::store::RevisionStore;
 use wiclean_types::{EntityId, RelId, Sym, SymTable, Universe, Window};
 use wiclean_wikitext::{diff_revisions, parse_page_checked, IncrementalParser, PageLinks};
-
-/// Which extraction pipeline to run. Both produce identical output; the
-/// frozen path exists as the differential-testing reference and as an
-/// ablation knob (`WcConfig::use_incremental_extract = false`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExtractMode {
-    /// Interned links + prediff-gated incremental parsing (default).
-    #[default]
-    Incremental,
-    /// Frozen reference: full owned-string re-parse of every snapshot.
-    FullReparse,
-}
 
 /// Result of extracting one entity's actions within a window.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -103,34 +91,71 @@ pub fn extract_actions(
 /// recoverable *parse* defects are healed and counted in
 /// [`ExtractOutcome::parse_issues`] instead of failing the entity.
 ///
-/// Runs the default [`ExtractMode::Incremental`] pipeline; see
-/// [`try_extract_actions_with`] to pick the mode explicitly.
+/// Revision texts are line-diffed against their predecessor and only
+/// changed spans re-parsed, and diffing happens on interned symbols
+/// instead of owned strings. Byte-identical output to
+/// [`try_extract_actions_full`].
 pub fn try_extract_actions(
     source: &dyn FetchSource,
     universe: &Universe,
     entity: EntityId,
     window: &Window,
 ) -> Result<ExtractOutcome, FetchError> {
-    try_extract_actions_with(source, universe, entity, window, ExtractMode::default())
-}
+    let mut out = ExtractOutcome::default();
+    let Some(history) = source.fetch_window(entity, window)? else {
+        return Ok(out);
+    };
+    let history = &*history;
 
-/// [`try_extract_actions`] with an explicit [`ExtractMode`].
-pub fn try_extract_actions_with(
-    source: &dyn FetchSource,
-    universe: &Universe,
-    entity: EntityId,
-    window: &Window,
-    mode: ExtractMode,
-) -> Result<ExtractOutcome, FetchError> {
-    match mode {
-        ExtractMode::Incremental => {
-            try_extract_actions_incremental(source, universe, entity, window)
+    let mut syms = SymTable::new();
+    let mut parser = IncrementalParser::new();
+
+    // Base snapshot: page state just before the window opens. Its edits
+    // (vs the empty page) are discarded — only the state matters.
+    if let Some(t) = window.start.checked_sub(1) {
+        if let Some(r) = history.snapshot_at(t) {
+            let step = parser.advance(&r.text, &mut syms);
+            out.parse_issues += step.issues.total();
+            out.base_parse_issues = step.issues.total();
+            out.bytes_parsed += step.bytes_parsed;
+            out.bytes_skipped += step.bytes_skipped;
+            out.base_bytes_parsed = step.bytes_parsed;
         }
-        ExtractMode::FullReparse => try_extract_actions_full(source, universe, entity, window),
     }
+
+    let mut rel_memo: Vec<Option<Option<RelId>>> = Vec::new();
+    let mut target_memo: Vec<Option<Option<EntityId>>> = Vec::new();
+    for rev in history.revisions_in(window) {
+        let step = parser.advance(&rev.text, &mut syms);
+        out.parse_issues += step.issues.total();
+        out.bytes_parsed += step.bytes_parsed;
+        out.bytes_skipped += step.bytes_skipped;
+        for e in step.edits {
+            let rel = resolve_memo(&mut rel_memo, e.relation, || {
+                universe.lookup_relation(syms.resolve(e.relation))
+            });
+            let Some(rel) = rel else {
+                out.unresolved_relations += 1;
+                continue;
+            };
+            let target = resolve_memo(&mut target_memo, e.target, || {
+                universe.entities().lookup(syms.resolve(e.target))
+            });
+            let Some(target) = target else {
+                out.unresolved_targets += 1;
+                continue;
+            };
+            out.actions
+                .push(Action::new(e.op, entity, rel, target, rev.time));
+        }
+    }
+    Ok(out)
 }
 
-/// The frozen full-reparse extraction pipeline (reference implementation).
+/// The frozen full-reparse extraction pipeline: every snapshot is parsed
+/// from scratch and consecutive [`PageLinks`] sets are diffed. Public only
+/// as the oracle the differential proptests compare [`try_extract_actions`]
+/// against; nothing in the miner calls it.
 pub fn try_extract_actions_full(
     source: &dyn FetchSource,
     universe: &Universe,
@@ -203,67 +228,6 @@ fn resolve_memo<T: Copy>(
     let looked = lookup();
     memo[ix] = Some(looked);
     looked
-}
-
-/// The interned incremental extraction pipeline. Byte-identical output to
-/// [`try_extract_actions_full`]; the work differs: revision texts are
-/// line-diffed against their predecessor and only changed spans re-parsed,
-/// and diffing happens on interned symbols instead of owned strings.
-pub fn try_extract_actions_incremental(
-    source: &dyn FetchSource,
-    universe: &Universe,
-    entity: EntityId,
-    window: &Window,
-) -> Result<ExtractOutcome, FetchError> {
-    let mut out = ExtractOutcome::default();
-    let Some(history) = source.fetch_window(entity, window)? else {
-        return Ok(out);
-    };
-    let history = &*history;
-
-    let mut syms = SymTable::new();
-    let mut parser = IncrementalParser::new();
-
-    // Base snapshot: page state just before the window opens. Its edits
-    // (vs the empty page) are discarded — only the state matters.
-    if let Some(t) = window.start.checked_sub(1) {
-        if let Some(r) = history.snapshot_at(t) {
-            let step = parser.advance(&r.text, &mut syms);
-            out.parse_issues += step.issues.total();
-            out.base_parse_issues = step.issues.total();
-            out.bytes_parsed += step.bytes_parsed;
-            out.bytes_skipped += step.bytes_skipped;
-            out.base_bytes_parsed = step.bytes_parsed;
-        }
-    }
-
-    let mut rel_memo: Vec<Option<Option<RelId>>> = Vec::new();
-    let mut target_memo: Vec<Option<Option<EntityId>>> = Vec::new();
-    for rev in history.revisions_in(window) {
-        let step = parser.advance(&rev.text, &mut syms);
-        out.parse_issues += step.issues.total();
-        out.bytes_parsed += step.bytes_parsed;
-        out.bytes_skipped += step.bytes_skipped;
-        for e in step.edits {
-            let rel = resolve_memo(&mut rel_memo, e.relation, || {
-                universe.lookup_relation(syms.resolve(e.relation))
-            });
-            let Some(rel) = rel else {
-                out.unresolved_relations += 1;
-                continue;
-            };
-            let target = resolve_memo(&mut target_memo, e.target, || {
-                universe.entities().lookup(syms.resolve(e.target))
-            });
-            let Some(target) = target else {
-                out.unresolved_targets += 1;
-                continue;
-            };
-            out.actions
-                .push(Action::new(e.op, entity, rel, target, rev.time));
-        }
-    }
-    Ok(out)
 }
 
 /// Extracts and concatenates the actions of many entities within `window`,
@@ -475,10 +439,8 @@ mod tests {
         entity: EntityId,
         window: &Window,
     ) -> ExtractOutcome {
-        let incr =
-            try_extract_actions_with(store, u, entity, window, ExtractMode::Incremental).unwrap();
-        let full =
-            try_extract_actions_with(store, u, entity, window, ExtractMode::FullReparse).unwrap();
+        let incr = try_extract_actions(store, u, entity, window).unwrap();
+        let full = try_extract_actions_full(store, u, entity, window).unwrap();
         assert_eq!(incr.actions, full.actions);
         assert_eq!(incr.unresolved_targets, full.unresolved_targets);
         assert_eq!(incr.unresolved_relations, full.unresolved_relations);
@@ -528,15 +490,8 @@ mod tests {
             out.bytes_parsed,
             out.bytes_skipped
         );
-        let full =
-            try_extract_actions_with(&s, &u, e, &Window::new(0, 100), ExtractMode::FullReparse)
-                .unwrap();
+        let full = try_extract_actions_full(&s, &u, e, &Window::new(0, 100)).unwrap();
         assert_eq!(full.bytes_skipped, 0, "frozen path never skips");
         assert!(full.bytes_parsed > out.bytes_parsed);
-    }
-
-    #[test]
-    fn default_mode_is_incremental() {
-        assert_eq!(ExtractMode::default(), ExtractMode::Incremental);
     }
 }

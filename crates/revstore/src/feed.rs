@@ -2,7 +2,7 @@
 //!
 //! A [`RevisionFeed`] delivers revisions one at a time, in *arrival* order —
 //! which, as with any crawl or event stream, need not be chronological. The
-//! streaming miner ([`wiclean-core`]'s `StreamMiner`) consumes a feed,
+//! streaming miner (`wiclean-core`'s `StreamMiner`) consumes a feed,
 //! assigns each event to its time window, and seals windows as the
 //! watermark passes them; the feed itself makes no ordering promises beyond
 //! "each event is delivered exactly once".

@@ -32,7 +32,7 @@ pub use action::Action;
 pub use cache::{ActionCache, ActionCacheStats, CacheLookup};
 pub use extract::{
     extract_actions, extract_actions_for, try_extract_actions, try_extract_actions_full,
-    try_extract_actions_incremental, try_extract_actions_with, ExtractMode, ExtractOutcome,
+    ExtractOutcome,
 };
 pub use failfs::{FailKind, FailOp, FailSpec, Failpoint, FailpointFs, MemFs, RealFs, Vfs};
 pub use fault::{mix64, FaultPlan, FaultyStore, GarbleMode};

@@ -1,7 +1,7 @@
 //! The out-of-core revision corpus: delta-encoded, hash-sharded segment
 //! logs with mmap-backed snapshot materialization.
 //!
-//! [`RevisionStore`] keeps every revision's full wikitext in memory — fine
+//! [`RevisionStore`](crate::RevisionStore) keeps every revision's full wikitext in memory — fine
 //! for thousands of entities, hopeless for the million-entity corpora the
 //! real system crawls (full-Wikipedia revision history is terabytes).
 //! [`ShardedStore`] keeps the corpus on disk instead and materializes
@@ -43,7 +43,7 @@
 //! **Mining equivalence.** Both reads verify every frame's CRC and every
 //! decoded text's UTF-8, so they lose or serve a page alike. A full read
 //! folds the frames through [`PageHistory::extend`] — one stable sort by
-//! timestamp, exactly what [`RevisionStore::record_batch`] does; a window
+//! timestamp, exactly what [`RevisionStore::record_batch`](crate::RevisionStore::record_batch) does; a window
 //! read returns, for an in-order log, the same revisions for the window's
 //! base snapshot and its span. So a mined result over a `ShardedStore` is
 //! byte-identical to the in-memory store at any shard count, snapshot

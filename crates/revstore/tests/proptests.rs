@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use wiclean_revstore::reduce::net_effect;
 use wiclean_revstore::{
-    is_reduced, reduce_actions, try_extract_actions, try_extract_actions_with, Action, ActionCache,
-    CacheLookup, EditOp, ExtractMode, FaultPlan, FaultyStore, GarbleMode, RevisionStore,
+    is_reduced, reduce_actions, try_extract_actions, try_extract_actions_full, Action, ActionCache,
+    CacheLookup, EditOp, FaultPlan, FaultyStore, GarbleMode, RevisionStore,
 };
 use wiclean_types::{EntityId, RelId, Universe, Window};
 
@@ -187,7 +187,10 @@ proptest! {
     /// The tentpole differential at the extraction boundary: the interned
     /// incremental pipeline produces byte-identical actions and counters to
     /// the frozen full-reparse pipeline, over out-of-order ingested
-    /// multi-line histories and arbitrary windows.
+    /// multi-line histories and arbitrary windows. The byte accounting
+    /// differs only in what it skips: the incremental pipeline parses or
+    /// skips every byte the frozen one parses, and the frozen one skips
+    /// nothing.
     #[test]
     fn incremental_extraction_equals_full_reparse(
         stream in rich_stream(),
@@ -197,11 +200,11 @@ proptest! {
         let store = build_rich_store(&sources, &stream);
         for &e in &sources {
             for w in [Window::new(0, cut), Window::new(cut, 200), Window::new(0, 200)] {
-                let incr = try_extract_actions_with(&store, &u, e, &w, ExtractMode::Incremental)
-                    .unwrap();
-                let full = try_extract_actions_with(&store, &u, e, &w, ExtractMode::FullReparse)
-                    .unwrap();
+                let incr = try_extract_actions(&store, &u, e, &w).unwrap();
+                let full = try_extract_actions_full(&store, &u, e, &w).unwrap();
                 assert_same_outcome(&incr, &full)?;
+                prop_assert_eq!(incr.bytes_parsed + incr.bytes_skipped, full.bytes_parsed);
+                prop_assert_eq!(full.bytes_skipped, 0);
             }
         }
     }
@@ -229,18 +232,18 @@ proptest! {
         let faulty = FaultyStore::new(&store, plan);
         let w = Window::new(0, 200);
         for &e in &sources {
-            let incr = try_extract_actions_with(&faulty, &u, e, &w, ExtractMode::Incremental);
-            let full = try_extract_actions_with(&faulty, &u, e, &w, ExtractMode::FullReparse);
+            let incr = try_extract_actions(&faulty, &u, e, &w);
+            let full = try_extract_actions_full(&faulty, &u, e, &w);
             match (incr, full) {
                 (Ok(a), Ok(b)) => assert_same_outcome(&a, &b)?,
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "modes disagree on fallibility: {:?} vs {:?}", a, b),
+                (a, b) => prop_assert!(false, "pipelines disagree on fallibility: {:?} vs {:?}", a, b),
             }
         }
     }
 
-    /// Cache + incremental mode vs direct frozen extraction: the composed
-    /// path, the cached path, and both extraction modes all agree.
+    /// Cache + incremental pipeline vs direct frozen extraction: the
+    /// composed path, the cached path, and both pipelines all agree.
     #[test]
     fn cached_incremental_equals_direct_full_reparse(
         stream in rich_stream(),
@@ -256,8 +259,7 @@ proptest! {
             }
             let (got, lookup) = cache.extract(&store, &u, e, &full).unwrap();
             prop_assert_eq!(lookup, CacheLookup::Composed);
-            let frozen = try_extract_actions_with(&store, &u, e, &full, ExtractMode::FullReparse)
-                .unwrap();
+            let frozen = try_extract_actions_full(&store, &u, e, &full).unwrap();
             assert_same_outcome(&got, &frozen)?;
         }
     }

@@ -22,9 +22,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wiclean_revstore::wal::crc32;
 use wiclean_revstore::{
-    try_extract_actions_with, CrawlStats, ExtractMode, FailKind, FailOp, FailSpec, FailpointFs,
-    FetchSource, MemFs, MemoryBudget, PageHistory, RevisionStore, ShardPolicy, ShardedStore,
-    SyncPolicy, TailOutcome, Vfs,
+    try_extract_actions, try_extract_actions_full, CrawlStats, FailKind, FailOp, FailSpec,
+    FailpointFs, FetchSource, MemFs, MemoryBudget, PageHistory, RevisionStore, ShardPolicy,
+    ShardedStore, SyncPolicy, TailOutcome, Vfs,
 };
 use wiclean_types::{EntityId, Timestamp, TypeId, Universe, Window};
 
@@ -564,11 +564,12 @@ proptest! {
                 drop(sharded.fetch_history(entity).unwrap());
                 let after = sharded.crawl_stats();
                 prop_assert_eq!(crawl_delta(before, mid), crawl_delta(mid, after));
-                for mode in [ExtractMode::Incremental, ExtractMode::FullReparse] {
-                    let disk = try_extract_actions_with(&sharded, &u, entity, w, mode).unwrap();
-                    let memory = try_extract_actions_with(&reference, &u, entity, w, mode).unwrap();
-                    prop_assert_eq!(disk, memory);
-                }
+                let disk = try_extract_actions(&sharded, &u, entity, w).unwrap();
+                let memory = try_extract_actions(&reference, &u, entity, w).unwrap();
+                prop_assert_eq!(disk, memory);
+                let disk = try_extract_actions_full(&sharded, &u, entity, w).unwrap();
+                let memory = try_extract_actions_full(&reference, &u, entity, w).unwrap();
+                prop_assert_eq!(disk, memory);
             }
         }
         let absent = EntityId::from_u32(99);

@@ -30,7 +30,7 @@
 //!   reports the epoch that answered it.
 //! * **Panic-proofing** — each request runs under `catch_unwind`; a panic
 //!   becomes an error response and a `panics_caught` tick, never a dead
-//!   worker. Reloads that fail (including [`WicleanError::InternerFull`]
+//!   worker. Reloads that fail (including [`WicleanError::InternerFull`](wiclean_types::WicleanError::InternerFull)
 //!   surfaced as a build error) are rejected while the previous index
 //!   stays live.
 

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `serde_derive` proc-macro crate.
 //!
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` against the
-//! shim `serde` crate's [`Content`] tree model, without `syn`/`quote`: the
+//! shim `serde` crate's `Content` tree model, without `syn`/`quote`: the
 //! item is parsed directly from the `proc_macro` token stream and the impl is
 //! emitted as source text. Supported shapes are exactly what the workspace
 //! uses — non-generic structs (named, tuple, unit) and enums (unit, tuple,

@@ -108,18 +108,20 @@ USAGE:
   wiclean generate --domain <soccer|cinema|politics|software> [--seeds N] [--rng S] --out FILE
   wiclean stats    --corpus FILE
   wiclean ingest   --corpus FILE --store DIR [--threads N] [CORPUS BACKEND FLAGS]
-  wiclean mine     --corpus FILE [--threads N] [--extract MODE] [--out FILE] [FAULT FLAGS]
-  wiclean mine     --backend disk --store DIR [--threads N] [--extract MODE] [--out FILE] [CORPUS BACKEND FLAGS]
-  wiclean detect   --corpus FILE [--threads N] [--extract MODE] [--top K] [FAULT FLAGS]
-  wiclean detect   --backend disk --store DIR [--threads N] [--extract MODE] [--top K] [CORPUS BACKEND FLAGS]
+  wiclean mine     --corpus FILE [--threads N] [--out FILE] [FAULT FLAGS]
+  wiclean mine     --backend disk --store DIR [--threads N] [--out FILE] [CORPUS BACKEND FLAGS]
+  wiclean detect   --corpus FILE [--threads N] [--top K] [FAULT FLAGS]
+  wiclean detect   --backend disk --store DIR [--threads N] [--top K] [CORPUS BACKEND FLAGS]
   wiclean serve    --corpus FILE [--addr HOST:PORT] [--max-conns N] [--threads N] [SERVE FLAGS]
   wiclean stream   --corpus FILE [--serve HOST:PORT] [--out FILE] [STREAM FLAGS]
   wiclean stream   --backend disk --store DIR [--serve HOST:PORT] [--out FILE] [STREAM FLAGS]
   wiclean suggest  --corpus FILE --entity NAME [--edit add|remove] [--rel NAME] [--threads N]
 
-MODE (extraction pipeline, both produce byte-identical output):
-  incremental      prediff-gated interned extraction (default)
-  full             frozen full-reparse reference path (ablation)
+THREADS (`ingest`, `mine`, `detect`, `serve`, `suggest`):
+  --threads N      width of the one work pool a run shares between windows
+                   and each window's candidate and extraction batches,
+                   1..=256 (default: the host's cores, at most 256); output
+                   is byte-identical at any width
 
 CORPUS BACKEND FLAGS (crash-safe, out-of-core sharded store; see DESIGN.md §8):
   --backend B      `memory` (default): revisions live in RAM, loaded from
@@ -181,7 +183,7 @@ written, but coverage is untrustworthy).";
 
 /// Flag groups shared by several commands (the groups of the usage text).
 const STORE_FLAGS: &[&str] = &["store", "shards", "snapshot-every", "memory-budget"];
-const MINING_FLAGS: &[&str] = &["threads", "extract"];
+const MINING_FLAGS: &[&str] = &["threads"];
 const FAULT_FLAGS: &[&str] = &["fault-rate", "fault-seed", "retries"];
 const INDEX_FLAGS: &[&str] = &["max-patterns", "max-entities"];
 
@@ -212,7 +214,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
             &["corpus", "backend", "out", "serve", "max-conns"],
             &["grace", "refresh-revisions", "shuffle-seed", "tau", "width"],
             STORE_FLAGS,
-            MINING_FLAGS,
             INDEX_FLAGS,
         ],
         "suggest" => &[
@@ -272,26 +273,22 @@ fn load_corpus(flags: &HashMap<String, String>) -> Result<Corpus, String> {
     Corpus::load(path).map_err(|e| e.to_string())
 }
 
-fn threads(flags: &HashMap<String, String>) -> Result<usize, String> {
-    num_flag(
-        flags,
-        "threads",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )
-}
+/// The most worker threads `--threads` may ask for: the pool spawns one
+/// OS thread per unit of width, so an unchecked value could exhaust the
+/// process's threads before any work starts.
+const MAX_THREADS: usize = 256;
 
-/// Applies the `--extract` mode flag to a mining config.
-fn apply_extract_mode(wc: &mut WcConfig, flags: &HashMap<String, String>) -> Result<(), String> {
-    match flags.get("extract").map(String::as_str) {
-        None | Some("incremental") => Ok(()),
-        Some("full") => {
-            wc.use_incremental_extract = false;
-            Ok(())
-        }
-        Some(other) => Err(format!(
-            "flag --extract: `{other}` is not `incremental` or `full`"
-        )),
+/// The `--threads` width, refused unless in `1..=MAX_THREADS`; defaults to
+/// the host's cores (capped at [`MAX_THREADS`]).
+fn threads(flags: &HashMap<String, String>) -> Result<usize, String> {
+    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = num_flag(flags, "threads", default.min(MAX_THREADS))?;
+    if !(1..=MAX_THREADS).contains(&threads) {
+        return Err(format!(
+            "flag --threads: `{threads}` is not in 1..={MAX_THREADS}"
+        ));
     }
+    Ok(threads)
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -457,6 +454,7 @@ fn open_disk_corpus(
 /// store — delta-encoded segment logs plus the universe sidecar — so
 /// `mine --backend disk` can run without the corpus blob in memory.
 fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
+    let pool = MiningPool::new(threads(flags)?);
     let corpus = load_corpus(flags)?;
     let dir = flag(flags, "store")?;
     let policy = shard_policy(flags)?;
@@ -469,7 +467,6 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         policy.snapshot_every,
         policy.sync
     );
-    let pool = MiningPool::new(threads(flags)?);
     let n = ingest_sharded(&pool, &corpus.store, &store).map_err(|e| e.to_string())?;
     CorpusHeader::of(&corpus)
         .save(Path::new(dir).join(HEADER_FILE))
@@ -543,8 +540,7 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     if disk_backend(flags)? {
         return cmd_mine_disk(flags);
     }
-    let mut wc = default_wc_config(threads(flags)?);
-    apply_extract_mode(&mut wc, flags)?;
+    let wc = default_wc_config(threads(flags)?);
     let (plan, policy) = fault_setup(flags)?;
     let corpus = load_corpus(flags)?;
     eprintln!("mining `{}` (Algorithm 2)…", corpus.seed_type);
@@ -590,8 +586,7 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 /// from the sharded segment logs through the snapshot cache instead of an
 /// in-memory corpus. Output is byte-identical to the memory backend.
 fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let mut wc = default_wc_config(threads(flags)?);
-    apply_extract_mode(&mut wc, flags)?;
+    let wc = default_wc_config(threads(flags)?);
     let (header, corpus) = open_disk_corpus(flags)?;
     eprintln!("mining `{}` (Algorithm 2, out-of-core)…", header.seed_type);
     let mut result =
@@ -629,8 +624,7 @@ fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 
 fn cmd_detect(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let top: usize = num_flag(flags, "top", 5)?;
-    let mut wc = default_wc_config(threads(flags)?);
-    apply_extract_mode(&mut wc, flags)?;
+    let wc = default_wc_config(threads(flags)?);
     if disk_backend(flags)? {
         let (header, corpus) = open_disk_corpus(flags)?;
         eprintln!("mining `{}` (out-of-core)…", header.seed_type);
@@ -726,9 +720,8 @@ fn mine_and_index(
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+    let wc = default_wc_config(threads(flags)?);
     let corpus = load_corpus(flags)?;
-    let mut wc = default_wc_config(threads(flags)?);
-    apply_extract_mode(&mut wc, flags)?;
     let limits = index_limits(flags)?;
     let config = ServeConfig {
         addr: flags
@@ -801,8 +794,8 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     use wiclean::core::stream::{wc_result_from_sealed, StreamMiner};
     use wiclean::revstore::{FeedEvent, RevisionFeed, VecFeed};
 
-    let mut wc = default_wc_config(threads(flags)?);
-    apply_extract_mode(&mut wc, flags)?;
+    // The streaming miner runs each refresh inline; it has no pool to size.
+    let mut wc = default_wc_config(1);
     wc.tau0 = num_flag(flags, "tau", wc.tau0)?;
     if !(wc.tau0 > 0.0 && wc.tau0 <= 1.0) {
         return Err(format!("flag --tau: `{}` is not in (0, 1]", wc.tau0));
@@ -956,10 +949,9 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_suggest(flags: &HashMap<String, String>) -> Result<(), String> {
+    let wc = default_wc_config(threads(flags)?);
     let corpus = load_corpus(flags)?;
     let entity = flag(flags, "entity")?.to_string();
-    let mut wc = default_wc_config(threads(flags)?);
-    apply_extract_mode(&mut wc, flags)?;
     let sig = match (flags.get("edit"), flags.get("rel")) {
         (None, None) => None,
         (Some(edit), Some(rel)) => {

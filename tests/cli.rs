@@ -317,11 +317,18 @@ fn bad_invocations_fail_cleanly() {
     // Every command takes only its own flags: an unknown one is a usage
     // error (exit 2), never silently ignored — a retired `--durability`
     // must not quietly mine the JSON corpus instead of the store, nor a
-    // retired `--planner` look as if it chose a join engine. A flag the
-    // selected backend would ignore is refused too (exit 1).
+    // retired `--planner` look as if it chose a join engine, nor a
+    // retired `--extract` look as if it chose an extractor. A flag the
+    // selected backend or command would ignore is refused too, and so is
+    // a thread count outside 1..=256 (exit 1). The thread-count rows name
+    // a corpus that does not exist, so no pool is ever built for them.
     for (line, code) in [
         ("mine --corpus /tmp/x.json --durability /tmp/store", 2),
         ("mine --corpus /tmp/x.json --planner on", 2),
+        ("mine --corpus /tmp/x.json --extract full", 2),
+        ("stream --corpus /tmp/x.json --threads 2", 2),
+        ("mine --corpus /nonexistent.json --threads 0", 1),
+        ("mine --corpus /nonexistent.json --threads 100000", 1),
         ("stream --corpus /tmp/x.json --replan-factor 2", 2),
         ("detect --corpus /tmp/x.json --durability /tmp/store", 2),
         (
@@ -341,10 +348,14 @@ fn bad_invocations_fail_cleanly() {
         let args: Vec<&str> = line.split(' ').collect();
         let out = wiclean().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(code), "`{line}`");
+        // The error line itself names the flag (the usage text printed
+        // after it names every flag).
         let flag = args[args.len() - 2];
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let error = stderr.lines().next().unwrap_or_default();
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains(flag),
-            "`{line}`: the error must name {flag}"
+            error.starts_with("error:") && error.contains(flag),
+            "`{line}`: the error must name {flag}, got `{error}`"
         );
     }
 
