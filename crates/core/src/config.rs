@@ -317,7 +317,8 @@ pub struct WcConfig {
     /// across refinement iterations via the shared
     /// [`wiclean_revstore::ActionCache`]; widened windows are assembled
     /// from cached sub-window extractions instead of re-diffing wikitext.
-    /// Disable for ablation.
+    /// Disable for ablation. Batch mining only: the streaming miner never
+    /// attaches it (see [`crate::stream::StreamConfig::from_wc`]).
     pub use_action_cache: bool,
     /// Ignored; kept because the frozen benchmark sets it; goes with
     /// ROADMAP item 2. Extraction always runs the incremental pipeline.

@@ -30,8 +30,10 @@ pub struct DegradedCoverage {
     /// Entities skipped because their histories could not be fetched,
     /// sorted by entity id and deduplicated.
     pub lost: Vec<LostEntity>,
-    /// Recoverable markup defects healed by the parser across all fetched
-    /// snapshots (truncated downloads, broken closers).
+    /// Recoverable markup defects healed by the parser across the
+    /// snapshots the extractions read (truncated downloads, broken
+    /// closers): each window's base snapshot and in-window revisions, and
+    /// nothing for an entity with no revision in the window.
     pub parse_issues: u64,
     /// Whether any lost entity belongs to the seed type, i.e. the
     /// frequency denominator counts entities the run could not observe.

@@ -1555,6 +1555,25 @@ mod tests {
     }
 
     #[test]
+    fn unfetchable_entities_are_lost_even_when_their_window_is_empty() {
+        use wiclean_revstore::{FaultPlan, FaultyStore};
+        // No revision lies in [2, 10): no extraction parses anything, but
+        // every fetch still runs, so a gone page is a loss whatever window.
+        let fx = soccer_fixture();
+        let plan = FaultPlan {
+            gone_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        let faulty = FaultyStore::new(&fx.store, plan);
+        let r = WindowMiner::new(&faulty, &fx.universe, fx.config())
+            .mine_window(fx.player_ty, &Window::new(2, 10));
+        let lost: BTreeSet<EntityId> = r.degraded.lost.iter().map(|l| l.entity).collect();
+        assert_eq!(lost, fx.players.iter().copied().collect());
+        assert!(r.degraded.denominator_affected);
+        assert_eq!(r.stats.entities_processed, 0);
+    }
+
+    #[test]
     fn realize_pattern_matches_mined_table() {
         let fx = soccer_fixture();
         let miner = WindowMiner::new(&fx.store, &fx.universe, fx.config());

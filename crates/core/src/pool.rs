@@ -214,7 +214,13 @@ impl MiningPool {
 
 impl Drop for MiningPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the lock workers check it under: a worker
+        // between its check and its wait would otherwise miss the wakeup
+        // and never exit, hanging this join.
+        {
+            let _open = self.shared.open.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -274,6 +280,16 @@ mod tests {
         let items = [1usize, 2, 3];
         let doubled = pool.map(&items, |&x| x * 2);
         assert_eq!(doubled, vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn dropping_a_fresh_pool_never_hangs() {
+        // Workers that have just started race the drop's shutdown signal:
+        // one between its shutdown check and its wait must still wake.
+        // Pools are made and dropped one at a time (3 workers each).
+        for _ in 0..2000 {
+            drop(MiningPool::new(4));
+        }
     }
 
     #[test]

@@ -66,9 +66,7 @@ use wiclean_rel::{
     distinct_left_values, join_glue_pairs, join_glue_pairs_delta, join_glue_pairs_delta_nested,
     materialize_pairs, ColumnGlue, Pair, Table,
 };
-use wiclean_revstore::{
-    reduce_actions, ActionCache, FeedEvent, FetchError, RevisionFeed, RevisionStore,
-};
+use wiclean_revstore::{reduce_actions, FeedEvent, FetchError, RevisionFeed, RevisionStore};
 use wiclean_types::{EntityId, Timestamp, TypeId, Universe, Window};
 
 /// Configuration of a streaming run — the subset of [`WcConfig`] the
@@ -86,8 +84,6 @@ pub struct StreamConfig {
     pub miner: MinerConfig,
     /// Watermark / refresh-cadence knobs.
     pub policy: StreamPolicy,
-    /// Whether to attach a shared preprocessing (action-extraction) cache.
-    pub use_action_cache: bool,
 }
 
 impl StreamConfig {
@@ -96,7 +92,9 @@ impl StreamConfig {
     /// batch driver's first iteration, which is the one the stream mines
     /// continuously (width/threshold refinement is a batch concept).
     /// [`WcConfig::threads`] is not read: the streaming miner runs every
-    /// refresh and seal inline.
+    /// refresh and seal inline. Nor is [`WcConfig::use_action_cache`]: a
+    /// stream never hits that cache (a window loads an entity once and
+    /// re-extracts it only after its history changed), so it has none.
     pub fn from_wc(config: &WcConfig) -> Self {
         let mut miner = config.miner;
         miner.tau = config.tau0;
@@ -105,7 +103,6 @@ impl StreamConfig {
             timeline_start: config.timeline_start,
             miner,
             policy: config.stream,
-            use_action_cache: config.use_action_cache,
         }
     }
 }
@@ -235,8 +232,8 @@ impl WindowState {
     }
 
     /// Extracts `entity` from the live store and memoizes its
-    /// contribution; returns the freshly appended row count. Returns
-    /// `None` when the entity was already loaded (or is unfetchable).
+    /// contribution, appending its rows. Returns `None` when the entity was
+    /// already loaded, or could not be fetched (the loss is recorded).
     fn load_entity(&mut self, miner: &WindowMiner<'_>, entity: EntityId) -> Option<()> {
         if self.contrib.contains_key(&entity) || self.losses.contains_key(&entity) {
             return None;
@@ -261,6 +258,7 @@ impl WindowState {
     /// when some contribution was *not* append-only (a retraction) and
     /// the window must re-mine from scratch.
     fn absorb_dirty(&mut self, miner: &WindowMiner<'_>) -> bool {
+        let t0 = Instant::now();
         let dirty: Vec<EntityId> = self
             .dirty
             .iter()
@@ -312,6 +310,7 @@ impl WindowState {
             }
             self.contrib.insert(e, fresh);
         }
+        self.stats.preprocess += t0.elapsed();
         retracted
     }
 
@@ -336,7 +335,9 @@ impl WindowState {
     /// One refresh: absorb dirty entities, then replay the batch expansion
     /// (singletons → generation growth → fetched-type fixpoint) with
     /// memoized candidate evaluation. Returns the surviving frequent
-    /// nodes and the final fetched-type set.
+    /// nodes and the final fetched-type set. Extraction (re-extracting
+    /// dirty entities, loading a type) is timed as `preprocess`, the rest
+    /// of the refresh as `mine`, so each instant counts once.
     fn refresh(
         &mut self,
         miner: &WindowMiner<'_>,
@@ -344,12 +345,13 @@ impl WindowState {
         seed: TypeId,
         absorb: &RealizationCache,
     ) -> (Vec<Node>, BTreeSet<TypeId>) {
+        let t0 = Instant::now();
+        let preprocess0 = self.stats.preprocess;
         self.since_refresh = 0;
         if self.absorb_dirty(miner) {
             self.rebuild_from_contributions(absorb);
         }
 
-        let t0 = Instant::now();
         let tau = miner.config().tau;
         let window = self.window;
         let mut fetched: BTreeSet<TypeId> = BTreeSet::from([seed]);
@@ -476,7 +478,8 @@ impl WindowState {
             shapes.sort();
             self.fold_stage(universe, &fetched, &stage_rows);
         }
-        self.stats.mine += t0.elapsed();
+        let extracting = self.stats.preprocess - preprocess0;
+        self.stats.mine += t0.elapsed().saturating_sub(extracting);
         (nodes, fetched)
     }
 
@@ -537,25 +540,17 @@ impl WindowState {
     }
 }
 
-/// Extracts one entity's windowed contribution from the live store.
+/// Extracts one entity's windowed contribution from the live store. The
+/// stream's miner carries no action cache, so every extraction parses.
 fn extract_contribution(
     miner: &WindowMiner<'_>,
     entity: EntityId,
     window: &Window,
     stats: &mut MineStats,
 ) -> Result<Contribution, FetchError> {
-    use wiclean_revstore::CacheLookup;
-    let (outcome, lookup) = miner.extract_entity(entity, window)?;
-    match lookup {
-        Some(CacheLookup::Hit) => stats.action_cache_hits += 1,
-        Some(CacheLookup::Composed) => stats.action_cache_composed += 1,
-        Some(CacheLookup::Miss) => stats.action_cache_misses += 1,
-        None => {}
-    }
-    if matches!(lookup, Some(CacheLookup::Miss) | None) {
-        stats.bytes_parsed += outcome.bytes_parsed;
-        stats.bytes_skipped += outcome.bytes_skipped;
-    }
+    let (outcome, _) = miner.extract_entity(entity, window)?;
+    stats.bytes_parsed += outcome.bytes_parsed;
+    stats.bytes_skipped += outcome.bytes_skipped;
     let reduced = reduce_actions(&outcome.actions);
     let mut rows = Vec::with_capacity(reduced.len());
     for a in &reduced {
@@ -827,7 +822,6 @@ pub struct StreamMiner<'u> {
     store: RevisionStore,
     interner: Arc<PatternInterner>,
     absorb: Arc<RealizationCache>,
-    action_cache: Option<Arc<ActionCache>>,
     /// Open windows keyed by window start (sealing walks them in order).
     windows: BTreeMap<Timestamp, WindowState>,
     max_event: Option<Timestamp>,
@@ -842,9 +836,6 @@ impl<'u> StreamMiner<'u> {
     /// A streaming miner over `universe`, mining windows of
     /// `config.width` seconds w.r.t. `seed`.
     pub fn new(universe: &'u Universe, seed: TypeId, config: StreamConfig) -> Self {
-        let action_cache = config
-            .use_action_cache
-            .then(|| Arc::new(ActionCache::new()));
         Self {
             universe,
             seed,
@@ -852,7 +843,6 @@ impl<'u> StreamMiner<'u> {
             store: RevisionStore::new(),
             interner: Arc::new(PatternInterner::new()),
             absorb: Arc::new(RealizationCache::new()),
-            action_cache,
             windows: BTreeMap::new(),
             max_event: None,
             sealed_high: 0,
@@ -972,15 +962,10 @@ impl<'u> StreamMiner<'u> {
     }
 
     /// A window miner over the live store (cheap to construct; the
-    /// pattern interner and caches persist across calls so ids stay
-    /// stable).
+    /// pattern interner persists across calls so ids stay stable).
     fn miner(&self) -> WindowMiner<'_> {
-        let mut m = WindowMiner::new(&self.store, self.universe, self.config.miner)
-            .with_pattern_interner(self.interner.clone());
-        if let Some(ac) = &self.action_cache {
-            m = m.with_action_cache(ac.clone());
-        }
-        m
+        WindowMiner::new(&self.store, self.universe, self.config.miner)
+            .with_pattern_interner(self.interner.clone())
     }
 
     fn refresh_at(&mut self, start: Timestamp) {
@@ -1036,6 +1021,9 @@ impl<'u> StreamMiner<'u> {
         fetched: &BTreeSet<TypeId>,
         sealed_at: Instant,
     ) -> WindowResult {
+        // The most-specific filter and relative mining are mining, as in
+        // the batch miner's clock.
+        let t0 = Instant::now();
         let all: Vec<Pattern> = nodes.iter().map(|n| n.canonical.clone()).collect();
         let keep: HashSet<Pattern> = most_specific(&all, self.universe.taxonomy())
             .into_iter()
@@ -1064,6 +1052,7 @@ impl<'u> StreamMiner<'u> {
                 p.rel_patterns = rels;
             }
         }
+        ws.stats.mine += t0.elapsed();
 
         // Batch-equivalent extraction accounting over the final fetched
         // set (a retraction fallback can leave extra loaded entities whose
@@ -1131,8 +1120,6 @@ pub fn wc_result_from_sealed(
         late_revisions,
         ..DegradedCoverage::default()
     };
-    let mut taxonomy: Option<&Universe> = None;
-    let _ = taxonomy.take();
     for r in sealed {
         stats.absorb(&r.stats);
         degraded.absorb(&r.degraded);
@@ -1202,7 +1189,6 @@ mod tests {
                 grace: 1,
                 refresh_revisions: refresh,
             },
-            use_action_cache: true,
         }
     }
 
@@ -1473,6 +1459,55 @@ mod tests {
         let batch = WindowMiner::new(&batch_store, &fx.universe, fx.config())
             .mine_window(fx.player_ty, &fx.window);
         assert_equivalent(streamed, &batch);
+    }
+
+    #[test]
+    fn preprocess_plus_mine_accounts_for_ingest_and_flush() {
+        // The streaming twin of the batch miner's timer test: extraction
+        // (type loads and dirty re-extraction) is preprocessing and the
+        // rest of a refresh or seal is mining, so the sealed windows' two
+        // clocks add up to at most the wall time of ingest plus flush.
+        // Pages padded with prose make extraction most of that time, so a
+        // type load counted by both clocks overshoots the wall, most of all
+        // when windows refresh only at their seal. Recording arrivals in
+        // the store is in neither clock and slows down under a loaded
+        // host, so coverage has a loose floor: the best of three attempts
+        // must account for at least half the run.
+        let fx = soccer_fixture();
+        let pad: String = (0..2000)
+            .map(|i| format!("Prose line {i} of the page history.\n"))
+            .collect();
+        let mut events = events_of(&fx.store);
+        events.sort_by_key(|e| e.time);
+        for e in &mut events {
+            e.text = format!("{pad}{}", e.text);
+        }
+        for cadence in [u64::MAX, 1] {
+            let mut shares = Vec::new();
+            for _ in 0..3 {
+                let mut sm = StreamMiner::new(
+                    &fx.universe,
+                    fx.player_ty,
+                    stream_config(&fx, fx.window.len(), cadence),
+                );
+                let t0 = Instant::now();
+                for e in &events {
+                    sm.ingest(e);
+                }
+                sm.flush();
+                let wall = t0.elapsed();
+                let accounted = sm.stats().preprocess + sm.stats().mine;
+                assert!(
+                    accounted <= wall,
+                    "cadence {cadence}: {accounted:?} accounted of {wall:?}"
+                );
+                shares.push(accounted.as_secs_f64() / wall.as_secs_f64());
+            }
+            assert!(
+                shares.iter().any(|&s| s >= 0.5),
+                "cadence {cadence}: preprocess + mine cover only {shares:?} of the run"
+            );
+        }
     }
 
     #[test]

@@ -531,7 +531,6 @@ fn stream_cfg(width: u64, grace: u64, cadence: u64) -> StreamConfig {
             grace,
             refresh_revisions: cadence,
         },
-        use_action_cache: true,
     }
 }
 

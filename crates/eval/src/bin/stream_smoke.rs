@@ -12,11 +12,13 @@
 //!    refresh point (the cell asserts sealed outputs identical — pattern,
 //!    support and realization rows — before reporting);
 //! 3. print the stream-counter table (`windows_sealed`,
-//!    `delta_rows_joined`, `full_remine_fallbacks`, `stream_lag_us`) and
+//!    `delta_rows_joined`, `full_remine_fallbacks`, `stream_lag_us`), the
+//!    feed's page-text bytes next to the bytes the stream parsed, and
 //!    both wall clocks;
 //! 4. assert the invariants: windows sealed, patterns found, delta joins
-//!    actually exercised, zero late arrivals on a chronological feed, and
-//!    the stream not slower than the from-scratch replay.
+//!    actually exercised, zero late arrivals on a chronological feed, no
+//!    more bytes parsed than the feed carries, and the stream not slower
+//!    than the from-scratch replay.
 //!
 //! Exits nonzero on any violation so CI can gate on it.
 
@@ -65,6 +67,13 @@ fn main() -> ExitCode {
         "a chronological feed must have no late arrivals",
     );
     check(cell.stream_lag_us > 0, "seal latency not accounted");
+    // Each revision should be parsed about once: re-parsing base snapshots
+    // of windows an entity never edited, or whole window histories at
+    // every refresh, shows up as more bytes parsed than the feed carries.
+    check(
+        cell.bytes_parsed <= cell.feed_bytes,
+        "the stream parsed more bytes than the feed's page text",
+    );
     check(
         cell.speedup >= 1.0,
         "incremental stream slower than re-mining from scratch",

@@ -17,9 +17,13 @@
 //!   revision is diffed against its predecessor, and `[b, c)`'s base
 //!   snapshot *is* `[a, b)`'s last pre-`b` revision. A widened window is
 //!   therefore assembled from cached sub-window outcomes without touching
-//!   raw wikitext again. Parse-issue counters compose by subtracting each
-//!   non-first part's [`ExtractOutcome::base_parse_issues`] (its base
-//!   snapshot was already counted by the part before it).
+//!   raw wikitext again. A part whose window held no revision parsed
+//!   nothing ([`ExtractOutcome::revisions`] is 0) and adds nothing. The
+//!   first part that holds a revision keeps its base-snapshot counters:
+//!   every part before it was empty, so its base is the union's base. Each
+//!   later non-empty part subtracts its [`ExtractOutcome::base_parse_issues`]
+//!   and [`ExtractOutcome::base_bytes_parsed`]: its base snapshot is a
+//!   revision an earlier part already counted.
 //! * **Invalidation** — keys embed [`FetchSource::history_version`], which
 //!   bumps when (and only when) a revision is recorded for that entity.
 //!   Appending to one entity's history invalidates exactly that entity's
@@ -212,17 +216,18 @@ impl ActionCache {
 /// union window. See the module docs for why this is exact: the action
 /// lists concatenate (each revision is diffed against the same predecessor
 /// either way), unresolved counters sum (each in-window edit is seen by
-/// exactly one part), and parse issues sum minus each non-first part's
-/// base-snapshot share (that snapshot is the previous part's last revision,
-/// or a shared pre-window base, and was counted there).
+/// exactly one part), and parse counters sum minus the base-snapshot share
+/// of every non-empty part after the first non-empty one (that snapshot is
+/// an earlier part's last revision, counted there). Empty parts carry all
+/// counters 0, so until a part holds a revision, each part is the first.
 fn compose(parts: &[Arc<ExtractOutcome>]) -> ExtractOutcome {
     let mut out = ExtractOutcome::default();
-    for (i, part) in parts.iter().enumerate() {
+    for part in parts {
         out.actions.extend(part.actions.iter().cloned());
         out.unresolved_targets += part.unresolved_targets;
         out.unresolved_relations += part.unresolved_relations;
         out.bytes_skipped += part.bytes_skipped;
-        if i == 0 {
+        if out.revisions == 0 {
             out.parse_issues += part.parse_issues;
             out.base_parse_issues = part.base_parse_issues;
             out.bytes_parsed += part.bytes_parsed;
@@ -231,6 +236,7 @@ fn compose(parts: &[Arc<ExtractOutcome>]) -> ExtractOutcome {
             out.parse_issues += part.parse_issues - part.base_parse_issues;
             out.bytes_parsed += part.bytes_parsed - part.base_bytes_parsed;
         }
+        out.revisions += part.revisions;
     }
     out
 }
@@ -311,6 +317,73 @@ mod tests {
         // The composed entry itself is now cached.
         let (_, l3) = cache.extract(&s, &u, e, &Window::new(0, 80)).unwrap();
         assert_eq!(l3, CacheLookup::Hit);
+    }
+
+    /// Extracts every part `[cuts[i], cuts[i + 1])` of `e`, then asks for
+    /// their union: it must be composed, and equal direct extraction on
+    /// every field. Returns the direct outcome.
+    fn assert_tiling_composes(
+        s: &RevisionStore,
+        u: &Universe,
+        e: EntityId,
+        cuts: &[Timestamp],
+    ) -> ExtractOutcome {
+        let cache = ActionCache::new();
+        for part in cuts.windows(2) {
+            cache
+                .extract(s, u, e, &Window::new(part[0], part[1]))
+                .unwrap();
+        }
+        let union = Window::new(cuts[0], cuts[cuts.len() - 1]);
+        let (composed, lookup) = cache.extract(s, u, e, &union).unwrap();
+        assert_eq!(lookup, CacheLookup::Composed);
+        let direct = try_extract_actions(s, u, e, &union).unwrap();
+        assert_eq!(*composed, direct, "tiling {cuts:?}");
+        direct
+    }
+
+    /// Revisions at 5 and 50; the one at 5 has a markup defect, so a base
+    /// snapshot dropped by composition shows in the issue count too.
+    fn sparse() -> (Universe, RevisionStore, EntityId) {
+        let (u, _, neymar) = setup();
+        let mut s = RevisionStore::new();
+        s.record(
+            neymar,
+            5,
+            "{{Infobox p\n| current_club = [[Santos FC\n}}\n".into(),
+        );
+        s.record(
+            neymar,
+            50,
+            "{{Infobox p\n| current_club = [[PSG F.C.]]\n}}\n".into(),
+        );
+        (u, s, neymar)
+    }
+
+    #[test]
+    fn empty_part_before_a_revision_keeps_the_base_counters() {
+        let (u, s, e) = sparse();
+        let empty = try_extract_actions(&s, &u, e, &Window::new(10, 40)).unwrap();
+        assert_eq!(empty, ExtractOutcome::default(), "nothing parsed");
+        let direct = assert_tiling_composes(&s, &u, e, &[10, 40, 80]);
+        assert_eq!(direct.revisions, 1);
+        assert!(direct.base_parse_issues > 0 && direct.base_bytes_parsed > 0);
+    }
+
+    #[test]
+    fn empty_part_between_revisions_composes() {
+        let (u, s, e) = setup();
+        // [10, 35) holds 30, [35, 45) nothing, [45, 80) holds 50.
+        let direct = assert_tiling_composes(&s, &u, e, &[10, 35, 45, 80]);
+        assert_eq!(direct.revisions, 2);
+        assert!(direct.base_bytes_parsed > 0);
+    }
+
+    #[test]
+    fn all_empty_parts_compose_to_nothing() {
+        let (u, s, e) = setup();
+        let direct = assert_tiling_composes(&s, &u, e, &[60, 70, 90]);
+        assert_eq!(direct, ExtractOutcome::default());
     }
 
     #[test]

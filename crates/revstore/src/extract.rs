@@ -21,10 +21,18 @@ use wiclean_types::{EntityId, RelId, Sym, SymTable, Universe, Window};
 use wiclean_wikitext::{diff_revisions, parse_page_checked, IncrementalParser, PageLinks};
 
 /// Result of extracting one entity's actions within a window.
+///
+/// A window that holds no revision of the entity yields the default
+/// outcome: no actions and every counter 0. Its base snapshot is never
+/// parsed, since there is nothing to diff it against.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtractOutcome {
     /// Resolved actions, in revision order.
     pub actions: Vec<Action>,
+    /// Revisions inside the window that were diffed. 0 marks an empty
+    /// window, whose outcome parsed nothing (not even its base snapshot);
+    /// composition relies on it (see [`crate::cache::ActionCache`]).
+    pub revisions: u64,
     /// Link edits whose target page title is not a registered entity
     /// ("red links" and vandalism targets); counted but not mined.
     pub unresolved_targets: u64,
@@ -33,15 +41,16 @@ pub struct ExtractOutcome {
     /// be free-form prose structure.
     pub unresolved_relations: u64,
     /// Total recoverable markup defects the parser healed while scanning
-    /// this entity's snapshots (truncated downloads, broken closers). The
-    /// actions extracted from such snapshots are best-effort.
+    /// this entity's snapshots (truncated downloads, broken closers): the
+    /// base snapshot and the in-window revisions, and nothing for an empty
+    /// window. The actions extracted from such snapshots are best-effort.
     pub parse_issues: u64,
     /// The share of [`ExtractOutcome::parse_issues`] contributed by parsing
     /// the *base* snapshot (the page state just before the window opens).
     /// Needed to compose adjacent-window outcomes without double counting:
-    /// a sub-window's base snapshot is the previous sub-window's last
-    /// revision, whose issues that window already counted (see
-    /// [`crate::cache::ActionCache`]).
+    /// once an earlier sub-window held a revision, a sub-window's base
+    /// snapshot is the last such revision, whose issues that window
+    /// already counted (see [`crate::cache::ActionCache`]).
     pub base_parse_issues: u64,
     /// Snapshot bytes actually fed through a parser for this extraction.
     pub bytes_parsed: u64,
@@ -57,6 +66,7 @@ pub struct ExtractOutcome {
 impl ExtractOutcome {
     /// Sums another outcome's counters (not its actions) into this one.
     fn absorb_counters(&mut self, other: &ExtractOutcome) {
+        self.revisions += other.revisions;
         self.unresolved_targets += other.unresolved_targets;
         self.unresolved_relations += other.unresolved_relations;
         self.parse_issues += other.parse_issues;
@@ -71,7 +81,8 @@ impl ExtractOutcome {
 /// an empty page if none), so edits are attributed to the revision that
 /// introduced them — never to pre-window state. Each revision inside the
 /// window is diffed against its predecessor; every structured link edit
-/// becomes an [`Action`] stamped with the revision time.
+/// becomes an [`Action`] stamped with the revision time. A window with no
+/// revision of the entity parses nothing and yields the default outcome.
 ///
 /// Infallible variant over the in-memory store; see
 /// [`try_extract_actions`] for the fallible fetch boundary.
@@ -89,7 +100,9 @@ pub fn extract_actions(
 /// boundary. A fetch error is returned to the caller, which decides what
 /// the lost entity means (the miner records it as degraded coverage);
 /// recoverable *parse* defects are healed and counted in
-/// [`ExtractOutcome::parse_issues`] instead of failing the entity.
+/// [`ExtractOutcome::parse_issues`] instead of failing the entity. The
+/// entity is fetched even when the window turns out to hold none of its
+/// revisions, so a lost page surfaces whatever the window.
 ///
 /// Revision texts are line-diffed against their predecessor and only
 /// changed spans re-parsed, and diffing happens on interned symbols
@@ -106,6 +119,11 @@ pub fn try_extract_actions(
         return Ok(out);
     };
     let history = &*history;
+    let revisions = history.revisions_in(window);
+    if revisions.is_empty() {
+        return Ok(out);
+    }
+    out.revisions = revisions.len() as u64;
 
     let mut syms = SymTable::new();
     let mut parser = IncrementalParser::new();
@@ -125,7 +143,7 @@ pub fn try_extract_actions(
 
     let mut rel_memo: Vec<Option<Option<RelId>>> = Vec::new();
     let mut target_memo: Vec<Option<Option<EntityId>>> = Vec::new();
-    for rev in history.revisions_in(window) {
+    for rev in revisions {
         let step = parser.advance(&rev.text, &mut syms);
         out.parse_issues += step.issues.total();
         out.bytes_parsed += step.bytes_parsed;
@@ -167,6 +185,11 @@ pub fn try_extract_actions_full(
         return Ok(out);
     };
     let history = &*history;
+    let revisions = history.revisions_in(window);
+    if revisions.is_empty() {
+        return Ok(out);
+    }
+    out.revisions = revisions.len() as u64;
 
     // Base snapshot: page state just before the window opens.
     let mut prev: PageLinks = match window.start.checked_sub(1) {
@@ -184,7 +207,7 @@ pub fn try_extract_actions_full(
         None => PageLinks::default(),
     };
 
-    for rev in history.revisions_in(window) {
+    for rev in revisions {
         // Diff against the previous *parsed* state: equivalent to text-level
         // diffing (parsing is lossless for structured links) while parsing
         // each snapshot exactly once.
@@ -351,6 +374,8 @@ mod tests {
             out.actions.is_empty(),
             "revision at t=50 is outside [10,50)"
         );
+        // No revision in the window: the base snapshot at t=5 is not parsed.
+        assert_eq!(out, ExtractOutcome::default());
     }
 
     #[test]
@@ -420,6 +445,24 @@ mod tests {
         let faulty = FaultyStore::new(&s, plan);
         let err = try_extract_actions(&faulty, &u, neymar, &Window::new(0, 100)).unwrap_err();
         assert!(matches!(err, FetchError::Gone { revisions_lost: 2 }));
+    }
+
+    #[test]
+    fn fetch_error_on_an_empty_window_still_propagates() {
+        use crate::fault::{FaultPlan, FaultyStore};
+        let (u, s, neymar, ..) = setup();
+        let plan = FaultPlan {
+            gone_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        let faulty = FaultyStore::new(&s, plan);
+        // Neither revision (t = 5, 50) lies in [60, 100).
+        for w in [Window::new(60, 100), Window::new(10, 50)] {
+            let incr = try_extract_actions(&faulty, &u, neymar, &w).unwrap_err();
+            let full = try_extract_actions_full(&faulty, &u, neymar, &w).unwrap_err();
+            assert!(matches!(incr, FetchError::Gone { revisions_lost: 2 }));
+            assert_eq!(incr, full);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use wiclean_revstore::reduce::net_effect;
 use wiclean_revstore::{
     is_reduced, reduce_actions, try_extract_actions, try_extract_actions_full, Action, ActionCache,
-    CacheLookup, EditOp, FaultPlan, FaultyStore, GarbleMode, RevisionStore,
+    CacheLookup, EditOp, ExtractOutcome, FaultPlan, FaultyStore, GarbleMode, RevisionStore,
 };
 use wiclean_types::{EntityId, RelId, Universe, Window};
 
@@ -129,14 +129,15 @@ fn build_store(sources: &[EntityId], stream: &[(usize, u64, usize)]) -> Revision
 }
 
 fn assert_same_outcome(
-    cached: &wiclean_revstore::ExtractOutcome,
-    direct: &wiclean_revstore::ExtractOutcome,
+    cached: &ExtractOutcome,
+    direct: &ExtractOutcome,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(&cached.actions, &direct.actions);
     prop_assert_eq!(cached.unresolved_targets, direct.unresolved_targets);
     prop_assert_eq!(cached.unresolved_relations, direct.unresolved_relations);
     prop_assert_eq!(cached.parse_issues, direct.parse_issues);
     prop_assert_eq!(cached.base_parse_issues, direct.base_parse_issues);
+    prop_assert_eq!(cached.revisions, direct.revisions);
     Ok(())
 }
 
@@ -261,6 +262,56 @@ proptest! {
             prop_assert_eq!(lookup, CacheLookup::Composed);
             let frozen = try_extract_actions_full(&store, &u, e, &full).unwrap();
             assert_same_outcome(&got, &frozen)?;
+        }
+    }
+}
+
+/// A sparse stream of multi-line pages: at most five revisions over four
+/// pages, so most drawn windows hold none of a page's revisions.
+fn sparse_stream() -> impl Strategy<Value = Vec<(usize, u64, Vec<usize>)>> {
+    proptest::collection::vec(
+        (
+            0usize..4,
+            0u64..200,
+            proptest::collection::vec(0usize..5, 0..5),
+        ),
+        0..6,
+    )
+}
+
+proptest! {
+    /// Windows holding no revision of a page parse nothing (the default
+    /// outcome, in both pipelines), and a union tiled by up to three drawn
+    /// parts, any of them possibly empty, composes to exactly the direct
+    /// extraction: every field, byte counters included.
+    #[test]
+    fn empty_windows_parse_nothing_and_compose(
+        stream in sparse_stream(),
+        cuts in proptest::collection::vec(0u64..260, 4),
+    ) {
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        cuts.dedup();
+        prop_assume!(cuts.len() >= 2);
+        let (u, sources) = link_universe();
+        let store = build_rich_store(&sources, &stream);
+        let cache = ActionCache::new();
+        let union = Window::new(cuts[0], cuts[cuts.len() - 1]);
+        for &e in &sources {
+            for part in cuts.windows(2) {
+                let w = Window::new(part[0], part[1]);
+                let (got, _) = cache.extract(&store, &u, e, &w).unwrap();
+                let full = try_extract_actions_full(&store, &u, e, &w).unwrap();
+                assert_same_outcome(&got, &full)?;
+                if got.revisions == 0 {
+                    prop_assert_eq!(&*got, &ExtractOutcome::default());
+                    prop_assert_eq!(&full, &ExtractOutcome::default());
+                }
+            }
+            let (got, lookup) = cache.extract(&store, &u, e, &union).unwrap();
+            let expected = if cuts.len() > 2 { CacheLookup::Composed } else { CacheLookup::Hit };
+            prop_assert_eq!(lookup, expected);
+            prop_assert_eq!(&*got, &try_extract_actions(&store, &u, e, &union).unwrap());
         }
     }
 }

@@ -292,7 +292,6 @@ fn stream_sealed_windows_drive_epoch_swaps_with_zero_drops() {
             grace: 1,
             refresh_revisions: 2,
         },
-        use_action_cache: true,
     };
 
     // Serve from an empty index first: the stream has mined nothing yet.

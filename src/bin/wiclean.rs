@@ -92,10 +92,11 @@ fn main() -> ExitCode {
         "suggest" => cmd_suggest(&flags).map(|()| ExitCode::SUCCESS),
         other => unreachable!("`{other}` has an allow-list but no handler"),
     };
+    // A runtime error is one line: usage text would only bury its cause.
     match result {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -314,6 +314,24 @@ fn bad_invocations_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success(), "missing corpus must fail");
 
+    // A runtime error is its one `error:` line and exit 1; the usage text
+    // is for usage errors only.
+    let out = wiclean()
+        .args(["mine", "--corpus", "/nonexistent.json"])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "missing corpus is a runtime error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error:"), "got `{stderr}`");
+    assert!(
+        !stderr.contains("USAGE:"),
+        "runtime error printed usage: `{stderr}`"
+    );
+
     // Every command takes only its own flags: an unknown one is a usage
     // error (exit 2), never silently ignored — a retired `--durability`
     // must not quietly mine the JSON corpus instead of the store, nor a
@@ -348,14 +366,19 @@ fn bad_invocations_fail_cleanly() {
         let args: Vec<&str> = line.split(' ').collect();
         let out = wiclean().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(code), "`{line}`");
-        // The error line itself names the flag (the usage text printed
-        // after it names every flag).
+        // The error line itself names the flag (the usage text a usage
+        // error prints after it names every flag).
         let flag = args[args.len() - 2];
         let stderr = String::from_utf8_lossy(&out.stderr);
         let error = stderr.lines().next().unwrap_or_default();
         assert!(
             error.starts_with("error:") && error.contains(flag),
             "`{line}`: the error must name {flag}, got `{error}`"
+        );
+        assert_eq!(
+            stderr.contains("USAGE:"),
+            code == 2,
+            "`{line}`: usage text goes with usage errors only"
         );
     }
 
