@@ -177,107 +177,6 @@ impl<'de> serde::Deserialize<'de> for StreamPolicy {
     }
 }
 
-/// Which corpus backend serves revision histories to the miner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CorpusBackend {
-    /// Everything resident: the in-memory [`wiclean_revstore::RevisionStore`].
-    /// Fastest, but RSS grows with the corpus.
-    Memory,
-    /// Out-of-core: the sharded [`wiclean_revstore::ShardedStore`] —
-    /// delta-encoded segment logs on disk, mmap-backed reads, and a
-    /// byte-budgeted snapshot cache bounding resident text.
-    Disk,
-}
-
-/// Out-of-core corpus knobs ([`CorpusBackend::Disk`]): how revision
-/// histories are sharded, delta-encoded, and cached when the corpus does
-/// not fit in memory.
-///
-/// `Deserialize` is hand-written (below) so invalid values are rejected at
-/// config-load time with a clear message (zero shards would divide by zero
-/// in shard routing; a zero snapshot interval would never emit a full
-/// frame, making every materialization replay an unbounded delta chain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct CorpusPolicy {
-    /// Which backend serves histories.
-    pub backend: CorpusBackend,
-    /// Segment files entity logs are hashed across (1..=4096).
-    pub shards: u32,
-    /// Full-text checkpoint frame every this many revisions per entity
-    /// (≥ 1); 1 disables delta encoding entirely.
-    pub snapshot_every: u32,
-    /// Byte budget of the materialized-snapshot cache (≥ 1 MiB): the hot
-    /// working set of decoded [`wiclean_revstore::PageHistory`] values the
-    /// disk backend keeps resident between windows.
-    pub memory_budget: u64,
-}
-
-impl Default for CorpusPolicy {
-    fn default() -> Self {
-        Self {
-            backend: CorpusBackend::Memory,
-            shards: 8,
-            snapshot_every: 16,
-            memory_budget: 256 << 20,
-        }
-    }
-}
-
-impl CorpusPolicy {
-    /// Validates the knob values.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.shards == 0 || self.shards > 4096 {
-            return Err("corpus policy: shards must be in 1..=4096".to_owned());
-        }
-        if self.snapshot_every == 0 {
-            return Err("corpus policy: snapshot_every must be at least 1".to_owned());
-        }
-        if self.memory_budget < (1 << 20) {
-            return Err("corpus policy: memory_budget must be at least 1 MiB".to_owned());
-        }
-        Ok(())
-    }
-
-    /// The [`wiclean_revstore::ShardPolicy`] these knobs describe, with the
-    /// store's default sync cadence and ingest base budget.
-    pub fn shard_policy(&self) -> wiclean_revstore::ShardPolicy {
-        wiclean_revstore::ShardPolicy {
-            shards: self.shards,
-            snapshot_every: self.snapshot_every,
-            ..wiclean_revstore::ShardPolicy::default()
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for CorpusPolicy {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::{content_into_fields, take_field, take_field_or_default};
-        const NAME: &str = "CorpusPolicy";
-        let content = serde::Deserializer::deserialize_content(deserializer)?;
-        let mut fields = content_into_fields::<D::Error>(content, NAME)?;
-        let default = Self::default();
-        let policy = Self {
-            backend: take_field(&mut fields, "backend", NAME)?,
-            shards: take_field_or_default::<Option<u32>, D::Error>(&mut fields, "shards", NAME)?
-                .unwrap_or(default.shards),
-            snapshot_every: take_field_or_default::<Option<u32>, D::Error>(
-                &mut fields,
-                "snapshot_every",
-                NAME,
-            )?
-            .unwrap_or(default.snapshot_every),
-            memory_budget: take_field_or_default::<Option<u64>, D::Error>(
-                &mut fields,
-                "memory_budget",
-                NAME,
-            )?
-            .unwrap_or(default.memory_budget),
-        };
-        policy.validate().map_err(serde::de::Error::custom)?;
-        Ok(policy)
-    }
-}
-
 /// Full configuration of Algorithm 2 (window and threshold search).
 ///
 /// `Deserialize` is hand-written (below) so that keys added after a config
@@ -330,10 +229,6 @@ pub struct WcConfig {
     /// `wiclean stream` and [`crate::stream::StreamMiner`]; values are
     /// validated at deserialize time by [`StreamPolicy`].
     pub stream: StreamPolicy,
-    /// Corpus backend knobs: in-memory (default) or the out-of-core
-    /// sharded store. Only consulted by drivers that open a corpus from
-    /// disk; values are validated at deserialize time by [`CorpusPolicy`].
-    pub corpus: CorpusPolicy,
 }
 
 impl<'de> serde::Deserialize<'de> for WcConfig {
@@ -380,15 +275,6 @@ impl<'de> serde::Deserialize<'de> for WcConfig {
                 NAME,
             )?
             .unwrap_or_default(),
-            // Absent in configs written before the out-of-core corpus
-            // existed; those get the in-memory default. Present values go
-            // through `CorpusPolicy`'s validating deserializer.
-            corpus: take_field_or_default::<Option<CorpusPolicy>, D::Error>(
-                &mut fields,
-                "corpus",
-                NAME,
-            )?
-            .unwrap_or_default(),
         })
     }
 }
@@ -411,7 +297,6 @@ impl Default for WcConfig {
             use_incremental_extract: true,
             use_adaptive_planner: true,
             stream: StreamPolicy::default(),
-            corpus: CorpusPolicy::default(),
         }
     }
 }
@@ -499,6 +384,25 @@ mod tests {
         assert!(!legacy_json.contains("use_incremental_extract"));
         let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
         assert_eq!(legacy, WcConfig::default());
+
+        // Configs saved while the config carried a `corpus` section (a
+        // second, unread copy of the store flags) load too, even with
+        // values the old validator rejected.
+        assert!(!full.contains("\"corpus\""));
+        let corpus = "\"corpus\":{\"backend\":\"Disk\",\"shards\":8,\"snapshot_every\":16,\
+                      \"memory_budget\":268435456}";
+        let legacy_json = format!("{},{corpus}}}", &full[..full.len() - 1]);
+        let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
+        assert_eq!(legacy, WcConfig::default());
+        let rejected = legacy_json
+            .replace("\"shards\":8", "\"shards\":0")
+            .replace("\"snapshot_every\":16", "\"snapshot_every\":0")
+            .replace("\"memory_budget\":268435456", "\"memory_budget\":0");
+        assert!(rejected.contains("\"shards\":0"));
+        assert_eq!(
+            serde_json::from_str::<WcConfig>(&rejected).unwrap(),
+            WcConfig::default()
+        );
     }
 
     #[test]

@@ -52,10 +52,7 @@ pub(crate) mod testutil;
 
 pub use abstract_action::{abstractions_of, AbstractAction};
 pub use cache::{MiningCaches, RealizationCache};
-pub use config::{
-    CorpusBackend, CorpusPolicy, ExpansionMode, JoinImpl, MinerConfig, RefinePolicy, StreamPolicy,
-    WcConfig,
-};
+pub use config::{ExpansionMode, JoinImpl, MinerConfig, RefinePolicy, StreamPolicy, WcConfig};
 pub use corpus::{ingest_sharded, open_sharded_corpus, ShardedCorpus};
 pub use degraded::{DegradedCoverage, LostEntity};
 pub use interner::{PatternId, PatternInterner};

@@ -129,17 +129,6 @@ pub struct MineStats {
     /// (0 for in-memory corpora) — a gauge, not a rate.
     #[serde(default)]
     pub bytes_on_disk: u64,
-    /// Snapshot-cache hits: page histories served without touching a shard
-    /// segment (0 for in-memory corpora).
-    #[serde(default)]
-    pub snapshot_cache_hits: u64,
-    /// Snapshot-cache misses: histories materialized by decoding a frame
-    /// chain from disk.
-    #[serde(default)]
-    pub snapshot_cache_misses: u64,
-    /// Snapshot-cache evictions forced by the memory budget.
-    #[serde(default)]
-    pub snapshot_cache_evictions: u64,
     /// Delta frames decoded while reading page histories from a sharded
     /// store (the replay work `snapshot_every` bounds per revision).
     #[serde(default)]
@@ -204,9 +193,6 @@ impl MineStats {
         self.full_remine_fallbacks += other.full_remine_fallbacks;
         // A gauge (both sides describe the same on-disk corpus), not a sum.
         self.bytes_on_disk = self.bytes_on_disk.max(other.bytes_on_disk);
-        self.snapshot_cache_hits += other.snapshot_cache_hits;
-        self.snapshot_cache_misses += other.snapshot_cache_misses;
-        self.snapshot_cache_evictions += other.snapshot_cache_evictions;
         self.delta_chain_replays += other.delta_chain_replays;
         self.map_residency_releases += other.map_residency_releases;
         self.replans += other.replans;
@@ -222,22 +208,8 @@ impl MineStats {
     /// [`ShardedStore`](wiclean_revstore::ShardedStore)'s numbers).
     pub fn stamp_corpus(&mut self, corpus: &wiclean_revstore::CorpusStats) {
         self.bytes_on_disk = self.bytes_on_disk.max(corpus.bytes_on_disk);
-        self.snapshot_cache_hits += corpus.snapshot_cache_hits;
-        self.snapshot_cache_misses += corpus.snapshot_cache_misses;
-        self.snapshot_cache_evictions += corpus.snapshot_cache_evictions;
         self.delta_chain_replays += corpus.delta_chain_replays;
         self.map_residency_releases += corpus.map_residency_releases;
-    }
-
-    /// Share of snapshot-cache lookups served from memory; 0 for in-memory
-    /// corpora (which never look up).
-    pub fn snapshot_cache_hit_rate(&self) -> f64 {
-        let total = self.snapshot_cache_hits + self.snapshot_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.snapshot_cache_hits as f64 / total as f64
-        }
     }
 
     /// Share of executed candidate joins whose output table was never

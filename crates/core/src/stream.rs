@@ -835,7 +835,15 @@ pub struct StreamMiner<'u> {
 impl<'u> StreamMiner<'u> {
     /// A streaming miner over `universe`, mining windows of
     /// `config.width` seconds w.r.t. `seed`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.width` is 0: no window could hold an event.
     pub fn new(universe: &'u Universe, seed: TypeId, config: StreamConfig) -> Self {
+        assert!(
+            config.width > 0,
+            "stream window width must be at least 1 second"
+        );
         Self {
             universe,
             seed,
@@ -1190,6 +1198,13 @@ mod tests {
                 refresh_revisions: refresh,
             },
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "stream window width must be at least 1 second")]
+    fn zero_width_is_refused_up_front() {
+        let fx = crate::testutil::soccer_fixture();
+        StreamMiner::new(&fx.universe, fx.player_ty, stream_config(&fx, 0, 1));
     }
 
     /// Streamed and batch results must agree on everything observable:

@@ -53,10 +53,6 @@ pub struct MineCell {
     pub wall_s: f64,
     pub patterns: usize,
     pub most_specific: usize,
-    pub snapshot_cache_hits: u64,
-    pub snapshot_cache_misses: u64,
-    pub snapshot_cache_evictions: u64,
-    pub snapshot_cache_hit_rate: f64,
     pub delta_chain_replays: u64,
 }
 
@@ -251,20 +247,11 @@ pub fn corpus_scale(fast_mode: bool, dir: &Path) -> CorpusScaleReport {
     let disk_wall = t0.elapsed().as_secs_f64();
     let disk_digest = pattern_digest(&result, &world.universe);
     let stats = corpus.store.corpus_stats();
-    let lookups = stats.snapshot_cache_hits + stats.snapshot_cache_misses;
     let mine_disk = MineCell {
         backend: "disk".to_owned(),
         wall_s: disk_wall,
         patterns: result.patterns.len(),
         most_specific: result.patterns.iter().filter(|p| p.most_specific).count(),
-        snapshot_cache_hits: stats.snapshot_cache_hits,
-        snapshot_cache_misses: stats.snapshot_cache_misses,
-        snapshot_cache_evictions: stats.snapshot_cache_evictions,
-        snapshot_cache_hit_rate: if lookups == 0 {
-            0.0
-        } else {
-            stats.snapshot_cache_hits as f64 / lookups as f64
-        },
         delta_chain_replays: stats.delta_chain_replays,
     };
     drop(corpus);
@@ -310,10 +297,6 @@ pub fn corpus_scale(fast_mode: bool, dir: &Path) -> CorpusScaleReport {
         wall_s: memory_wall,
         patterns: result.patterns.len(),
         most_specific: result.patterns.iter().filter(|p| p.most_specific).count(),
-        snapshot_cache_hits: 0,
-        snapshot_cache_misses: 0,
-        snapshot_cache_evictions: 0,
-        snapshot_cache_hit_rate: 0.0,
         delta_chain_replays: 0,
     };
     drop(mem_store);

@@ -369,7 +369,7 @@ mod tests {
             sync: SyncPolicy::Never,
             ..ShardPolicy::default()
         };
-        // A budget small enough to force evictions on a 150-seed world.
+        // The smallest budget the CLI accepts: any budget serves any store.
         let budget = Arc::new(MemoryBudget::new(1 << 20));
         let dest = ShardedStore::create(fs.clone(), &dir, policy, budget.clone()).unwrap();
         ingest_sharded(&MiningPool::new(2), &world.store, &dest).unwrap();
@@ -381,9 +381,8 @@ mod tests {
 
         assert_eq!(patterns(&memory), patterns(&disk), "identical discoveries");
         assert!(disk.stats.bytes_on_disk > 0);
-        // Extraction reads window-scoped chain replays, which bypass the
-        // snapshot cache: the read work shows as pages fetched and delta
-        // frames decoded.
+        // Extraction reads window-scoped chain replays: the read work shows
+        // as pages fetched and delta frames decoded.
         assert!(
             corpus.store.crawl_stats().pages_fetched > 0,
             "the disk backend fetched pages"

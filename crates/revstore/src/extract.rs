@@ -18,7 +18,7 @@ use crate::action::Action;
 use crate::fetch::{FetchError, FetchSource};
 use crate::store::RevisionStore;
 use wiclean_types::{EntityId, RelId, Sym, SymTable, Universe, Window};
-use wiclean_wikitext::{diff_revisions, parse_page_checked, IncrementalParser, PageLinks};
+use wiclean_wikitext::{parse_page_checked, IncrementalParser, PageLinks};
 
 /// Result of extracting one entity's actions within a window.
 ///
@@ -271,51 +271,51 @@ pub fn extract_actions_for(
     out
 }
 
-/// Text-level variant used by differential tests: diffs raw revision texts
-/// with [`diff_revisions`] instead of cached parsed states. Semantically
-/// identical to [`extract_actions`], quadratically more parsing.
-pub fn extract_actions_textdiff(
-    store: &RevisionStore,
-    universe: &Universe,
-    entity: EntityId,
-    window: &Window,
-) -> ExtractOutcome {
-    let mut out = ExtractOutcome::default();
-    let Some(history) = store.fetch(entity) else {
-        return out;
-    };
-    // Borrow snapshot texts straight out of the store — cloning the full
-    // page text once to seed and once per revision step doubled the
-    // allocation traffic of this path for no reason.
-    let mut prev_text: &str = window
-        .start
-        .checked_sub(1)
-        .and_then(|t| history.snapshot_at(t))
-        .map(|r| r.text.as_str())
-        .unwrap_or_default();
-    for rev in history.revisions_in(window) {
-        for e in diff_revisions(prev_text, &rev.text) {
-            let Some(rel) = universe.lookup_relation(&e.relation) else {
-                out.unresolved_relations += 1;
-                continue;
-            };
-            let Some(target) = universe.entities().lookup(&e.target) else {
-                out.unresolved_targets += 1;
-                continue;
-            };
-            out.actions
-                .push(Action::new(e.op, entity, rel, target, rev.time));
-        }
-        prev_text = &rev.text;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wiclean_types::TypeId;
-    use wiclean_wikitext::EditOp;
+    use wiclean_wikitext::{diff_revisions, EditOp};
+
+    /// Text-level reference: diffs raw revision texts with [`diff_revisions`]
+    /// instead of cached parsed states. Semantically identical to
+    /// [`extract_actions`], quadratically more parsing.
+    fn extract_actions_textdiff(
+        store: &RevisionStore,
+        universe: &Universe,
+        entity: EntityId,
+        window: &Window,
+    ) -> ExtractOutcome {
+        let mut out = ExtractOutcome::default();
+        let Some(history) = store.fetch(entity) else {
+            return out;
+        };
+        // Borrow snapshot texts straight out of the store — cloning the full
+        // page text once to seed and once per revision step doubled the
+        // allocation traffic of this path for no reason.
+        let mut prev_text: &str = window
+            .start
+            .checked_sub(1)
+            .and_then(|t| history.snapshot_at(t))
+            .map(|r| r.text.as_str())
+            .unwrap_or_default();
+        for rev in history.revisions_in(window) {
+            for e in diff_revisions(prev_text, &rev.text) {
+                let Some(rel) = universe.lookup_relation(&e.relation) else {
+                    out.unresolved_relations += 1;
+                    continue;
+                };
+                let Some(target) = universe.entities().lookup(&e.target) else {
+                    out.unresolved_targets += 1;
+                    continue;
+                };
+                out.actions
+                    .push(Action::new(e.op, entity, rel, target, rev.time));
+            }
+            prev_text = &rev.text;
+        }
+        out
+    }
 
     fn setup() -> (Universe, RevisionStore, EntityId, EntityId, EntityId) {
         let mut u = Universe::new("Thing");

@@ -27,10 +27,6 @@ use std::path::Path;
 use std::sync::Arc;
 use wiclean_types::{EntityId, Timestamp};
 
-/// Snapshot-cache budget of a feed's store. A replay materializes each
-/// history exactly once, so the cache only needs to bound residency.
-const FEED_CACHE_BYTES: u64 = 8 << 20;
-
 /// One revision arriving on a feed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedEvent {
@@ -150,10 +146,10 @@ impl<V: Vfs> DurableFeed<V> {
             let Some(history) = store.materialize(entity)? else {
                 continue;
             };
-            pending.extend(history.revisions().iter().map(|r| FeedEvent {
+            pending.extend(history.into_revisions().into_iter().map(|r| FeedEvent {
                 entity,
                 time: r.time,
-                text: r.text.clone(),
+                text: r.text,
             }));
         }
         Ok(Self {
@@ -200,8 +196,9 @@ impl<V: Vfs> RevisionFeed for DurableFeed<V> {
     }
 }
 
+/// Mapped-page residency budget of a feed's store.
 fn feed_budget() -> Arc<MemoryBudget> {
-    Arc::new(MemoryBudget::new(FEED_CACHE_BYTES))
+    Arc::new(MemoryBudget::new(8 << 20))
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use wiclean_types::{EntityId, Window};
 
@@ -127,8 +126,6 @@ pub trait FetchSource: Sync {
 pub enum FetchedHistory<'a> {
     /// Lent by an in-memory source.
     Borrowed(&'a PageHistory),
-    /// Shared with the source's own cache (no copy of the page texts).
-    Shared(Arc<PageHistory>),
     /// Produced for this fetch alone.
     Owned(PageHistory),
 }
@@ -139,7 +136,6 @@ impl Deref for FetchedHistory<'_> {
     fn deref(&self) -> &PageHistory {
         match self {
             FetchedHistory::Borrowed(h) => h,
-            FetchedHistory::Shared(h) => h,
             FetchedHistory::Owned(h) => h,
         }
     }
@@ -156,7 +152,6 @@ impl FetchedHistory<'_> {
     pub fn into_owned(self) -> PageHistory {
         match self {
             FetchedHistory::Borrowed(h) => h.clone(),
-            FetchedHistory::Shared(h) => Arc::unwrap_or_clone(h),
             FetchedHistory::Owned(h) => h,
         }
     }

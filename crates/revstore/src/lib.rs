@@ -43,8 +43,8 @@ pub use fetch::{
 pub use mmap::FileMap;
 pub use reduce::{is_reduced, reduce_actions};
 pub use shard::{
-    history_bytes, CorpusStats, MemoryBudget, ShardLoss, ShardPolicy, ShardRecoveryReport,
-    ShardedStore, SnapshotCache, SnapshotCacheStats,
+    CorpusStats, MemoryBudget, ShardLoss, ShardPolicy, ShardRecoveryReport, ShardedStore,
+    MAX_SHARDS,
 };
 pub use store::{CrawlStats, PageHistory, Revision, RevisionStore};
 pub use wal::{SyncPolicy, TailOutcome, WalError};

@@ -24,21 +24,21 @@
 //!   zero-copy `mmap(2)` view on a real filesystem, an owned read on
 //!   [`MemFs`](crate::failfs::MemFs) so every fault test still runs. Only
 //!   the in-memory *frame index* (offsets, lengths, per-entity time order)
-//!   and the bounded caches below stay on the heap.
+//!   and the bounded ingest bases below stay on the heap.
 //! * **Window-scoped extraction reads.** [`FetchSource::fetch_window`]
 //!   replays an entity's chain through one reusable buffer, splicing
 //!   deltas in place, and keeps owned text only for the last revision
 //!   before the window and the revisions inside it: no per-revision
-//!   `String` outside the window, no sort, no [`SnapshotCache`] traffic.
-//!   An entity whose log arrived out of time order is materialized
-//!   instead.
-//! * **Bounded working set.** [`materialize`](ShardedStore::materialize)d
-//!   histories (what [`FetchSource::fetch_history`] serves) land in a
-//!   byte-budgeted LRU ([`SnapshotCache`]) charged against a shared
-//!   [`MemoryBudget`], so a hot working set stays warm while the corpus
-//!   itself never needs to fit in RAM. During ingest the per-shard delta
-//!   bases are bounded the same way: evicting a base simply restarts that
-//!   entity's chain with a full frame.
+//!   `String` outside the window and no sort. An entity whose log arrived
+//!   out of time order is materialized instead.
+//! * **Bounded working set.** Nothing decoded is kept between reads:
+//!   [`materialize`](ShardedStore::materialize) (what
+//!   [`FetchSource::fetch_history`] serves) decodes the chain into a
+//!   history the caller owns. The segment pages a read faults in are
+//!   handed back to the kernel once they pass the [`MemoryBudget`], so the
+//!   corpus itself never needs to fit in RAM. During ingest the per-shard
+//!   delta bases are bounded by `ingest_base_budget`: evicting a base
+//!   simply restarts that entity's chain with a full frame.
 //!
 //! **Mining equivalence.** Both reads verify every frame's CRC and every
 //! decoded text's UTF-8, so they lose or serve a page alike. A full read
@@ -47,7 +47,7 @@
 //! read returns, for an in-order log, the same revisions for the window's
 //! base snapshot and its span. So a mined result over a `ShardedStore` is
 //! byte-identical to the in-memory store at any shard count, snapshot
-//! interval, or cache budget (differential proptests pin this).
+//! interval, or memory budget (differential proptests pin this).
 //!
 //! **Crash safety.** Opening a store scans each segment's longest valid
 //! frame prefix (CRC + structural header checks), truncates anything
@@ -66,7 +66,7 @@ use crate::store::{CrawlStats, PageHistory};
 use crate::wal::{self, crc32, SyncPolicy, TailOutcome, WalError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,11 +75,15 @@ use wiclean_types::{EntityId, Timestamp, Window};
 /// On-disk format version of a sharded store directory.
 const SHARD_STORE_VERSION: u32 = 1;
 
+/// The most segment files a store may hash entity logs across.
+pub const MAX_SHARDS: u32 = 4096;
+
 /// Knobs of a [`ShardedStore`]. Validated on construction and at
 /// deserialize time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ShardPolicy {
-    /// Number of segment files entity logs are hashed across.
+    /// Number of segment files entity logs are hashed across
+    /// (1..=[`MAX_SHARDS`]).
     pub shards: u32,
     /// Force a full-text frame every this many revisions per entity, so a
     /// materialization replays at most `snapshot_every − 1` deltas past a
@@ -110,8 +114,8 @@ impl Default for ShardPolicy {
 impl ShardPolicy {
     /// Validates the knob values.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards == 0 || self.shards > 4096 {
-            return Err("shard policy: shards must be in 1..=4096".to_owned());
+        if !(1..=MAX_SHARDS).contains(&self.shards) {
+            return Err(format!("shard policy: shards must be in 1..={MAX_SHARDS}"));
         }
         if self.snapshot_every == 0 {
             return Err("shard policy: snapshot_every must be at least 1".to_owned());
@@ -152,200 +156,23 @@ struct ShardMeta {
     snapshot_every: u32,
 }
 
-/// A shared byte budget. [`SnapshotCache`] evicts while `used > capacity`;
-/// other holders of the same budget (the ingest base cache, an
-/// [`ActionCache`](crate::cache::ActionCache) accounting its outcomes)
-/// charge it too, shrinking the snapshot cache's headroom so the total
-/// stays bounded.
+/// The mapped-page residency budget of a [`ShardedStore`]: once the
+/// segment pages its reads have faulted in pass `capacity` bytes, the
+/// store hands them back to the kernel.
 #[derive(Debug)]
 pub struct MemoryBudget {
     capacity: u64,
-    used: AtomicU64,
 }
 
 impl MemoryBudget {
     /// A budget of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
-        Self {
-            capacity,
-            used: AtomicU64::new(0),
-        }
+        Self { capacity }
     }
 
     /// The configured capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Bytes currently charged.
-    pub fn used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    /// Charges `bytes` against the budget.
-    pub fn charge(&self, bytes: u64) {
-        self.used.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Releases `bytes` back to the budget.
-    pub fn release(&self, bytes: u64) {
-        self.used.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// Whether more than the capacity is currently charged.
-    pub fn over(&self) -> bool {
-        self.used() > self.capacity
-    }
-}
-
-/// Approximate heap footprint of a materialized history, for budget
-/// accounting: text bytes plus per-revision and per-entry bookkeeping.
-pub fn history_bytes(history: &PageHistory) -> u64 {
-    let text: usize = history.revisions().iter().map(|r| r.text.len()).sum();
-    (text + 48 * history.len() + 64) as u64
-}
-
-struct SnapEntry {
-    history: Arc<PageHistory>,
-    bytes: u64,
-    stamp: u64,
-}
-
-#[derive(Default)]
-struct SnapInner {
-    entries: HashMap<EntityId, SnapEntry>,
-    /// LRU order: stamp → entity. Stamps are unique (a monotone clock).
-    lru: BTreeMap<u64, EntityId>,
-    clock: u64,
-}
-
-/// Counter snapshot of a [`SnapshotCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to materialize from disk.
-    pub misses: u64,
-    /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
-}
-
-/// A byte-budgeted LRU of materialized [`PageHistory`] snapshots, shared
-/// across shards and mining threads. Entries are `Arc`s, so an eviction
-/// never invalidates a history a miner is still holding.
-pub struct SnapshotCache {
-    budget: Arc<MemoryBudget>,
-    inner: Mutex<SnapInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl SnapshotCache {
-    /// An empty cache charging `budget`.
-    pub fn new(budget: Arc<MemoryBudget>) -> Self {
-        Self {
-            budget,
-            inner: Mutex::new(SnapInner::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The budget this cache evicts against.
-    pub fn budget(&self) -> &Arc<MemoryBudget> {
-        &self.budget
-    }
-
-    /// Looks up `entity`, bumping its recency on a hit.
-    pub fn get(&self, entity: EntityId) -> Option<Arc<PageHistory>> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        match inner.entries.get_mut(&entity) {
-            Some(entry) => {
-                inner.lru.remove(&entry.stamp);
-                inner.clock += 1;
-                entry.stamp = inner.clock;
-                inner.lru.insert(entry.stamp, entity);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.history))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `entity`'s materialized history, evicting least-recently
-    /// used entries until the budget is respected again. A history larger
-    /// than the whole budget is not cached at all (it would only thrash).
-    pub fn insert(&self, entity: EntityId, history: Arc<PageHistory>, bytes: u64) {
-        if bytes > self.budget.capacity() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        if let Some(old) = inner.entries.remove(&entity) {
-            inner.lru.remove(&old.stamp);
-            self.budget.release(old.bytes);
-        }
-        inner.clock += 1;
-        let stamp = inner.clock;
-        self.budget.charge(bytes);
-        inner.entries.insert(
-            entity,
-            SnapEntry {
-                history,
-                bytes,
-                stamp,
-            },
-        );
-        inner.lru.insert(stamp, entity);
-        while self.budget.over() && inner.entries.len() > 1 {
-            let Some((&oldest, &victim)) = inner.lru.iter().next() else {
-                break;
-            };
-            if victim == entity {
-                break; // never evict the entry just inserted
-            }
-            inner.lru.remove(&oldest);
-            if let Some(gone) = inner.entries.remove(&victim) {
-                self.budget.release(gone.bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drops `entity`'s cached snapshot (called on append, so readers
-    /// never see a stale history).
-    pub fn invalidate(&self, entity: EntityId) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        if let Some(old) = inner.entries.remove(&entity) {
-            inner.lru.remove(&old.stamp);
-            self.budget.release(old.bytes);
-        }
-    }
-
-    /// Cached entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> SnapshotCacheStats {
-        SnapshotCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -387,8 +214,7 @@ impl ShardRecoveryReport {
 }
 
 /// Counter snapshot of a [`ShardedStore`] — the corpus-side numbers that
-/// feed `MineStats` (`bytes_on_disk`, snapshot-cache traffic, delta-chain
-/// replay work).
+/// feed `MineStats` (`bytes_on_disk`, delta-chain replay work).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CorpusStats {
     /// Valid segment bytes across all shards.
@@ -397,11 +223,11 @@ pub struct CorpusStats {
     pub frames_full: u64,
     /// Delta frames written.
     pub frames_delta: u64,
-    /// Snapshot-cache hits.
-    pub snapshot_cache_hits: u64,
-    /// Snapshot-cache misses (each one materialized from disk).
+    /// Always 0. Kept because the frozen benchmark reads it; goes with
+    /// ROADMAP item 2.
     pub snapshot_cache_misses: u64,
-    /// Snapshot-cache evictions.
+    /// Always 0. Kept because the frozen benchmark reads it; goes with
+    /// ROADMAP item 2.
     pub snapshot_cache_evictions: u64,
     /// Delta frames decoded while reading page histories (both readers).
     pub delta_chain_replays: u64,
@@ -533,7 +359,8 @@ pub struct ShardedStore<V> {
     policy: ShardPolicy,
     states: Vec<Mutex<ShardState>>,
     counters: Counters,
-    cache: SnapshotCache,
+    /// Residency budget of the segment pages reads fault in, in bytes.
+    map_budget: u64,
 }
 
 impl<V: Vfs> ShardedStore<V> {
@@ -571,7 +398,7 @@ impl<V: Vfs> ShardedStore<V> {
             policy,
             states,
             counters: Counters::default(),
-            cache: SnapshotCache::new(budget),
+            map_budget: budget.capacity(),
         })
     }
 
@@ -644,7 +471,7 @@ impl<V: Vfs> ShardedStore<V> {
                 policy,
                 states,
                 counters: Counters::default(),
-                cache: SnapshotCache::new(budget),
+                map_budget: budget.capacity(),
             },
             report,
         ))
@@ -659,11 +486,6 @@ impl<V: Vfs> ShardedStore<V> {
     /// an [`open`](Self::open)).
     pub fn policy(&self) -> &ShardPolicy {
         &self.policy
-    }
-
-    /// The snapshot cache (for stats or warm-up).
-    pub fn cache(&self) -> &SnapshotCache {
-        &self.cache
     }
 
     /// Which shard `entity`'s log lives in.
@@ -742,8 +564,6 @@ impl<V: Vfs> ShardedStore<V> {
             }
         }
 
-        self.cache.invalidate(entity);
-
         let due = match self.policy.sync {
             SyncPolicy::Always => true,
             SyncPolicy::EveryN(n) => {
@@ -782,25 +602,19 @@ impl<V: Vfs> ShardedStore<V> {
         Ok(())
     }
 
-    /// Materializes `entity`'s full history: cache hit, or decode the
-    /// entity's frame chain from the (mapped) segment and stable-sort by
-    /// timestamp — byte-identical to [`RevisionStore::record_batch`] over
-    /// the same arrival sequence.
+    /// Materializes `entity`'s full history: decodes the entity's frame
+    /// chain from the (mapped) segment and stable-sorts it by timestamp —
+    /// byte-identical to [`RevisionStore::record_batch`] over the same
+    /// arrival sequence.
     ///
     /// [`RevisionStore::record_batch`]: crate::store::RevisionStore::record_batch
-    pub fn materialize(&self, entity: EntityId) -> Result<Option<Arc<PageHistory>>, WalError> {
-        if let Some(hit) = self.cache.get(entity) {
-            return Ok(Some(hit));
-        }
+    pub fn materialize(&self, entity: EntityId) -> Result<Option<PageHistory>, WalError> {
         let Some(chain) = self.chain(entity)? else {
             return Ok(None);
         };
         let replay = self.replay(&chain, None)?;
         let mut history = PageHistory::new();
         history.extend(replay.kept);
-        let history = Arc::new(history);
-        let bytes = history_bytes(&history);
-        self.cache.insert(entity, Arc::clone(&history), bytes);
         Ok(Some(history))
     }
 
@@ -898,7 +712,7 @@ impl<V: Vfs> ShardedStore<V> {
     /// about one page); the overestimate merely releases a little early.
     fn note_map_touch(&self, frames: u64) {
         const PAGE: u64 = 4096;
-        let budget = self.cache.budget().capacity();
+        let budget = self.map_budget;
         let touched = self
             .counters
             .map_touch_bytes
@@ -988,17 +802,14 @@ impl<V: Vfs> ShardedStore<V> {
             .sum()
     }
 
-    /// Corpus-side counter snapshot (disk bytes, frame mix, cache traffic,
-    /// replay work).
+    /// Corpus-side counter snapshot (disk bytes, frame mix, replay work).
     pub fn corpus_stats(&self) -> CorpusStats {
-        let cache = self.cache.stats();
         CorpusStats {
             bytes_on_disk: self.states.iter().map(|s| s.lock().bytes).sum(),
             frames_full: self.counters.frames_full.load(Ordering::Relaxed),
             frames_delta: self.counters.frames_delta.load(Ordering::Relaxed),
-            snapshot_cache_hits: cache.hits,
-            snapshot_cache_misses: cache.misses,
-            snapshot_cache_evictions: cache.evictions,
+            snapshot_cache_misses: 0,
+            snapshot_cache_evictions: 0,
             delta_chain_replays: self.counters.delta_chain_replays.load(Ordering::Relaxed),
             map_residency_releases: self.counters.map_residency_releases.load(Ordering::Relaxed),
         }
@@ -1011,16 +822,16 @@ impl<V: Vfs> FetchSource for ShardedStore<V> {
             Ok(Some(history)) => {
                 let bytes: usize = history.revisions().iter().map(|r| r.text.len()).sum();
                 self.count_fetch(history.len() as u64, bytes as u64);
-                Ok(Some(FetchedHistory::Shared(history)))
+                Ok(Some(FetchedHistory::Owned(history)))
             }
             Ok(None) => Ok(None),
             Err(_) => Err(self.gone(entity)),
         }
     }
 
-    /// Replays the entity's chain and keeps only what `window` needs, with
-    /// no snapshot-cache traffic; an out-of-order log is materialized and
-    /// sorted instead, through [`fetch_history`](Self::fetch_history).
+    /// Replays the entity's chain and keeps only what `window` needs; an
+    /// out-of-order log is materialized and sorted instead, through
+    /// [`fetch_history`](Self::fetch_history).
     fn fetch_window(
         &self,
         entity: EntityId,
@@ -1457,34 +1268,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_cache_hits_and_evicts_within_budget() {
-        let fs = MemFs::new();
-        // Budget fits roughly one materialized history.
-        let b = budget(600);
-        let store = ShardedStore::create(&fs, Path::new("/lru"), policy(1, 4), b).unwrap();
-        for e in 0..4u32 {
-            let entity = EntityId::from_u32(e);
-            for r in 0..3usize {
-                store.append(entity, r as u64, &text(r)).unwrap();
-            }
-        }
-        let e0 = EntityId::from_u32(0);
-        store.materialize(e0).unwrap();
-        store.materialize(e0).unwrap(); // hit
-        store.materialize(EntityId::from_u32(1)).unwrap(); // evicts e0
-        store.materialize(e0).unwrap(); // miss again
-        let stats = store.corpus_stats();
-        assert_eq!(stats.snapshot_cache_hits, 1);
-        assert_eq!(stats.snapshot_cache_misses, 3);
-        assert!(stats.snapshot_cache_evictions >= 1);
-        assert!(
-            store.cache().budget().used() <= store.cache().budget().capacity(),
-            "cache must respect its byte budget"
-        );
-    }
-
-    #[test]
-    fn append_invalidates_cached_snapshot() {
+    fn materialize_after_append_sees_the_new_revision() {
         let fs = MemFs::new();
         let store =
             ShardedStore::create(&fs, Path::new("/inv"), policy(1, 4), budget(1 << 20)).unwrap();
@@ -1492,11 +1276,14 @@ mod tests {
         store.append(e, 1, "a\n").unwrap();
         assert_eq!(store.materialize(e).unwrap().unwrap().len(), 1);
         store.append(e, 2, "b\n").unwrap();
-        assert_eq!(
-            store.materialize(e).unwrap().unwrap().len(),
-            2,
-            "append must invalidate the cached snapshot"
-        );
+        let got = store.materialize(e).unwrap().unwrap();
+        let revisions: Vec<(Timestamp, &str)> = got
+            .revisions()
+            .iter()
+            .map(|r| (r.time, r.text.as_str()))
+            .collect();
+        assert_eq!(revisions, [(1, "a\n"), (2, "b\n")]);
+        assert_eq!(*store.fetch_history(e).unwrap().unwrap(), got);
         assert_eq!(store.history_version(e), 2);
     }
 

@@ -78,6 +78,11 @@ impl PageHistory {
         &self.revisions
     }
 
+    /// The revisions by value, in chronological order.
+    pub fn into_revisions(self) -> Vec<Revision> {
+        self.revisions
+    }
+
     /// Mutable access for in-crate decorators (fault injection damages
     /// revision text in place on an owned copy).
     pub(crate) fn revisions_mut(&mut self) -> &mut [Revision] {

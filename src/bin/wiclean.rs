@@ -46,7 +46,7 @@ use wiclean::core::{ingest_sharded, open_sharded_corpus, MiningPool, ShardedCorp
 use wiclean::eval::quality::default_wc_config;
 use wiclean::revstore::{
     FaultPlan, FaultyStore, FetchSource, MemoryBudget, RealFs, ResilientFetcher, RetryPolicy,
-    RevisionStore, ShardPolicy, ShardedStore, SyncPolicy,
+    RevisionStore, ShardPolicy, ShardedStore, SyncPolicy, MAX_SHARDS,
 };
 use wiclean::serve::{IndexLimits, PatternIndex, PatternSet, ReloadFn, ServeConfig};
 use wiclean::synth::{generate, scenarios, Corpus, CorpusHeader, SynthConfig};
@@ -127,9 +127,8 @@ THREADS (`ingest`, `mine`, `detect`, `serve`, `suggest`):
 CORPUS BACKEND FLAGS (crash-safe, out-of-core sharded store; see DESIGN.md §8):
   --backend B      `memory` (default): revisions live in RAM, loaded from
                    --corpus; `disk`: revisions live in delta-encoded
-                   sharded segment logs under --store, materialized
-                   through a byte-budgeted snapshot cache. Output is
-                   byte-identical between backends
+                   sharded segment logs under --store, decoded on
+                   each read. Output is byte-identical between backends
   --store DIR      the sharded store directory (`ingest` creates it;
                    `mine`/`detect`/`stream` open it, recovering any shard
                    with a torn tail and reporting the loss per shard as
@@ -137,15 +136,16 @@ CORPUS BACKEND FLAGS (crash-safe, out-of-core sharded store; see DESIGN.md §8):
   --sync MODE      segment fsync policy at ingest: `always`, `every:N`, or
                    `never` (default: every:256)
   --shards N       segment files to hash-partition entities across at
-                   ingest (default: 8; an existing store's own shard
-                   count always wins on open)
+                   ingest, 1..=4096 (default: 8; an existing store's own
+                   shard count always wins on open)
   --snapshot-every N
                    full-text checkpoint frame cadence per entity chain;
                    revisions in between are stored as line-splice deltas
                    (default: 16; 1 disables delta encoding)
   --memory-budget MB
-                   snapshot-cache budget in MiB (default: 256); least
-                   recently used snapshots are evicted past it
+                   segment pages, in MiB, a store's reads may fault in
+                   before it hands them back to the kernel (default: 256,
+                   at least 1); no decoded snapshot is cached
 
 SERVE FLAGS (online suggestion server; see DESIGN.md §6):
   --addr HOST:PORT bind address (default: 127.0.0.1:9178; port 0 = OS pick)
@@ -355,9 +355,9 @@ fn parse_sync(mode: &str) -> Result<SyncPolicy, String> {
         "always" => Ok(SyncPolicy::Always),
         "never" => Ok(SyncPolicy::Never),
         other => match other.strip_prefix("every:").map(str::parse) {
-            Some(Ok(n)) => Ok(SyncPolicy::EveryN(n)),
+            Some(Ok(n)) if n > 0 => Ok(SyncPolicy::EveryN(n)),
             _ => Err(format!(
-                "flag --sync: `{other}` is not `always`, `every:N`, or `never`"
+                "flag --sync: `{other}` is not `always`, `every:N` with N ≥ 1, or `never`"
             )),
         },
     }
@@ -390,8 +390,13 @@ fn disk_backend(flags: &HashMap<String, String>) -> Result<bool, String> {
     }
 }
 
-/// Builds the shard policy from the corpus-backend flags.
-fn shard_policy(flags: &HashMap<String, String>) -> Result<ShardPolicy, String> {
+/// The store settings from the corpus-backend flags (`--shards`,
+/// `--snapshot-every`, `--sync`, `--memory-budget` in MiB), each
+/// range-checked so a bad value is refused, naming its flag, before any
+/// corpus or store is opened.
+fn store_settings(
+    flags: &HashMap<String, String>,
+) -> Result<(ShardPolicy, Arc<MemoryBudget>), String> {
     let mut policy = ShardPolicy {
         shards: num_flag(flags, "shards", ShardPolicy::default().shards)?,
         snapshot_every: num_flag(
@@ -401,8 +406,11 @@ fn shard_policy(flags: &HashMap<String, String>) -> Result<ShardPolicy, String> 
         )?,
         ..ShardPolicy::default()
     };
-    if policy.shards == 0 {
-        return Err("flag --shards: must be at least 1".to_owned());
+    if !(1..=MAX_SHARDS).contains(&policy.shards) {
+        return Err(format!(
+            "flag --shards: `{}` is not in 1..={MAX_SHARDS}",
+            policy.shards
+        ));
     }
     if policy.snapshot_every == 0 {
         return Err("flag --snapshot-every: must be at least 1".to_owned());
@@ -410,16 +418,13 @@ fn shard_policy(flags: &HashMap<String, String>) -> Result<ShardPolicy, String> 
     if let Some(mode) = flags.get("sync") {
         policy.sync = parse_sync(mode)?;
     }
-    Ok(policy)
-}
-
-/// The snapshot-cache byte budget from `--memory-budget` (MiB).
-fn memory_budget(flags: &HashMap<String, String>) -> Result<Arc<MemoryBudget>, String> {
     let mib: u64 = num_flag(flags, "memory-budget", 256)?;
-    if mib == 0 {
-        return Err("flag --memory-budget: must be at least 1 MiB".to_owned());
-    }
-    Ok(Arc::new(MemoryBudget::new(mib << 20)))
+    let bytes = match mib.checked_mul(1 << 20) {
+        Some(0) => return Err("flag --memory-budget: must be at least 1 MiB".to_owned()),
+        Some(bytes) => bytes,
+        None => return Err(format!("flag --memory-budget: `{mib}` MiB is too large")),
+    };
+    Ok((policy, Arc::new(MemoryBudget::new(bytes))))
 }
 
 /// Opens the sharded store named by `--store` together with its universe
@@ -427,16 +432,12 @@ fn memory_budget(flags: &HashMap<String, String>) -> Result<Arc<MemoryBudget>, S
 fn open_disk_corpus(
     flags: &HashMap<String, String>,
 ) -> Result<(CorpusHeader, ShardedCorpus<RealFs>), String> {
+    let (policy, budget) = store_settings(flags)?;
     let dir = flag(flags, "store")?;
     let header = CorpusHeader::load(Path::new(dir).join(HEADER_FILE))
         .map_err(|e| format!("sharded store {dir}: {e}"))?;
-    let corpus = open_sharded_corpus(
-        RealFs,
-        Path::new(dir),
-        shard_policy(flags)?,
-        memory_budget(flags)?,
-    )
-    .map_err(|e| format!("sharded store {dir}: {e}"))?;
+    let corpus = open_sharded_corpus(RealFs, Path::new(dir), policy, budget)
+        .map_err(|e| format!("sharded store {dir}: {e}"))?;
     let r = &corpus.recovery;
     eprintln!(
         "  sharded store: {} shards, {} frame records recovered",
@@ -455,11 +456,11 @@ fn open_disk_corpus(
 /// store — delta-encoded segment logs plus the universe sidecar — so
 /// `mine --backend disk` can run without the corpus blob in memory.
 fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
+    let (policy, budget) = store_settings(flags)?;
+    let dir = flag(flags, "store")?;
     let pool = MiningPool::new(threads(flags)?);
     let corpus = load_corpus(flags)?;
-    let dir = flag(flags, "store")?;
-    let policy = shard_policy(flags)?;
-    let store = ShardedStore::create(RealFs, Path::new(dir), policy, memory_budget(flags)?)
+    let store = ShardedStore::create(RealFs, Path::new(dir), policy, budget)
         .map_err(|e| format!("sharded store {dir}: {e}"))?;
     eprintln!(
         "ingesting {} revisions into {dir} ({} shards, snapshot every {}, sync {:?})…",
@@ -493,10 +494,12 @@ fn fault_setup(flags: &HashMap<String, String>) -> Result<(FaultPlan, RetryPolic
     let policy = match flags.get("retries") {
         None => RetryPolicy::default(),
         Some(v) => {
-            let retries: u32 = v
-                .parse()
-                .map_err(|_| format!("flag --retries: cannot parse `{v}`"))?;
-            RetryPolicy::with_attempts(retries + 1)
+            let attempts = v
+                .parse::<u32>()
+                .ok()
+                .and_then(|retries| retries.checked_add(1))
+                .ok_or_else(|| format!("flag --retries: `{v}` is not in 0..={}", u32::MAX - 1))?;
+            RetryPolicy::with_attempts(attempts)
         }
     };
     Ok((FaultPlan::transient_only(rate, seed), policy))
@@ -584,8 +587,8 @@ fn cmd_mine(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 }
 
 /// `mine --backend disk`: the same Algorithm 2 search, reading revisions
-/// from the sharded segment logs through the snapshot cache instead of an
-/// in-memory corpus. Output is byte-identical to the memory backend.
+/// from the sharded segment logs instead of an in-memory corpus. Output is
+/// byte-identical to the memory backend.
 fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let wc = default_wc_config(threads(flags)?);
     let (header, corpus) = open_disk_corpus(flags)?;
@@ -603,12 +606,8 @@ fn cmd_mine_disk(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     );
     let s = &result.stats;
     eprintln!(
-        "  corpus: {} bytes on disk, snapshot cache {} hits / {} misses / {} evictions, {} delta frames replayed",
-        s.bytes_on_disk,
-        s.snapshot_cache_hits,
-        s.snapshot_cache_misses,
-        s.snapshot_cache_evictions,
-        s.delta_chain_replays
+        "  corpus: {} bytes on disk, {} delta frames replayed",
+        s.bytes_on_disk, s.delta_chain_replays
     );
     let report = WcReport::from_result(&result, &header.universe);
     print_degraded(&report);
@@ -776,9 +775,13 @@ fn load_stream_corpus(flags: &HashMap<String, String>) -> Result<Corpus, String>
         else {
             continue;
         };
-        for r in history.revisions() {
-            store.record(entity, r.time, r.text.clone());
-        }
+        store.record_batch(
+            entity,
+            history
+                .into_revisions()
+                .into_iter()
+                .map(|r| (r.time, r.text)),
+        );
     }
     Ok(Corpus {
         version: header.version,
@@ -801,12 +804,15 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     if !(wc.tau0 > 0.0 && wc.tau0 <= 1.0) {
         return Err(format!("flag --tau: `{}` is not in (0, 1]", wc.tau0));
     }
-    let corpus = load_stream_corpus(flags)?;
+    wc.w_min = num_flag(flags, "width", wc.w_min)?;
+    if wc.w_min == 0 {
+        return Err("flag --width: must be at least 1 second".to_owned());
+    }
     wc.stream.grace = num_flag(flags, "grace", wc.stream.grace)?;
     wc.stream.refresh_revisions =
         num_flag(flags, "refresh-revisions", wc.stream.refresh_revisions)?;
     wc.stream.validate()?;
-    wc.w_min = num_flag(flags, "width", wc.w_min)?;
+    let corpus = load_stream_corpus(flags)?;
 
     // Replay the corpus as a live feed: chronological by default, or a
     // deterministic out-of-order arrival with --shuffle-seed.

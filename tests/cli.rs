@@ -362,6 +362,38 @@ fn bad_invocations_fail_cleanly() {
         ("stream --corpus /tmp/x.json --tau NaN", 1),
         ("mine --corpus /tmp/x.json --tau 0.4", 2),
         ("detect --backend disk --store /tmp/s --retries 0", 1),
+        // Out-of-range values are refused, naming their flag, before any
+        // corpus or store is opened (the corpus and store do not exist).
+        ("mine --corpus /nonexistent.json --retries 4294967295", 1),
+        ("stream --corpus /nonexistent.json --width 0", 1),
+        (
+            "ingest --corpus /nonexistent.json --store /nonexistent/s --shards 5000",
+            1,
+        ),
+        (
+            "ingest --corpus /nonexistent.json --store /nonexistent/s --shards 0",
+            1,
+        ),
+        (
+            "ingest --corpus /nonexistent.json --store /nonexistent/s --snapshot-every 0",
+            1,
+        ),
+        (
+            "ingest --corpus /nonexistent.json --store /nonexistent/s --memory-budget 0",
+            1,
+        ),
+        (
+            "ingest --corpus /nonexistent.json --store /nonexistent/s --memory-budget 17592186044416",
+            1,
+        ),
+        (
+            "ingest --corpus /nonexistent.json --store /nonexistent/s --sync every:0",
+            1,
+        ),
+        (
+            "mine --backend disk --store /nonexistent/s --memory-budget 17592186044416",
+            1,
+        ),
     ] {
         let args: Vec<&str> = line.split(' ').collect();
         let out = wiclean().args(&args).output().unwrap();
