@@ -37,8 +37,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wiclean_rel::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_nested,
-    materialize_pairs, outer_join_glue, ColumnGlue, Table,
+    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
+    join_glue_pairs_delta_nested, materialize_pairs, outer_join_glue, ColumnGlue, Pair, Table,
 };
 use wiclean_revstore::{
     reduce_actions, try_extract_actions, ActionCache, CacheLookup, ExtractOutcome, FetchError,
@@ -67,9 +67,11 @@ pub struct MineStats {
     pub patterns_found: usize,
     /// Most specific frequent patterns among them.
     pub most_specific_found: usize,
-    /// Realization-cache hits (0 when caching is off).
+    /// Realization-cache hits (0 when caching is off). On the streaming
+    /// miner: candidates its per-window memo served without a join.
     pub cache_hits: usize,
-    /// Realization-cache misses (0 when caching is off).
+    /// Realization-cache misses (0 when caching is off). On the streaming
+    /// miner: candidates evaluated by a full or delta join.
     pub cache_misses: usize,
     /// Preprocessing-cache exact hits: entity extractions served without
     /// touching wikitext (0 when the action cache is off).
@@ -212,6 +214,14 @@ impl MineStats {
         self.map_residency_releases += corpus.map_residency_releases;
     }
 
+    /// Counts one candidate pair stage under the engine that ran it.
+    pub(crate) fn count_pick(&mut self, join_impl: JoinImpl) {
+        match join_impl {
+            JoinImpl::Hash => self.plan_picks_hash += 1,
+            JoinImpl::NestedLoop => self.plan_picks_nested += 1,
+        }
+    }
+
     /// Share of executed candidate joins whose output table was never
     /// materialized (the distinct-source fast path's saving); 0 when no
     /// joins ran.
@@ -313,7 +323,9 @@ impl WindowResult {
 /// fault-injecting decorator, or a [`wiclean_revstore::ResilientFetcher`];
 /// `&RevisionStore` coerces, so happy-path callers are unaffected.
 /// Entities whose histories cannot be fetched are skipped and recorded in
-/// the result's [`DegradedCoverage`] rather than failing the run.
+/// the result's [`DegradedCoverage`] rather than failing the run. Caches
+/// attach in one piece through [`WindowMiner::with_caches`], so a
+/// realization cache always travels with the interner whose ids key it.
 pub struct WindowMiner<'a> {
     source: &'a dyn FetchSource,
     universe: &'a Universe,
@@ -347,26 +359,28 @@ pub(crate) struct CandidateSpec {
 }
 
 /// A fully evaluated candidate (pair-stage join or cache hit already done,
-/// accept decision taken against the frozen frontier).
-struct Evaluated {
-    id: PatternId,
-    canonical: Pattern,
-    ext: WorkingPattern,
+/// accept decision taken against the frozen frontier). The streaming
+/// miner builds the same outcome, with `via_cache` marking a hit on its
+/// per-window memo.
+pub(crate) struct Evaluated {
+    pub(crate) id: PatternId,
+    pub(crate) canonical: Pattern,
+    pub(crate) ext: WorkingPattern,
     /// Materialized realization table — `Some` whenever `accepted` (pruned
     /// candidates skip the gather entirely; cache hits may carry one even
     /// when rejected under the current threshold).
-    table: Option<Table>,
-    support: usize,
-    freq: f64,
-    via_cache: bool,
+    pub(crate) table: Option<Table>,
+    pub(crate) support: usize,
+    pub(crate) freq: f64,
+    pub(crate) via_cache: bool,
     /// Whether the score cleared the threshold (with nonzero support).
-    accepted: bool,
+    pub(crate) accepted: bool,
     /// Whether a fresh gather ran for this evaluation.
-    materialized: bool,
+    pub(crate) materialized: bool,
     /// Left rows fed through the pair stage (0 on cache hits).
-    rows_probed: usize,
+    pub(crate) rows_probed: usize,
     /// Pairs the pair stage emitted (0 on cache hits).
-    pairs_matched: usize,
+    pub(crate) pairs_matched: usize,
 }
 
 /// What evaluating one [`CandidateSpec`] produced.
@@ -406,26 +420,6 @@ impl<'a> WindowMiner<'a> {
         }
     }
 
-    /// Attaches a shared realization cache (see [`RealizationCache`]);
-    /// Algorithm 2 shares one across its refinement iterations.
-    ///
-    /// The cache is keyed by [`PatternId`], so a cache shared *across
-    /// miners* must be paired with the same [`PatternInterner`] on every
-    /// miner (attach both, or use [`WindowMiner::with_caches`], which keeps
-    /// the pairing). Reusing this miner for several runs is always safe —
-    /// its interner lives as long as the miner.
-    pub fn with_cache(mut self, cache: Arc<RealizationCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Attaches a shared pattern interner (ids then stay comparable across
-    /// every miner sharing it — required when sharing a realization cache).
-    pub fn with_pattern_interner(mut self, interner: Arc<PatternInterner>) -> Self {
-        self.interner = interner;
-        self
-    }
-
     /// Attaches a shared work pool: intra-window candidate evaluation and
     /// entity preprocessing then fan out over it; without one they run
     /// inline. The window-level driver shares one pool between window
@@ -436,18 +430,11 @@ impl<'a> WindowMiner<'a> {
         self
     }
 
-    /// Attaches a shared preprocessing cache (see
-    /// [`wiclean_revstore::ActionCache`]): entity extractions are memoized
-    /// by `(entity, history version, window)` and widened windows are
-    /// composed from cached sub-window outcomes instead of re-parsing.
-    pub fn with_action_cache(mut self, cache: Arc<ActionCache>) -> Self {
-        self.action_cache = Some(cache);
-        self
-    }
-
-    /// Attaches whatever caches `caches` carries (either cache may be
-    /// absent; the pattern interner is always present and keeps the
-    /// realization-cache/interner pairing consistent across miners).
+    /// Attaches whatever caches `caches` carries — the one way to attach
+    /// any of them. Either cache may be absent; the pattern interner is
+    /// always present and keeps the realization-cache/interner pairing
+    /// consistent across miners (the streaming miner attaches a bundle
+    /// holding only its interner, so ids stay stable across refreshes).
     pub fn with_caches(mut self, caches: crate::cache::MiningCaches) -> Self {
         self.cache = caches.realizations;
         self.action_cache = caches.actions;
@@ -962,10 +949,7 @@ impl<'a> WindowMiner<'a> {
 
         // Pair stage: matching (left, right) row indices, no output rows
         // built yet. Both engines emit the same canonical pair order.
-        let pairs = match self.config.join_impl {
-            JoinImpl::Hash => join_glue_pairs(&parent.table, &right, &glue),
-            JoinImpl::NestedLoop => join_glue_pairs_nested(&parent.table, &right, &glue),
-        };
+        let pairs = pair_stage(self.config.join_impl, &parent.table, &right, &glue, None);
 
         // Distinct-source fast path: the pattern's source variable is the
         // left table's column 0, and a join (deduped or not) cannot change
@@ -1037,10 +1021,7 @@ impl<'a> WindowMiner<'a> {
                     stats.cache_misses += 1;
                 }
                 stats.joins_executed += 1;
-                match self.config.join_impl {
-                    JoinImpl::Hash => stats.plan_picks_hash += 1,
-                    JoinImpl::NestedLoop => stats.plan_picks_nested += 1,
-                }
+                stats.count_pick(self.config.join_impl);
                 if ev.materialized {
                     stats.tables_materialized += 1;
                 } else {
@@ -1296,6 +1277,28 @@ pub(crate) fn candidate_glue(
         ColumnGlue::Glued(crate::realization::column_of(&left_cols, action.target))
     };
     vec![ColumnGlue::Glued(src_col), tgt_glue]
+}
+
+/// The candidate pair stage `join_impl` names: matching (left, right) row
+/// indices in canonical order. With `marks` (left and right prefix
+/// lengths) it emits only the pairs touching rows appended since — the
+/// streaming miner's delta join; without, the whole join. Callers count
+/// the pick themselves.
+pub(crate) fn pair_stage(
+    join_impl: JoinImpl,
+    left: &Table,
+    right: &Table,
+    glue: &[ColumnGlue],
+    marks: Option<(usize, usize)>,
+) -> Vec<Pair> {
+    match (join_impl, marks) {
+        (JoinImpl::Hash, None) => join_glue_pairs(left, right, glue),
+        (JoinImpl::Hash, Some((lo, ro))) => join_glue_pairs_delta(left, lo, right, ro, glue),
+        (JoinImpl::NestedLoop, marks) => {
+            let (lo, ro) = marks.unwrap_or((0, 0));
+            join_glue_pairs_delta_nested(left, lo, right, ro, glue)
+        }
+    }
 }
 
 /// Whether candidate evaluation gathers every candidate's table, instead

@@ -19,7 +19,7 @@
 //!   [`wiclean_rel::join_glue_pairs_delta`] over only the appended rows;
 //! * when the **watermark** (max event time minus the configured grace
 //!   period) passes a window's end, the window **seals**: one final
-//!   refresh (mostly cache hits), the most-specific filter and relative
+//!   refresh (mostly memo hits), the most-specific filter and relative
 //!   mining run exactly as in batch, and the result is emitted.
 //!
 //! **Correctness anchor:** a sealed window's result is equivalent to
@@ -30,7 +30,8 @@
 //!
 //! * support is a *distinct count* over the source column, so it is
 //!   monotone under row appends and can be maintained as a set union
-//!   ([`AbsorbEntry::distinct`]) without rescanning;
+//!   (the distinct source values in each candidate's per-window memo)
+//!   without rescanning;
 //! * the expansion replayed at each refresh is byte-deterministic given
 //!   the row store, and the row store a refresh sees per *fetched-type
 //!   stage* is exactly the one batch mining would have loaded at that
@@ -46,12 +47,13 @@
 //! [`DegradedCoverage::late_revisions`] — never silently dropped.
 
 use crate::abstract_action::AbstractAction;
-use crate::cache::{AbsorbEntry, RealizationCache};
-use crate::config::{JoinImpl, MinerConfig, StreamPolicy, WcConfig};
+use crate::cache::MiningCaches;
+use crate::config::{MinerConfig, StreamPolicy, WcConfig};
 use crate::degraded::DegradedCoverage;
-use crate::interner::{PatternId, PatternInterner};
+use crate::interner::PatternId;
 use crate::miner::{
-    candidate_glue, CandidateSpec, FoundPattern, MineStats, Node, WindowMiner, WindowResult,
+    candidate_glue, pair_stage, CandidateSpec, Evaluated, FoundPattern, MineStats, Node,
+    WindowMiner, WindowResult,
 };
 use crate::pattern::{most_specific, Pattern, WorkingPattern};
 use crate::realization::{
@@ -60,12 +62,8 @@ use crate::realization::{
 };
 use crate::windows::{DiscoveredPattern, WcResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
-use wiclean_rel::{
-    distinct_left_values, join_glue_pairs, join_glue_pairs_delta, join_glue_pairs_delta_nested,
-    materialize_pairs, ColumnGlue, Pair, Table,
-};
+use wiclean_rel::{distinct_left_values, materialize_pairs, EntitySet, Table};
 use wiclean_revstore::{reduce_actions, FeedEvent, FetchError, RevisionFeed, RevisionStore};
 use wiclean_types::{EntityId, Timestamp, TypeId, Universe, Window};
 
@@ -154,34 +152,33 @@ impl FoldedTable {
     }
 }
 
-/// Provenance of one absorbable cache entry, kept beside the
-/// [`RealizationCache`]: the fetched-type stage and construction path it
-/// was computed along, and a generation counter that invalidates children
-/// whenever the entry's table is rebuilt rather than extended. The cache's
-/// length guards are only sound when the parent table evolved append-only
-/// from what the entry saw — `gen` is that proof.
-struct EntryMeta {
+/// One candidate's memo in its window: what its last evaluation computed,
+/// the input lengths it saw, and the provenance that says whether it can
+/// be reused. A refresh that finds longer inputs delta-joins only the
+/// appended rows, unions the new matches into `distinct` and re-derives
+/// support from it (monotone under appends, so nothing is rescanned).
+struct Memo {
+    /// Fetched-type stage the memo was computed at.
     fetched: BTreeSet<TypeId>,
+    /// Construction path (action order) it was computed along.
     path: Vec<AbstractAction>,
+    /// Bumped whenever the table is rebuilt rather than extended: the
+    /// length guards are only sound when the parent table evolved
+    /// append-only from what the memo saw, and `gen` is that proof.
     gen: u64,
+    /// The parent's `gen` when this memo was computed.
     parent_gen: u64,
-}
-
-/// What one streamed candidate evaluation produced (mirror of the batch
-/// miner's internal outcome, minus the thread-pool plumbing).
-struct StreamEval {
-    id: PatternId,
-    canonical: Pattern,
-    ext: WorkingPattern,
+    /// Materialized realization table (`None` while the candidate is
+    /// pruned; a later acceptance re-joins from scratch, as in batch).
     table: Option<Table>,
     support: usize,
     freq: f64,
-    accepted: bool,
-    /// Pure memo hit — no join ran at all.
-    via_memo: bool,
-    materialized: bool,
-    rows_probed: usize,
-    pairs_matched: usize,
+    /// Parent (left) table length when last computed.
+    left_len: usize,
+    /// Action (right) table length when last computed.
+    right_len: usize,
+    /// Distinct non-null source values over all pairs matched so far.
+    distinct: EntitySet,
 }
 
 /// Concrete rows per shape, stamped with the contributing entity.
@@ -204,7 +201,8 @@ struct WindowState {
     rows: StampedRows,
     /// Per-stage folded realization tables (stage = fetched-type set).
     tables: HashMap<BTreeSet<TypeId>, HashMap<Shape, FoldedTable>>,
-    meta: HashMap<PatternId, EntryMeta>,
+    /// Candidate memos, dropped on fallback and with the window at seal.
+    memo: HashMap<PatternId, Memo>,
     stats: MineStats,
 }
 
@@ -219,7 +217,7 @@ impl WindowState {
             loaded_types: HashSet::new(),
             rows: HashMap::new(),
             tables: HashMap::new(),
-            meta: HashMap::new(),
+            memo: HashMap::new(),
             stats: MineStats::default(),
         }
     }
@@ -315,14 +313,13 @@ impl WindowState {
     }
 
     /// Full re-mine fallback: every derived structure is rebuilt from the
-    /// (still valid) per-entity contribution memos; the absorb cache
-    /// entries of this window are dropped.
-    fn rebuild_from_contributions(&mut self, absorb: &RealizationCache) {
+    /// (still valid) per-entity contribution memos; the candidate memos
+    /// are dropped.
+    fn rebuild_from_contributions(&mut self) {
         self.stats.full_remine_fallbacks += 1;
-        absorb.invalidate_window(&self.window);
         self.rows.clear();
         self.tables.clear();
-        self.meta.clear();
+        self.memo.clear();
         let mut entities: Vec<EntityId> = self.contrib.keys().copied().collect();
         entities.sort_by_key(|e| e.as_u32());
         for e in entities {
@@ -343,17 +340,15 @@ impl WindowState {
         miner: &WindowMiner<'_>,
         universe: &Universe,
         seed: TypeId,
-        absorb: &RealizationCache,
     ) -> (Vec<Node>, BTreeSet<TypeId>) {
         let t0 = Instant::now();
         let preprocess0 = self.stats.preprocess;
         self.since_refresh = 0;
         if self.absorb_dirty(miner) {
-            self.rebuild_from_contributions(absorb);
+            self.rebuild_from_contributions();
         }
 
         let tau = miner.config().tau;
-        let window = self.window;
         let mut fetched: BTreeSet<TypeId> = BTreeSet::from([seed]);
         self.load_type(miner, universe, seed);
 
@@ -411,9 +406,7 @@ impl WindowState {
                         universe,
                         seed,
                         tau,
-                        &window,
-                        absorb,
-                        &mut self.meta,
+                        &mut self.memo,
                         &mut self.stats,
                         stage_tbls,
                         &fetched,
@@ -428,7 +421,7 @@ impl WindowState {
                     };
                     self.stats.rows_probed += ev.rows_probed;
                     self.stats.pairs_matched += ev.pairs_matched;
-                    if ev.via_memo {
+                    if ev.via_cache {
                         self.stats.cache_hits += 1;
                     } else {
                         self.stats.cache_misses += 1;
@@ -564,47 +557,17 @@ fn extract_contribution(
     })
 }
 
-/// Runs the pair stage the miner's [`JoinImpl`] picks and counts it under
-/// that pick: over only the pairs touching rows appended since `marks`
-/// (left and right prefix lengths) when given, else over the whole inputs.
-fn pair_stage(
-    miner: &WindowMiner<'_>,
-    left: &Table,
-    right: &Table,
-    glue: &[ColumnGlue],
-    marks: Option<(usize, usize)>,
-    stats: &mut MineStats,
-) -> Vec<Pair> {
-    match (miner.config().join_impl, marks) {
-        (JoinImpl::Hash, None) => {
-            stats.plan_picks_hash += 1;
-            join_glue_pairs(left, right, glue)
-        }
-        (JoinImpl::Hash, Some((lo, ro))) => {
-            stats.plan_picks_hash += 1;
-            join_glue_pairs_delta(left, lo, right, ro, glue)
-        }
-        (JoinImpl::NestedLoop, marks) => {
-            stats.plan_picks_nested += 1;
-            let (lo, ro) = marks.unwrap_or((0, 0));
-            join_glue_pairs_delta_nested(left, lo, right, ro, glue)
-        }
-    }
-}
-
-/// Evaluates one candidate extension with memoized absorb state: a pure
-/// hit when nothing grew, a delta join over only the appended rows when
-/// the inputs grew append-only, and a full (batch-identical) join
-/// otherwise. Returns `None` when the canonical form is already accepted.
+/// Evaluates one candidate extension against its memo: a pure hit when
+/// nothing grew, a delta join over only the appended rows when the inputs
+/// grew append-only, and a full (batch-identical) join otherwise. Returns
+/// `None` when the canonical form is already accepted.
 #[allow(clippy::too_many_arguments)]
 fn stream_evaluate(
     miner: &WindowMiner<'_>,
     universe: &Universe,
     seed: TypeId,
     tau: f64,
-    window: &Window,
-    absorb: &RealizationCache,
-    meta: &mut HashMap<PatternId, EntryMeta>,
+    memo: &mut HashMap<PatternId, Memo>,
     stats: &mut MineStats,
     stage_tbls: &HashMap<Shape, FoldedTable>,
     fetched: &BTreeSet<TypeId>,
@@ -612,7 +575,7 @@ fn stream_evaluate(
     found: &HashSet<PatternId>,
     seen: &HashSet<PatternId>,
     spec: &CandidateSpec,
-) -> Option<StreamEval> {
+) -> Option<Evaluated> {
     let parent = &nodes[spec.parent];
     let ext = parent.wp.extended_with(spec.action);
     let (id, canonical) = miner.interner().intern_working(&ext);
@@ -627,145 +590,103 @@ fn stream_evaluate(
         return None;
     }
     let accept = |support: usize, freq: f64| freq >= tau && support > 0;
+    let join_impl = miner.config().join_impl;
 
     let left = &parent.table;
     let right = &stage_tbls[&spec.action.shape()].table;
     // The parent's table lineage: singleton tables are folded append-only
-    // (generation 0 forever); joined tables carry the generation of their
-    // own absorb entry.
+    // (generation 0 forever); joined tables carry their own memo's
+    // generation.
     let parent_gen = if parent.wp.len() == 1 {
         0
     } else {
-        meta.get(&parent.id).map_or(u64::MAX, |m| m.gen)
+        memo.get(&parent.id).map_or(u64::MAX, |m| m.gen)
     };
 
-    // Memo consult: the absorb entry is only trustworthy when it was
-    // computed at this exact stage, along this exact construction path,
-    // against a parent table that has only grown since.
-    let memo_ok = meta.get(&id).is_some_and(|m| {
-        m.fetched == *fetched && m.path == ext.actions() && m.parent_gen == parent_gen
-    });
-    if memo_ok {
-        if let Some(entry) = absorb.get_absorbable(window, id, fetched) {
-            let grown = entry.left_len < left.len() || entry.right_len < right.len();
-            debug_assert!(entry.left_len <= left.len() && entry.right_len <= right.len());
-            let entry_accepted = accept(entry.support, entry.freq);
-            // A pruned-but-now-accepted entry can't occur at fixed tau
-            // (support is monotone), but fall through to the full path
-            // defensively rather than return an accepted node sans table.
-            let pruned_now_accepted = entry_accepted && entry.table.is_none();
-            if !grown && !pruned_now_accepted {
-                return Some(StreamEval {
+    // Memo consult: a memo is only trustworthy when it was computed at
+    // this exact stage, along this exact construction path, against a
+    // parent table that has only grown since.
+    if let Some(m) = memo
+        .get_mut(&id)
+        .filter(|m| m.fetched == *fetched && m.path == ext.actions() && m.parent_gen == parent_gen)
+    {
+        let grown = m.left_len < left.len() || m.right_len < right.len();
+        debug_assert!(m.left_len <= left.len() && m.right_len <= right.len());
+        let memo_accepted = accept(m.support, m.freq);
+        // A pruned-but-now-accepted memo can't occur at fixed tau (support
+        // is monotone), but fall through to the full path defensively
+        // rather than return an accepted node sans table.
+        let pruned_now_accepted = memo_accepted && m.table.is_none();
+        if !grown && !pruned_now_accepted {
+            return Some(Evaluated {
+                id,
+                canonical,
+                ext,
+                table: m.table.clone(),
+                support: m.support,
+                freq: m.freq,
+                via_cache: true,
+                accepted: memo_accepted,
+                materialized: false,
+                rows_probed: 0,
+                pairs_matched: 0,
+            });
+        }
+        if grown && !pruned_now_accepted {
+            // Delta join: only pairs touching appended rows. Support is
+            // updated incrementally for accepted AND pruned memos — a
+            // pruned candidate keeps its distinct set current without
+            // ever materializing a table, until the appended rows push it
+            // over τ.
+            let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
+            let marks = (m.left_len, m.right_len);
+            stats.count_pick(join_impl);
+            let delta = pair_stage(join_impl, left, right, &glue, Some(marks));
+            stats.delta_rows_joined += (left.len() - marks.0 + right.len() - marks.1) as u64;
+            for v in distinct_left_values(left, 0, &delta) {
+                m.distinct.insert(v);
+            }
+            let support = support_from_distinct(&m.distinct, seed, universe);
+            let freq = frequency_from_support(support, seed, universe);
+            let accepted = accept(support, freq);
+            // The appended rows pushing a pruned candidate over τ need a
+            // realization table, which only a full materialization can
+            // provide — fall through (a one-time cost; every later
+            // refresh extends the table by delta). Otherwise the memo
+            // absorbs the delta in place; its generation is unchanged,
+            // since nothing was rebuilt.
+            if m.table.is_some() || !accepted {
+                let table = m.table.as_mut().map(|table| {
+                    debug_assert!(accepted, "support is monotone under appends at fixed tau");
+                    table.extend_dedup(&materialize_pairs(left, right, &glue, &delta));
+                    table.clone()
+                });
+                (m.support, m.freq) = (support, freq);
+                (m.left_len, m.right_len) = (left.len(), right.len());
+                return Some(Evaluated {
                     id,
                     canonical,
                     ext,
-                    table: entry.table,
-                    support: entry.support,
-                    freq: entry.freq,
-                    accepted: entry_accepted,
-                    via_memo: true,
-                    materialized: false,
-                    rows_probed: 0,
-                    pairs_matched: 0,
+                    materialized: table.is_some(),
+                    table,
+                    support,
+                    freq,
+                    via_cache: false,
+                    accepted,
+                    rows_probed: left.len() - marks.0,
+                    pairs_matched: delta.len(),
                 });
             }
-            if grown && !pruned_now_accepted {
-                // Delta join: only pairs touching appended rows. Support
-                // is updated incrementally for accepted AND pruned
-                // entries — a pruned candidate keeps its distinct set
-                // current without ever materializing a table, until the
-                // appended rows push it over τ.
-                let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-                let marks = Some((entry.left_len, entry.right_len));
-                let delta = pair_stage(miner, left, right, &glue, marks, stats);
-                stats.delta_rows_joined +=
-                    (left.len() - entry.left_len + right.len() - entry.right_len) as u64;
-                let mut distinct = entry.distinct;
-                for v in distinct_left_values(left, 0, &delta) {
-                    distinct.insert(v);
-                }
-                let support = support_from_distinct(&distinct, seed, universe);
-                let freq = frequency_from_support(support, seed, universe);
-                let accepted = accept(support, freq);
-                match (entry.table, accepted) {
-                    (Some(mut table), _) => {
-                        debug_assert!(accepted, "support is monotone under appends at fixed tau");
-                        let fresh = materialize_pairs(left, right, &glue, &delta);
-                        table.extend_dedup(&fresh);
-                        let updated = AbsorbEntry {
-                            table: Some(table.clone()),
-                            support,
-                            freq,
-                            left_len: left.len(),
-                            right_len: right.len(),
-                            distinct,
-                        };
-                        absorb.put_absorbable(window, id, fetched, updated);
-                        // Generation unchanged: the table was extended,
-                        // not rebuilt.
-                        return Some(StreamEval {
-                            id,
-                            canonical,
-                            ext,
-                            table: Some(table),
-                            support,
-                            freq,
-                            accepted,
-                            via_memo: false,
-                            materialized: true,
-                            rows_probed: left.len() - entry.left_len,
-                            pairs_matched: delta.len(),
-                        });
-                    }
-                    (None, false) => {
-                        // Still pruned: the delta kept its support
-                        // current; no table exists and none is needed.
-                        absorb.put_absorbable(
-                            window,
-                            id,
-                            fetched,
-                            AbsorbEntry {
-                                table: None,
-                                support,
-                                freq,
-                                left_len: left.len(),
-                                right_len: right.len(),
-                                distinct,
-                            },
-                        );
-                        // Generation unchanged: nothing was rebuilt.
-                        return Some(StreamEval {
-                            id,
-                            canonical,
-                            ext,
-                            table: None,
-                            support,
-                            freq,
-                            accepted: false,
-                            via_memo: false,
-                            materialized: false,
-                            rows_probed: left.len() - entry.left_len,
-                            pairs_matched: delta.len(),
-                        });
-                    }
-                    (None, true) => {
-                        // The appended rows pushed a pruned candidate over
-                        // τ: it needs a realization table, which only a
-                        // full materialization can provide — fall through
-                        // (a one-time cost; every later refresh extends
-                        // the table by delta).
-                    }
-                }
-            }
-            // Pruned entry whose candidate the grown data now accepts (or
-            // the defensive no-growth anomaly): fall through to the full
-            // join, exactly as batch does.
         }
+        // A pruned memo whose candidate the grown data now accepts (or the
+        // defensive no-growth anomaly): fall through to the full join,
+        // exactly as batch does.
     }
 
     // Full evaluation — byte-identical to the batch candidate path.
     let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-    let pairs = pair_stage(miner, left, right, &glue, None, stats);
+    stats.count_pick(join_impl);
+    let pairs = pair_stage(join_impl, left, right, &glue, None);
     let distinct = distinct_left_values(left, 0, &pairs);
     let support = support_from_distinct(&distinct, seed, universe);
     let freq = frequency_from_support(support, seed, universe);
@@ -775,11 +696,14 @@ fn stream_evaluate(
         t.dedup();
         t
     });
-    absorb.put_absorbable(
-        window,
+    let gen = memo.get(&id).map_or(0, |m| m.gen + 1);
+    memo.insert(
         id,
-        fetched,
-        AbsorbEntry {
+        Memo {
+            fetched: fetched.clone(),
+            path: ext.actions().to_vec(),
+            gen,
+            parent_gen,
             table: table.clone(),
             support,
             freq,
@@ -788,25 +712,15 @@ fn stream_evaluate(
             distinct,
         },
     );
-    let gen = meta.get(&id).map_or(0, |m| m.gen + 1);
-    meta.insert(
-        id,
-        EntryMeta {
-            fetched: fetched.clone(),
-            path: ext.actions().to_vec(),
-            gen,
-            parent_gen,
-        },
-    );
-    Some(StreamEval {
+    Some(Evaluated {
         id,
         canonical,
         ext,
         table,
         support,
         freq,
+        via_cache: false,
         accepted,
-        via_memo: false,
         materialized: accepted,
         rows_probed: left.len(),
         pairs_matched: pairs.len(),
@@ -820,8 +734,9 @@ pub struct StreamMiner<'u> {
     seed: TypeId,
     config: StreamConfig,
     store: RevisionStore,
-    interner: Arc<PatternInterner>,
-    absorb: Arc<RealizationCache>,
+    /// Holds only the pattern interner, which persists across refreshes
+    /// so ids (the memo keys) stay stable.
+    caches: MiningCaches,
     /// Open windows keyed by window start (sealing walks them in order).
     windows: BTreeMap<Timestamp, WindowState>,
     max_event: Option<Timestamp>,
@@ -849,8 +764,7 @@ impl<'u> StreamMiner<'u> {
             seed,
             config,
             store: RevisionStore::new(),
-            interner: Arc::new(PatternInterner::new()),
-            absorb: Arc::new(RealizationCache::new()),
+            caches: MiningCaches::none(),
             windows: BTreeMap::new(),
             max_event: None,
             sealed_high: 0,
@@ -973,7 +887,7 @@ impl<'u> StreamMiner<'u> {
     /// pattern interner persists across calls so ids stay stable).
     fn miner(&self) -> WindowMiner<'_> {
         WindowMiner::new(&self.store, self.universe, self.config.miner)
-            .with_pattern_interner(self.interner.clone())
+            .with_caches(self.caches.clone())
     }
 
     fn refresh_at(&mut self, start: Timestamp) {
@@ -982,7 +896,7 @@ impl<'u> StreamMiner<'u> {
         };
         {
             let miner = self.miner();
-            ws.refresh(&miner, self.universe, self.seed, &self.absorb);
+            ws.refresh(&miner, self.universe, self.seed);
         }
         self.windows.insert(start, ws);
     }
@@ -1010,7 +924,7 @@ impl<'u> StreamMiner<'u> {
         };
         let result = {
             let miner = self.miner();
-            let (nodes, fetched) = ws.refresh(&miner, self.universe, self.seed, &self.absorb);
+            let (nodes, fetched) = ws.refresh(&miner, self.universe, self.seed);
             self.finish_window(&miner, ws, nodes, &fetched, t0)
         };
         self.sealed_high = self.sealed_high.max(result.window.end);
@@ -1099,7 +1013,6 @@ impl<'u> StreamMiner<'u> {
         stats.most_specific_found = patterns.iter().filter(|p| p.most_specific).count();
         stats.windows_sealed += 1;
         stats.stream_lag_us += sealed_at.elapsed().as_micros() as u64;
-        self.absorb.invalidate_window(&ws.window);
 
         WindowResult {
             window: ws.window,
@@ -1168,6 +1081,7 @@ pub fn wc_result_from_sealed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::JoinImpl;
     use crate::testutil::soccer_fixture;
     use wiclean_revstore::VecFeed;
 
@@ -1355,6 +1269,68 @@ mod tests {
             s.plan_picks_nested >= s.joins_executed && s.joins_executed > 0,
             "every stream join counts as nested: {s:?}"
         );
+    }
+
+    /// The fixture window with every event ingested and no refresh run
+    /// yet, taken out of its miner (which lends the window miner).
+    fn unrefreshed_window(fx: &crate::testutil::Fixture) -> (StreamMiner<'_>, WindowState) {
+        let mut sm = StreamMiner::new(
+            &fx.universe,
+            fx.player_ty,
+            stream_config(fx, fx.window.len(), u64::MAX),
+        );
+        sm.ingest_from(&mut VecFeed::new(events_of(&fx.store)));
+        let ws = sm
+            .windows
+            .remove(&fx.window.start)
+            .expect("fixture window open");
+        (sm, ws)
+    }
+
+    #[test]
+    fn refresh_without_arrivals_is_served_from_the_memo() {
+        let fx = soccer_fixture();
+        let (sm, mut ws) = unrefreshed_window(&fx);
+        let miner = sm.miner();
+        ws.refresh(&miner, &fx.universe, fx.player_ty);
+        let first = ws.stats.clone();
+        let evaluated = first.cache_hits + first.cache_misses;
+        assert!(
+            first.joins_executed > 0,
+            "the first refresh joins: {first:?}"
+        );
+        assert!(!ws.memo.is_empty());
+
+        ws.refresh(&miner, &fx.universe, fx.player_ty);
+        let second = &ws.stats;
+        assert_eq!(second.joins_executed, first.joins_executed, "no join ran");
+        assert_eq!(second.cache_misses, first.cache_misses);
+        assert_eq!(
+            second.cache_hits - first.cache_hits,
+            evaluated,
+            "every candidate the first refresh evaluated is a memo hit"
+        );
+        assert_eq!(second.rows_probed, first.rows_probed);
+        assert_eq!(second.delta_rows_joined, first.delta_rows_joined);
+    }
+
+    #[test]
+    fn fallback_empties_the_memo_and_rejoins_like_a_fresh_window() {
+        let fx = soccer_fixture();
+        let (fresh_sm, mut fresh) = unrefreshed_window(&fx);
+        fresh.refresh(&fresh_sm.miner(), &fx.universe, fx.player_ty);
+        let fresh_joins = fresh.stats.joins_executed;
+        assert!(fresh_joins > 0);
+
+        let (sm, mut ws) = unrefreshed_window(&fx);
+        let miner = sm.miner();
+        ws.refresh(&miner, &fx.universe, fx.player_ty);
+        assert!(!ws.memo.is_empty());
+        ws.rebuild_from_contributions();
+        assert!(ws.memo.is_empty(), "the fallback drops every memo");
+        let before = ws.stats.joins_executed;
+        ws.refresh(&miner, &fx.universe, fx.player_ty);
+        assert_eq!(ws.stats.joins_executed - before, fresh_joins);
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!    refresh point (the cell asserts sealed outputs identical — pattern,
 //!    support and realization rows — before reporting);
 //! 3. print the stream-counter table (`windows_sealed`,
-//!    `delta_rows_joined`, `full_remine_fallbacks`, `stream_lag_us`), the
+//!    `delta_rows_joined`, memo hits, `full_remine_fallbacks`,
+//!    `stream_lag_us`), the
 //!    feed's page-text bytes next to the bytes the stream parsed, and
 //!    both wall clocks;
 //! 4. assert the invariants: windows sealed, patterns found, delta joins
-//!    actually exercised, zero late arrivals on a chronological feed, no
+//!    actually exercised, candidates served from the per-window memo,
+//!    zero late arrivals on a chronological feed, no
 //!    more bytes parsed than the feed carries, and the stream not slower
 //!    than the from-scratch replay.
 //!
@@ -61,6 +63,10 @@ fn main() -> ExitCode {
     check(
         cell.delta_rows_joined > 0,
         "delta joins never fired — the stream degenerated to full mining",
+    );
+    check(
+        cell.cache_hits > 0,
+        "the per-window memo never served a candidate",
     );
     check(
         cell.late_revisions == 0,

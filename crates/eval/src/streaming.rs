@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wiclean_core::cache::MiningCaches;
 use wiclean_core::config::StreamPolicy;
 use wiclean_core::miner::{WindowMiner, WindowResult};
 use wiclean_core::pattern::Pattern;
@@ -58,6 +59,8 @@ pub struct StreamCell {
     pub patterns: usize,
     /// Input rows the stream's delta joins consumed instead of full joins.
     pub delta_rows_joined: u64,
+    /// Candidates the stream's per-window memos served without a join.
+    pub cache_hits: usize,
     /// Refreshes that hit a retraction and fell back to a full re-mine.
     pub full_remine_fallbacks: u64,
     /// Revisions that arrived behind the watermark (0 on this feed).
@@ -198,7 +201,10 @@ pub fn stream_vs_full_remine_cell(
     // window only after an arrival for it, as the stream does; the gap
     // measured is join/mining work, not re-parsing.
     let miner_config = crate::runtime::base_miner_config(STREAM_TAU);
-    let action_cache = Arc::new(ActionCache::new());
+    let caches = MiningCaches {
+        actions: Some(Arc::new(ActionCache::new())),
+        ..MiningCaches::none()
+    };
     let t0 = Instant::now();
     let mut store = RevisionStore::new();
     let mut since: BTreeMap<u64, u64> = BTreeMap::new();
@@ -214,8 +220,8 @@ pub fn stream_vs_full_remine_cell(
         if *n >= refresh_revisions {
             *n = 0;
             let window = Window::new(start, start + STREAM_WIDTH);
-            let miner = WindowMiner::new(&store, &world.universe, miner_config)
-                .with_action_cache(Arc::clone(&action_cache));
+            let miner =
+                WindowMiner::new(&store, &world.universe, miner_config).with_caches(caches.clone());
             let _ = miner.mine_window(world.seed_type, &window);
             remine_refreshes += 1;
         }
@@ -226,7 +232,7 @@ pub fn stream_vs_full_remine_cell(
         .map(|&start| {
             let window = Window::new(start, start + STREAM_WIDTH);
             WindowMiner::new(&store, &world.universe, miner_config)
-                .with_action_cache(Arc::clone(&action_cache))
+                .with_caches(caches.clone())
                 .mine_window(world.seed_type, &window)
         })
         .collect();
@@ -270,6 +276,7 @@ pub fn stream_vs_full_remine_cell(
         remine_refreshes,
         patterns,
         delta_rows_joined: stats.delta_rows_joined,
+        cache_hits: stats.cache_hits,
         full_remine_fallbacks: stats.full_remine_fallbacks,
         late_revisions: sm.late_revisions(),
         stream_lag_us: stats.stream_lag_us,
@@ -283,7 +290,7 @@ pub fn stream_vs_full_remine_cell(
 /// four stream counters).
 pub fn render_stream_cells(rows: &[StreamCell]) -> String {
     let mut s = format!(
-        "{:>7} {:>8} {:>8} {:>11} {:>11} {:>8} {:>9} {:>10} {:>10} {:>9} {:>10} {:>10} {:>9}\n",
+        "{:>7} {:>8} {:>8} {:>11} {:>11} {:>8} {:>9} {:>10} {:>10} {:>10} {:>9} {:>10} {:>10} {:>9}\n",
         "seeds",
         "refresh",
         "events",
@@ -292,6 +299,7 @@ pub fn render_stream_cells(rows: &[StreamCell]) -> String {
         "sealed",
         "patterns",
         "delta-rows",
+        "memo-hits",
         "fallbacks",
         "lag(ms)",
         "stream(s)",
@@ -300,7 +308,7 @@ pub fn render_stream_cells(rows: &[StreamCell]) -> String {
     );
     for r in rows {
         s.push_str(&format!(
-            "{:>7} {:>8} {:>8} {:>11} {:>11} {:>8} {:>9} {:>10} {:>10} {:>9.1} {:>10.3} {:>10.3} {:>8.1}x\n",
+            "{:>7} {:>8} {:>8} {:>11} {:>11} {:>8} {:>9} {:>10} {:>10} {:>10} {:>9.1} {:>10.3} {:>10.3} {:>8.1}x\n",
             r.seeds,
             r.refresh_revisions,
             r.events,
@@ -309,6 +317,7 @@ pub fn render_stream_cells(rows: &[StreamCell]) -> String {
             r.windows_sealed,
             r.patterns,
             r.delta_rows_joined,
+            r.cache_hits,
             r.full_remine_fallbacks,
             r.stream_lag_us as f64 / 1e3,
             r.stream_wall.as_secs_f64(),
@@ -340,6 +349,7 @@ mod tests {
         assert!(cell.stream_lag_us > 0, "seals take nonzero time: {cell:?}");
         let rendered = render_stream_cells(&[cell]);
         assert!(rendered.contains("delta-rows"));
+        assert!(rendered.contains("memo-hits"));
         assert!(rendered.contains("fallbacks"));
         assert!(rendered.contains("feed-bytes"));
     }

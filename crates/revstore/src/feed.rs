@@ -274,6 +274,18 @@ mod tests {
     }
 
     #[test]
+    fn durable_feed_reports_a_bad_policy_as_invalid() {
+        let bad = ShardPolicy {
+            shards: 0,
+            ..policy()
+        };
+        let err = DurableFeed::create(Arc::new(MemFs::new()), dir(), bad)
+            .err()
+            .expect("zero shards refused");
+        assert!(matches!(err, WalError::InvalidPolicy(_)), "{err:?}");
+    }
+
+    #[test]
     fn durable_feed_replays_after_crash_in_entity_time_order() {
         let fs = Arc::new(MemFs::new());
         let mut feed = DurableFeed::create(fs.clone(), dir(), policy()).unwrap();

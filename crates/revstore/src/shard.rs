@@ -365,14 +365,16 @@ pub struct ShardedStore<V> {
 
 impl<V: Vfs> ShardedStore<V> {
     /// Creates an empty sharded store in `dir` (which must not already
-    /// contain one), persisting the store's identity in `meta.json`.
+    /// contain one), persisting the store's identity in `meta.json`. A
+    /// `policy` that fails [`ShardPolicy::validate`] is refused as
+    /// [`WalError::InvalidPolicy`] before anything is written.
     pub fn create(
         fs: V,
         dir: &Path,
         policy: ShardPolicy,
         budget: Arc<MemoryBudget>,
     ) -> Result<Self, WalError> {
-        policy.validate().map_err(WalError::Corrupt)?;
+        policy.validate().map_err(WalError::InvalidPolicy)?;
         fs.create_dir_all(dir)?;
         let meta_path = dir.join("meta.json");
         if fs.exists(&meta_path) {
@@ -407,13 +409,16 @@ impl<V: Vfs> ShardedStore<V> {
     /// losses. `sync` and `ingest_base_budget` come from `policy`; the
     /// structural knobs (`shards`, `snapshot_every`) come from the
     /// directory's `meta.json` — they are properties of the bytes on
-    /// disk, not of the reopening process.
+    /// disk, not of the reopening process. An invalid `sync` is the
+    /// caller's mistake ([`WalError::InvalidPolicy`]); out-of-range values
+    /// in `meta.json` are damage ([`WalError::Corrupt`]).
     pub fn open(
         fs: V,
         dir: &Path,
         policy: ShardPolicy,
         budget: Arc<MemoryBudget>,
     ) -> Result<(Self, ShardRecoveryReport), WalError> {
+        policy.sync.validate().map_err(WalError::InvalidPolicy)?;
         let meta_path = dir.join("meta.json");
         let meta_bytes = fs.read(&meta_path).map_err(|e| {
             WalError::Corrupt(format!(
@@ -436,6 +441,7 @@ impl<V: Vfs> ShardedStore<V> {
             snapshot_every: meta.snapshot_every,
             ..policy
         };
+        // Only the values read from `meta.json` can fail here.
         policy.validate().map_err(WalError::Corrupt)?;
 
         let mut states = Vec::with_capacity(policy.shards as usize);
@@ -1571,6 +1577,49 @@ mod tests {
             .unwrap();
         let times: Vec<Timestamp> = trimmed.revisions().iter().map(|r| r.time).collect();
         assert_eq!(times, [10, 20, 30]);
+    }
+
+    #[test]
+    fn invalid_policy_is_a_caller_error_not_corruption() {
+        for shards in [0, 5000] {
+            let fs = MemFs::new();
+            let err =
+                ShardedStore::create(&fs, Path::new("/s"), policy(shards, 4), budget(1 << 20))
+                    .err()
+                    .expect("out-of-range shards refused");
+            assert!(matches!(err, WalError::InvalidPolicy(_)), "{err:?}");
+            assert!(
+                err.to_string().starts_with("invalid store policy:"),
+                "{err}"
+            );
+            assert!(!fs.exists(Path::new("/s/meta.json")), "nothing written");
+        }
+
+        let fs = MemFs::new();
+        let dir = Path::new("/s");
+        drop(ShardedStore::create(&fs, dir, policy(2, 4), budget(1 << 20)).unwrap());
+        let bad_sync = ShardPolicy {
+            sync: SyncPolicy::EveryN(0),
+            ..policy(2, 4)
+        };
+        let err = ShardedStore::open(&fs, dir, bad_sync, budget(1 << 20))
+            .err()
+            .expect("invalid sync refused");
+        assert!(matches!(err, WalError::InvalidPolicy(_)), "{err:?}");
+    }
+
+    #[test]
+    fn out_of_range_meta_json_is_corruption() {
+        let fs = MemFs::new();
+        let dir = Path::new("/s");
+        drop(ShardedStore::create(&fs, dir, policy(2, 4), budget(1 << 20)).unwrap());
+        let meta =
+            format!("{{\"version\":{SHARD_STORE_VERSION},\"shards\":0,\"snapshot_every\":4}}");
+        fs.write(&dir.join("meta.json"), meta.as_bytes()).unwrap();
+        let err = ShardedStore::open(&fs, dir, policy(2, 4), budget(1 << 20))
+            .err()
+            .expect("damaged meta.json refused");
+        assert!(matches!(err, WalError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

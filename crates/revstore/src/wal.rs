@@ -148,6 +148,9 @@ pub enum WalError {
     /// produced for a tolerated torn tail — only for damage that must not
     /// be silently accepted.
     Corrupt(String),
+    /// The caller passed a store policy its own validation refuses (a
+    /// configuration mistake, not damage on disk).
+    InvalidPolicy(String),
 }
 
 impl std::fmt::Display for WalError {
@@ -155,6 +158,7 @@ impl std::fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
             WalError::Corrupt(what) => write!(f, "wal corruption: {what}"),
+            WalError::InvalidPolicy(what) => write!(f, "invalid store policy: {what}"),
         }
     }
 }
