@@ -10,7 +10,7 @@
 use crate::var::Var;
 use serde::{Deserialize, Serialize};
 use wiclean_revstore::Action;
-use wiclean_types::{RelId, Taxonomy, TypeId, Universe};
+use wiclean_types::{RelId, TypeId, Universe};
 use wiclean_wikitext::EditOp;
 
 /// An abstract action: `(op, (source_var, rel, target_var))`.
@@ -68,51 +68,6 @@ impl AbstractAction {
     }
 }
 
-/// Enumerates the abstraction *shapes* of a concrete action: all pairs of
-/// (source supertype, target supertype) within `max_height` levels above
-/// the concrete types (`u32::MAX` for unbounded). Variable indices are not
-/// assigned here — the miner assigns them when forming singleton patterns
-/// (index 0) or extensions (next free index).
-pub fn abstractions_of(
-    a: &Action,
-    universe: &Universe,
-    max_height: u32,
-) -> Vec<(EditOp, TypeId, RelId, TypeId)> {
-    let tax = universe.taxonomy();
-    let src_ty = universe.entity_type(a.source);
-    let tgt_ty = universe.entity_type(a.target);
-    let mut out = Vec::new();
-    for (i, s) in tax.ancestors(src_ty).enumerate() {
-        if i as u32 > max_height {
-            break;
-        }
-        for (j, t) in tax.ancestors(tgt_ty).enumerate() {
-            if j as u32 > max_height {
-                break;
-            }
-            out.push((a.op, s, a.rel, t));
-        }
-    }
-    out
-}
-
-/// Enumerates the generalizations of an abstraction *shape* (used when
-/// ordering patterns by specificity): all shapes whose endpoint types are
-/// supertypes of the given shape's.
-pub fn generalizations_of_shape(
-    shape: (EditOp, TypeId, RelId, TypeId),
-    taxonomy: &Taxonomy,
-) -> Vec<(EditOp, TypeId, RelId, TypeId)> {
-    let (op, s, r, t) = shape;
-    let mut out = Vec::new();
-    for s2 in taxonomy.ancestors(s) {
-        for t2 in taxonomy.ancestors(t) {
-            out.push((op, s2, r, t2));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,25 +85,6 @@ mod tests {
         let psg = u.add_entity("PSG", club).unwrap();
         let action = Action::new(EditOp::Add, neymar, rel, psg, 7);
         (u, action)
-    }
-
-    #[test]
-    fn abstraction_count_is_product_of_chain_lengths() {
-        let (u, a) = setup();
-        // Source chain: SoccerPlayer, Athlete, Person, Thing (4).
-        // Target chain: SoccerClub, Organisation, Thing (3).
-        assert_eq!(abstractions_of(&a, &u, u32::MAX).len(), 12);
-        assert_eq!(abstractions_of(&a, &u, 0).len(), 1);
-        assert_eq!(abstractions_of(&a, &u, 1).len(), 4);
-    }
-
-    #[test]
-    fn most_specific_abstraction_is_first() {
-        let (u, a) = setup();
-        let abs = abstractions_of(&a, &u, u32::MAX);
-        let player = u.taxonomy().lookup("SoccerPlayer").unwrap();
-        let club = u.taxonomy().lookup("SoccerClub").unwrap();
-        assert_eq!(abs[0], (EditOp::Add, player, a.rel, club));
     }
 
     #[test]
@@ -180,16 +116,6 @@ mod tests {
         let too_specific_elsewhere =
             AbstractAction::new(a.op, Var::new(club, 0), rel, Var::new(club, 0));
         assert!(!too_specific_elsewhere.admits(&a, &u));
-    }
-
-    #[test]
-    fn generalizations_cover_ancestor_product() {
-        let (u, a) = setup();
-        let player = u.taxonomy().lookup("SoccerPlayer").unwrap();
-        let club = u.taxonomy().lookup("SoccerClub").unwrap();
-        let shapes = generalizations_of_shape((a.op, player, a.rel, club), u.taxonomy());
-        assert_eq!(shapes.len(), 12);
-        assert!(shapes.contains(&(a.op, u.taxonomy().root(), a.rel, u.taxonomy().root())));
     }
 
     #[test]

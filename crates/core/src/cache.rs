@@ -12,14 +12,18 @@
 //! construction loads types on demand, so the same pattern examined in a
 //! later round could see more rows). A cache entry therefore records the
 //! *fetched-type set* at computation time and only hits when the current
-//! miner state has loaded exactly the same types — guaranteeing a hit
-//! returns byte-identical results to a recomputation.
+//! miner state has loaded exactly the same types. A table's column order
+//! follows the join order that built it, so an entry also records the
+//! construction path and hands its table only to a candidate built along
+//! that path — guaranteeing a hit returns byte-identical results to a
+//! recomputation.
 //!
 //! The cache serves batch mining only. The streaming miner reuses
 //! candidates for a different reason (rows appended under a fixed τ) and
 //! keeps that state in a memo owned by each open window
 //! ([`crate::stream`]), dropped when the window seals.
 
+use crate::abstract_action::AbstractAction;
 use crate::interner::{PatternId, PatternInterner};
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap};
@@ -93,6 +97,8 @@ type CacheKey = (Window, PatternId);
 
 struct CacheEntry {
     fetched: BTreeSet<TypeId>,
+    /// Construction path (action order) the table's columns follow.
+    path: Vec<AbstractAction>,
     /// `None` for candidates the distinct-source fast path pruned without
     /// materializing: support and frequency are known, the table is not. A
     /// later, lower threshold that accepts the candidate recomputes (and
@@ -115,17 +121,21 @@ impl RealizationCache {
     }
 
     /// Looks up a candidate computed under the same fetched-type set. The
-    /// table is `None` when the candidate was pruned without materializing
-    /// (support and frequency are still authoritative).
+    /// table is `None` when the candidate was pruned without materializing,
+    /// or was built along another construction `path` than the caller's;
+    /// support and frequency are path-independent and still authoritative.
     pub fn get(
         &self,
-        window: &Window,
-        pattern: PatternId,
+        key: (Window, PatternId),
         fetched: &BTreeSet<TypeId>,
+        path: &[AbstractAction],
     ) -> Option<(Option<Table>, usize, f64)> {
         let guard = self.inner.read();
-        let entry = guard.get(&(*window, pattern))?;
-        (entry.fetched == *fetched).then(|| (entry.table.clone(), entry.support, entry.freq))
+        let entry = guard.get(&key)?;
+        (entry.fetched == *fetched).then(|| {
+            let table = entry.table.as_ref().filter(|_| entry.path == path);
+            (table.cloned(), entry.support, entry.freq)
+        })
     }
 
     /// Stores a computed candidate (kept even when it failed the current
@@ -134,17 +144,18 @@ impl RealizationCache {
     /// materialized.
     pub fn put(
         &self,
-        window: &Window,
-        pattern: PatternId,
+        key: (Window, PatternId),
         fetched: &BTreeSet<TypeId>,
+        path: &[AbstractAction],
         table: Option<&Table>,
         support: usize,
         freq: f64,
     ) {
         self.inner.write().insert(
-            (*window, pattern),
+            key,
             CacheEntry {
                 fetched: fetched.clone(),
+                path: path.to_vec(),
                 table: table.cloned(),
                 support,
                 freq,
@@ -156,20 +167,27 @@ impl RealizationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstract_action::AbstractAction;
     use crate::pattern::Pattern;
     use crate::var::Var;
     use wiclean_rel::Schema;
     use wiclean_types::RelId;
     use wiclean_wikitext::EditOp;
 
-    fn pattern_id(interner: &PatternInterner) -> PatternId {
-        interner.intern(&Pattern::canonical_from(&[AbstractAction::new(
-            EditOp::Add,
-            Var::new(TypeId::from_u32(1), 0),
-            RelId::from_u32(0),
-            Var::new(TypeId::from_u32(2), 0),
-        )]))
+    /// A two-action candidate: `-(p, club, c0), +(p, club, c1)`.
+    fn path() -> Vec<AbstractAction> {
+        let club = |op, ix| {
+            AbstractAction::new(
+                op,
+                Var::new(TypeId::from_u32(1), 0),
+                RelId::from_u32(0),
+                Var::new(TypeId::from_u32(2), ix),
+            )
+        };
+        vec![club(EditOp::Remove, 0), club(EditOp::Add, 1)]
+    }
+
+    fn key(interner: &PatternInterner, window: Window) -> (Window, PatternId) {
+        (window, interner.intern(&Pattern::canonical_from(&path())))
     }
 
     fn fetched(tys: &[u32]) -> BTreeSet<TypeId> {
@@ -177,37 +195,45 @@ mod tests {
     }
 
     #[test]
-    fn hit_requires_same_window_pattern_and_fetched_set() {
+    fn hit_requires_same_window_pattern_fetched_set_and_path() {
         let interner = PatternInterner::new();
         let cache = RealizationCache::new();
-        let w = Window::new(0, 10);
-        let p = pattern_id(&interner);
+        let k = key(&interner, Window::new(0, 10));
         let t = Table::new(Schema::new(["a", "b"]));
-        cache.put(&w, p, &fetched(&[1, 2]), Some(&t), 3, 0.5);
+        cache.put(k, &fetched(&[1, 2]), &path(), Some(&t), 3, 0.5);
 
-        assert!(cache.get(&w, p, &fetched(&[1, 2])).is_some());
+        assert!(cache.get(k, &fetched(&[1, 2]), &path()).is_some());
         assert!(
-            cache.get(&w, p, &fetched(&[1, 2, 3])).is_none(),
+            cache.get(k, &fetched(&[1, 2, 3]), &path()).is_none(),
             "different fetched set must miss"
         );
         assert!(
             cache
-                .get(&Window::new(0, 20), p, &fetched(&[1, 2]))
+                .get(
+                    key(&interner, Window::new(0, 20)),
+                    &fetched(&[1, 2]),
+                    &path()
+                )
                 .is_none(),
             "different window must miss"
         );
+        // The same pattern built add-first: its columns would come out in
+        // another order, so the table is withheld; the counts still hold.
+        let add_first: Vec<AbstractAction> = path().into_iter().rev().collect();
+        let (table, support, freq) = cache.get(k, &fetched(&[1, 2]), &add_first).unwrap();
+        assert!(table.is_none(), "a table built along another path");
+        assert_eq!((support, freq), (3, 0.5));
     }
 
     #[test]
     fn cached_values_round_trip() {
         let interner = PatternInterner::new();
         let cache = RealizationCache::new();
-        let w = Window::new(5, 15);
-        let p = pattern_id(&interner);
+        let k = key(&interner, Window::new(5, 15));
         let mut t = Table::new(Schema::new(["x"]));
         t.push_row(&[Some(wiclean_types::EntityId::from_u32(7))]);
-        cache.put(&w, p, &fetched(&[1]), Some(&t), 1, 0.25);
-        let (table, support, freq) = cache.get(&w, p, &fetched(&[1])).unwrap();
+        cache.put(k, &fetched(&[1]), &path(), Some(&t), 1, 0.25);
+        let (table, support, freq) = cache.get(k, &fetched(&[1]), &path()).unwrap();
         assert_eq!(table.expect("materialized entry").len(), 1);
         assert_eq!(support, 1);
         assert!((freq - 0.25).abs() < 1e-12);
@@ -217,18 +243,17 @@ mod tests {
     fn pruned_entries_round_trip_without_table() {
         let interner = PatternInterner::new();
         let cache = RealizationCache::new();
-        let w = Window::new(0, 10);
-        let p = pattern_id(&interner);
-        cache.put(&w, p, &fetched(&[1]), None, 4, 0.1);
-        let (table, support, freq) = cache.get(&w, p, &fetched(&[1])).unwrap();
+        let k = key(&interner, Window::new(0, 10));
+        cache.put(k, &fetched(&[1]), &path(), None, 4, 0.1);
+        let (table, support, freq) = cache.get(k, &fetched(&[1]), &path()).unwrap();
         assert!(table.is_none(), "pruned entry carries no table");
         assert_eq!(support, 4);
         assert!((freq - 0.1).abs() < 1e-12);
 
         // A later accepted recomputation upgrades the entry in place.
         let t = Table::new(Schema::new(["x"]));
-        cache.put(&w, p, &fetched(&[1]), Some(&t), 4, 0.1);
-        let (table, _, _) = cache.get(&w, p, &fetched(&[1])).unwrap();
+        cache.put(k, &fetched(&[1]), &path(), Some(&t), 4, 0.1);
+        let (table, _, _) = cache.get(k, &fetched(&[1]), &path()).unwrap();
         assert!(table.is_some());
     }
 }

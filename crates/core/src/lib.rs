@@ -50,7 +50,7 @@ pub mod windows;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use abstract_action::{abstractions_of, AbstractAction};
+pub use abstract_action::AbstractAction;
 pub use cache::{MiningCaches, RealizationCache};
 pub use config::{ExpansionMode, JoinImpl, MinerConfig, RefinePolicy, StreamPolicy, WcConfig};
 pub use corpus::{ingest_sharded, open_sharded_corpus, ShardedCorpus};

@@ -28,8 +28,8 @@ use crate::interner::{PatternId, PatternInterner};
 use crate::pattern::{Pattern, WorkingPattern};
 use crate::pool::MiningPool;
 use crate::realization::{
-    action_realizations, frequency, frequency_from_support, relative_frequency, shape_of,
-    support_count, support_from_distinct, Shape, ShapeRows,
+    action_realizations, frequency_from_support, relative_frequency, shape_of, support_count,
+    support_from_distinct, Shape, ShapeRows,
 };
 use crate::var::Var;
 use serde::{Deserialize, Serialize};
@@ -37,14 +37,14 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wiclean_rel::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_delta_nested, materialize_pairs, outer_join_glue, ColumnGlue, Pair, Table,
+    distinct_left_values, join_glue_pairs, join_glue_pairs_delta, join_glue_pairs_delta_nested,
+    materialize_pairs, ColumnGlue, Pair, Table,
 };
 use wiclean_revstore::{
     reduce_actions, try_extract_actions, ActionCache, CacheLookup, ExtractOutcome, FetchError,
     FetchSource,
 };
-use wiclean_types::{EntityId, TypeId, Universe, Window};
+use wiclean_types::{EntityId, Taxonomy, TypeId, Universe, Window};
 
 /// Counters and timings of one window mining run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -303,6 +303,11 @@ pub struct WindowResult {
     pub seed: TypeId,
     /// Every frequent pattern found (most specific ones flagged).
     pub patterns: Vec<FoundPattern>,
+    /// The taxonomy of the patterns' types, for comparing patterns of
+    /// different windows for specificity without the universe
+    /// ([`crate::stream::wc_result_from_sealed`]). Set only by the
+    /// streaming miner.
+    pub taxonomy: Option<Arc<Taxonomy>>,
     /// Run counters.
     pub stats: MineStats,
     /// What this run lost to fetch failures and damaged text (empty on a
@@ -337,8 +342,6 @@ pub struct WindowMiner<'a> {
 }
 
 /// Internal expansion node: a frequent pattern under construction.
-/// `pub(crate)` so the streaming miner can drive the same expansion
-/// skeleton with memoized candidate evaluation.
 pub(crate) struct Node {
     pub(crate) id: PatternId,
     pub(crate) wp: WorkingPattern,
@@ -358,6 +361,20 @@ pub(crate) struct CandidateSpec {
     pub(crate) target_is_new: bool,
 }
 
+/// The join work one evaluation ran (all zero on a cache or memo hit).
+#[derive(Default)]
+pub(crate) struct Work {
+    /// Left rows fed through the pair stage.
+    pub(crate) rows_probed: usize,
+    /// Pairs the pair stage emitted.
+    pub(crate) pairs_matched: usize,
+    /// Pair stages run: one per join, two when a streamed delta join lifts
+    /// a pruned candidate over τ and the full join follows.
+    pub(crate) pair_stages: usize,
+    /// Rows appended since a memo's last evaluation that a delta join fed.
+    pub(crate) delta_rows: u64,
+}
+
 /// A fully evaluated candidate (pair-stage join or cache hit already done,
 /// accept decision taken against the frozen frontier). The streaming
 /// miner builds the same outcome, with `via_cache` marking a hit on its
@@ -373,22 +390,265 @@ pub(crate) struct Evaluated {
     pub(crate) support: usize,
     pub(crate) freq: f64,
     pub(crate) via_cache: bool,
+    /// Whether a cache or memo was consulted, so that a fresh evaluation
+    /// counts as a miss.
+    pub(crate) consulted: bool,
     /// Whether the score cleared the threshold (with nonzero support).
     pub(crate) accepted: bool,
     /// Whether a fresh gather ran for this evaluation.
     pub(crate) materialized: bool,
-    /// Left rows fed through the pair stage (0 on cache hits).
-    pub(crate) rows_probed: usize,
-    /// Pairs the pair stage emitted (0 on cache hits).
-    pub(crate) pairs_matched: usize,
+    pub(crate) work: Work,
 }
 
-/// What evaluating one [`CandidateSpec`] produced.
-enum EvalOutcome {
-    /// Canonical form was already accepted in an earlier generation.
-    Known,
-    /// Evaluated to a realization table (fresh join or cache hit).
-    Done(Box<Evaluated>),
+/// The acceptance test of one expansion.
+#[derive(Clone, Copy)]
+pub(crate) enum Threshold {
+    /// Frequency at least τ (Def. 3.2).
+    Frequency(f64),
+    /// Support relative to the original parent's at least τ_rel (Def. 3.4).
+    Relative { parent_support: usize, tau_rel: f64 },
+}
+
+impl Threshold {
+    /// Whether a candidate with this support and frequency is accepted.
+    pub(crate) fn accepts(self, support: usize, freq: f64) -> bool {
+        support > 0
+            && match self {
+                Threshold::Frequency(tau) => freq >= tau,
+                Threshold::Relative {
+                    parent_support,
+                    tau_rel,
+                } => relative_frequency(support, parent_support) >= tau_rel,
+            }
+    }
+}
+
+/// One Algorithm 1 expansion in progress: the frequent nodes in discovery
+/// order, their ids, the (node, shape) gluings already tried, and the work
+/// counted so far.
+#[derive(Default)]
+pub(crate) struct Expansion {
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) found: HashSet<PatternId>,
+    tested: HashSet<(PatternId, Shape)>,
+    pub(crate) stats: MineStats,
+}
+
+/// Where an expansion's rows come from: the fetched-type stages of
+/// incremental construction (Algorithm 1 lines 4–8). Batch mining loads
+/// whole types into one row store ([`BatchStage`]); a streamed window
+/// filters its stamped row store to each stage. A stage also evaluates the
+/// candidates: batch mining joins each spec ([`Joins`]); a streamed window
+/// consults its memo first.
+pub(crate) trait Stage {
+    /// Evaluates one generation's specs against the frozen frontier;
+    /// outcomes come back in spec order, `None` for a spec whose canonical
+    /// form was already accepted (or, on the stream, already evaluated in
+    /// this generation).
+    fn evaluate(
+        &mut self,
+        miner: &WindowMiner<'_>,
+        specs: &[CandidateSpec],
+        exp: &Expansion,
+    ) -> Vec<Option<Evaluated>>;
+    /// The types fetched so far.
+    fn fetched(&self) -> &BTreeSet<TypeId>;
+    /// The shapes with rows at the current stage, sorted.
+    fn shapes(&self) -> Vec<Shape>;
+    /// The realization table of the singleton `action` at the current stage.
+    fn singleton_table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Table;
+    /// Fetches every entity of `types` and moves to the stage holding them.
+    fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>);
+}
+
+/// Batch candidate evaluation: each spec's pair stage joined against
+/// `rows`, or served by the realization cache, fanned out over `pool`.
+struct Joins<'r> {
+    rows: &'r ShapeRows,
+    seed: TypeId,
+    threshold: Threshold,
+    /// The window and fetched-type stage keying the realization cache
+    /// (`None` in relative mining, which does not consult it).
+    cache_ctx: Option<(Window, &'r BTreeSet<TypeId>)>,
+    pool: Option<&'r MiningPool>,
+}
+
+impl Joins<'_> {
+    /// Evaluates the specs on the pool when one is attached (sequentially
+    /// otherwise), then stores each id's first fresh evaluation in the
+    /// realization cache, serially in spec order.
+    fn evaluate(
+        &self,
+        miner: &WindowMiner<'_>,
+        specs: &[CandidateSpec],
+        exp: &Expansion,
+    ) -> Vec<Option<Evaluated>> {
+        let outcomes: Vec<Option<Evaluated>> = match self.pool {
+            Some(pool) if specs.len() > 1 && pool.width() > 1 => {
+                pool.map(specs, |spec| self.candidate(miner, exp, spec))
+            }
+            _ => specs
+                .iter()
+                .map(|spec| self.candidate(miner, exp, spec))
+                .collect(),
+        };
+        if let (Some(cache), Some((window, fetched))) = (&miner.cache, self.cache_ctx) {
+            let mut seen: HashSet<PatternId> = HashSet::new();
+            for ev in outcomes.iter().flatten() {
+                if seen.insert(ev.id) && !ev.via_cache {
+                    let path = ev.ext.actions();
+                    let table = ev.table.as_ref();
+                    cache.put((window, ev.id), fetched, path, table, ev.support, ev.freq);
+                }
+            }
+        }
+        outcomes
+    }
+
+    /// Evaluates one candidate extension against the frozen frontier: runs
+    /// the join's *pair stage*, counts support straight off the pair stream
+    /// (the distinct-source fast path), and only gathers the output table
+    /// when the candidate clears the threshold. Takes no mutable state, so
+    /// a generation's specs can run in any order on any thread.
+    fn candidate(
+        &self,
+        miner: &WindowMiner<'_>,
+        exp: &Expansion,
+        spec: &CandidateSpec,
+    ) -> Option<Evaluated> {
+        let universe = miner.universe;
+        let parent = &exp.nodes[spec.parent];
+        let ext = parent.wp.extended_with(spec.action);
+        let (id, canonical) = miner.interner.intern_working(&ext);
+        if exp.found.contains(&id) {
+            return None;
+        }
+
+        // Cache fast path: the same candidate computed in an earlier
+        // refinement iteration under the same fetched-type set. A pruned
+        // entry (no table) that the current threshold now *accepts* falls
+        // through to a fresh join so the table exists — the re-store in
+        // `evaluate` then upgrades the entry. So does an entry whose table
+        // was built along another construction path.
+        let cache = miner.cache.as_ref().zip(self.cache_ctx);
+        if let Some((cache, (window, fetched))) = cache {
+            if let Some((table, support, freq)) = cache.get((window, id), fetched, ext.actions()) {
+                let accepted = self.threshold.accepts(support, freq);
+                if table.is_some() || !accepted {
+                    return Some(Evaluated {
+                        id,
+                        canonical,
+                        ext,
+                        table,
+                        support,
+                        freq,
+                        via_cache: true,
+                        consulted: true,
+                        accepted,
+                        materialized: false,
+                        work: Work::default(),
+                    });
+                }
+            }
+        }
+
+        // Build the right-hand (action) relation.
+        let right = action_realizations(&spec.action, &self.rows[&spec.action.shape()], universe);
+        let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
+
+        // Pair stage: matching (left, right) row indices, no output rows
+        // built yet. Both engines emit the same canonical pair order.
+        let pairs = pair_stage(miner.config.join_impl, &parent.table, &right, &glue, None);
+
+        // Distinct-source fast path: the pattern's source variable is the
+        // left table's column 0, and a join (deduped or not) cannot change
+        // the set of distinct source values — so support and frequency come
+        // straight off the pair stream, and only surviving candidates pay
+        // for gather + dedup. Unit tests can gather every candidate and
+        // count support off its table instead, to check the fast path.
+        let gather = || {
+            let mut t = materialize_pairs(&parent.table, &right, &glue, &pairs);
+            t.dedup();
+            t
+        };
+        let (support, table) = if gather_every_candidate() {
+            let t = gather();
+            (support_count(&t, 0, self.seed, universe), Some(t))
+        } else {
+            let distinct = distinct_left_values(&parent.table, 0, &pairs);
+            (support_from_distinct(&distinct, self.seed, universe), None)
+        };
+        let freq = frequency_from_support(support, self.seed, universe);
+        let accepted = self.threshold.accepts(support, freq);
+        let materialized = accepted || table.is_some();
+        let table = accepted.then(|| table.unwrap_or_else(gather));
+        Some(Evaluated {
+            id,
+            canonical,
+            ext,
+            table,
+            support,
+            freq,
+            via_cache: false,
+            consulted: cache.is_some(),
+            accepted,
+            materialized,
+            work: Work {
+                rows_probed: parent.table.len(),
+                pairs_matched: pairs.len(),
+                pair_stages: 1,
+                delta_rows: 0,
+            },
+        })
+    }
+}
+
+/// Batch mining's side of [`WindowMiner::expand`]: whole types are loaded
+/// into one row store, and every generation is evaluated by [`Joins`]
+/// against it under τ.
+struct BatchStage<'s> {
+    state: &'s mut MineState,
+    window: &'s Window,
+    seed: TypeId,
+    pool: Option<&'s MiningPool>,
+}
+
+impl Stage for BatchStage<'_> {
+    fn evaluate(
+        &mut self,
+        miner: &WindowMiner<'_>,
+        specs: &[CandidateSpec],
+        exp: &Expansion,
+    ) -> Vec<Option<Evaluated>> {
+        let joins = Joins {
+            rows: &self.state.rows,
+            seed: self.seed,
+            threshold: Threshold::Frequency(miner.config.tau),
+            cache_ctx: Some((*self.window, &self.state.fetched_types)),
+            pool: self.pool,
+        };
+        joins.evaluate(miner, specs, exp)
+    }
+
+    fn fetched(&self) -> &BTreeSet<TypeId> {
+        &self.state.fetched_types
+    }
+
+    fn shapes(&self) -> Vec<Shape> {
+        sorted_shapes(&self.state.rows)
+    }
+
+    fn singleton_table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Table {
+        action_realizations(action, &self.state.rows[&action.shape()], miner.universe)
+    }
+
+    fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>) {
+        for ty in types {
+            self.state.fetched_types.insert(ty);
+            let entities = miner.universe.entities_of(ty);
+            miner.load_entities(self.state, entities, self.window, self.pool);
+        }
+    }
 }
 
 /// One entity's extraction: the preprocessing outcome plus how the action
@@ -400,7 +660,7 @@ struct MineState {
     /// Concrete reduced pairs per abstraction shape (already lifted to all
     /// admissible heights).
     rows: HashMap<Shape, Vec<(EntityId, EntityId)>>,
-    fetched_types: HashSet<TypeId>,
+    fetched_types: BTreeSet<TypeId>,
     fetched_entities: HashSet<EntityId>,
     stats: MineStats,
     degraded: DegradedCoverage,
@@ -590,108 +850,31 @@ impl<'a> WindowMiner<'a> {
         }
     }
 
-    /// Whether a singleton with source type `s` is eligible w.r.t. `seed`:
-    /// the types are comparable, so seed entities can realize the source.
-    pub(crate) fn seed_comparable(&self, s: TypeId, seed: TypeId) -> bool {
-        let tax = self.universe.taxonomy();
-        tax.is_subtype(seed, s) || tax.is_subtype(s, seed)
-    }
-
-    /// The main expansion loop shared by both entry points. `t0` is when
-    /// the entry point started: `stats.mine` is the time since then minus
-    /// every entity load (`stats.preprocess`), the seed load included.
+    /// Batch Algorithm 1 on a loaded seed stage: the shared expansion, then
+    /// the shared tail. `t0` is when the entry point started: `stats.mine`
+    /// is the time since then minus every entity load
+    /// (`stats.preprocess`), the seed load included.
     fn run_expansion(
         &self,
         t0: Instant,
         mut state: MineState,
         seed: TypeId,
         window: &Window,
-        materialized: bool,
+        preloaded: bool,
         pool: Option<&MiningPool>,
     ) -> WindowResult {
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut found: HashSet<PatternId> = HashSet::new();
-        let mut tested: HashSet<(PatternId, Shape)> = HashSet::new();
-
-        // Line 2: frequent singleton patterns.
-        self.seed_singletons(&mut state, seed, &mut nodes, &mut found, materialized);
-
-        // Lines 4–15: interleave type fetching with pattern expansion.
-        loop {
-            {
-                let MineState {
-                    rows,
-                    stats,
-                    fetched_types,
-                    ..
-                } = &mut state;
-                let fetched: BTreeSet<TypeId> = fetched_types.iter().copied().collect();
-                self.expand_generations(
-                    rows,
-                    stats,
-                    seed,
-                    Some((window, &fetched)),
-                    pool,
-                    &mut nodes,
-                    &mut found,
-                    &mut tested,
-                    &|_support, _parent_support, freq, _| freq,
-                    self.config.tau,
-                );
-            }
-            if materialized {
-                break; // everything was loaded up front
-            }
-            // Which variable types in frequent patterns are new?
-            let mentioned: BTreeSet<TypeId> =
-                nodes.iter().flat_map(|n| n.canonical.types()).collect();
-            let new_types: Vec<TypeId> = mentioned
-                .into_iter()
-                .filter(|t| !state.fetched_types.contains(t))
-                .collect();
-            if new_types.is_empty() {
-                break;
-            }
-            for ty in new_types {
-                state.fetched_types.insert(ty);
-                self.load_entities(&mut state, self.universe.entities_of(ty), window, pool);
-            }
-        }
-
-        // Line 16: select the most specific frequent patterns.
-        let all_patterns: Vec<Pattern> = nodes.iter().map(|n| n.canonical.clone()).collect();
-        let keep = crate::pattern::most_specific(&all_patterns, self.universe.taxonomy());
-        let keep: HashSet<Pattern> = keep.into_iter().collect();
-
-        let mut patterns: Vec<FoundPattern> = Vec::new();
-        for node in &nodes {
-            let most = keep.contains(&node.canonical);
-            patterns.push(FoundPattern {
-                pattern: node.canonical.clone(),
-                working: node.wp.clone(),
-                table: node.table.clone(),
-                support: node.support,
-                frequency: node.freq,
-                most_specific: most,
-                rel_patterns: Vec::new(),
-            });
-        }
-
-        // Relative frequent patterns, mined from each most specific pattern.
-        if self.config.mine_relative {
-            for p in &mut patterns {
-                if !p.most_specific {
-                    continue;
-                }
-                let (rels, rel_stats) = self.mine_relative(&state.rows, seed, p, pool);
-                state.stats.absorb(&rel_stats);
-                p.rel_patterns = rels;
-            }
-        }
+        state.fetched_types.insert(seed);
+        let mut stage = BatchStage {
+            state: &mut state,
+            window,
+            seed,
+            pool,
+        };
+        let exp = self.expand(&mut stage, seed, preloaded);
+        state.stats.absorb(&exp.stats);
+        let patterns = self.finish(exp.nodes, &state.rows, seed, pool, &mut state.stats);
 
         let mut stats = state.stats;
-        stats.patterns_found = patterns.len();
-        stats.most_specific_found = patterns.iter().filter(|p| p.most_specific).count();
         stats.mine = t0.elapsed().saturating_sub(stats.preprocess);
 
         let mut degraded = state.degraded;
@@ -704,50 +887,81 @@ impl<'a> WindowMiner<'a> {
         WindowResult {
             window: *window,
             seed,
+            taxonomy: None,
             patterns,
             stats,
             degraded,
         }
     }
 
+    /// Algorithm 1 lines 2–15, the one expansion loop batch mining and
+    /// every streamed window refresh run: frequent singletons, then
+    /// generation growth interleaved with the fetched-type fixpoint until
+    /// no frequent pattern mentions an unfetched type. `stage` supplies the
+    /// rows of each fetched-type stage and evaluates the candidates.
+    /// `preloaded` marks a stage that loaded every entity up front (the
+    /// batch-only `PM−inc` ablation): every singleton then counts as a
+    /// candidate and no type is fetched.
+    pub(crate) fn expand(
+        &self,
+        stage: &mut impl Stage,
+        seed: TypeId,
+        preloaded: bool,
+    ) -> Expansion {
+        let mut exp = Expansion::default();
+        let mut shapes = stage.shapes();
+        self.seed_singletons(stage, &shapes, seed, preloaded, &mut exp);
+        loop {
+            self.grow(&shapes, &mut exp, |specs, exp| {
+                stage.evaluate(self, specs, exp)
+            });
+            if preloaded {
+                break; // everything was loaded up front
+            }
+            // Which variable types in frequent patterns are new?
+            let new_types: BTreeSet<TypeId> = exp
+                .nodes
+                .iter()
+                .flat_map(|n| n.canonical.types())
+                .filter(|t| !stage.fetched().contains(t))
+                .collect();
+            if new_types.is_empty() {
+                break;
+            }
+            stage.fetch(self, new_types);
+            shapes = stage.shapes();
+        }
+        exp
+    }
+
     /// Builds the frequent singleton patterns (Algorithm 1 line 2).
     fn seed_singletons(
         &self,
-        state: &mut MineState,
+        stage: &impl Stage,
+        shapes: &[Shape],
         seed: TypeId,
-        nodes: &mut Vec<Node>,
-        found: &mut HashSet<PatternId>,
-        materialized: bool,
+        preloaded: bool,
+        exp: &mut Expansion,
     ) {
-        state.fetched_types.insert(seed);
-        let mut shapes: Vec<Shape> = state.rows.keys().copied().collect();
-        shapes.sort();
-        for shape in shapes {
-            let (op, s, r, t) = shape;
+        for &(op, s, r, t) in shapes {
             let eligible = self.seed_comparable(s, seed);
-            if materialized {
-                // Conventional mining considers every singleton in the full
-                // graph; ineligible ones are pruned by the frequency test
-                // (their seed-relative frequency is 0) but still count.
-                state.stats.candidates_considered += 1;
-                if !eligible {
-                    continue;
-                }
-            } else {
-                if !eligible {
-                    continue;
-                }
-                state.stats.candidates_considered += 1;
+            // Conventional mining considers every singleton in the full
+            // graph; ineligible ones are pruned by the frequency test
+            // (their seed-relative frequency is 0) but still count.
+            if eligible || preloaded {
+                exp.stats.candidates_considered += 1;
+            }
+            if !eligible {
+                continue;
             }
             let wp = WorkingPattern::singleton(op, s, r, t);
-            let action = wp.actions()[0];
-            let table = action_realizations(&action, &state.rows[&shape], self.universe);
+            let table = stage.singleton_table(self, &wp.actions()[0]);
             let support = support_count(&table, 0, seed, self.universe);
-            let freq = frequency(&table, 0, seed, self.universe);
+            let freq = frequency_from_support(support, seed, self.universe);
             if freq >= self.config.tau {
                 let (id, canonical) = self.interner.intern_working(&wp);
-                if found.insert(id) {
-                    nodes.push(Node {
+                if exp.found.insert(id) {
+                    exp.nodes.push(Node {
                         id,
                         wp,
                         canonical,
@@ -760,60 +974,39 @@ impl<'a> WindowMiner<'a> {
         }
     }
 
+    /// Whether a singleton with source type `s` is eligible w.r.t. `seed`:
+    /// the types are comparable, so seed entities can realize the source.
+    fn seed_comparable(&self, s: TypeId, seed: TypeId) -> bool {
+        let tax = self.universe.taxonomy();
+        tax.is_subtype(seed, s) || tax.is_subtype(s, seed)
+    }
+
     /// Grows the frontier generation by generation until no new frequent
     /// pattern emerges (Algorithm 1 lines 9–14).
     ///
     /// Each generation serially collects every untested `(node, shape)`
-    /// gluing into an ordered spec list, evaluates the specs — the
-    /// join-and-count tasks, independent given the frozen frontier — on
-    /// `pool` when one is attached (sequentially otherwise), and merges the
-    /// results serially in spec order, appending accepted nodes sorted by
-    /// canonical pattern value. Output is byte-identical at any thread
-    /// count because the pool only decides *where* a spec is evaluated.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_generations(
+    /// gluing into an ordered spec list, has `evaluate` evaluate the specs —
+    /// the join-and-count tasks, independent given the frozen frontier —
+    /// and merges the results serially in spec order, appending accepted
+    /// nodes sorted by canonical pattern value. Output is byte-identical at
+    /// any thread count because a pool only decides *where* a spec is
+    /// evaluated.
+    fn grow(
         &self,
-        rows: &HashMap<Shape, Vec<(EntityId, EntityId)>>,
-        stats: &mut MineStats,
-        seed: TypeId,
-        cache_ctx: Option<(&Window, &BTreeSet<TypeId>)>,
-        pool: Option<&MiningPool>,
-        nodes: &mut Vec<Node>,
-        found: &mut HashSet<PatternId>,
-        tested: &mut HashSet<(PatternId, Shape)>,
-        score: &(dyn Fn(usize, usize, f64, f64) -> f64 + Sync),
-        threshold: f64,
+        shapes: &[Shape],
+        exp: &mut Expansion,
+        mut evaluate: impl FnMut(&[CandidateSpec], &Expansion) -> Vec<Option<Evaluated>>,
     ) {
-        let mut shapes: Vec<Shape> = rows.keys().copied().collect();
-        shapes.sort();
-        let mut frontier = 0..nodes.len();
+        let mut frontier = 0..exp.nodes.len();
         while !frontier.is_empty() {
-            let specs = self.collect_specs(&shapes, nodes, frontier.clone(), tested);
+            let specs = self.collect_specs(shapes, exp, frontier);
             if specs.is_empty() {
                 break;
             }
-            let start = nodes.len();
-            let outcomes: Vec<EvalOutcome> = {
-                let frozen: &[Node] = nodes;
-                let known: &HashSet<PatternId> = found;
-                match pool {
-                    Some(pool) if specs.len() > 1 && pool.width() > 1 => pool.map(&specs, |spec| {
-                        self.evaluate_candidate(
-                            rows, frozen, known, seed, cache_ctx, spec, score, threshold,
-                        )
-                    }),
-                    _ => specs
-                        .iter()
-                        .map(|spec| {
-                            self.evaluate_candidate(
-                                rows, frozen, known, seed, cache_ctx, spec, score, threshold,
-                            )
-                        })
-                        .collect(),
-                }
-            };
-            self.merge_generation(stats, cache_ctx, outcomes, nodes, found);
-            frontier = start..nodes.len();
+            let start = exp.nodes.len();
+            let outcomes = evaluate(&specs, exp);
+            self.merge_generation(outcomes, exp);
+            frontier = start..exp.nodes.len();
         }
     }
 
@@ -821,19 +1014,18 @@ impl<'a> WindowMiner<'a> {
     /// frontier nodes, in deterministic order (node index, then sorted
     /// shape, then source variable, fresh target before glued targets) —
     /// the order the sequential engine would test them in.
-    pub(crate) fn collect_specs(
+    fn collect_specs(
         &self,
         shapes: &[Shape],
-        nodes: &[Node],
+        exp: &mut Expansion,
         frontier: std::ops::Range<usize>,
-        tested: &mut HashSet<(PatternId, Shape)>,
     ) -> Vec<CandidateSpec> {
         let tax = self.universe.taxonomy();
         let mut specs = Vec::new();
         for ni in frontier {
-            let node = &nodes[ni];
+            let node = &exp.nodes[ni];
             for &shape in shapes {
-                if !tested.insert((node.id, shape)) {
+                if !exp.tested.insert((node.id, shape)) {
                     continue;
                 }
                 if node.wp.len() >= self.config.max_pattern_actions {
@@ -884,212 +1076,125 @@ impl<'a> WindowMiner<'a> {
         specs
     }
 
-    /// Evaluates one candidate extension against the frozen frontier: runs
-    /// the join's *pair stage*, counts support straight off the pair stream
-    /// (the distinct-source fast path), and only gathers the output table
-    /// when the candidate clears the threshold. Takes no mutable state, so
-    /// a generation's specs can run in any order on any thread.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_candidate(
-        &self,
-        rows_map: &HashMap<Shape, Vec<(EntityId, EntityId)>>,
-        nodes: &[Node],
-        found: &HashSet<PatternId>,
-        seed: TypeId,
-        cache_ctx: Option<(&Window, &BTreeSet<TypeId>)>,
-        spec: &CandidateSpec,
-        score: &(dyn Fn(usize, usize, f64, f64) -> f64 + Sync),
-        threshold: f64,
-    ) -> EvalOutcome {
-        let parent = &nodes[spec.parent];
-        let ext = parent.wp.extended_with(spec.action);
-        let (id, canonical) = self.interner.intern_working(&ext);
-        if found.contains(&id) {
-            return EvalOutcome::Known;
-        }
-
-        let parent_support = parent.support;
-        let accept = |support: usize, freq: f64| {
-            let rel = relative_frequency(support, parent_support);
-            score(support, parent_support, freq, rel) >= threshold && support > 0
-        };
-
-        // Cache fast path: the same candidate computed in an earlier
-        // refinement iteration under the same fetched-type set. A pruned
-        // entry (no table) that the current threshold now *accepts* falls
-        // through to a fresh join so the table exists — the re-store in
-        // `merge_generation` then upgrades the entry.
-        if let (Some(cache), Some((window, fetched))) = (&self.cache, cache_ctx) {
-            if let Some((table, support, freq)) = cache.get(window, id, fetched) {
-                let accepted = accept(support, freq);
-                if table.is_some() || !accepted {
-                    return EvalOutcome::Done(Box::new(Evaluated {
-                        id,
-                        canonical,
-                        ext,
-                        table,
-                        support,
-                        freq,
-                        via_cache: true,
-                        accepted,
-                        materialized: false,
-                        rows_probed: 0,
-                        pairs_matched: 0,
-                    }));
-                }
-            }
-        }
-
-        // Build the right-hand (action) relation.
-        let shape = spec.action.shape();
-        let rows = &rows_map[&shape];
-        let right = action_realizations(&spec.action, rows, self.universe);
-
-        let glue = candidate_glue(self.universe, &parent.wp, &spec.action, spec.target_is_new);
-
-        // Pair stage: matching (left, right) row indices, no output rows
-        // built yet. Both engines emit the same canonical pair order.
-        let pairs = pair_stage(self.config.join_impl, &parent.table, &right, &glue, None);
-
-        // Distinct-source fast path: the pattern's source variable is the
-        // left table's column 0, and a join (deduped or not) cannot change
-        // the set of distinct source values — so support and frequency come
-        // straight off the pair stream, and only surviving candidates pay
-        // for gather + dedup. Unit tests can gather every candidate and
-        // count support off its table instead, to check the fast path.
-        let gather = || {
-            let mut t = materialize_pairs(&parent.table, &right, &glue, &pairs);
-            t.dedup();
-            t
-        };
-        let (support, table) = if gather_every_candidate() {
-            let t = gather();
-            (support_count(&t, 0, seed, self.universe), Some(t))
-        } else {
-            let distinct = distinct_left_values(&parent.table, 0, &pairs);
-            (support_from_distinct(&distinct, seed, self.universe), None)
-        };
-        let freq = frequency_from_support(support, seed, self.universe);
-        let accepted = accept(support, freq);
-        let materialized = accepted || table.is_some();
-        let table = accepted.then(|| table.unwrap_or_else(gather));
-        EvalOutcome::Done(Box::new(Evaluated {
-            id,
-            canonical,
-            ext,
-            table,
-            support,
-            freq,
-            via_cache: false,
-            accepted,
-            materialized,
-            rows_probed: parent.table.len(),
-            pairs_matched: pairs.len(),
-        }))
-    }
-
     /// Folds one generation's evaluation results back into the frontier,
     /// serially in spec order: counters accrue per spec, within-generation
     /// duplicate canonicals collapse to their first occurrence, and
     /// accepted nodes are appended sorted by canonical pattern *value*
     /// (never by [`PatternId`] — ids depend on thread interleaving).
-    fn merge_generation(
-        &self,
-        stats: &mut MineStats,
-        cache_ctx: Option<(&Window, &BTreeSet<TypeId>)>,
-        outcomes: Vec<EvalOutcome>,
-        nodes: &mut Vec<Node>,
-        found: &mut HashSet<PatternId>,
-    ) {
-        let cache_active = self.cache.is_some() && cache_ctx.is_some();
+    fn merge_generation(&self, outcomes: Vec<Option<Evaluated>>, exp: &mut Expansion) {
+        let stats = &mut exp.stats;
         let mut seen: HashSet<PatternId> = HashSet::new();
         let mut accepted: Vec<Node> = Vec::new();
         for outcome in outcomes {
             stats.candidates_considered += 1;
-            let ev = match outcome {
-                EvalOutcome::Known => continue,
-                EvalOutcome::Done(ev) => ev,
-            };
-            // Count the work that was actually done — within-generation
+            let Some(ev) = outcome else { continue };
+            // Count the work that was actually done — batch within-generation
             // duplicates were each evaluated against the frozen frontier.
-            stats.rows_probed += ev.rows_probed;
-            stats.pairs_matched += ev.pairs_matched;
+            stats.rows_probed += ev.work.rows_probed;
+            stats.pairs_matched += ev.work.pairs_matched;
+            stats.delta_rows_joined += ev.work.delta_rows;
+            for _ in 0..ev.work.pair_stages {
+                stats.count_pick(self.config.join_impl);
+            }
             if ev.via_cache {
                 stats.cache_hits += 1;
             } else {
-                if cache_active {
+                if ev.consulted {
                     stats.cache_misses += 1;
                 }
                 stats.joins_executed += 1;
-                stats.count_pick(self.config.join_impl);
                 if ev.materialized {
                     stats.tables_materialized += 1;
                 } else {
                     stats.tables_pruned += 1;
                 }
             }
-            if !seen.insert(ev.id) {
+            if !seen.insert(ev.id) || !ev.accepted {
                 continue;
             }
-            if !ev.via_cache {
-                if let (Some(cache), Some((window, fetched))) = (&self.cache, cache_ctx) {
-                    cache.put(
-                        window,
-                        ev.id,
-                        fetched,
-                        ev.table.as_ref(),
-                        ev.support,
-                        ev.freq,
-                    );
-                }
-            }
-            if ev.accepted {
-                accepted.push(Node {
-                    id: ev.id,
-                    wp: ev.ext,
-                    canonical: ev.canonical,
-                    table: ev
-                        .table
-                        .expect("accepted candidate carries a materialized table"),
-                    support: ev.support,
-                    freq: ev.freq,
-                });
-            }
+            accepted.push(Node {
+                id: ev.id,
+                wp: ev.ext,
+                canonical: ev.canonical,
+                table: ev
+                    .table
+                    .expect("accepted candidate carries a materialized table"),
+                support: ev.support,
+                freq: ev.freq,
+            });
         }
         accepted.sort_by(|a, b| a.canonical.cmp(&b.canonical));
         for node in accepted {
-            found.insert(node.id);
-            nodes.push(node);
+            exp.found.insert(node.id);
+            exp.nodes.push(node);
         }
+    }
+
+    /// Algorithm 1's tail, shared by batch mining and a sealing streamed
+    /// window: the most-specific filter (line 16), one [`FoundPattern`] per
+    /// node, and relative mining from each most specific pattern over the
+    /// final stage's `rows`. Counts into `stats`.
+    pub(crate) fn finish(
+        &self,
+        nodes: Vec<Node>,
+        rows: &ShapeRows,
+        seed: TypeId,
+        pool: Option<&MiningPool>,
+        stats: &mut MineStats,
+    ) -> Vec<FoundPattern> {
+        let all: Vec<Pattern> = nodes.iter().map(|n| n.canonical.clone()).collect();
+        let keep: HashSet<Pattern> = crate::pattern::most_specific(&all, self.universe.taxonomy())
+            .into_iter()
+            .collect();
+        let mut patterns: Vec<FoundPattern> = nodes
+            .into_iter()
+            .map(|node| FoundPattern {
+                most_specific: keep.contains(&node.canonical),
+                pattern: node.canonical,
+                working: node.wp,
+                table: node.table,
+                support: node.support,
+                frequency: node.freq,
+                rel_patterns: Vec::new(),
+            })
+            .collect();
+        if self.config.mine_relative {
+            for p in patterns.iter_mut().filter(|p| p.most_specific) {
+                let (rels, rel_stats) = self.mine_relative(rows, seed, p, pool);
+                stats.absorb(&rel_stats);
+                p.rel_patterns = rels;
+            }
+        }
+        stats.patterns_found = patterns.len();
+        stats.most_specific_found = patterns.iter().filter(|p| p.most_specific).count();
+        patterns
     }
 
     /// Mines the relative frequent patterns of `parent` (Def. 3.5): the
     /// expansion restarts from the parent pattern itself, accepting
     /// extensions whose *relative* frequency meets τ_rel but whose absolute
     /// frequency fell below τ. Returns (patterns, work counters).
-    pub(crate) fn mine_relative(
+    fn mine_relative(
         &self,
         rows: &ShapeRows,
         seed: TypeId,
         parent: &FoundPattern,
         pool: Option<&MiningPool>,
     ) -> (Vec<RelPattern>, MineStats) {
-        let mut stats = MineStats::default();
-
         let pid = self.interner.intern(&parent.pattern);
-        let mut nodes = vec![Node {
+        // A fresh tested set — the absolute phase's pairs are deliberately
+        // retried here: extensions that failed τ were discarded there but
+        // may clear τ_rel now.
+        let mut exp = Expansion::default();
+        exp.found.insert(pid);
+        exp.nodes.push(Node {
             id: pid,
             wp: parent.working.clone(),
             canonical: parent.pattern.clone(),
             table: parent.table.clone(),
             support: parent.support,
             freq: parent.frequency,
-        }];
-        let mut found: HashSet<PatternId> = HashSet::from([pid]);
-        // Fresh per-parent tested set — the absolute phase's pairs are
-        // deliberately retried here: extensions that failed τ were
-        // discarded there but may clear τ_rel now.
-        let mut tested: HashSet<(PatternId, Shape)> = HashSet::new();
+        });
 
         let parent_support = parent.support;
         if std::env::var_os("WICLEAN_TRACE").is_some() {
@@ -1101,24 +1206,23 @@ impl<'a> WindowMiner<'a> {
                 self.config.tau_rel
             );
         }
-
-        self.expand_generations(
+        // Child support is always measured against the *original* parent.
+        let joins = Joins {
             rows,
-            &mut stats,
             seed,
-            None,
+            threshold: Threshold::Relative {
+                parent_support,
+                tau_rel: self.config.tau_rel,
+            },
+            cache_ctx: None,
             pool,
-            &mut nodes,
-            &mut found,
-            &mut tested,
-            // rel-frequency score: child support is always measured
-            // against the *original* parent.
-            &|support, _ignored, _freq, _| relative_frequency(support, parent_support),
-            self.config.tau_rel,
-        );
+        };
+        self.grow(&sorted_shapes(rows), &mut exp, |specs, exp| {
+            joins.evaluate(self, specs, exp)
+        });
 
         // Most specific among the relative patterns (excluding the parent).
-        let rel_nodes: Vec<&Node> = nodes.iter().skip(1).collect();
+        let rel_nodes = &exp.nodes[1..];
         let pats: Vec<Pattern> = rel_nodes.iter().map(|n| n.canonical.clone()).collect();
         let keep: HashSet<Pattern> = crate::pattern::most_specific(&pats, self.universe.taxonomy())
             .into_iter()
@@ -1128,12 +1232,12 @@ impl<'a> WindowMiner<'a> {
             eprintln!(
                 "[rel] raw rel nodes: {} (candidates {}, joins {})",
                 pats.len(),
-                stats.candidates_considered,
-                stats.joins_executed
+                exp.stats.candidates_considered,
+                exp.stats.joins_executed
             );
         }
         let rels = rel_nodes
-            .into_iter()
+            .iter()
             .filter(|n| keep.contains(&n.canonical))
             .map(|n| RelPattern {
                 pattern: n.canonical.clone(),
@@ -1143,77 +1247,7 @@ impl<'a> WindowMiner<'a> {
                 rel_frequency: relative_frequency(n.support, parent_support),
             })
             .collect();
-        (rels, stats)
-    }
-
-    /// Builds the realization table of an arbitrary working pattern by
-    /// chaining joins over its actions — used by Algorithm 3 and tests. The
-    /// traversal follows construction order, which is valid for patterns
-    /// built by this miner (every action's source variable is already
-    /// bound). `outer` switches the inner joins to full outer joins.
-    pub fn realize_pattern(
-        &self,
-        state_rows: &HashMap<Shape, Vec<(EntityId, EntityId)>>,
-        wp: &WorkingPattern,
-    ) -> Table {
-        self.realize_pattern_impl(state_rows, wp, false)
-    }
-
-    /// Full-outer-join variant of [`WindowMiner::realize_pattern`]:
-    /// null-padded rows are partial realizations (Algorithm 3).
-    pub fn realize_pattern_outer(
-        &self,
-        state_rows: &HashMap<Shape, Vec<(EntityId, EntityId)>>,
-        wp: &WorkingPattern,
-    ) -> Table {
-        self.realize_pattern_impl(state_rows, wp, true)
-    }
-
-    fn realize_pattern_impl(
-        &self,
-        state_rows: &HashMap<Shape, Vec<(EntityId, EntityId)>>,
-        wp: &WorkingPattern,
-        outer: bool,
-    ) -> Table {
-        let empty: Vec<(EntityId, EntityId)> = Vec::new();
-        let actions = wp.actions();
-        let first = actions[0];
-        let rows0 = state_rows.get(&first.shape()).unwrap_or(&empty);
-        let mut table = action_realizations(&first, rows0, self.universe);
-        let mut bound: Vec<Var> = vec![first.source, first.target];
-
-        for a in &actions[1..] {
-            let rows = state_rows.get(&a.shape()).unwrap_or(&empty);
-            let right = action_realizations(a, rows, self.universe);
-            let names: Vec<String> = bound.iter().map(Var::column_name).collect();
-            let src_col = crate::realization::column_of(&names, a.source);
-            let tgt_glue = if bound.contains(&a.target) {
-                ColumnGlue::Glued(crate::realization::column_of(&names, a.target))
-            } else {
-                let tax = self.universe.taxonomy();
-                let distinct_from: Vec<usize> = bound
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| {
-                        tax.is_subtype(v.ty, a.target.ty) || tax.is_subtype(a.target.ty, v.ty)
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                bound.push(a.target);
-                ColumnGlue::New {
-                    name: a.target.column_name(),
-                    distinct_from,
-                }
-            };
-            let glue = vec![ColumnGlue::Glued(src_col), tgt_glue];
-            table = match (outer, self.config.join_impl) {
-                (true, _) => outer_join_glue(&table, &right, &glue),
-                (false, JoinImpl::Hash) => join_glue(&table, &right, &glue),
-                (false, JoinImpl::NestedLoop) => join_glue_nested(&table, &right, &glue),
-            };
-            table.dedup();
-        }
-        table
+        (rels, exp.stats)
     }
 
     /// Loads a window's reduced, shape-grouped rows for an entity set —
@@ -1223,24 +1257,18 @@ impl<'a> WindowMiner<'a> {
         entities: impl IntoIterator<Item = EntityId>,
         window: &Window,
     ) -> (ShapeRows, MineStats) {
-        let (rows, stats, _degraded) = self.load_shape_rows_degraded(entities, window);
-        (rows, stats)
-    }
-
-    /// [`WindowMiner::load_shape_rows`] plus the degraded-coverage record
-    /// of the load — callers over a faulty source use this to report what
-    /// their row store is missing.
-    pub fn load_shape_rows_degraded(
-        &self,
-        entities: impl IntoIterator<Item = EntityId>,
-        window: &Window,
-    ) -> (ShapeRows, MineStats, DegradedCoverage) {
         let mut state = MineState::new();
         self.load_entities(&mut state, entities, window, self.pool.as_deref());
-        let mut degraded = state.degraded;
-        degraded.normalize();
-        (state.rows, state.stats, degraded)
+        (state.rows, state.stats)
     }
+}
+
+/// A row store's shapes, sorted: the order singletons are seeded and
+/// gluings tried in.
+pub(crate) fn sorted_shapes(rows: &ShapeRows) -> Vec<Shape> {
+    let mut shapes: Vec<Shape> = rows.keys().copied().collect();
+    shapes.sort();
+    shapes
 }
 
 /// The glue spec of one candidate extension: the action's source glued
@@ -1317,7 +1345,7 @@ impl MineState {
     fn new() -> Self {
         Self {
             rows: HashMap::new(),
-            fetched_types: HashSet::new(),
+            fetched_types: BTreeSet::new(),
             fetched_entities: HashSet::new(),
             stats: MineStats::default(),
             degraded: DegradedCoverage::default(),
@@ -1328,8 +1356,9 @@ impl MineState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::soccer_fixture;
+    use crate::testutil::{soccer_fixture, work_counters};
     use std::cell::Cell;
+    use wiclean_revstore::{Action, EditOp};
 
     thread_local! {
         /// Makes this thread's candidate evaluations gather every table.
@@ -1428,18 +1457,12 @@ mod tests {
         let miner = WindowMiner::new(&fx.store, &fx.universe, fx.config());
         let r = miner.mine_window(fx.player_ty, &fx.window);
         assert!(r.stats.actions_extracted >= r.stats.reduced_actions);
-        assert!(r.stats.joins_executed > 0);
         assert_eq!(r.stats.most_specific_found, r.most_specific().count());
         assert_eq!(r.stats.patterns_found, r.patterns.len());
-        // Join-engine counters: every executed join probed the parent table
-        // and either materialized its output or was pruned off the pair
-        // stream — never both, never neither.
-        assert!(r.stats.rows_probed > 0);
-        assert!(r.stats.tables_materialized > 0);
-        assert_eq!(
-            r.stats.joins_executed,
-            r.stats.tables_materialized + r.stats.tables_pruned
-        );
+        // Every executed join either materialized its output or was pruned
+        // off the pair stream (40 = 4 + 36).
+        let pinned = [44, 40, 0, 0, 4, 36, 180, 24, 40, 0, 0, 8, 1];
+        assert_eq!(work_counters(&r.stats), pinned);
     }
 
     /// Pruning a candidate off its pair stream, without a gather, mines
@@ -1549,6 +1572,33 @@ mod tests {
     }
 
     #[test]
+    fn lift_action_enumerates_ancestor_shapes_most_specific_first() {
+        let fx = soccer_fixture();
+        let cc = fx.universe.lookup_relation("current_club").unwrap();
+        let (player, club) = (fx.players[0], fx.clubs[0]);
+        let a = Action::new(EditOp::Add, player, cc, club, 20);
+        let root = fx.universe.taxonomy().root();
+        // Source chain: SoccerPlayer, Athlete, Person, Agent, Thing (5).
+        // Target chain: SoccerClub, SportsTeam, Organisation, Agent, Thing (5).
+        for (height, count) in [(0, 1), (1, 4), (u32::MAX, 25)] {
+            let config = MinerConfig {
+                max_abstraction_height: height,
+                ..fx.config()
+            };
+            let miner = WindowMiner::new(&fx.store, &fx.universe, config);
+            let mut shapes = Vec::new();
+            miner.lift_action(&a, |shape, pair| {
+                assert_eq!(pair, (player, club));
+                shapes.push(shape);
+            });
+            assert_eq!(shapes.len(), count, "height {height}");
+            assert_eq!(shapes[0], (EditOp::Add, fx.player_ty, cc, fx.club_ty));
+            let unbounded = height == u32::MAX;
+            assert_eq!(shapes.contains(&(EditOp::Add, root, cc, root)), unbounded);
+        }
+    }
+
+    #[test]
     fn realize_pattern_matches_mined_table() {
         let fx = soccer_fixture();
         let miner = WindowMiner::new(&fx.store, &fx.universe, fx.config());
@@ -1562,8 +1612,28 @@ mod tests {
         // Recompute the realization table from scratch; must agree.
         let all: Vec<_> = fx.universe.entities().iter().collect();
         let (rows, _) = miner.load_shape_rows(all, &fx.window);
-        let redone = miner.realize_pattern(&rows, &target.working);
+        let redone = realize_pattern(&miner, &rows, &target.working);
         assert_eq!(redone.sorted_rows(), target.table.sorted_rows());
+    }
+
+    /// The realization table of `wp` rebuilt from scratch: inner joins
+    /// chained over its actions in construction order.
+    fn realize_pattern(miner: &WindowMiner<'_>, rows: &ShapeRows, wp: &WorkingPattern) -> Table {
+        let table_of = |a: &AbstractAction| {
+            let rows = rows.get(&a.shape()).map_or(&[][..], Vec::as_slice);
+            action_realizations(a, rows, miner.universe)
+        };
+        let (first, rest) = wp.actions().split_first().expect("a pattern has an action");
+        let mut prefix = WorkingPattern::from_actions(vec![*first]);
+        let mut table = table_of(first);
+        for &a in rest {
+            let fresh = !prefix.vars().contains(&a.target);
+            let glue = candidate_glue(miner.universe, &prefix, &a, fresh);
+            table = wiclean_rel::join_glue(&table, &table_of(&a), &glue);
+            table.dedup();
+            prefix = prefix.extended_with(a);
+        }
+        table
     }
 
     /// A source that sleeps before every fetch of a seed entity.

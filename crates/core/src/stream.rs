@@ -19,8 +19,13 @@
 //!   [`wiclean_rel::join_glue_pairs_delta`] over only the appended rows;
 //! * when the **watermark** (max event time minus the configured grace
 //!   period) passes a window's end, the window **seals**: one final
-//!   refresh (mostly memo hits), the most-specific filter and relative
-//!   mining run exactly as in batch, and the result is emitted.
+//!   refresh (mostly memo hits), then the batch miner's own tail (the
+//!   most-specific filter and relative mining), and the result is emitted.
+//!
+//! A refresh is not a second copy of Algorithm 1: it runs the batch
+//! expansion loop (`WindowMiner::expand`) with this module's stage —
+//! rows filtered per fetched-type stage, singleton tables from folded
+//! tables, and candidates evaluated against the window's memo.
 //!
 //! **Correctness anchor:** a sealed window's result is equivalent to
 //! `WindowMiner::mine_window` over the same revisions — identical pattern
@@ -52,20 +57,20 @@ use crate::config::{MinerConfig, StreamPolicy, WcConfig};
 use crate::degraded::DegradedCoverage;
 use crate::interner::PatternId;
 use crate::miner::{
-    candidate_glue, pair_stage, CandidateSpec, Evaluated, FoundPattern, MineStats, Node,
-    WindowMiner, WindowResult,
+    candidate_glue, pair_stage, sorted_shapes, CandidateSpec, Evaluated, Expansion, MineStats,
+    Node, Stage, Threshold, WindowMiner, WindowResult, Work,
 };
-use crate::pattern::{most_specific, Pattern, WorkingPattern};
+use crate::pattern::WorkingPattern;
 use crate::realization::{
-    action_realizations, frequency, frequency_from_support, support_count, support_from_distinct,
-    Shape, ShapeRows,
+    action_realizations, frequency_from_support, support_from_distinct, Shape, ShapeRows,
 };
-use crate::windows::{DiscoveredPattern, WcResult};
+use crate::windows::{Discoveries, WcResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 use wiclean_rel::{distinct_left_values, materialize_pairs, EntitySet, Table};
 use wiclean_revstore::{reduce_actions, FeedEvent, FetchError, RevisionFeed, RevisionStore};
-use wiclean_types::{EntityId, Timestamp, TypeId, Universe, Window};
+use wiclean_types::{EntityId, Taxonomy, Timestamp, TypeId, Universe, Window};
 
 /// Configuration of a streaming run — the subset of [`WcConfig`] the
 /// stream consumes, denormalized so the miner can be driven standalone.
@@ -329,151 +334,38 @@ impl WindowState {
         }
     }
 
-    /// One refresh: absorb dirty entities, then replay the batch expansion
-    /// (singletons → generation growth → fetched-type fixpoint) with
-    /// memoized candidate evaluation. Returns the surviving frequent
-    /// nodes and the final fetched-type set. Extraction (re-extracting
-    /// dirty entities, loading a type) is timed as `preprocess`, the rest
-    /// of the refresh as `mine`, so each instant counts once.
+    /// One refresh: absorb dirty entities, then run the batch expansion
+    /// loop ([`WindowMiner::expand`]) with this window's stages and memo.
+    /// Returns the surviving frequent nodes, the final fetched-type set
+    /// and that stage's rows. Extraction (re-extracting dirty entities,
+    /// loading a type) is timed as `preprocess`, the rest of the refresh
+    /// as `mine`, so each instant counts once.
     fn refresh(
         &mut self,
         miner: &WindowMiner<'_>,
         universe: &Universe,
         seed: TypeId,
-    ) -> (Vec<Node>, BTreeSet<TypeId>) {
+    ) -> (Vec<Node>, BTreeSet<TypeId>, ShapeRows) {
         let t0 = Instant::now();
         let preprocess0 = self.stats.preprocess;
         self.since_refresh = 0;
         if self.absorb_dirty(miner) {
             self.rebuild_from_contributions();
         }
-
-        let tau = miner.config().tau;
-        let mut fetched: BTreeSet<TypeId> = BTreeSet::from([seed]);
-        self.load_type(miner, universe, seed);
-
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut found: HashSet<PatternId> = HashSet::new();
-        let mut tested: HashSet<(PatternId, Shape)> = HashSet::new();
-
-        // Stage 0 rows and singleton seeding (Algorithm 1 line 2).
-        let mut stage_rows = self.stage_rows(universe, &fetched);
-        let mut shapes: Vec<Shape> = stage_rows.keys().copied().collect();
-        shapes.sort();
-        self.fold_stage(universe, &fetched, &stage_rows);
-        for &shape in &shapes {
-            let (op, s, r, t) = shape;
-            if !miner.seed_comparable(s, seed) {
-                continue;
-            }
-            self.stats.candidates_considered += 1;
-            let wp = WorkingPattern::singleton(op, s, r, t);
-            let table = self.tables[&fetched][&shape].table.clone();
-            let support = support_count(&table, 0, seed, universe);
-            let freq = frequency(&table, 0, seed, universe);
-            if freq >= tau {
-                let (id, canonical) = miner.interner().intern_working(&wp);
-                if found.insert(id) {
-                    nodes.push(Node {
-                        id,
-                        wp,
-                        canonical,
-                        table,
-                        support,
-                        freq,
-                    });
-                }
-            }
-        }
-
-        // Interleave generation growth with the fetched-type fixpoint
-        // (Algorithm 1 lines 4–15), exactly as the batch run_expansion.
-        loop {
-            let mut frontier = 0..nodes.len();
-            while !frontier.is_empty() {
-                let specs = miner.collect_specs(&shapes, &nodes, frontier.clone(), &mut tested);
-                if specs.is_empty() {
-                    break;
-                }
-                let start = nodes.len();
-                let stage_tbls = &self.tables[&fetched];
-                let mut seen: HashSet<PatternId> = HashSet::new();
-                let mut accepted: Vec<Node> = Vec::new();
-                for spec in &specs {
-                    self.stats.candidates_considered += 1;
-                    let Some(ev) = stream_evaluate(
-                        miner,
-                        universe,
-                        seed,
-                        tau,
-                        &mut self.memo,
-                        &mut self.stats,
-                        stage_tbls,
-                        &fetched,
-                        &nodes,
-                        &found,
-                        &seen,
-                        spec,
-                    ) else {
-                        // Canonical form already accepted, or already
-                        // evaluated this round via another path.
-                        continue;
-                    };
-                    self.stats.rows_probed += ev.rows_probed;
-                    self.stats.pairs_matched += ev.pairs_matched;
-                    if ev.via_cache {
-                        self.stats.cache_hits += 1;
-                    } else {
-                        self.stats.cache_misses += 1;
-                        self.stats.joins_executed += 1;
-                        if ev.materialized {
-                            self.stats.tables_materialized += 1;
-                        } else {
-                            self.stats.tables_pruned += 1;
-                        }
-                    }
-                    if !seen.insert(ev.id) {
-                        continue;
-                    }
-                    if ev.accepted {
-                        accepted.push(Node {
-                            id: ev.id,
-                            wp: ev.ext,
-                            canonical: ev.canonical,
-                            table: ev.table.expect("accepted candidate carries a table"),
-                            support: ev.support,
-                            freq: ev.freq,
-                        });
-                    }
-                }
-                accepted.sort_by(|a, b| a.canonical.cmp(&b.canonical));
-                for node in accepted {
-                    found.insert(node.id);
-                    nodes.push(node);
-                }
-                frontier = start..nodes.len();
-            }
-            let mentioned: BTreeSet<TypeId> =
-                nodes.iter().flat_map(|n| n.canonical.types()).collect();
-            let new_types: Vec<TypeId> = mentioned
-                .into_iter()
-                .filter(|t| !fetched.contains(t))
-                .collect();
-            if new_types.is_empty() {
-                break;
-            }
-            for ty in new_types {
-                fetched.insert(ty);
-                self.load_type(miner, universe, ty);
-            }
-            stage_rows = self.stage_rows(universe, &fetched);
-            shapes = stage_rows.keys().copied().collect();
-            shapes.sort();
-            self.fold_stage(universe, &fetched, &stage_rows);
-        }
+        let mut stage = StreamStage {
+            ws: self,
+            universe,
+            seed,
+            fetched: BTreeSet::new(),
+            rows: ShapeRows::new(),
+        };
+        stage.fetch(miner, BTreeSet::from([seed]));
+        let exp = miner.expand(&mut stage, seed, false);
+        let StreamStage { fetched, rows, .. } = stage;
+        self.stats.absorb(&exp.stats);
         let extracting = self.stats.preprocess - preprocess0;
         self.stats.mine += t0.elapsed().saturating_sub(extracting);
-        (nodes, fetched)
+        (exp.nodes, fetched, rows)
     }
 
     /// Ensures every entity of `ty` has a memoized contribution (the
@@ -497,10 +389,7 @@ impl WindowState {
     /// for a fixed stage, which is what keeps the folded tables and delta
     /// joins sound.
     fn stage_rows(&self, universe: &Universe, fetched: &BTreeSet<TypeId>) -> ShapeRows {
-        let mut loadset: HashSet<EntityId> = HashSet::new();
-        for &ty in fetched {
-            loadset.extend(universe.entities_of(ty));
-        }
+        let loadset = entities_of(universe, fetched);
         let mut out: ShapeRows = HashMap::new();
         for (&shape, stamped) in &self.rows {
             let filtered: Vec<(EntityId, EntityId)> = stamped
@@ -533,6 +422,14 @@ impl WindowState {
     }
 }
 
+/// Every entity of the `fetched` types.
+fn entities_of(universe: &Universe, fetched: &BTreeSet<TypeId>) -> HashSet<EntityId> {
+    fetched
+        .iter()
+        .flat_map(|&ty| universe.entities_of(ty))
+        .collect()
+}
+
 /// Extracts one entity's windowed contribution from the live store. The
 /// stream's miner carries no action cache, so every extraction parses.
 fn extract_contribution(
@@ -557,180 +454,232 @@ fn extract_contribution(
     })
 }
 
-/// Evaluates one candidate extension against its memo: a pure hit when
-/// nothing grew, a delta join over only the appended rows when the inputs
-/// grew append-only, and a full (batch-identical) join otherwise. Returns
-/// `None` when the canonical form is already accepted.
-#[allow(clippy::too_many_arguments)]
-fn stream_evaluate(
-    miner: &WindowMiner<'_>,
-    universe: &Universe,
+/// A window refresh's side of [`WindowMiner::expand`]: each fetched-type
+/// stage's rows are the stamped row store filtered to the stage's
+/// entities, singleton tables come from the stage's folded tables, and
+/// candidates are evaluated in spec order against the window's memo.
+struct StreamStage<'w> {
+    ws: &'w mut WindowState,
+    universe: &'w Universe,
     seed: TypeId,
-    tau: f64,
-    memo: &mut HashMap<PatternId, Memo>,
-    stats: &mut MineStats,
-    stage_tbls: &HashMap<Shape, FoldedTable>,
-    fetched: &BTreeSet<TypeId>,
-    nodes: &[Node],
-    found: &HashSet<PatternId>,
-    seen: &HashSet<PatternId>,
-    spec: &CandidateSpec,
-) -> Option<Evaluated> {
-    let parent = &nodes[spec.parent];
-    let ext = parent.wp.extended_with(spec.action);
-    let (id, canonical) = miner.interner().intern_working(&ext);
-    if found.contains(&id) || seen.contains(&id) {
-        // Already accepted, or already evaluated this round via an earlier
-        // construction path. Support, frequency and the accept decision
-        // are path-independent, and batch keeps the first evaluation per
-        // id too — skipping repeats both matches batch output and keeps
-        // the memo path stable (a candidate reachable along two paths
-        // would otherwise flip its memoized path every refresh and never
-        // hit).
-        return None;
+    fetched: BTreeSet<TypeId>,
+    /// The current stage's rows.
+    rows: ShapeRows,
+}
+
+impl Stage for StreamStage<'_> {
+    fn evaluate(
+        &mut self,
+        miner: &WindowMiner<'_>,
+        specs: &[CandidateSpec],
+        exp: &Expansion,
+    ) -> Vec<Option<Evaluated>> {
+        let WindowState { memo, tables, .. } = &mut *self.ws;
+        let mut memo_eval = MemoEval {
+            memo,
+            tables: &tables[&self.fetched],
+            fetched: &self.fetched,
+            universe: self.universe,
+            seed: self.seed,
+            seen: HashSet::new(),
+        };
+        specs
+            .iter()
+            .map(|spec| memo_eval.candidate(miner, exp, spec))
+            .collect()
     }
-    let accept = |support: usize, freq: f64| freq >= tau && support > 0;
-    let join_impl = miner.config().join_impl;
 
-    let left = &parent.table;
-    let right = &stage_tbls[&spec.action.shape()].table;
-    // The parent's table lineage: singleton tables are folded append-only
-    // (generation 0 forever); joined tables carry their own memo's
-    // generation.
-    let parent_gen = if parent.wp.len() == 1 {
-        0
-    } else {
-        memo.get(&parent.id).map_or(u64::MAX, |m| m.gen)
-    };
+    fn fetched(&self) -> &BTreeSet<TypeId> {
+        &self.fetched
+    }
 
-    // Memo consult: a memo is only trustworthy when it was computed at
-    // this exact stage, along this exact construction path, against a
-    // parent table that has only grown since.
-    if let Some(m) = memo
-        .get_mut(&id)
-        .filter(|m| m.fetched == *fetched && m.path == ext.actions() && m.parent_gen == parent_gen)
-    {
-        let grown = m.left_len < left.len() || m.right_len < right.len();
-        debug_assert!(m.left_len <= left.len() && m.right_len <= right.len());
-        let memo_accepted = accept(m.support, m.freq);
-        // A pruned-but-now-accepted memo can't occur at fixed tau (support
-        // is monotone), but fall through to the full path defensively
-        // rather than return an accepted node sans table.
-        let pruned_now_accepted = memo_accepted && m.table.is_none();
-        if !grown && !pruned_now_accepted {
-            return Some(Evaluated {
-                id,
-                canonical,
-                ext,
-                table: m.table.clone(),
-                support: m.support,
-                freq: m.freq,
-                via_cache: true,
-                accepted: memo_accepted,
-                materialized: false,
-                rows_probed: 0,
-                pairs_matched: 0,
-            });
+    fn shapes(&self) -> Vec<Shape> {
+        sorted_shapes(&self.rows)
+    }
+
+    fn singleton_table(&self, _: &WindowMiner<'_>, action: &AbstractAction) -> Table {
+        self.ws.tables[&self.fetched][&action.shape()].table.clone()
+    }
+
+    fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>) {
+        for ty in types {
+            self.fetched.insert(ty);
+            self.ws.load_type(miner, self.universe, ty);
         }
-        if grown && !pruned_now_accepted {
-            // Delta join: only pairs touching appended rows. Support is
-            // updated incrementally for accepted AND pruned memos — a
-            // pruned candidate keeps its distinct set current without
-            // ever materializing a table, until the appended rows push it
-            // over τ.
-            let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-            let marks = (m.left_len, m.right_len);
-            stats.count_pick(join_impl);
-            let delta = pair_stage(join_impl, left, right, &glue, Some(marks));
-            stats.delta_rows_joined += (left.len() - marks.0 + right.len() - marks.1) as u64;
-            for v in distinct_left_values(left, 0, &delta) {
-                m.distinct.insert(v);
+        self.rows = self.ws.stage_rows(self.universe, &self.fetched);
+        self.ws.fold_stage(self.universe, &self.fetched, &self.rows);
+    }
+}
+
+/// One generation's memo evaluation in a window: the window's memos and
+/// the stage's folded tables, looked up once per generation.
+struct MemoEval<'a> {
+    memo: &'a mut HashMap<PatternId, Memo>,
+    tables: &'a HashMap<Shape, FoldedTable>,
+    fetched: &'a BTreeSet<TypeId>,
+    universe: &'a Universe,
+    seed: TypeId,
+    /// Ids already evaluated in this generation.
+    seen: HashSet<PatternId>,
+}
+
+impl MemoEval<'_> {
+    /// Evaluates one candidate extension against its memo: a pure hit when
+    /// nothing grew, a delta join over only the appended rows when the
+    /// inputs grew append-only, and a full (batch-identical) join
+    /// otherwise. `None` when the canonical form is already accepted or
+    /// was already evaluated in this generation (`seen`).
+    fn candidate(
+        &mut self,
+        miner: &WindowMiner<'_>,
+        exp: &Expansion,
+        spec: &CandidateSpec,
+    ) -> Option<Evaluated> {
+        let parent = &exp.nodes[spec.parent];
+        let ext = parent.wp.extended_with(spec.action);
+        let (id, canonical) = miner.interner().intern_working(&ext);
+        if exp.found.contains(&id) || !self.seen.insert(id) {
+            // Already accepted, or already evaluated this generation via an
+            // earlier construction path. Support, frequency and the accept
+            // decision are path-independent, and batch keeps the first
+            // evaluation per id too — skipping repeats both matches batch
+            // output and keeps the memo path stable (a candidate reachable
+            // along two paths would otherwise flip its memoized path every
+            // refresh and never hit).
+            return None;
+        }
+        let (universe, seed) = (self.universe, self.seed);
+        let threshold = Threshold::Frequency(miner.config().tau);
+        let join_impl = miner.config().join_impl;
+        let (memo, fetched) = (&mut *self.memo, self.fetched);
+
+        let left = &parent.table;
+        let right = &self.tables[&spec.action.shape()].table;
+        // The parent's table lineage: singleton tables are folded append-only
+        // (generation 0 forever); joined tables carry their own memo's
+        // generation.
+        let parent_gen = if parent.wp.len() == 1 {
+            0
+        } else {
+            memo.get(&parent.id).map_or(u64::MAX, |m| m.gen)
+        };
+        let mut work = Work::default();
+        let (table, support, freq, via_cache, materialized) = 'eval: {
+            // Memo consult: a memo is only trustworthy when it was computed at
+            // this exact stage, along this exact construction path, against a
+            // parent table that has only grown since.
+            if let Some(m) = memo.get_mut(&id).filter(|m| {
+                m.fetched == *fetched && m.path == ext.actions() && m.parent_gen == parent_gen
+            }) {
+                let grown = m.left_len < left.len() || m.right_len < right.len();
+                debug_assert!(m.left_len <= left.len() && m.right_len <= right.len());
+                // A pruned-but-now-accepted memo can't occur at fixed tau
+                // (support is monotone), but fall through to the full path
+                // defensively rather than return an accepted node sans table.
+                let pruned_now_accepted = threshold.accepts(m.support, m.freq) && m.table.is_none();
+                if !grown && !pruned_now_accepted {
+                    break 'eval (m.table.clone(), m.support, m.freq, true, false);
+                }
+                if grown && !pruned_now_accepted {
+                    // Delta join: only pairs touching appended rows. Support is
+                    // updated incrementally for accepted AND pruned memos — a
+                    // pruned candidate keeps its distinct set current without
+                    // ever materializing a table, until the appended rows push
+                    // it over τ.
+                    let glue =
+                        candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
+                    let marks = (m.left_len, m.right_len);
+                    let delta = pair_stage(join_impl, left, right, &glue, Some(marks));
+                    work.pair_stages += 1;
+                    work.delta_rows += (left.len() - marks.0 + right.len() - marks.1) as u64;
+                    for v in distinct_left_values(left, 0, &delta) {
+                        m.distinct.insert(v);
+                    }
+                    let support = support_from_distinct(&m.distinct, seed, universe);
+                    let freq = frequency_from_support(support, seed, universe);
+                    // The appended rows pushing a pruned candidate over τ need a
+                    // realization table, which only a full materialization can
+                    // provide — fall through (a one-time cost; every later
+                    // refresh extends the table by delta). Otherwise the memo
+                    // absorbs the delta in place; its generation is unchanged,
+                    // since nothing was rebuilt.
+                    if m.table.is_some() || !threshold.accepts(support, freq) {
+                        let table = m.table.as_mut().map(|table| {
+                            debug_assert!(
+                                threshold.accepts(support, freq),
+                                "support is monotone under appends at fixed tau"
+                            );
+                            table.extend_dedup(&materialize_pairs(left, right, &glue, &delta));
+                            table.clone()
+                        });
+                        (m.support, m.freq) = (support, freq);
+                        (m.left_len, m.right_len) = (left.len(), right.len());
+                        work.rows_probed = left.len() - marks.0;
+                        work.pairs_matched = delta.len();
+                        let materialized = table.is_some();
+                        break 'eval (table, support, freq, false, materialized);
+                    }
+                }
+                // A pruned memo whose candidate the grown data now accepts (or
+                // the defensive no-growth anomaly): fall through to the full
+                // join, exactly as batch does.
             }
-            let support = support_from_distinct(&m.distinct, seed, universe);
+
+            // Full evaluation — byte-identical to the batch candidate path.
+            let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
+            let pairs = pair_stage(join_impl, left, right, &glue, None);
+            work.pair_stages += 1;
+            work.rows_probed = left.len();
+            work.pairs_matched = pairs.len();
+            let distinct = distinct_left_values(left, 0, &pairs);
+            let support = support_from_distinct(&distinct, seed, universe);
             let freq = frequency_from_support(support, seed, universe);
-            let accepted = accept(support, freq);
-            // The appended rows pushing a pruned candidate over τ need a
-            // realization table, which only a full materialization can
-            // provide — fall through (a one-time cost; every later
-            // refresh extends the table by delta). Otherwise the memo
-            // absorbs the delta in place; its generation is unchanged,
-            // since nothing was rebuilt.
-            if m.table.is_some() || !accepted {
-                let table = m.table.as_mut().map(|table| {
-                    debug_assert!(accepted, "support is monotone under appends at fixed tau");
-                    table.extend_dedup(&materialize_pairs(left, right, &glue, &delta));
-                    table.clone()
-                });
-                (m.support, m.freq) = (support, freq);
-                (m.left_len, m.right_len) = (left.len(), right.len());
-                return Some(Evaluated {
-                    id,
-                    canonical,
-                    ext,
-                    materialized: table.is_some(),
-                    table,
+            let accepted = threshold.accepts(support, freq);
+            let table = accepted.then(|| {
+                let mut t = materialize_pairs(left, right, &glue, &pairs);
+                t.dedup();
+                t
+            });
+            let gen = memo.get(&id).map_or(0, |m| m.gen + 1);
+            memo.insert(
+                id,
+                Memo {
+                    fetched: fetched.clone(),
+                    path: ext.actions().to_vec(),
+                    gen,
+                    parent_gen,
+                    table: table.clone(),
                     support,
                     freq,
-                    via_cache: false,
-                    accepted,
-                    rows_probed: left.len() - marks.0,
-                    pairs_matched: delta.len(),
-                });
-            }
-        }
-        // A pruned memo whose candidate the grown data now accepts (or the
-        // defensive no-growth anomaly): fall through to the full join,
-        // exactly as batch does.
-    }
-
-    // Full evaluation — byte-identical to the batch candidate path.
-    let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-    stats.count_pick(join_impl);
-    let pairs = pair_stage(join_impl, left, right, &glue, None);
-    let distinct = distinct_left_values(left, 0, &pairs);
-    let support = support_from_distinct(&distinct, seed, universe);
-    let freq = frequency_from_support(support, seed, universe);
-    let accepted = accept(support, freq);
-    let table = accepted.then(|| {
-        let mut t = materialize_pairs(left, right, &glue, &pairs);
-        t.dedup();
-        t
-    });
-    let gen = memo.get(&id).map_or(0, |m| m.gen + 1);
-    memo.insert(
-        id,
-        Memo {
-            fetched: fetched.clone(),
-            path: ext.actions().to_vec(),
-            gen,
-            parent_gen,
-            table: table.clone(),
+                    left_len: left.len(),
+                    right_len: right.len(),
+                    distinct,
+                },
+            );
+            (table, support, freq, false, accepted)
+        };
+        Some(Evaluated {
+            id,
+            canonical,
+            ext,
+            table,
             support,
             freq,
-            left_len: left.len(),
-            right_len: right.len(),
-            distinct,
-        },
-    );
-    Some(Evaluated {
-        id,
-        canonical,
-        ext,
-        table,
-        support,
-        freq,
-        via_cache: false,
-        accepted,
-        materialized: accepted,
-        rows_probed: left.len(),
-        pairs_matched: pairs.len(),
-    })
+            via_cache,
+            consulted: true,
+            accepted: threshold.accepts(support, freq),
+            materialized,
+            work,
+        })
+    }
 }
 
 /// The streaming miner: feed revisions in via [`StreamMiner::ingest`],
 /// collect sealed per-window results from [`StreamMiner::sealed`].
 pub struct StreamMiner<'u> {
     universe: &'u Universe,
+    /// The universe's taxonomy, shared by every sealed window's result.
+    taxonomy: Arc<Taxonomy>,
     seed: TypeId,
     config: StreamConfig,
     store: RevisionStore,
@@ -761,6 +710,7 @@ impl<'u> StreamMiner<'u> {
         );
         Self {
             universe,
+            taxonomy: Arc::new(universe.taxonomy().clone()),
             seed,
             config,
             store: RevisionStore::new(),
@@ -924,66 +874,37 @@ impl<'u> StreamMiner<'u> {
         };
         let result = {
             let miner = self.miner();
-            let (nodes, fetched) = ws.refresh(&miner, self.universe, self.seed);
-            self.finish_window(&miner, ws, nodes, &fetched, t0)
+            let (nodes, fetched, rows) = ws.refresh(&miner, self.universe, self.seed);
+            self.finish_window(&miner, ws, nodes, (&fetched, &rows), t0)
         };
         self.sealed_high = self.sealed_high.max(result.window.end);
         self.stats.absorb(&result.stats);
         self.sealed.push(result);
     }
 
-    /// Turns a refreshed window's final nodes into a batch-shaped
-    /// [`WindowResult`]: most-specific filter, relative mining, degraded
-    /// accounting — the tail of the batch `run_expansion`.
+    /// Turns a refreshed window's final nodes, fetched types and stage rows
+    /// into a batch-shaped [`WindowResult`]: the batch miner's tail
+    /// ([`WindowMiner::finish`]), then batch-equivalent extraction and
+    /// degraded accounting.
     fn finish_window(
         &self,
         miner: &WindowMiner<'_>,
         mut ws: WindowState,
         nodes: Vec<Node>,
-        fetched: &BTreeSet<TypeId>,
+        (fetched, rows): (&BTreeSet<TypeId>, &ShapeRows),
         sealed_at: Instant,
     ) -> WindowResult {
         // The most-specific filter and relative mining are mining, as in
         // the batch miner's clock.
         let t0 = Instant::now();
-        let all: Vec<Pattern> = nodes.iter().map(|n| n.canonical.clone()).collect();
-        let keep: HashSet<Pattern> = most_specific(&all, self.universe.taxonomy())
-            .into_iter()
-            .collect();
-        let mut patterns: Vec<FoundPattern> = nodes
-            .into_iter()
-            .map(|node| FoundPattern {
-                most_specific: keep.contains(&node.canonical),
-                pattern: node.canonical,
-                working: node.wp,
-                table: node.table,
-                support: node.support,
-                frequency: node.freq,
-                rel_patterns: Vec::new(),
-            })
-            .collect();
-
-        let final_rows = ws.stage_rows(self.universe, fetched);
-        if miner.config().mine_relative {
-            for p in &mut patterns {
-                if !p.most_specific {
-                    continue;
-                }
-                let (rels, rel_stats) = miner.mine_relative(&final_rows, self.seed, p, None);
-                ws.stats.absorb(&rel_stats);
-                p.rel_patterns = rels;
-            }
-        }
+        let patterns = miner.finish(nodes, rows, self.seed, None, &mut ws.stats);
         ws.stats.mine += t0.elapsed();
 
         // Batch-equivalent extraction accounting over the final fetched
         // set (a retraction fallback can leave extra loaded entities whose
         // types the final expansion never mentioned — they contribute
         // nothing, exactly as if batch never fetched them).
-        let mut loadset: HashSet<EntityId> = HashSet::new();
-        for &ty in fetched {
-            loadset.extend(self.universe.entities_of(ty));
-        }
+        let loadset = entities_of(self.universe, fetched);
         let mut stats = ws.stats;
         stats.entities_processed = 0;
         stats.actions_extracted = 0;
@@ -1009,14 +930,13 @@ impl<'u> StreamMiner<'u> {
             .iter()
             .any(|l| self.universe.entity_has_type(l.entity, self.seed));
 
-        stats.patterns_found = patterns.len();
-        stats.most_specific_found = patterns.iter().filter(|p| p.most_specific).count();
         stats.windows_sealed += 1;
         stats.stream_lag_us += sealed_at.elapsed().as_micros() as u64;
 
         WindowResult {
             window: ws.window,
             seed: self.seed,
+            taxonomy: Some(Arc::clone(&self.taxonomy)),
             patterns,
             stats,
             degraded,
@@ -1025,9 +945,10 @@ impl<'u> StreamMiner<'u> {
 }
 
 /// Assembles sealed streamed windows into a batch-shaped [`WcResult`] —
-/// the single-iteration analogue of `find_windows_and_patterns`: first
-/// discovery per pattern wins, cross-window most-specific filter, sorted
-/// by descending frequency.
+/// the single-iteration analogue of `find_windows_and_patterns`, with the
+/// same assembly: first discovery per pattern wins, then the cross-window
+/// most-specific filter (under the taxonomy the streamed windows carry),
+/// sorted by descending frequency.
 pub fn wc_result_from_sealed(
     sealed: &[WindowResult],
     seed: TypeId,
@@ -1035,45 +956,19 @@ pub fn wc_result_from_sealed(
     tau: f64,
     late_revisions: u64,
 ) -> WcResult {
-    let mut discovered: HashMap<Pattern, DiscoveredPattern> = HashMap::new();
-    let mut stats = MineStats::default();
-    let mut degraded = DegradedCoverage {
-        late_revisions,
-        ..DegradedCoverage::default()
-    };
-    for r in sealed {
-        stats.absorb(&r.stats);
-        degraded.absorb(&r.degraded);
-        for p in r.most_specific() {
-            discovered
-                .entry(p.pattern.clone())
-                .or_insert_with(|| DiscoveredPattern {
-                    pattern: p.pattern.clone(),
-                    working: p.working.clone(),
-                    window: r.window,
-                    window_width: width,
-                    tau,
-                    frequency: p.frequency,
-                    support: p.support,
-                    rel_patterns: p.rel_patterns.clone(),
-                });
-        }
-    }
-    let mut final_patterns: Vec<DiscoveredPattern> = discovered.into_values().collect();
-    final_patterns.sort_by(|a, b| {
-        b.frequency
-            .total_cmp(&a.frequency)
-            .then_with(|| a.pattern.cmp(&b.pattern))
-    });
+    let mut discovered = Discoveries::default();
+    discovered.degraded.late_revisions = late_revisions;
+    discovered.absorb(sealed, width, tau);
+    let taxonomy = sealed.iter().find_map(|r| r.taxonomy.as_deref());
     WcResult {
         seed,
-        discovered: final_patterns,
+        discovered: discovered.most_specific(taxonomy),
         iterations: 1,
         final_width: width,
         final_tau: tau,
-        stats,
+        stats: discovered.stats,
         window_results: sealed.to_vec(),
-        degraded,
+        degraded: discovered.degraded,
         failed_windows: Vec::new(),
     }
 }
@@ -1082,43 +977,15 @@ pub fn wc_result_from_sealed(
 mod tests {
     use super::*;
     use crate::config::JoinImpl;
-    use crate::testutil::soccer_fixture;
+    use crate::pattern::Pattern;
+    use crate::testutil::{events_of, soccer_fixture, work_counters, Fixture};
     use wiclean_revstore::VecFeed;
-
-    /// Every revision of a store as feed events.
-    fn events_of(store: &RevisionStore) -> Vec<FeedEvent> {
-        let mut entities: Vec<EntityId> = store.entities().collect();
-        entities.sort_by_key(|e| e.as_u32());
-        let mut out = Vec::new();
-        for e in entities {
-            for r in store.peek(e).expect("entity has history").revisions() {
-                out.push(FeedEvent {
-                    entity: e,
-                    time: r.time,
-                    text: r.text.clone(),
-                });
-            }
-        }
-        out
-    }
-
-    fn stream_config(fx: &crate::testutil::Fixture, width: u64, refresh: u64) -> StreamConfig {
-        StreamConfig {
-            width,
-            timeline_start: fx.window.start,
-            miner: fx.config(),
-            policy: StreamPolicy {
-                grace: 1,
-                refresh_revisions: refresh,
-            },
-        }
-    }
 
     #[test]
     #[should_panic(expected = "stream window width must be at least 1 second")]
     fn zero_width_is_refused_up_front() {
         let fx = crate::testutil::soccer_fixture();
-        StreamMiner::new(&fx.universe, fx.player_ty, stream_config(&fx, 0, 1));
+        StreamMiner::new(&fx.universe, fx.player_ty, fx.stream_config(0, 1));
     }
 
     /// Streamed and batch results must agree on everything observable:
@@ -1173,22 +1040,28 @@ mod tests {
         assert_eq!(streamed.stats.reduced_actions, batch.stats.reduced_actions);
     }
 
+    /// A miner over `config` that ingested all of `feed` and flushed.
+    fn stream_all(fx: &Fixture, config: StreamConfig, mut feed: VecFeed) -> StreamMiner<'_> {
+        let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, config);
+        sm.ingest_from(&mut feed);
+        sm.flush();
+        sm
+    }
+
+    /// The sealed result of the fixture's window.
+    fn fixture_window<'s>(sm: &'s StreamMiner<'_>, fx: &Fixture) -> &'s WindowResult {
+        sm.sealed()
+            .iter()
+            .find(|r| r.window == fx.window)
+            .expect("fixture window sealed")
+    }
+
     #[test]
     fn streamed_single_window_matches_batch() {
         let fx = soccer_fixture();
-        let mut sm = StreamMiner::new(
-            &fx.universe,
-            fx.player_ty,
-            stream_config(&fx, fx.window.len(), 3),
-        );
-        let mut feed = VecFeed::new(events_of(&fx.store));
-        sm.ingest_from(&mut feed);
-        sm.flush();
-        let streamed = sm
-            .sealed()
-            .iter()
-            .find(|r| r.window == fx.window)
-            .expect("fixture window sealed");
+        let feed = VecFeed::new(events_of(&fx.store));
+        let sm = stream_all(&fx, fx.stream_config(fx.window.len(), 3), feed);
+        let streamed = fixture_window(&sm, &fx);
 
         let batch = WindowMiner::new(&fx.store, &fx.universe, fx.config())
             .mine_window(fx.player_ty, &fx.window);
@@ -1219,19 +1092,9 @@ mod tests {
             (VecFeed::shuffled(events.clone(), 13), 3, false),
             (VecFeed::shuffled(events.clone(), 99), 8, false),
         ];
-        for (mut feed, cadence, must_delta) in runs {
-            let mut sm = StreamMiner::new(
-                &fx.universe,
-                fx.player_ty,
-                stream_config(&fx, fx.window.len(), cadence),
-            );
-            sm.ingest_from(&mut feed);
-            sm.flush();
-            let streamed = sm
-                .sealed()
-                .iter()
-                .find(|r| r.window == fx.window)
-                .expect("fixture window sealed");
+        for (feed, cadence, must_delta) in runs {
+            let sm = stream_all(&fx, fx.stream_config(fx.window.len(), cadence), feed);
+            let streamed = fixture_window(&sm, &fx);
             assert_equivalent(streamed, &batch);
             if must_delta {
                 assert!(
@@ -1245,19 +1108,13 @@ mod tests {
     #[test]
     fn nested_loop_config_streams_with_the_nested_loop() {
         let fx = soccer_fixture();
-        let mut config = stream_config(&fx, fx.window.len(), 1);
+        let mut config = fx.stream_config(fx.window.len(), 1);
         config.miner.join_impl = JoinImpl::NestedLoop;
         let miner_config = config.miner;
         let mut in_order = events_of(&fx.store);
         in_order.sort_by_key(|e| e.time);
-        let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, config);
-        sm.ingest_from(&mut VecFeed::new(in_order));
-        sm.flush();
-        let streamed = sm
-            .sealed()
-            .iter()
-            .find(|r| r.window == fx.window)
-            .expect("fixture window sealed");
+        let sm = stream_all(&fx, config, VecFeed::new(in_order));
+        let streamed = fixture_window(&sm, &fx);
 
         let batch = WindowMiner::new(&fx.store, &fx.universe, miner_config)
             .mine_window(fx.player_ty, &fx.window);
@@ -1273,11 +1130,11 @@ mod tests {
 
     /// The fixture window with every event ingested and no refresh run
     /// yet, taken out of its miner (which lends the window miner).
-    fn unrefreshed_window(fx: &crate::testutil::Fixture) -> (StreamMiner<'_>, WindowState) {
+    fn unrefreshed_window(fx: &Fixture) -> (StreamMiner<'_>, WindowState) {
         let mut sm = StreamMiner::new(
             &fx.universe,
             fx.player_ty,
-            stream_config(fx, fx.window.len(), u64::MAX),
+            fx.stream_config(fx.window.len(), u64::MAX),
         );
         sm.ingest_from(&mut VecFeed::new(events_of(&fx.store)));
         let ws = sm
@@ -1339,10 +1196,8 @@ mod tests {
         // Fixture edits land in t ∈ [20, 63]: width 50 puts the four full
         // transfers in [10, 60) and the partial fifth in [60, 110).
         let width = 50;
-        let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, stream_config(&fx, width, 2));
-        let mut feed = VecFeed::shuffled(events_of(&fx.store), 5);
-        sm.ingest_from(&mut feed);
-        sm.flush();
+        let feed = VecFeed::shuffled(events_of(&fx.store), 5);
+        let sm = stream_all(&fx, fx.stream_config(width, 2), feed);
 
         let miner = WindowMiner::new(&fx.store, &fx.universe, fx.config());
         for streamed in sm.sealed() {
@@ -1350,13 +1205,15 @@ mod tests {
             assert_equivalent(streamed, &batch);
         }
         assert!(sm.stats().windows_sealed >= 2, "both halves sealed");
+        let pinned = [96, 38, 34, 34, 4, 34, 152, 16, 38, 0, 0, 8, 1];
+        assert_eq!(work_counters(sm.stats()), pinned);
     }
 
     #[test]
     fn watermark_seals_before_flush_and_late_events_are_counted() {
         let fx = soccer_fixture();
         let width = 50;
-        let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, stream_config(&fx, width, 4));
+        let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, fx.stream_config(width, 4));
         // Chronological feed; a final quiet edit at t = 70 pushes the
         // watermark (grace 1) past the first window's end at 60, which
         // must seal it without any flush.
@@ -1405,44 +1262,13 @@ mod tests {
         // Reduction cancels the add, shrinking the entity's contribution —
         // the append-only delta invariant breaks and the window must
         // rebuild, still sealing to the batch answer.
-        let player = fx.players[0];
-        let retract_time = fx.window.end - 1;
-        let history = fx.store.peek(player).expect("player history");
-        let base_text = history
-            .revisions()
-            .first()
-            .expect("base revision")
-            .text
-            .clone();
-
-        let mut batch_store = RevisionStore::new();
-        for e in events_of(&fx.store) {
-            batch_store.record(e.entity, e.time, e.text);
-        }
-        batch_store.record(player, retract_time, base_text.clone());
-
-        let mut sm = StreamMiner::new(
-            &fx.universe,
-            fx.player_ty,
-            stream_config(&fx, fx.window.len(), 1),
+        let (events, batch_store) = fx.retraction_feed();
+        let sm = stream_all(
+            &fx,
+            fx.stream_config(fx.window.len(), 1),
+            VecFeed::new(events),
         );
-        let mut events = events_of(&fx.store);
-        events.sort_by_key(|e| e.time);
-        for e in &events {
-            sm.ingest(e);
-        }
-        sm.ingest(&FeedEvent {
-            entity: player,
-            time: retract_time,
-            text: base_text,
-        });
-        sm.flush();
-
-        let streamed = sm
-            .sealed()
-            .iter()
-            .find(|r| r.window == fx.window)
-            .expect("fixture window sealed");
+        let streamed = fixture_window(&sm, &fx);
         assert!(
             streamed.stats.full_remine_fallbacks > 0,
             "retracted contribution must trigger the fallback"
@@ -1450,6 +1276,10 @@ mod tests {
         let batch = WindowMiner::new(&batch_store, &fx.universe, fx.config())
             .mine_window(fx.player_ty, &fx.window);
         assert_equivalent(streamed, &batch);
+        // A retraction-fallback round: two pair stages (103 picks for 99
+        // joins) wherever a delta join lifts a pruned candidate over τ.
+        let pinned = [185, 99, 32, 90, 9, 90, 274, 61, 103, 44, 1, 4, 1];
+        assert_eq!(work_counters(sm.stats()), pinned);
     }
 
     #[test]
@@ -1479,7 +1309,7 @@ mod tests {
                 let mut sm = StreamMiner::new(
                     &fx.universe,
                     fx.player_ty,
-                    stream_config(&fx, fx.window.len(), cadence),
+                    fx.stream_config(fx.window.len(), cadence),
                 );
                 let t0 = Instant::now();
                 for e in &events {
@@ -1502,12 +1332,44 @@ mod tests {
     }
 
     #[test]
+    fn wc_result_assembly_drops_what_another_window_specializes() {
+        let fx = soccer_fixture();
+        let feed = VecFeed::new(events_of(&fx.store));
+        let sm = stream_all(&fx, fx.stream_config(fx.window.len(), 2), feed);
+        let specific = fixture_window(&sm, &fx).clone();
+        // An earlier window whose one most specific pattern generalizes the
+        // fixture window's transfer pattern.
+        let transfer = fx.expected_pair_pattern();
+        let tax = fx.universe.taxonomy();
+        let mut general = specific.clone();
+        general.window = Window::new(0, fx.window.start);
+        let generalization = general
+            .patterns
+            .iter()
+            .map(|p| p.pattern.clone())
+            .find(|p| transfer.more_specific_than(p, tax))
+            .expect("a generalization of the transfer pattern was mined");
+        for p in &mut general.patterns {
+            p.most_specific = p.pattern == generalization;
+        }
+
+        let width = fx.window.len();
+        let result = wc_result_from_sealed(&[general, specific], fx.player_ty, width, 0.8, 0);
+        let found: Vec<&Pattern> = result.discovered.iter().map(|d| &d.pattern).collect();
+        assert!(found.contains(&&transfer));
+        assert!(
+            !found.contains(&&generalization),
+            "a pattern another window specializes survived: {found:?}"
+        );
+    }
+
+    #[test]
     fn wc_result_assembly_carries_stream_counters() {
         let fx = soccer_fixture();
         let mut sm = StreamMiner::new(
             &fx.universe,
             fx.player_ty,
-            stream_config(&fx, fx.window.len(), 2),
+            fx.stream_config(fx.window.len(), 2),
         );
         let mut feed = VecFeed::shuffled(events_of(&fx.store), 21);
         sm.ingest_from(&mut feed);

@@ -6,11 +6,13 @@
 //! `squad`. The fifth player performs only a *partial* edit (the club never
 //! reciprocates), giving Algorithm 3 something to flag.
 
-use crate::config::MinerConfig;
+use crate::config::{MinerConfig, StreamPolicy};
+use crate::miner::MineStats;
 use crate::pattern::{Pattern, WorkingPattern};
+use crate::stream::StreamConfig;
 use crate::var::Var;
 use crate::AbstractAction;
-use wiclean_revstore::{EditOp, RevisionStore};
+use wiclean_revstore::{EditOp, FeedEvent, RevisionStore};
 use wiclean_types::{EntityId, TypeId, Universe, Window};
 use wiclean_wikitext::render::render_links;
 use wiclean_wikitext::PageLinks;
@@ -23,9 +25,6 @@ pub struct Fixture {
     pub player_ty: TypeId,
     pub club_ty: TypeId,
     pub players: Vec<EntityId>,
-    /// Kept alongside `players` for tests that need the club side of the
-    /// fixture, even while none of the current ones do.
-    #[allow(dead_code)]
     pub clubs: Vec<EntityId>,
     /// The player whose transfer is partial (club never reciprocated).
     pub partial_player: EntityId,
@@ -42,6 +41,40 @@ impl Fixture {
             max_vars_per_type: 2,
             ..MinerConfig::default()
         }
+    }
+
+    /// A stream over the fixture's timeline: `width`-second windows, grace
+    /// 1, a refresh every `refresh` arrivals.
+    pub fn stream_config(&self, width: u64, refresh: u64) -> StreamConfig {
+        StreamConfig {
+            width,
+            timeline_start: self.window.start,
+            miner: self.config(),
+            policy: StreamPolicy {
+                grace: 1,
+                refresh_revisions: refresh,
+            },
+        }
+    }
+
+    /// The fixture's revisions in time order, then a revision in which the
+    /// first player's page returns to its base text, retracting the
+    /// transfer; plus a store holding all of them, for the batch answer.
+    pub fn retraction_feed(&self) -> (Vec<FeedEvent>, RevisionStore) {
+        let player = self.players[0];
+        let base = self.store.peek(player).expect("player history");
+        let mut events = events_of(&self.store);
+        events.sort_by_key(|e| e.time);
+        events.push(FeedEvent {
+            entity: player,
+            time: self.window.end - 1,
+            text: base.revisions()[0].text.clone(),
+        });
+        let mut store = RevisionStore::new();
+        for e in &events {
+            store.record(e.entity, e.time, e.text.clone());
+        }
+        (events, store)
     }
 
     /// The planted pattern: `{+(player_1, current_club, club_1),
@@ -61,6 +94,46 @@ impl Fixture {
             AbstractAction::new(EditOp::Add, c, squad, p),
         ])
     }
+}
+
+/// The work counters the fixture runs pin exactly: candidates, joins,
+/// cache hits, cache misses, tables materialized, tables pruned, rows
+/// probed, pairs matched, hash pair stages, delta rows joined, fallbacks,
+/// patterns found, most specific found. A change to the mining loop that
+/// moves one changed what work runs, not only where it runs.
+pub fn work_counters(s: &MineStats) -> [usize; 13] {
+    [
+        s.candidates_considered,
+        s.joins_executed,
+        s.cache_hits,
+        s.cache_misses,
+        s.tables_materialized,
+        s.tables_pruned,
+        s.rows_probed,
+        s.pairs_matched,
+        s.plan_picks_hash,
+        s.delta_rows_joined as usize,
+        s.full_remine_fallbacks as usize,
+        s.patterns_found,
+        s.most_specific_found,
+    ]
+}
+
+/// Every revision of a store as feed events, entity by entity.
+pub fn events_of(store: &RevisionStore) -> Vec<FeedEvent> {
+    let mut entities: Vec<EntityId> = store.entities().collect();
+    entities.sort_by_key(|e| e.as_u32());
+    let mut out = Vec::new();
+    for e in entities {
+        for r in store.peek(e).expect("entity has history").revisions() {
+            out.push(FeedEvent {
+                entity: e,
+                time: r.time,
+                text: r.text.clone(),
+            });
+        }
+    }
+    out
 }
 
 /// Records a page state as a new revision.

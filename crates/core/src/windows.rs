@@ -18,7 +18,7 @@ use crate::pool::MiningPool;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wiclean_revstore::FetchSource;
-use wiclean_types::{TypeId, Universe, Window};
+use wiclean_types::{Taxonomy, TypeId, Universe, Window};
 
 /// A pattern discovered by the window/threshold search, with the discovery
 /// context the cleaning phase needs.
@@ -77,6 +77,72 @@ impl WcResult {
     }
 }
 
+/// What Algorithm 2 gathers from mined windows: each most specific
+/// pattern's first discovery, and the windows' counters and coverage. The
+/// batch search and an assembled stream share it, so both apply the same
+/// rules.
+#[derive(Default)]
+pub(crate) struct Discoveries {
+    found: HashMap<Pattern, DiscoveredPattern>,
+    pub(crate) stats: MineStats,
+    pub(crate) degraded: DegradedCoverage,
+}
+
+impl Discoveries {
+    /// Folds in windows mined at `width` and `tau`: counters, coverage, and
+    /// every most specific pattern not discovered before (first discovery
+    /// wins). Returns how many patterns were new.
+    pub(crate) fn absorb(&mut self, results: &[WindowResult], width: u64, tau: f64) -> usize {
+        let mut new_found = 0;
+        for r in results {
+            self.stats.absorb(&r.stats);
+            self.degraded.absorb(&r.degraded);
+            for p in r.most_specific() {
+                if self.found.contains_key(&p.pattern) {
+                    continue;
+                }
+                new_found += 1;
+                self.found.insert(
+                    p.pattern.clone(),
+                    DiscoveredPattern {
+                        pattern: p.pattern.clone(),
+                        working: p.working.clone(),
+                        window: r.window,
+                        window_width: width,
+                        tau,
+                        frequency: p.frequency,
+                        support: p.support,
+                        rel_patterns: p.rel_patterns.clone(),
+                    },
+                );
+            }
+        }
+        new_found
+    }
+
+    /// The discoveries minus every pattern another one found in any window
+    /// or iteration is more specific than (Def. 3.3 across the whole
+    /// search), by descending frequency. Without a taxonomy nothing is
+    /// filtered.
+    pub(crate) fn most_specific(&mut self, taxonomy: Option<&Taxonomy>) -> Vec<DiscoveredPattern> {
+        let all: Vec<Pattern> = self.found.keys().cloned().collect();
+        let kept = match taxonomy {
+            Some(taxonomy) => most_specific(&all, taxonomy),
+            None => all,
+        };
+        let mut kept: Vec<DiscoveredPattern> = kept
+            .into_iter()
+            .map(|p| self.found.remove(&p).expect("kept pattern was discovered"))
+            .collect();
+        kept.sort_by(|a, b| {
+            b.frequency
+                .total_cmp(&a.frequency)
+                .then_with(|| a.pattern.cmp(&b.pattern))
+        });
+        kept
+    }
+}
+
 /// Trace helper: renders the most specific patterns discovered this
 /// iteration (only used when `WICLEAN_TRACE` is set).
 fn last_trace_buffer(
@@ -117,9 +183,7 @@ pub fn find_windows_and_patterns(
 ) -> WcResult {
     let mut width = config.w_min;
     let mut tau = config.tau0;
-    let mut discovered: HashMap<Pattern, DiscoveredPattern> = HashMap::new();
-    let mut stats = MineStats::default();
-    let mut degraded = DegradedCoverage::default();
+    let mut discovered = Discoveries::default();
     let mut failed: Vec<WindowFailure> = Vec::new();
     let mut iterations = 0usize;
     #[allow(unused_assignments)]
@@ -158,36 +222,14 @@ pub fn find_windows_and_patterns(
             }
         }
 
-        let mut new_found = 0usize;
+        let new_found = discovered.absorb(&results, width, tau);
         let trace = std::env::var_os("WICLEAN_TRACE").is_some();
-        for r in &results {
-            stats.absorb(&r.stats);
-            degraded.absorb(&r.degraded);
-            for p in r.most_specific() {
-                if !discovered.contains_key(&p.pattern) {
-                    new_found += 1;
-                    discovered.insert(
-                        p.pattern.clone(),
-                        DiscoveredPattern {
-                            pattern: p.pattern.clone(),
-                            working: p.working.clone(),
-                            window: r.window,
-                            window_width: width,
-                            tau,
-                            frequency: p.frequency,
-                            support: p.support,
-                            rel_patterns: p.rel_patterns.clone(),
-                        },
-                    );
-                }
-            }
-        }
         if trace {
             eprintln!(
                 "[wc] iter {iterations}: width {}d tau {tau:.3} → {new_found} new",
                 width / 86_400
             );
-            for r in &last_trace_buffer(&results, &discovered) {
+            for r in &last_trace_buffer(&results, &discovered.found) {
                 eprintln!("[wc]   {r}");
             }
         }
@@ -202,7 +244,7 @@ pub fn find_windows_and_patterns(
         } else {
             barren = 0;
         }
-        if iterations > 1 && barren >= 2 && !discovered.is_empty() {
+        if iterations > 1 && barren >= 2 && !discovered.found.is_empty() {
             break;
         }
 
@@ -237,20 +279,8 @@ pub fn find_windows_and_patterns(
     }
 
     // Cross-iteration most-specific filter: a pattern discovered at a high
-    // threshold may be generalized by one found later; keep minimal
-    // elements only (Def. 3.3 across the whole search).
-    let all: Vec<Pattern> = discovered.keys().cloned().collect();
-    let keep = most_specific(&all, universe.taxonomy());
-    let mut final_patterns: Vec<DiscoveredPattern> = keep
-        .into_iter()
-        .map(|p| discovered.remove(&p).expect("kept pattern was discovered"))
-        .collect();
-    final_patterns.sort_by(|a, b| {
-        b.frequency
-            .total_cmp(&a.frequency)
-            .then_with(|| a.pattern.cmp(&b.pattern))
-    });
-
+    // threshold may be generalized by one found later.
+    let final_patterns = discovered.most_specific(Some(universe.taxonomy()));
     failed.sort_by_key(|f| f.window);
     failed.dedup_by_key(|f| f.window);
 
@@ -260,9 +290,9 @@ pub fn find_windows_and_patterns(
         iterations,
         final_width: width,
         final_tau: tau,
-        stats,
+        stats: discovered.stats,
         window_results: last_results,
-        degraded,
+        degraded: discovered.degraded,
         failed_windows: failed,
     }
 }
@@ -385,6 +415,8 @@ mod cache_tests {
         assert_eq!(b.stats.cache_hits, 0);
         // Cached runs execute strictly fewer joins.
         assert!(a.stats.joins_executed < b.stats.joins_executed);
+        let pinned = [132, 84, 36, 72, 8, 76, 376, 48, 84, 0, 0, 24, 3];
+        assert_eq!(crate::testutil::work_counters(&a.stats), pinned);
     }
 
     #[test]
