@@ -1,80 +1,64 @@
-//! Cross-iteration realization caching.
+//! Mining caches, and the per-window candidate memo.
 //!
-//! Algorithm 2 re-mines the same windows repeatedly while only the
-//! frequency threshold changes; every candidate pattern's realization
-//! table is then recomputed from scratch. The paper mentions the obvious
-//! remedy: "the cashing of the computed frequencies/realization tables, to
-//! be reused if the same patterns are later re-examined with different
-//! thresholds". This module implements that cache.
+//! Algorithm 2 re-mines the same windows while only the threshold changes,
+//! and relative mining re-examines, under τ_rel, the candidates the
+//! absolute expansion has just scored. The paper's remedy is "the cashing
+//! of the computed frequencies/realization tables, to be reused if the
+//! same patterns are later re-examined with different thresholds": the
+//! `WindowMemo`, one per mined window, which every evaluation in the
+//! window reads and writes — the absolute expansion, relative mining, each
+//! Algorithm 2 iteration that only lowers τ, and every refresh and seal of
+//! a streamed window ([`crate::stream`]).
 //!
-//! Correctness: a pattern's realization table depends on the set of
-//! revision histories loaded when it was computed (the incremental
-//! construction loads types on demand, so the same pattern examined in a
-//! later round could see more rows). A cache entry therefore records the
-//! *fetched-type set* at computation time and only hits when the current
-//! miner state has loaded exactly the same types. A table's column order
-//! follows the join order that built it, so an entry also records the
-//! construction path and hands its table only to a candidate built along
-//! that path — guaranteeing a hit returns byte-identical results to a
-//! recomputation.
+//! A memo records the fetched-type *stage* it was computed at (the types
+//! loaded, in load order) and the construction *path* its table's columns
+//! follow. Its hit rules:
 //!
-//! The cache serves batch mining only. The streaming miner reuses
-//! candidates for a different reason (rows appended under a fixed τ) and
-//! keeps that state in a memo owned by each open window
-//! ([`crate::stream`]), dropped when the window seals.
+//! * a table is served only along the path that built it, so a hit is
+//!   byte-identical to a recomputation;
+//! * support and frequency are served along any path whenever the stage's
+//!   rows cannot have grown since the memo was written — in batch mining,
+//!   every memo of the same stage;
+//! * a streamed window's rows grow append-only between refreshes: there a
+//!   memo is reused only along its own lineage (`Growth`), served when
+//!   nothing grew and extended by a delta join otherwise.
+//!
+//! Anything else is joined in full, and the result replaces the memo.
 
 use crate::abstract_action::AbstractAction;
 use crate::interner::{PatternId, PatternInterner};
-use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap};
+use crate::miner::Threshold;
+use std::collections::HashMap;
 use std::sync::Arc;
-use wiclean_rel::Table;
+use wiclean_rel::{EntitySet, Table};
 use wiclean_revstore::ActionCache;
-use wiclean_types::{TypeId, Window};
+use wiclean_types::TypeId;
 
-/// The two batch mining caches, bundled so the parallel entry points can
-/// be handed both at once. Each is optional (ablations disable them
-/// independently) and `Arc`-shared: cloning the bundle clones pointers, so
-/// every per-window worker and every Algorithm 2 refinement iteration sees
-/// the same underlying caches. [`crate::miner::WindowMiner::with_caches`]
-/// is the one way to attach them; the streaming miner attaches a bundle
-/// that holds only its interner.
+/// The batch mining caches shared across windows, bundled so the parallel
+/// entry points can be handed them at once. `Arc`-shared: cloning the
+/// bundle clones pointers, so every per-window worker and every
+/// Algorithm 2 refinement iteration sees the same underlying state.
+/// [`crate::miner::WindowMiner::with_caches`] is the one way to attach
+/// them; the streaming miner attaches a bundle that holds only its
+/// interner.
 ///
-/// * `realizations` — candidate realization tables, reused when the same
-///   pattern is re-examined under a different threshold
-///   ([`RealizationCache`]).
 /// * `actions` — per-entity preprocessing outcomes (parse → diff →
 ///   extract), reused across iterations and *composed* when a widened
 ///   window tiles exactly from cached sub-windows
-///   ([`wiclean_revstore::ActionCache`]).
-///
-/// The bundle also carries the [`PatternInterner`] that issues the
-/// [`PatternId`]s keying `realizations`. It is *always* present: ids are
-/// only meaningful relative to their interner, so every miner sharing the
-/// realization cache must share this interner too — attaching the bundle
-/// via [`crate::miner::WindowMiner::with_caches`] keeps the pairing intact.
-#[derive(Clone)]
+///   ([`wiclean_revstore::ActionCache`]). Optional (ablations disable it).
+/// * `patterns` — the [`PatternInterner`] issuing the [`PatternId`]s that
+///   key every window's memo. Ids are only meaningful relative to their
+///   interner, so memos kept across iterations need the same interner.
+#[derive(Clone, Default)]
 pub struct MiningCaches {
-    /// Shared candidate realization-table cache, if enabled.
-    pub realizations: Option<Arc<RealizationCache>>,
     /// Shared preprocessing (action-extraction) cache, if enabled.
     pub actions: Option<Arc<ActionCache>>,
-    /// Pattern interner issuing the ids that key `realizations`.
+    /// Pattern interner issuing the ids that key the window memos.
     pub patterns: Arc<PatternInterner>,
 }
 
-impl Default for MiningCaches {
-    fn default() -> Self {
-        Self {
-            realizations: None,
-            actions: None,
-            patterns: Arc::new(PatternInterner::new()),
-        }
-    }
-}
-
 impl MiningCaches {
-    /// An empty bundle (no caching) — what the plain entry points use.
+    /// An empty bundle (no action cache) — what the plain entry points use.
     pub fn none() -> Self {
         Self::default()
     }
@@ -82,7 +66,6 @@ impl MiningCaches {
     /// Builds the bundle a [`crate::config::WcConfig`] asks for.
     pub fn from_config(config: &crate::config::WcConfig) -> Self {
         Self {
-            realizations: config.use_cache.then(|| Arc::new(RealizationCache::new())),
             actions: config
                 .use_action_cache
                 .then(|| Arc::new(ActionCache::new())),
@@ -91,77 +74,111 @@ impl MiningCaches {
     }
 }
 
-/// Key: the mined window plus the candidate's interned canonical pattern.
-/// Ids are O(1) to hash/compare, so lookups no longer walk action lists.
-type CacheKey = (Window, PatternId);
-
-struct CacheEntry {
-    fetched: BTreeSet<TypeId>,
-    /// Construction path (action order) the table's columns follow.
-    path: Vec<AbstractAction>,
-    /// `None` for candidates the distinct-source fast path pruned without
-    /// materializing: support and frequency are known, the table is not. A
-    /// later, lower threshold that accepts the candidate recomputes (and
-    /// re-stores) the table; everything rejected again stays table-free.
-    table: Option<Table>,
-    support: usize,
-    freq: f64,
-}
-
-/// Shared, thread-safe cache of candidate realization tables.
+/// The candidate memo of one mined window, keyed by interned pattern.
 #[derive(Default)]
-pub struct RealizationCache {
-    inner: RwLock<HashMap<CacheKey, CacheEntry>>,
+pub(crate) struct WindowMemo {
+    pub(crate) entries: HashMap<PatternId, Memo>,
+    /// Whether a stage's rows can still grow after a memo is written (a
+    /// streamed window): memos then keep their [`Growth`].
+    pub(crate) growing: bool,
 }
 
-impl RealizationCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up a candidate computed under the same fetched-type set. The
-    /// table is `None` when the candidate was pruned without materializing,
-    /// or was built along another construction `path` than the caller's;
-    /// support and frequency are path-independent and still authoritative.
-    pub fn get(
+impl WindowMemo {
+    /// What the memo can do for candidate `id`, built along `path` at
+    /// `stage` and judged under `threshold` (the hit rules in the module
+    /// docs). A growing memo is consulted with the candidate's `inputs`.
+    pub(crate) fn consult(
         &self,
-        key: (Window, PatternId),
-        fetched: &BTreeSet<TypeId>,
+        id: PatternId,
+        stage: &[TypeId],
         path: &[AbstractAction],
-    ) -> Option<(Option<Table>, usize, f64)> {
-        let guard = self.inner.read();
-        let entry = guard.get(&key)?;
-        (entry.fetched == *fetched).then(|| {
-            let table = entry.table.as_ref().filter(|_| entry.path == path);
-            (table.cloned(), entry.support, entry.freq)
-        })
+        threshold: Threshold,
+        inputs: Option<&Inputs>,
+    ) -> Answer {
+        let Some(m) = self.entries.get(&id).filter(|m| m.stage == stage) else {
+            return Answer::Join;
+        };
+        let on_path = m.path == path;
+        let accepted = threshold.accepts(m.support, m.freq);
+        if let Some(g) = &m.growth {
+            let i = inputs.expect("a growing memo is consulted with the candidate's inputs");
+            if !on_path || g.parent_gen != i.parent_gen {
+                return Answer::Join;
+            }
+            debug_assert!(g.left_len <= i.left_len && g.right_len <= i.right_len);
+            if g.left_len < i.left_len || g.right_len < i.right_len {
+                // Grown inputs: a delta join over the appended rows —
+                // unless the memo is pruned although its support already
+                // clears the threshold: its table only a full join builds.
+                return if accepted && m.table.is_none() {
+                    Answer::Join
+                } else {
+                    Answer::Delta
+                };
+            }
+        }
+        match &m.table {
+            Some(table) if on_path => Answer::Hit(Some(Arc::clone(table))),
+            _ if !accepted => Answer::Hit(None),
+            _ => Answer::Join,
+        }
     }
+}
 
-    /// Stores a computed candidate (kept even when it failed the current
-    /// threshold — a later, lower threshold re-examines it for free). Pass
-    /// `table: None` for fast-path-pruned candidates whose table was never
-    /// materialized.
-    pub fn put(
-        &self,
-        key: (Window, PatternId),
-        fetched: &BTreeSet<TypeId>,
-        path: &[AbstractAction],
-        table: Option<&Table>,
-        support: usize,
-        freq: f64,
-    ) {
-        self.inner.write().insert(
-            key,
-            CacheEntry {
-                fetched: fetched.clone(),
-                path: path.to_vec(),
-                table: table.cloned(),
-                support,
-                freq,
-            },
-        );
-    }
+/// What a window's memo can do for one candidate.
+pub(crate) enum Answer {
+    /// Served the memo's counts without a join, and its table along its
+    /// own path.
+    Hit(Option<Arc<Table>>),
+    /// A delta join along the memo's own path over the appended rows.
+    Delta,
+    /// A full join.
+    Join,
+}
+
+/// A streamed candidate's inputs now: the parent table's generation and
+/// both input lengths.
+pub(crate) struct Inputs {
+    pub(crate) parent_gen: u64,
+    pub(crate) left_len: usize,
+    pub(crate) right_len: usize,
+}
+
+/// One candidate's memo in its window: what its last evaluation computed,
+/// and the provenance that says when it can be reused.
+pub(crate) struct Memo {
+    /// The fetched-type stage it was computed at
+    /// ([`crate::miner::Stage::key`]).
+    pub(crate) stage: Vec<TypeId>,
+    /// Construction path (action order) the table's columns follow.
+    pub(crate) path: Vec<AbstractAction>,
+    /// Realization table, shared with the frontier node and the found
+    /// pattern it became. `None` while the candidate is pruned.
+    pub(crate) table: Option<Arc<Table>>,
+    pub(crate) support: usize,
+    pub(crate) freq: f64,
+    /// What a delta join needs; kept only in a growing window.
+    pub(crate) growth: Option<Growth>,
+}
+
+/// A streamed memo's lineage: the input lengths it saw and the distinct
+/// source values matched so far. A refresh that finds longer inputs
+/// delta-joins only the appended rows, unions the new matches into
+/// `distinct` and re-derives support from it (monotone under appends, so
+/// nothing is rescanned).
+pub(crate) struct Growth {
+    /// Bumped whenever the table is rebuilt rather than extended: the
+    /// length guards are only sound when the parent table evolved
+    /// append-only from what the memo saw, and `gen` is that proof.
+    pub(crate) gen: u64,
+    /// The parent's `gen` when this memo was computed.
+    pub(crate) parent_gen: u64,
+    /// Parent (left) table length when last computed.
+    pub(crate) left_len: usize,
+    /// Action (right) table length when last computed.
+    pub(crate) right_len: usize,
+    /// Distinct non-null source values over all pairs matched so far.
+    pub(crate) distinct: EntitySet,
 }
 
 #[cfg(test)]
@@ -173,87 +190,115 @@ mod tests {
     use wiclean_types::RelId;
     use wiclean_wikitext::EditOp;
 
-    /// A two-action candidate: `-(p, club, c0), +(p, club, c1)`.
-    fn path() -> Vec<AbstractAction> {
-        let club = |op, ix| {
-            AbstractAction::new(
-                op,
-                Var::new(TypeId::from_u32(1), 0),
-                RelId::from_u32(0),
-                Var::new(TypeId::from_u32(2), ix),
-            )
-        };
-        vec![club(EditOp::Remove, 0), club(EditOp::Add, 1)]
+    /// A two-action candidate, `-(p, club, c0), +(p, club, c1)`, built
+    /// remove-first (`true`) or add-first: its columns differ.
+    fn path(remove_first: bool) -> Vec<AbstractAction> {
+        let (p, club) = (Var::new(TypeId::from_u32(1), 0), RelId::from_u32(0));
+        let c = |ix| Var::new(TypeId::from_u32(2), ix);
+        let mut path = vec![
+            AbstractAction::new(EditOp::Remove, p, club, c(0)),
+            AbstractAction::new(EditOp::Add, p, club, c(1)),
+        ];
+        if !remove_first {
+            path.reverse();
+        }
+        path
     }
 
-    fn key(interner: &PatternInterner, window: Window) -> (Window, PatternId) {
-        (window, interner.intern(&Pattern::canonical_from(&path())))
-    }
-
-    fn fetched(tys: &[u32]) -> BTreeSet<TypeId> {
+    fn stage(tys: &[u32]) -> Vec<TypeId> {
         tys.iter().map(|&t| TypeId::from_u32(t)).collect()
     }
 
-    #[test]
-    fn hit_requires_same_window_pattern_fetched_set_and_path() {
-        let interner = PatternInterner::new();
-        let cache = RealizationCache::new();
-        let k = key(&interner, Window::new(0, 10));
-        let t = Table::new(Schema::new(["a", "b"]));
-        cache.put(k, &fetched(&[1, 2]), &path(), Some(&t), 3, 0.5);
+    /// A window memo holding one memo, computed remove-first at stage
+    /// `[1, 2]` with support 4 (frequency 0.4).
+    fn memo_of(table: bool, growth: Option<Growth>) -> (WindowMemo, PatternId) {
+        let id = PatternInterner::new().intern(&Pattern::canonical_from(&path(true)));
+        let memo = Memo {
+            stage: stage(&[1, 2]),
+            path: path(true),
+            table: table.then(|| Arc::new(Table::new(Schema::new(["x"])))),
+            support: 4,
+            freq: 0.4,
+            growth,
+        };
+        let memo = WindowMemo {
+            growing: memo.growth.is_some(),
+            entries: HashMap::from([(id, memo)]),
+        };
+        (memo, id)
+    }
 
-        assert!(cache.get(k, &fetched(&[1, 2]), &path()).is_some());
-        assert!(
-            cache.get(k, &fetched(&[1, 2, 3]), &path()).is_none(),
-            "different fetched set must miss"
-        );
-        assert!(
-            cache
-                .get(
-                    key(&interner, Window::new(0, 20)),
-                    &fetched(&[1, 2]),
-                    &path()
-                )
-                .is_none(),
-            "different window must miss"
-        );
-        // The same pattern built add-first: its columns would come out in
-        // another order, so the table is withheld; the counts still hold.
-        let add_first: Vec<AbstractAction> = path().into_iter().rev().collect();
-        let (table, support, freq) = cache.get(k, &fetched(&[1, 2]), &add_first).unwrap();
-        assert!(table.is_none(), "a table built along another path");
-        assert_eq!((support, freq), (3, 0.5));
+    /// The memo's answer as a word: `table` or `counts` for a hit with or
+    /// without its table, `delta` or `join`. `inputs` are a streamed
+    /// candidate's parent generation and parent table length.
+    fn answer(
+        memo: &WindowMemo,
+        id: PatternId,
+        tys: &[u32],
+        remove_first: bool,
+        tau: f64,
+        inputs: Option<(u64, usize)>,
+    ) -> &'static str {
+        let inputs = inputs.map(|(parent_gen, left_len)| Inputs {
+            parent_gen,
+            left_len,
+            right_len: 5,
+        });
+        let threshold = Threshold::Frequency(tau);
+        match memo.consult(
+            id,
+            &stage(tys),
+            &path(remove_first),
+            threshold,
+            inputs.as_ref(),
+        ) {
+            Answer::Hit(Some(_)) => "table",
+            Answer::Hit(None) => "counts",
+            Answer::Delta => "delta",
+            Answer::Join => "join",
+        }
     }
 
     #[test]
-    fn cached_values_round_trip() {
-        let interner = PatternInterner::new();
-        let cache = RealizationCache::new();
-        let k = key(&interner, Window::new(5, 15));
-        let mut t = Table::new(Schema::new(["x"]));
-        t.push_row(&[Some(wiclean_types::EntityId::from_u32(7))]);
-        cache.put(k, &fetched(&[1]), &path(), Some(&t), 1, 0.25);
-        let (table, support, freq) = cache.get(k, &fetched(&[1]), &path()).unwrap();
-        assert_eq!(table.expect("materialized entry").len(), 1);
-        assert_eq!(support, 1);
-        assert!((freq - 0.25).abs() < 1e-12);
+    fn batch_memos_serve_their_stage_and_tables_only_along_their_path() {
+        let (memo, id) = memo_of(true, None);
+        let ask = |tys, remove_first, tau| answer(&memo, id, tys, remove_first, tau, None);
+        assert_eq!(ask(&[1, 2], true, 0.3), "table");
+        assert_eq!(ask(&[1, 2, 3], true, 0.3), "join", "another stage");
+        assert_eq!(ask(&[2, 1], true, 0.3), "join", "another load order");
+        // Along another path the table is withheld: a rejected candidate
+        // is served its counts, an accepted one needs its own table.
+        assert_eq!(ask(&[1, 2], false, 0.5), "counts");
+        assert_eq!(ask(&[1, 2], false, 0.3), "join");
+
+        // A pruned memo serves its counts along any path until a threshold
+        // accepts it; then the table must be joined.
+        let (memo, id) = memo_of(false, None);
+        let ask = |remove_first, tau| answer(&memo, id, &[1, 2], remove_first, tau, None);
+        let asked = [ask(true, 0.5), ask(false, 0.5), ask(true, 0.4)];
+        assert_eq!(asked, ["counts", "counts", "join"]);
     }
 
     #[test]
-    fn pruned_entries_round_trip_without_table() {
-        let interner = PatternInterner::new();
-        let cache = RealizationCache::new();
-        let k = key(&interner, Window::new(0, 10));
-        cache.put(k, &fetched(&[1]), &path(), None, 4, 0.1);
-        let (table, support, freq) = cache.get(k, &fetched(&[1]), &path()).unwrap();
-        assert!(table.is_none(), "pruned entry carries no table");
-        assert_eq!(support, 4);
-        assert!((freq - 0.1).abs() < 1e-12);
+    fn growing_memos_answer_only_along_their_own_lineage() {
+        let growth = || Growth {
+            gen: 3,
+            parent_gen: 1,
+            left_len: 10,
+            right_len: 5,
+            distinct: EntitySet::default(),
+        };
+        let (memo, id) = memo_of(true, Some(growth()));
+        let ask =
+            |remove_first, inputs| answer(&memo, id, &[1, 2], remove_first, 0.3, Some(inputs));
+        assert_eq!(ask(true, (1, 10)), "table");
+        assert_eq!(ask(true, (1, 12)), "delta");
+        assert_eq!(ask(true, (2, 10)), "join", "rebuilt parent");
+        assert_eq!(ask(false, (1, 10)), "join", "another path");
 
-        // A later accepted recomputation upgrades the entry in place.
-        let t = Table::new(Schema::new(["x"]));
-        cache.put(k, &fetched(&[1]), &path(), Some(&t), 4, 0.1);
-        let (table, _, _) = cache.get(k, &fetched(&[1]), &path()).unwrap();
-        assert!(table.is_some());
+        // A pruned memo grows by delta until its old support clears τ.
+        let (memo, id) = memo_of(false, Some(growth()));
+        let ask = |tau| answer(&memo, id, &[1, 2], true, tau, Some((1, 12)));
+        assert_eq!([ask(0.5), ask(0.3)], ["delta", "join"]);
     }
 }

@@ -209,9 +209,6 @@ pub struct WcConfig {
     /// factor 1.0 or zero threshold reduction, as Table 1's grid samples —
     /// would otherwise never exhaust their bounds).
     pub max_iterations: usize,
-    /// Reuse candidate realization tables across refinement iterations
-    /// (the paper's caching optimization). Disable for ablation.
-    pub use_cache: bool,
     /// Reuse per-entity preprocessing (parse → diff → extract) outcomes
     /// across refinement iterations via the shared
     /// [`wiclean_revstore::ActionCache`]; widened windows are assembled
@@ -248,7 +245,6 @@ impl<'de> serde::Deserialize<'de> for WcConfig {
             miner: take_field(&mut fields, "miner", NAME)?,
             threads: take_field(&mut fields, "threads", NAME)?,
             max_iterations: take_field(&mut fields, "max_iterations", NAME)?,
-            use_cache: take_field(&mut fields, "use_cache", NAME)?,
             use_action_cache: take_field(&mut fields, "use_action_cache", NAME)?,
             // Absent in configs written before the flag existed; those
             // load with the default.
@@ -292,7 +288,6 @@ impl Default for WcConfig {
             miner: MinerConfig::default(),
             threads: 1,
             max_iterations: 64,
-            use_cache: true,
             use_action_cache: true,
             use_incremental_extract: true,
             use_adaptive_planner: true,
@@ -403,6 +398,16 @@ mod tests {
             serde_json::from_str::<WcConfig>(&rejected).unwrap(),
             WcConfig::default()
         );
+
+        // Configs saved while the config carried the realization-cache
+        // switch load too, whichever way it was set: every window's memo
+        // is always on.
+        assert!(!full.contains("\"use_cache\""));
+        for value in [true, false] {
+            let legacy_json = format!("{},\"use_cache\":{value}}}", &full[..full.len() - 1]);
+            let legacy: WcConfig = serde_json::from_str(&legacy_json).unwrap();
+            assert_eq!(legacy, WcConfig::default(), "use_cache {value}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Pattern interning: canonical patterns as `Copy` ids.
 //!
-//! Algorithm 1 keys several hot maps (`found`, the realization cache, the
+//! Algorithm 1 keys several hot maps (`found`, the window memo, the
 //! per-window dedup sets) by [`Pattern`], whose `Eq`/`Hash` walk a
 //! `Vec<AbstractAction>` — and obtaining a canonical pattern in the first
 //! place runs the factorial `permute_groups` relabeling search. The

@@ -51,7 +51,7 @@ pub mod windows;
 pub(crate) mod testutil;
 
 pub use abstract_action::AbstractAction;
-pub use cache::{MiningCaches, RealizationCache};
+pub use cache::MiningCaches;
 pub use config::{ExpansionMode, JoinImpl, MinerConfig, RefinePolicy, StreamPolicy, WcConfig};
 pub use corpus::{ingest_sharded, open_sharded_corpus, ShardedCorpus};
 pub use degraded::{DegradedCoverage, LostEntity};

@@ -21,7 +21,7 @@
 //!    the most specific frequent ones are selected at the end (Def. 3.3).
 
 use crate::abstract_action::AbstractAction;
-use crate::cache::RealizationCache;
+use crate::cache::{Answer, Growth, Inputs, Memo, MiningCaches, WindowMemo};
 use crate::config::{ExpansionMode, JoinImpl, MinerConfig};
 use crate::degraded::DegradedCoverage;
 use crate::interner::{PatternId, PatternInterner};
@@ -67,11 +67,12 @@ pub struct MineStats {
     pub patterns_found: usize,
     /// Most specific frequent patterns among them.
     pub most_specific_found: usize,
-    /// Realization-cache hits (0 when caching is off). On the streaming
-    /// miner: candidates its per-window memo served without a join.
+    /// Candidates the window's memo served without a join (an earlier
+    /// evaluation in the window, a τ-lowering iteration's predecessor, or
+    /// an earlier stream refresh computed them).
     pub cache_hits: usize,
-    /// Realization-cache misses (0 when caching is off). On the streaming
-    /// miner: candidates evaluated by a full or delta join.
+    /// Candidates evaluated by a full or delta join: every evaluation the
+    /// window's memo could not serve.
     pub cache_misses: usize,
     /// Preprocessing-cache exact hits: entity extractions served without
     /// touching wikitext (0 when the action cache is off).
@@ -92,8 +93,8 @@ pub struct MineStats {
     #[serde(default)]
     pub pairs_matched: usize,
     /// Candidate joins whose output table was actually gathered: accepted
-    /// candidates, plus cached-pruned candidates re-accepted under a lower
-    /// threshold.
+    /// candidates, plus memoized pruned candidates re-accepted under a
+    /// lower threshold.
     #[serde(default)]
     pub tables_materialized: usize,
     /// Candidate joins pruned by the distinct-source fast path: support and
@@ -282,8 +283,9 @@ pub struct FoundPattern {
     pub pattern: Pattern,
     /// Construction-order form matching `table`'s columns.
     pub working: WorkingPattern,
-    /// Realization table (one column per variable).
-    pub table: Table,
+    /// Realization table (one column per variable), shared with the
+    /// window's memo.
+    pub table: Arc<Table>,
     /// Distinct seed entities appearing as the source variable.
     pub support: usize,
     /// Frequency (Def. 3.2).
@@ -329,13 +331,12 @@ impl WindowResult {
 /// `&RevisionStore` coerces, so happy-path callers are unaffected.
 /// Entities whose histories cannot be fetched are skipped and recorded in
 /// the result's [`DegradedCoverage`] rather than failing the run. Caches
-/// attach in one piece through [`WindowMiner::with_caches`], so a
-/// realization cache always travels with the interner whose ids key it.
+/// attach in one piece through [`WindowMiner::with_caches`], so memos
+/// kept across miners always travel with the interner whose ids key them.
 pub struct WindowMiner<'a> {
     source: &'a dyn FetchSource,
     universe: &'a Universe,
     config: MinerConfig,
-    cache: Option<Arc<RealizationCache>>,
     action_cache: Option<Arc<ActionCache>>,
     interner: Arc<PatternInterner>,
     pool: Option<Arc<MiningPool>>,
@@ -346,7 +347,7 @@ pub(crate) struct Node {
     pub(crate) id: PatternId,
     pub(crate) wp: WorkingPattern,
     pub(crate) canonical: Pattern,
-    pub(crate) table: Table,
+    pub(crate) table: Arc<Table>,
     pub(crate) support: usize,
     pub(crate) freq: f64,
 }
@@ -361,7 +362,7 @@ pub(crate) struct CandidateSpec {
     pub(crate) target_is_new: bool,
 }
 
-/// The join work one evaluation ran (all zero on a cache or memo hit).
+/// The join work one evaluation ran (all zero on a memo hit).
 #[derive(Default)]
 pub(crate) struct Work {
     /// Left rows fed through the pair stage.
@@ -373,30 +374,24 @@ pub(crate) struct Work {
     pub(crate) pair_stages: usize,
     /// Rows appended since a memo's last evaluation that a delta join fed.
     pub(crate) delta_rows: u64,
+    /// Whether an output table was gathered.
+    pub(crate) materialized: bool,
 }
 
-/// A fully evaluated candidate (pair-stage join or cache hit already done,
-/// accept decision taken against the frozen frontier). The streaming
-/// miner builds the same outcome, with `via_cache` marking a hit on its
-/// per-window memo.
+/// A fully evaluated candidate (memo hit or join already done against the
+/// frozen frontier).
 pub(crate) struct Evaluated {
     pub(crate) id: PatternId,
     pub(crate) canonical: Pattern,
     pub(crate) ext: WorkingPattern,
-    /// Materialized realization table — `Some` whenever `accepted` (pruned
-    /// candidates skip the gather entirely; cache hits may carry one even
-    /// when rejected under the current threshold).
-    pub(crate) table: Option<Table>,
+    /// Realization table — `Some` whenever the threshold accepts the
+    /// candidate (pruned candidates skip the gather entirely; memo hits may
+    /// carry one even when rejected under the current threshold).
+    pub(crate) table: Option<Arc<Table>>,
     pub(crate) support: usize,
     pub(crate) freq: f64,
-    pub(crate) via_cache: bool,
-    /// Whether a cache or memo was consulted, so that a fresh evaluation
-    /// counts as a miss.
-    pub(crate) consulted: bool,
-    /// Whether the score cleared the threshold (with nonzero support).
-    pub(crate) accepted: bool,
-    /// Whether a fresh gather ran for this evaluation.
-    pub(crate) materialized: bool,
+    /// Whether the window's memo served it without a join.
+    pub(crate) via_memo: bool,
     pub(crate) work: Work,
 }
 
@@ -437,129 +432,238 @@ pub(crate) struct Expansion {
 /// Where an expansion's rows come from: the fetched-type stages of
 /// incremental construction (Algorithm 1 lines 4–8). Batch mining loads
 /// whole types into one row store ([`BatchStage`]); a streamed window
-/// filters its stamped row store to each stage. A stage also evaluates the
-/// candidates: batch mining joins each spec ([`Joins`]); a streamed window
-/// consults its memo first.
-pub(crate) trait Stage {
-    /// Evaluates one generation's specs against the frozen frontier;
-    /// outcomes come back in spec order, `None` for a spec whose canonical
-    /// form was already accepted (or, on the stream, already evaluated in
-    /// this generation).
-    fn evaluate(
-        &mut self,
-        miner: &WindowMiner<'_>,
-        specs: &[CandidateSpec],
-        exp: &Expansion,
-    ) -> Vec<Option<Evaluated>>;
-    /// The types fetched so far.
-    fn fetched(&self) -> &BTreeSet<TypeId>;
+/// filters its stamped row store to each stage.
+pub(crate) trait Stage: Sync {
+    /// The types fetched so far, as the key memos record their stage
+    /// under: in an order that, with the window, fixes the stage's rows.
+    fn key(&self) -> &[TypeId];
     /// The shapes with rows at the current stage, sorted.
     fn shapes(&self) -> Vec<Shape>;
-    /// The realization table of the singleton `action` at the current stage.
-    fn singleton_table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Table;
+    /// The realization table of the singleton `action` at the current
+    /// stage, which is also the right side of a join that adds `action`.
+    fn table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Arc<Table>;
     /// Fetches every entity of `types` and moves to the stage holding them.
     fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>);
+    /// The pool a generation's joins fan out on, if any.
+    fn pool(&self) -> Option<&MiningPool>;
 }
 
-/// Batch candidate evaluation: each spec's pair stage joined against
-/// `rows`, or served by the realization cache, fanned out over `pool`.
-struct Joins<'r> {
-    rows: &'r ShapeRows,
+/// The one candidate evaluator: the batch expansion, relative mining and
+/// every streamed refresh and seal evaluate a generation through it.
+///
+/// 1. Serially, in spec order: intern each candidate, skip one already
+///    found or already evaluated in this generation, and consult the
+///    window's memo ([`WindowMemo::consult`]).
+/// 2. On the pool, when one is attached: the full or delta joins the memo
+///    could not answer.
+/// 3. Serially, in spec order: write each join's result back to the memo.
+///
+/// Output is byte-identical at any pool width: the pool only decides
+/// *where* a join runs.
+struct Evaluator<'e, S> {
+    stage: &'e S,
+    memo: &'e mut WindowMemo,
     seed: TypeId,
     threshold: Threshold,
-    /// The window and fetched-type stage keying the realization cache
-    /// (`None` in relative mining, which does not consult it).
-    cache_ctx: Option<(Window, &'r BTreeSet<TypeId>)>,
-    pool: Option<&'r MiningPool>,
 }
 
-impl Joins<'_> {
-    /// Evaluates the specs on the pool when one is attached (sequentially
-    /// otherwise), then stores each id's first fresh evaluation in the
-    /// realization cache, serially in spec order.
-    fn evaluate(
-        &self,
+/// A spec the memo could not serve: phase 2 joins it for outcome `slot`,
+/// by delta along the memo's own lineage when `delta`.
+struct Job<'s> {
+    slot: usize,
+    spec: &'s CandidateSpec,
+    delta: bool,
+    /// The parent table's generation (streamed windows only).
+    parent_gen: u64,
+}
+
+/// What a phase-2 join leaves the memo.
+enum Joined {
+    /// A full join's result replaces the memo.
+    Full(Memo, Work),
+    /// The memo absorbs a delta join: the source values it had not seen,
+    /// the rows its table gains, its new counts and input lengths.
+    Delta {
+        fresh: Vec<EntityId>,
+        rows: Option<Table>,
+        support: usize,
+        freq: f64,
+        lens: (usize, usize),
+        work: Work,
+    },
+}
+
+impl<S: Stage> Evaluator<'_, S> {
+    /// Evaluates one generation's specs against the frozen frontier;
+    /// outcomes come back in spec order, `None` for a spec whose canonical
+    /// form was already accepted or already evaluated in this generation.
+    fn run(
+        self,
         miner: &WindowMiner<'_>,
         specs: &[CandidateSpec],
         exp: &Expansion,
     ) -> Vec<Option<Evaluated>> {
-        let outcomes: Vec<Option<Evaluated>> = match self.pool {
-            Some(pool) if specs.len() > 1 && pool.width() > 1 => {
-                pool.map(specs, |spec| self.candidate(miner, exp, spec))
+        let mut seen: HashSet<PatternId> = HashSet::new();
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut outcomes: Vec<Option<Evaluated>> = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let parent = &exp.nodes[spec.parent];
+            let ext = parent.wp.extended_with(spec.action);
+            let (id, canonical) = miner.interner.intern_working(&ext);
+            if exp.found.contains(&id) || !seen.insert(id) {
+                // Support, frequency and the accept decision do not depend
+                // on the construction path, and the first evaluation per id
+                // wins. Skipping repeats also keeps a streamed memo's path
+                // stable: a candidate reachable along two paths would
+                // otherwise flip its memoized path every refresh and never
+                // hit.
+                outcomes.push(None);
+                continue;
             }
-            _ => specs
-                .iter()
-                .map(|spec| self.candidate(miner, exp, spec))
-                .collect(),
-        };
-        if let (Some(cache), Some((window, fetched))) = (&miner.cache, self.cache_ctx) {
-            let mut seen: HashSet<PatternId> = HashSet::new();
-            for ev in outcomes.iter().flatten() {
-                if seen.insert(ev.id) && !ev.via_cache {
-                    let path = ev.ext.actions();
-                    let table = ev.table.as_ref();
-                    cache.put((window, ev.id), fetched, path, table, ev.support, ev.freq);
+            // A singleton's table is folded append-only (generation 0
+            // forever); a joined table carries its memo's generation.
+            let memo_gen = |id| self.memo.entries.get(&id)?.growth.as_ref().map(|g| g.gen);
+            let inputs = self.memo.growing.then(|| Inputs {
+                parent_gen: match parent.wp.len() {
+                    1 => 0,
+                    _ => memo_gen(parent.id).unwrap_or(u64::MAX),
+                },
+                left_len: parent.table.len(),
+                right_len: self.stage.table(miner, &spec.action).len(),
+            });
+            let (key, path) = (self.stage.key(), ext.actions());
+            let answer = self
+                .memo
+                .consult(id, key, path, self.threshold, inputs.as_ref());
+            let mut ev = Evaluated {
+                id,
+                canonical,
+                ext,
+                table: None,
+                support: 0,
+                freq: 0.0,
+                via_memo: false,
+                work: Work::default(),
+            };
+            match answer {
+                Answer::Hit(table) => {
+                    let m = &self.memo.entries[&id];
+                    (ev.table, ev.support, ev.freq, ev.via_memo) = (table, m.support, m.freq, true);
                 }
+                Answer::Delta | Answer::Join => jobs.push(Job {
+                    slot: outcomes.len(),
+                    spec,
+                    delta: matches!(answer, Answer::Delta),
+                    parent_gen: inputs.map_or(0, |i| i.parent_gen),
+                }),
             }
+            outcomes.push(Some(ev));
+        }
+
+        let join = |job: &Job| {
+            let ev = outcomes[job.slot].as_ref().expect("a job's outcome");
+            self.join(miner, exp, job, ev)
+        };
+        let joined: Vec<Joined> = match self.stage.pool() {
+            Some(pool) if jobs.len() > 1 && pool.width() > 1 => pool.map(&jobs, join),
+            _ => jobs.iter().map(join).collect(),
+        };
+
+        for (job, joined) in jobs.iter().zip(joined) {
+            let ev = outcomes[job.slot].as_mut().expect("a job's outcome");
+            ev.work = match joined {
+                Joined::Full(memo, work) => {
+                    self.memo.entries.insert(ev.id, memo);
+                    work
+                }
+                Joined::Delta {
+                    fresh,
+                    rows,
+                    support,
+                    freq,
+                    lens,
+                    work,
+                } => {
+                    // In place: the generation stays, since nothing was
+                    // rebuilt.
+                    let m = self.memo.entries.get_mut(&ev.id).expect("delta memo");
+                    let g = m.growth.as_mut().expect("a growing memo");
+                    g.distinct.extend(fresh);
+                    (g.left_len, g.right_len) = lens;
+                    (m.support, m.freq) = (support, freq);
+                    if let (Some(table), Some(rows)) = (&mut m.table, rows) {
+                        debug_assert!(
+                            self.threshold.accepts(support, freq),
+                            "support is monotone under appends at fixed tau"
+                        );
+                        Arc::make_mut(table).extend_dedup(&rows);
+                    }
+                    work
+                }
+            };
+            let m = &self.memo.entries[&ev.id];
+            (ev.table, ev.support, ev.freq) = (m.table.clone(), m.support, m.freq);
         }
         outcomes
     }
 
-    /// Evaluates one candidate extension against the frozen frontier: runs
-    /// the join's *pair stage*, counts support straight off the pair stream
-    /// (the distinct-source fast path), and only gathers the output table
-    /// when the candidate clears the threshold. Takes no mutable state, so
-    /// a generation's specs can run in any order on any thread.
-    fn candidate(
-        &self,
-        miner: &WindowMiner<'_>,
-        exp: &Expansion,
-        spec: &CandidateSpec,
-    ) -> Option<Evaluated> {
-        let universe = miner.universe;
-        let parent = &exp.nodes[spec.parent];
-        let ext = parent.wp.extended_with(spec.action);
-        let (id, canonical) = miner.interner.intern_working(&ext);
-        if exp.found.contains(&id) {
-            return None;
-        }
-
-        // Cache fast path: the same candidate computed in an earlier
-        // refinement iteration under the same fetched-type set. A pruned
-        // entry (no table) that the current threshold now *accepts* falls
-        // through to a fresh join so the table exists — the re-store in
-        // `evaluate` then upgrades the entry. So does an entry whose table
-        // was built along another construction path.
-        let cache = miner.cache.as_ref().zip(self.cache_ctx);
-        if let Some((cache, (window, fetched))) = cache {
-            if let Some((table, support, freq)) = cache.get((window, id), fetched, ext.actions()) {
-                let accepted = self.threshold.accepts(support, freq);
-                if table.is_some() || !accepted {
-                    return Some(Evaluated {
-                        id,
-                        canonical,
-                        ext,
-                        table,
-                        support,
-                        freq,
-                        via_cache: true,
-                        consulted: true,
-                        accepted,
-                        materialized: false,
-                        work: Work::default(),
-                    });
-                }
+    /// Phase 2 for one job, whose placeholder outcome is `ev`. Takes no
+    /// mutable state, so a generation's joins can run in any order on any
+    /// thread.
+    fn join(&self, miner: &WindowMiner<'_>, exp: &Expansion, job: &Job, ev: &Evaluated) -> Joined {
+        let (universe, seed) = (miner.universe, self.seed);
+        let join_impl = miner.config.join_impl;
+        let (spec, parent) = (job.spec, &exp.nodes[job.spec.parent]);
+        let (left, right) = (&*parent.table, self.stage.table(miner, &spec.action));
+        let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
+        let lens = (left.len(), right.len());
+        let memo = self.memo.entries.get(&ev.id);
+        let mut work = Work::default();
+        if job.delta {
+            // Only pairs touching appended rows. Support is updated for
+            // accepted and pruned memos alike: a pruned candidate keeps its
+            // distinct set current without ever materializing a table,
+            // until the appended rows push it over τ.
+            let m = memo.expect("a delta join follows a memo");
+            let g = m.growth.as_ref().expect("a growing memo");
+            let marks = (g.left_len, g.right_len);
+            let delta = pair_stage(join_impl, left, &right, &glue, Some(marks));
+            work.pair_stages += 1;
+            work.delta_rows += (lens.0 - marks.0 + lens.1 - marks.1) as u64;
+            let fresh: Vec<EntityId> = distinct_left_values(left, 0, &delta)
+                .into_iter()
+                .filter(|v| !g.distinct.contains(v))
+                .collect();
+            let seeds = fresh.iter().filter(|&&v| universe.entity_has_type(v, seed));
+            let support = m.support + seeds.count();
+            let freq = frequency_from_support(support, seed, universe);
+            // The appended rows pushing a pruned candidate over τ need a
+            // realization table, which only a full join can provide — fall
+            // through (a one-time cost; every later refresh extends the
+            // table by delta).
+            if m.table.is_some() || !self.threshold.accepts(support, freq) {
+                let rows = m.table.as_ref();
+                let rows = rows.map(|_| materialize_pairs(left, &right, &glue, &delta));
+                work.rows_probed = lens.0 - marks.0;
+                work.pairs_matched = delta.len();
+                work.materialized = rows.is_some();
+                return Joined::Delta {
+                    fresh,
+                    rows,
+                    support,
+                    freq,
+                    lens,
+                    work,
+                };
             }
         }
 
-        // Build the right-hand (action) relation.
-        let right = action_realizations(&spec.action, &self.rows[&spec.action.shape()], universe);
-        let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-
         // Pair stage: matching (left, right) row indices, no output rows
         // built yet. Both engines emit the same canonical pair order.
-        let pairs = pair_stage(miner.config.join_impl, &parent.table, &right, &glue, None);
-
+        let pairs = pair_stage(join_impl, left, &right, &glue, None);
+        work.pair_stages += 1;
+        work.rows_probed = lens.0;
+        work.pairs_matched = pairs.len();
         // Distinct-source fast path: the pattern's source variable is the
         // left table's column 0, and a join (deduped or not) cannot change
         // the set of distinct source values — so support and frequency come
@@ -567,87 +671,72 @@ impl Joins<'_> {
         // for gather + dedup. Unit tests can gather every candidate and
         // count support off its table instead, to check the fast path.
         let gather = || {
-            let mut t = materialize_pairs(&parent.table, &right, &glue, &pairs);
+            let mut t = materialize_pairs(left, &right, &glue, &pairs);
             t.dedup();
             t
         };
-        let (support, table) = if gather_every_candidate() {
-            let t = gather();
-            (support_count(&t, 0, self.seed, universe), Some(t))
-        } else {
-            let distinct = distinct_left_values(&parent.table, 0, &pairs);
-            (support_from_distinct(&distinct, self.seed, universe), None)
+        let distinct = distinct_left_values(left, 0, &pairs);
+        let gathered = gather_every_candidate().then(gather);
+        let support = match &gathered {
+            Some(t) => support_count(t, 0, seed, universe),
+            None => support_from_distinct(&distinct, seed, universe),
         };
-        let freq = frequency_from_support(support, self.seed, universe);
+        let freq = frequency_from_support(support, seed, universe);
         let accepted = self.threshold.accepts(support, freq);
-        let materialized = accepted || table.is_some();
-        let table = accepted.then(|| table.unwrap_or_else(gather));
-        Some(Evaluated {
-            id,
-            canonical,
-            ext,
-            table,
+        work.materialized = accepted || gathered.is_some();
+        let growth = self.memo.growing.then(|| Growth {
+            gen: memo
+                .and_then(|m| m.growth.as_ref())
+                .map_or(0, |g| g.gen + 1),
+            parent_gen: job.parent_gen,
+            left_len: lens.0,
+            right_len: lens.1,
+            distinct,
+        });
+        let memo = Memo {
+            stage: self.stage.key().to_vec(),
+            path: ev.ext.actions().to_vec(),
+            table: accepted.then(|| Arc::new(gathered.unwrap_or_else(gather))),
             support,
             freq,
-            via_cache: false,
-            consulted: cache.is_some(),
-            accepted,
-            materialized,
-            work: Work {
-                rows_probed: parent.table.len(),
-                pairs_matched: pairs.len(),
-                pair_stages: 1,
-                delta_rows: 0,
-            },
-        })
+            growth,
+        };
+        Joined::Full(memo, work)
     }
 }
 
 /// Batch mining's side of [`WindowMiner::expand`]: whole types are loaded
-/// into one row store, and every generation is evaluated by [`Joins`]
-/// against it under τ.
+/// into one row store, whose rows at a stage are final.
 struct BatchStage<'s> {
     state: &'s mut MineState,
     window: &'s Window,
-    seed: TypeId,
     pool: Option<&'s MiningPool>,
 }
 
 impl Stage for BatchStage<'_> {
-    fn evaluate(
-        &mut self,
-        miner: &WindowMiner<'_>,
-        specs: &[CandidateSpec],
-        exp: &Expansion,
-    ) -> Vec<Option<Evaluated>> {
-        let joins = Joins {
-            rows: &self.state.rows,
-            seed: self.seed,
-            threshold: Threshold::Frequency(miner.config.tau),
-            cache_ctx: Some((*self.window, &self.state.fetched_types)),
-            pool: self.pool,
-        };
-        joins.evaluate(miner, specs, exp)
-    }
-
-    fn fetched(&self) -> &BTreeSet<TypeId> {
-        &self.state.fetched_types
+    fn key(&self) -> &[TypeId] {
+        &self.state.fetched
     }
 
     fn shapes(&self) -> Vec<Shape> {
         sorted_shapes(&self.state.rows)
     }
 
-    fn singleton_table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Table {
-        action_realizations(action, &self.state.rows[&action.shape()], miner.universe)
+    fn table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Arc<Table> {
+        let rows = &self.state.rows[&action.shape()];
+        Arc::new(action_realizations(action, rows, miner.universe))
     }
 
     fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>) {
         for ty in types {
-            self.state.fetched_types.insert(ty);
+            self.state.fetch(ty);
             let entities = miner.universe.entities_of(ty);
             miner.load_entities(self.state, entities, self.window, self.pool);
         }
+    }
+
+    fn pool(&self) -> Option<&MiningPool> {
+        self.pool
     }
 }
 
@@ -660,7 +749,9 @@ struct MineState {
     /// Concrete reduced pairs per abstraction shape (already lifted to all
     /// admissible heights).
     rows: HashMap<Shape, Vec<(EntityId, EntityId)>>,
-    fetched_types: BTreeSet<TypeId>,
+    /// The types fetched, in load order: the rows (and their order) at a
+    /// stage are a function of it, so it keys the window's memos.
+    fetched: Vec<TypeId>,
     fetched_entities: HashSet<EntityId>,
     stats: MineStats,
     degraded: DegradedCoverage,
@@ -673,7 +764,6 @@ impl<'a> WindowMiner<'a> {
             source,
             universe,
             config,
-            cache: None,
             action_cache: None,
             interner: Arc::new(PatternInterner::new()),
             pool: None,
@@ -691,12 +781,12 @@ impl<'a> WindowMiner<'a> {
     }
 
     /// Attaches whatever caches `caches` carries — the one way to attach
-    /// any of them. Either cache may be absent; the pattern interner is
-    /// always present and keeps the realization-cache/interner pairing
-    /// consistent across miners (the streaming miner attaches a bundle
-    /// holding only its interner, so ids stay stable across refreshes).
-    pub fn with_caches(mut self, caches: crate::cache::MiningCaches) -> Self {
-        self.cache = caches.realizations;
+    /// any of them. The action cache may be absent; the pattern interner is
+    /// always present and keeps memo ids stable across miners (the
+    /// streaming miner attaches a bundle holding only its interner, so ids
+    /// stay stable across refreshes; Algorithm 2 shares one across
+    /// iterations).
+    pub fn with_caches(mut self, caches: MiningCaches) -> Self {
         self.action_cache = caches.actions;
         self.interner = caches.patterns;
         self
@@ -707,15 +797,22 @@ impl<'a> WindowMiner<'a> {
         &self.config
     }
 
-    /// The pattern interner (shared across miners driving one cache).
-    pub(crate) fn interner(&self) -> &Arc<PatternInterner> {
-        &self.interner
-    }
-
     /// Mines the most specific frequent (and relative frequent) patterns
     /// of `window` w.r.t. `seed`, constructing the edits graph
     /// incrementally from the seed type outward.
     pub fn mine_window(&self, seed: TypeId, window: &Window) -> WindowResult {
+        self.mine_window_with(seed, window, &mut WindowMemo::default())
+    }
+
+    /// [`WindowMiner::mine_window`] reading and writing the window's
+    /// `memo`: Algorithm 2 keeps it across iterations that only lower τ.
+    /// The memo must be this window's, keyed by this miner's interner.
+    pub(crate) fn mine_window_with(
+        &self,
+        seed: TypeId,
+        window: &Window,
+        memo: &mut WindowMemo,
+    ) -> WindowResult {
         assert_eq!(
             self.config.expansion,
             ExpansionMode::Incremental,
@@ -726,7 +823,7 @@ impl<'a> WindowMiner<'a> {
         let mut state = MineState::new();
         // Line 1: fetch + reduce + abstract the seed entities' actions.
         self.load_entities(&mut state, self.universe.entities_of(seed), window, pool);
-        self.run_expansion(t0, state, seed, window, false, pool)
+        self.run_expansion(t0, state, memo, seed, window, false)
     }
 
     /// The `PM−inc` entry point: the caller supplies the full entity set of
@@ -743,7 +840,8 @@ impl<'a> WindowMiner<'a> {
         let pool = self.pool.as_deref();
         let mut state = MineState::new();
         self.load_entities(&mut state, entities, window, pool);
-        self.run_expansion(t0, state, seed, window, true, pool)
+        let mut memo = WindowMemo::default();
+        self.run_expansion(t0, state, &mut memo, seed, window, true)
     }
 
     /// Fetches and extracts one entity's actions — through the shared
@@ -858,21 +956,21 @@ impl<'a> WindowMiner<'a> {
         &self,
         t0: Instant,
         mut state: MineState,
+        memo: &mut WindowMemo,
         seed: TypeId,
         window: &Window,
         preloaded: bool,
-        pool: Option<&MiningPool>,
     ) -> WindowResult {
-        state.fetched_types.insert(seed);
+        state.fetch(seed);
         let mut stage = BatchStage {
             state: &mut state,
             window,
-            seed,
-            pool,
+            pool: self.pool.as_deref(),
         };
-        let exp = self.expand(&mut stage, seed, preloaded);
+        let exp = self.expand(&mut stage, memo, seed, preloaded);
+        let (patterns, tail) = self.finish(exp.nodes, &stage, memo, seed);
         state.stats.absorb(&exp.stats);
-        let patterns = self.finish(exp.nodes, &state.rows, seed, pool, &mut state.stats);
+        state.stats.absorb(&tail);
 
         let mut stats = state.stats;
         stats.mine = t0.elapsed().saturating_sub(stats.preprocess);
@@ -898,23 +996,22 @@ impl<'a> WindowMiner<'a> {
     /// every streamed window refresh run: frequent singletons, then
     /// generation growth interleaved with the fetched-type fixpoint until
     /// no frequent pattern mentions an unfetched type. `stage` supplies the
-    /// rows of each fetched-type stage and evaluates the candidates.
-    /// `preloaded` marks a stage that loaded every entity up front (the
+    /// rows of each fetched-type stage; every candidate is evaluated against
+    /// the window's `memo`. `preloaded` marks a stage that loaded every entity up front (the
     /// batch-only `PM−inc` ablation): every singleton then counts as a
     /// candidate and no type is fetched.
     pub(crate) fn expand(
         &self,
         stage: &mut impl Stage,
+        memo: &mut WindowMemo,
         seed: TypeId,
         preloaded: bool,
     ) -> Expansion {
         let mut exp = Expansion::default();
-        let mut shapes = stage.shapes();
-        self.seed_singletons(stage, &shapes, seed, preloaded, &mut exp);
+        self.seed_singletons(stage, seed, preloaded, &mut exp);
         loop {
-            self.grow(&shapes, &mut exp, |specs, exp| {
-                stage.evaluate(self, specs, exp)
-            });
+            let tau = Threshold::Frequency(self.config.tau);
+            self.grow(&*stage, memo, seed, tau, &mut exp);
             if preloaded {
                 break; // everything was loaded up front
             }
@@ -923,13 +1020,12 @@ impl<'a> WindowMiner<'a> {
                 .nodes
                 .iter()
                 .flat_map(|n| n.canonical.types())
-                .filter(|t| !stage.fetched().contains(t))
+                .filter(|t| !stage.key().contains(t))
                 .collect();
             if new_types.is_empty() {
                 break;
             }
             stage.fetch(self, new_types);
-            shapes = stage.shapes();
         }
         exp
     }
@@ -938,12 +1034,11 @@ impl<'a> WindowMiner<'a> {
     fn seed_singletons(
         &self,
         stage: &impl Stage,
-        shapes: &[Shape],
         seed: TypeId,
         preloaded: bool,
         exp: &mut Expansion,
     ) {
-        for &(op, s, r, t) in shapes {
+        for (op, s, r, t) in stage.shapes() {
             let eligible = self.seed_comparable(s, seed);
             // Conventional mining considers every singleton in the full
             // graph; ineligible ones are pruned by the frequency test
@@ -955,7 +1050,7 @@ impl<'a> WindowMiner<'a> {
                 continue;
             }
             let wp = WorkingPattern::singleton(op, s, r, t);
-            let table = stage.singleton_table(self, &wp.actions()[0]);
+            let table = stage.table(self, &wp.actions()[0]);
             let support = support_count(&table, 0, seed, self.universe);
             let freq = frequency_from_support(support, seed, self.universe);
             if freq >= self.config.tau {
@@ -985,27 +1080,34 @@ impl<'a> WindowMiner<'a> {
     /// pattern emerges (Algorithm 1 lines 9–14).
     ///
     /// Each generation serially collects every untested `(node, shape)`
-    /// gluing into an ordered spec list, has `evaluate` evaluate the specs —
-    /// the join-and-count tasks, independent given the frozen frontier —
-    /// and merges the results serially in spec order, appending accepted
-    /// nodes sorted by canonical pattern value. Output is byte-identical at
-    /// any thread count because a pool only decides *where* a spec is
-    /// evaluated.
+    /// gluing of the stage's shapes into an ordered spec list, evaluates
+    /// the specs against the window's `memo` ([`Evaluator`]) and merges the
+    /// results serially in spec order, appending the nodes `threshold`
+    /// accepts sorted by canonical pattern value.
     fn grow(
         &self,
-        shapes: &[Shape],
+        stage: &impl Stage,
+        memo: &mut WindowMemo,
+        seed: TypeId,
+        threshold: Threshold,
         exp: &mut Expansion,
-        mut evaluate: impl FnMut(&[CandidateSpec], &Expansion) -> Vec<Option<Evaluated>>,
     ) {
+        let shapes = stage.shapes();
         let mut frontier = 0..exp.nodes.len();
         while !frontier.is_empty() {
-            let specs = self.collect_specs(shapes, exp, frontier);
+            let specs = self.collect_specs(&shapes, exp, frontier);
             if specs.is_empty() {
                 break;
             }
             let start = exp.nodes.len();
-            let outcomes = evaluate(&specs, exp);
-            self.merge_generation(outcomes, exp);
+            let evaluator = Evaluator {
+                stage,
+                memo: &mut *memo,
+                seed,
+                threshold,
+            };
+            let outcomes = evaluator.run(self, &specs, exp);
+            self.merge_generation(outcomes, threshold, exp);
             frontier = start..exp.nodes.len();
         }
     }
@@ -1077,39 +1179,39 @@ impl<'a> WindowMiner<'a> {
     }
 
     /// Folds one generation's evaluation results back into the frontier,
-    /// serially in spec order: counters accrue per spec, within-generation
-    /// duplicate canonicals collapse to their first occurrence, and
-    /// accepted nodes are appended sorted by canonical pattern *value*
-    /// (never by [`PatternId`] — ids depend on thread interleaving).
-    fn merge_generation(&self, outcomes: Vec<Option<Evaluated>>, exp: &mut Expansion) {
+    /// serially in spec order: counters accrue per spec (one memo hit or
+    /// one memo miss per evaluation), and accepted nodes are appended
+    /// sorted by canonical pattern *value* (never by [`PatternId`] — ids
+    /// depend on thread interleaving).
+    fn merge_generation(
+        &self,
+        outcomes: Vec<Option<Evaluated>>,
+        threshold: Threshold,
+        exp: &mut Expansion,
+    ) {
         let stats = &mut exp.stats;
-        let mut seen: HashSet<PatternId> = HashSet::new();
         let mut accepted: Vec<Node> = Vec::new();
         for outcome in outcomes {
             stats.candidates_considered += 1;
             let Some(ev) = outcome else { continue };
-            // Count the work that was actually done — batch within-generation
-            // duplicates were each evaluated against the frozen frontier.
             stats.rows_probed += ev.work.rows_probed;
             stats.pairs_matched += ev.work.pairs_matched;
             stats.delta_rows_joined += ev.work.delta_rows;
             for _ in 0..ev.work.pair_stages {
                 stats.count_pick(self.config.join_impl);
             }
-            if ev.via_cache {
+            if ev.via_memo {
                 stats.cache_hits += 1;
             } else {
-                if ev.consulted {
-                    stats.cache_misses += 1;
-                }
+                stats.cache_misses += 1;
                 stats.joins_executed += 1;
-                if ev.materialized {
+                if ev.work.materialized {
                     stats.tables_materialized += 1;
                 } else {
                     stats.tables_pruned += 1;
                 }
             }
-            if !seen.insert(ev.id) || !ev.accepted {
+            if !threshold.accepts(ev.support, ev.freq) {
                 continue;
             }
             accepted.push(Node {
@@ -1132,16 +1234,16 @@ impl<'a> WindowMiner<'a> {
 
     /// Algorithm 1's tail, shared by batch mining and a sealing streamed
     /// window: the most-specific filter (line 16), one [`FoundPattern`] per
-    /// node, and relative mining from each most specific pattern over the
-    /// final stage's `rows`. Counts into `stats`.
+    /// node, and relative mining from each most specific pattern at the
+    /// final `stage`, against the window's memo. Returns the patterns and
+    /// the tail's counters.
     pub(crate) fn finish(
         &self,
         nodes: Vec<Node>,
-        rows: &ShapeRows,
+        stage: &impl Stage,
+        memo: &mut WindowMemo,
         seed: TypeId,
-        pool: Option<&MiningPool>,
-        stats: &mut MineStats,
-    ) -> Vec<FoundPattern> {
+    ) -> (Vec<FoundPattern>, MineStats) {
         let all: Vec<Pattern> = nodes.iter().map(|n| n.canonical.clone()).collect();
         let keep: HashSet<Pattern> = crate::pattern::most_specific(&all, self.universe.taxonomy())
             .into_iter()
@@ -1158,28 +1260,30 @@ impl<'a> WindowMiner<'a> {
                 rel_patterns: Vec::new(),
             })
             .collect();
+        let mut stats = MineStats::default();
         if self.config.mine_relative {
             for p in patterns.iter_mut().filter(|p| p.most_specific) {
-                let (rels, rel_stats) = self.mine_relative(rows, seed, p, pool);
+                let (rels, rel_stats) = self.mine_relative(stage, memo, seed, p);
                 stats.absorb(&rel_stats);
                 p.rel_patterns = rels;
             }
         }
         stats.patterns_found = patterns.len();
         stats.most_specific_found = patterns.iter().filter(|p| p.most_specific).count();
-        patterns
+        (patterns, stats)
     }
 
     /// Mines the relative frequent patterns of `parent` (Def. 3.5): the
     /// expansion restarts from the parent pattern itself, accepting
     /// extensions whose *relative* frequency meets τ_rel but whose absolute
-    /// frequency fell below τ. Returns (patterns, work counters).
+    /// frequency fell below τ. The absolute expansion's memos answer every
+    /// candidate it already scored. Returns (patterns, work counters).
     fn mine_relative(
         &self,
-        rows: &ShapeRows,
+        stage: &impl Stage,
+        memo: &mut WindowMemo,
         seed: TypeId,
         parent: &FoundPattern,
-        pool: Option<&MiningPool>,
     ) -> (Vec<RelPattern>, MineStats) {
         let pid = self.interner.intern(&parent.pattern);
         // A fresh tested set — the absolute phase's pairs are deliberately
@@ -1191,7 +1295,7 @@ impl<'a> WindowMiner<'a> {
             id: pid,
             wp: parent.working.clone(),
             canonical: parent.pattern.clone(),
-            table: parent.table.clone(),
+            table: Arc::clone(&parent.table),
             support: parent.support,
             freq: parent.frequency,
         });
@@ -1202,24 +1306,16 @@ impl<'a> WindowMiner<'a> {
                 "[rel] parent support={} len={} shapes={} tau_rel={}",
                 parent_support,
                 parent.working.len(),
-                rows.len(),
+                stage.shapes().len(),
                 self.config.tau_rel
             );
         }
         // Child support is always measured against the *original* parent.
-        let joins = Joins {
-            rows,
-            seed,
-            threshold: Threshold::Relative {
-                parent_support,
-                tau_rel: self.config.tau_rel,
-            },
-            cache_ctx: None,
-            pool,
+        let threshold = Threshold::Relative {
+            parent_support,
+            tau_rel: self.config.tau_rel,
         };
-        self.grow(&sorted_shapes(rows), &mut exp, |specs, exp| {
-            joins.evaluate(self, specs, exp)
-        });
+        self.grow(stage, memo, seed, threshold, &mut exp);
 
         // Most specific among the relative patterns (excluding the parent).
         let rel_nodes = &exp.nodes[1..];
@@ -1345,10 +1441,17 @@ impl MineState {
     fn new() -> Self {
         Self {
             rows: HashMap::new(),
-            fetched_types: BTreeSet::new(),
+            fetched: Vec::new(),
             fetched_entities: HashSet::new(),
             stats: MineStats::default(),
             degraded: DegradedCoverage::default(),
+        }
+    }
+
+    /// Records `ty` as fetched.
+    fn fetch(&mut self, ty: TypeId) {
+        if !self.fetched.contains(&ty) {
+            self.fetched.push(ty);
         }
     }
 }
@@ -1460,8 +1563,10 @@ mod tests {
         assert_eq!(r.stats.most_specific_found, r.most_specific().count());
         assert_eq!(r.stats.patterns_found, r.patterns.len());
         // Every executed join either materialized its output or was pruned
-        // off the pair stream (40 = 4 + 36).
-        let pinned = [44, 40, 0, 0, 4, 36, 180, 24, 40, 0, 0, 8, 1];
+        // off the pair stream (34 = 4 + 30), and is a memo miss; relative
+        // mining's 4 candidates were all scored by the absolute expansion,
+        // so the memo serves them.
+        let pinned = [44, 34, 4, 34, 4, 30, 154, 24, 34, 0, 0, 8, 1];
         assert_eq!(work_counters(&r.stats), pinned);
     }
 

@@ -107,8 +107,9 @@ pub fn run_windows(
 /// windows fanned out over `pool` ([`run_windows`]). Attach the same pool
 /// to the miner ([`WindowMiner::with_pool`]) and each miner nests its
 /// candidate-evaluation batches into it, so a single slow window spreads
-/// over every idle worker; Algorithm 2 builds one pool and one set of
-/// caches and reuses them across every refinement iteration.
+/// over every idle worker. Each window is mined with a fresh memo;
+/// Algorithm 2 calls [`run_windows`] itself to keep memos across
+/// iterations.
 pub fn mine_windows(
     miner: &WindowMiner<'_>,
     seed: TypeId,

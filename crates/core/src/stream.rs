@@ -52,23 +52,18 @@
 //! [`DegradedCoverage::late_revisions`] — never silently dropped.
 
 use crate::abstract_action::AbstractAction;
-use crate::cache::MiningCaches;
+use crate::cache::{MiningCaches, WindowMemo};
 use crate::config::{MinerConfig, StreamPolicy, WcConfig};
 use crate::degraded::DegradedCoverage;
-use crate::interner::PatternId;
-use crate::miner::{
-    candidate_glue, pair_stage, sorted_shapes, CandidateSpec, Evaluated, Expansion, MineStats,
-    Node, Stage, Threshold, WindowMiner, WindowResult, Work,
-};
+use crate::miner::{sorted_shapes, FoundPattern, MineStats, Stage, WindowMiner, WindowResult};
 use crate::pattern::WorkingPattern;
-use crate::realization::{
-    action_realizations, frequency_from_support, support_from_distinct, Shape, ShapeRows,
-};
+use crate::pool::MiningPool;
+use crate::realization::{action_realizations, Shape, ShapeRows};
 use crate::windows::{Discoveries, WcResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use wiclean_rel::{distinct_left_values, materialize_pairs, EntitySet, Table};
+use wiclean_rel::Table;
 use wiclean_revstore::{reduce_actions, FeedEvent, FetchError, RevisionFeed, RevisionStore};
 use wiclean_types::{EntityId, Taxonomy, Timestamp, TypeId, Universe, Window};
 
@@ -132,7 +127,9 @@ struct FoldedTable {
     /// right side of *every* candidate of the shape — the glue plan is
     /// index-based and names output columns itself).
     action: AbstractAction,
-    table: Table,
+    /// Shared with the singleton nodes of a refresh, which are gone by the
+    /// next fold.
+    table: Arc<Table>,
     rows_folded: usize,
 }
 
@@ -141,7 +138,7 @@ impl FoldedTable {
         let (op, s, r, t) = shape;
         let action = WorkingPattern::singleton(op, s, r, t).actions()[0];
         Self {
-            table: action_realizations(&action, &[], universe),
+            table: Arc::new(action_realizations(&action, &[], universe)),
             action,
             rows_folded: 0,
         }
@@ -151,39 +148,10 @@ impl FoldedTable {
     fn fold(&mut self, rows: &[(EntityId, EntityId)], universe: &Universe) {
         if self.rows_folded < rows.len() {
             let fresh = action_realizations(&self.action, &rows[self.rows_folded..], universe);
-            self.table.extend_dedup(&fresh);
+            Arc::make_mut(&mut self.table).extend_dedup(&fresh);
             self.rows_folded = rows.len();
         }
     }
-}
-
-/// One candidate's memo in its window: what its last evaluation computed,
-/// the input lengths it saw, and the provenance that says whether it can
-/// be reused. A refresh that finds longer inputs delta-joins only the
-/// appended rows, unions the new matches into `distinct` and re-derives
-/// support from it (monotone under appends, so nothing is rescanned).
-struct Memo {
-    /// Fetched-type stage the memo was computed at.
-    fetched: BTreeSet<TypeId>,
-    /// Construction path (action order) it was computed along.
-    path: Vec<AbstractAction>,
-    /// Bumped whenever the table is rebuilt rather than extended: the
-    /// length guards are only sound when the parent table evolved
-    /// append-only from what the memo saw, and `gen` is that proof.
-    gen: u64,
-    /// The parent's `gen` when this memo was computed.
-    parent_gen: u64,
-    /// Materialized realization table (`None` while the candidate is
-    /// pruned; a later acceptance re-joins from scratch, as in batch).
-    table: Option<Table>,
-    support: usize,
-    freq: f64,
-    /// Parent (left) table length when last computed.
-    left_len: usize,
-    /// Action (right) table length when last computed.
-    right_len: usize,
-    /// Distinct non-null source values over all pairs matched so far.
-    distinct: EntitySet,
 }
 
 /// Concrete rows per shape, stamped with the contributing entity.
@@ -207,7 +175,7 @@ struct WindowState {
     /// Per-stage folded realization tables (stage = fetched-type set).
     tables: HashMap<BTreeSet<TypeId>, HashMap<Shape, FoldedTable>>,
     /// Candidate memos, dropped on fallback and with the window at seal.
-    memo: HashMap<PatternId, Memo>,
+    memo: WindowMemo,
     stats: MineStats,
 }
 
@@ -222,7 +190,10 @@ impl WindowState {
             loaded_types: HashSet::new(),
             rows: HashMap::new(),
             tables: HashMap::new(),
-            memo: HashMap::new(),
+            memo: WindowMemo {
+                growing: true,
+                ..WindowMemo::default()
+            },
             stats: MineStats::default(),
         }
     }
@@ -324,7 +295,7 @@ impl WindowState {
         self.stats.full_remine_fallbacks += 1;
         self.rows.clear();
         self.tables.clear();
-        self.memo.clear();
+        self.memo.entries.clear();
         let mut entities: Vec<EntityId> = self.contrib.keys().copied().collect();
         entities.sort_by_key(|e| e.as_u32());
         for e in entities {
@@ -335,37 +306,51 @@ impl WindowState {
     }
 
     /// One refresh: absorb dirty entities, then run the batch expansion
-    /// loop ([`WindowMiner::expand`]) with this window's stages and memo.
-    /// Returns the surviving frequent nodes, the final fetched-type set
-    /// and that stage's rows. Extraction (re-extracting dirty entities,
-    /// loading a type) is timed as `preprocess`, the rest of the refresh
-    /// as `mine`, so each instant counts once.
+    /// loop ([`WindowMiner::expand`]) with this window's stages and memo;
+    /// to `seal`, also the batch miner's tail ([`WindowMiner::finish`]).
+    /// Returns the found patterns (none unless sealing) and the final
+    /// fetched-type set. Extraction (re-extracting dirty entities, loading
+    /// a type) is timed as `preprocess`, the rest of the refresh as
+    /// `mine`, so each instant counts once.
     fn refresh(
         &mut self,
         miner: &WindowMiner<'_>,
         universe: &Universe,
         seed: TypeId,
-    ) -> (Vec<Node>, BTreeSet<TypeId>, ShapeRows) {
+        seal: bool,
+    ) -> (Vec<FoundPattern>, BTreeSet<TypeId>) {
         let t0 = Instant::now();
         let preprocess0 = self.stats.preprocess;
         self.since_refresh = 0;
         if self.absorb_dirty(miner) {
             self.rebuild_from_contributions();
         }
+        let mut memo = std::mem::take(&mut self.memo);
         let mut stage = StreamStage {
             ws: self,
             universe,
-            seed,
             fetched: BTreeSet::new(),
+            key: Vec::new(),
             rows: ShapeRows::new(),
+            tables: HashMap::new(),
         };
         stage.fetch(miner, BTreeSet::from([seed]));
-        let exp = miner.expand(&mut stage, seed, false);
-        let StreamStage { fetched, rows, .. } = stage;
+        let exp = miner.expand(&mut stage, &mut memo, seed, false);
+        let (patterns, tail) = if seal {
+            miner.finish(exp.nodes, &stage, &mut memo, seed)
+        } else {
+            Default::default()
+        };
+        let StreamStage {
+            fetched, tables, ..
+        } = stage;
+        self.tables.insert(fetched.clone(), tables);
+        self.memo = memo;
         self.stats.absorb(&exp.stats);
+        self.stats.absorb(&tail);
         let extracting = self.stats.preprocess - preprocess0;
         self.stats.mine += t0.elapsed().saturating_sub(extracting);
-        (exp.nodes, fetched, rows)
+        (patterns, fetched)
     }
 
     /// Ensures every entity of `ty` has a memoized contribution (the
@@ -403,23 +388,6 @@ impl WindowState {
         }
         out
     }
-
-    /// Folds the stage's per-shape realization tables up to the current
-    /// row store.
-    fn fold_stage(
-        &mut self,
-        universe: &Universe,
-        fetched: &BTreeSet<TypeId>,
-        stage_rows: &ShapeRows,
-    ) {
-        let stage = self.tables.entry(fetched.clone()).or_default();
-        for (&shape, rows) in stage_rows {
-            stage
-                .entry(shape)
-                .or_insert_with(|| FoldedTable::new(shape, universe))
-                .fold(rows, universe);
-        }
-    }
 }
 
 /// Every entity of the `fetched` types.
@@ -456,221 +424,56 @@ fn extract_contribution(
 
 /// A window refresh's side of [`WindowMiner::expand`]: each fetched-type
 /// stage's rows are the stamped row store filtered to the stage's
-/// entities, singleton tables come from the stage's folded tables, and
-/// candidates are evaluated in spec order against the window's memo.
+/// entities, and its action tables are the stage's folded tables.
 struct StreamStage<'w> {
     ws: &'w mut WindowState,
     universe: &'w Universe,
-    seed: TypeId,
     fetched: BTreeSet<TypeId>,
+    /// `fetched` as the memo's stage key. A stage's rows are in arrival
+    /// order, whatever order its types were fetched in.
+    key: Vec<TypeId>,
     /// The current stage's rows.
     rows: ShapeRows,
+    /// The current stage's folded tables, taken out of the window's while
+    /// the stage lasts.
+    tables: HashMap<Shape, FoldedTable>,
 }
 
 impl Stage for StreamStage<'_> {
-    fn evaluate(
-        &mut self,
-        miner: &WindowMiner<'_>,
-        specs: &[CandidateSpec],
-        exp: &Expansion,
-    ) -> Vec<Option<Evaluated>> {
-        let WindowState { memo, tables, .. } = &mut *self.ws;
-        let mut memo_eval = MemoEval {
-            memo,
-            tables: &tables[&self.fetched],
-            fetched: &self.fetched,
-            universe: self.universe,
-            seed: self.seed,
-            seen: HashSet::new(),
-        };
-        specs
-            .iter()
-            .map(|spec| memo_eval.candidate(miner, exp, spec))
-            .collect()
-    }
-
-    fn fetched(&self) -> &BTreeSet<TypeId> {
-        &self.fetched
+    fn key(&self) -> &[TypeId] {
+        &self.key
     }
 
     fn shapes(&self) -> Vec<Shape> {
         sorted_shapes(&self.rows)
     }
 
-    fn singleton_table(&self, _: &WindowMiner<'_>, action: &AbstractAction) -> Table {
-        self.ws.tables[&self.fetched][&action.shape()].table.clone()
+    fn table(&self, _: &WindowMiner<'_>, action: &AbstractAction) -> Arc<Table> {
+        Arc::clone(&self.tables[&action.shape()].table)
     }
 
+    /// Moves to the next stage, folding its tables up to its rows.
     fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>) {
+        let done = std::mem::take(&mut self.tables);
+        if !done.is_empty() {
+            self.ws.tables.insert(self.fetched.clone(), done);
+        }
         for ty in types {
             self.fetched.insert(ty);
             self.ws.load_type(miner, self.universe, ty);
         }
+        self.key = self.fetched.iter().copied().collect();
         self.rows = self.ws.stage_rows(self.universe, &self.fetched);
-        self.ws.fold_stage(self.universe, &self.fetched, &self.rows);
-    }
-}
-
-/// One generation's memo evaluation in a window: the window's memos and
-/// the stage's folded tables, looked up once per generation.
-struct MemoEval<'a> {
-    memo: &'a mut HashMap<PatternId, Memo>,
-    tables: &'a HashMap<Shape, FoldedTable>,
-    fetched: &'a BTreeSet<TypeId>,
-    universe: &'a Universe,
-    seed: TypeId,
-    /// Ids already evaluated in this generation.
-    seen: HashSet<PatternId>,
-}
-
-impl MemoEval<'_> {
-    /// Evaluates one candidate extension against its memo: a pure hit when
-    /// nothing grew, a delta join over only the appended rows when the
-    /// inputs grew append-only, and a full (batch-identical) join
-    /// otherwise. `None` when the canonical form is already accepted or
-    /// was already evaluated in this generation (`seen`).
-    fn candidate(
-        &mut self,
-        miner: &WindowMiner<'_>,
-        exp: &Expansion,
-        spec: &CandidateSpec,
-    ) -> Option<Evaluated> {
-        let parent = &exp.nodes[spec.parent];
-        let ext = parent.wp.extended_with(spec.action);
-        let (id, canonical) = miner.interner().intern_working(&ext);
-        if exp.found.contains(&id) || !self.seen.insert(id) {
-            // Already accepted, or already evaluated this generation via an
-            // earlier construction path. Support, frequency and the accept
-            // decision are path-independent, and batch keeps the first
-            // evaluation per id too — skipping repeats both matches batch
-            // output and keeps the memo path stable (a candidate reachable
-            // along two paths would otherwise flip its memoized path every
-            // refresh and never hit).
-            return None;
+        self.tables = self.ws.tables.remove(&self.fetched).unwrap_or_default();
+        for (&shape, rows) in &self.rows {
+            let folded = self.tables.entry(shape);
+            let folded = folded.or_insert_with(|| FoldedTable::new(shape, self.universe));
+            folded.fold(rows, self.universe);
         }
-        let (universe, seed) = (self.universe, self.seed);
-        let threshold = Threshold::Frequency(miner.config().tau);
-        let join_impl = miner.config().join_impl;
-        let (memo, fetched) = (&mut *self.memo, self.fetched);
+    }
 
-        let left = &parent.table;
-        let right = &self.tables[&spec.action.shape()].table;
-        // The parent's table lineage: singleton tables are folded append-only
-        // (generation 0 forever); joined tables carry their own memo's
-        // generation.
-        let parent_gen = if parent.wp.len() == 1 {
-            0
-        } else {
-            memo.get(&parent.id).map_or(u64::MAX, |m| m.gen)
-        };
-        let mut work = Work::default();
-        let (table, support, freq, via_cache, materialized) = 'eval: {
-            // Memo consult: a memo is only trustworthy when it was computed at
-            // this exact stage, along this exact construction path, against a
-            // parent table that has only grown since.
-            if let Some(m) = memo.get_mut(&id).filter(|m| {
-                m.fetched == *fetched && m.path == ext.actions() && m.parent_gen == parent_gen
-            }) {
-                let grown = m.left_len < left.len() || m.right_len < right.len();
-                debug_assert!(m.left_len <= left.len() && m.right_len <= right.len());
-                // A pruned-but-now-accepted memo can't occur at fixed tau
-                // (support is monotone), but fall through to the full path
-                // defensively rather than return an accepted node sans table.
-                let pruned_now_accepted = threshold.accepts(m.support, m.freq) && m.table.is_none();
-                if !grown && !pruned_now_accepted {
-                    break 'eval (m.table.clone(), m.support, m.freq, true, false);
-                }
-                if grown && !pruned_now_accepted {
-                    // Delta join: only pairs touching appended rows. Support is
-                    // updated incrementally for accepted AND pruned memos — a
-                    // pruned candidate keeps its distinct set current without
-                    // ever materializing a table, until the appended rows push
-                    // it over τ.
-                    let glue =
-                        candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-                    let marks = (m.left_len, m.right_len);
-                    let delta = pair_stage(join_impl, left, right, &glue, Some(marks));
-                    work.pair_stages += 1;
-                    work.delta_rows += (left.len() - marks.0 + right.len() - marks.1) as u64;
-                    for v in distinct_left_values(left, 0, &delta) {
-                        m.distinct.insert(v);
-                    }
-                    let support = support_from_distinct(&m.distinct, seed, universe);
-                    let freq = frequency_from_support(support, seed, universe);
-                    // The appended rows pushing a pruned candidate over τ need a
-                    // realization table, which only a full materialization can
-                    // provide — fall through (a one-time cost; every later
-                    // refresh extends the table by delta). Otherwise the memo
-                    // absorbs the delta in place; its generation is unchanged,
-                    // since nothing was rebuilt.
-                    if m.table.is_some() || !threshold.accepts(support, freq) {
-                        let table = m.table.as_mut().map(|table| {
-                            debug_assert!(
-                                threshold.accepts(support, freq),
-                                "support is monotone under appends at fixed tau"
-                            );
-                            table.extend_dedup(&materialize_pairs(left, right, &glue, &delta));
-                            table.clone()
-                        });
-                        (m.support, m.freq) = (support, freq);
-                        (m.left_len, m.right_len) = (left.len(), right.len());
-                        work.rows_probed = left.len() - marks.0;
-                        work.pairs_matched = delta.len();
-                        let materialized = table.is_some();
-                        break 'eval (table, support, freq, false, materialized);
-                    }
-                }
-                // A pruned memo whose candidate the grown data now accepts (or
-                // the defensive no-growth anomaly): fall through to the full
-                // join, exactly as batch does.
-            }
-
-            // Full evaluation — byte-identical to the batch candidate path.
-            let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
-            let pairs = pair_stage(join_impl, left, right, &glue, None);
-            work.pair_stages += 1;
-            work.rows_probed = left.len();
-            work.pairs_matched = pairs.len();
-            let distinct = distinct_left_values(left, 0, &pairs);
-            let support = support_from_distinct(&distinct, seed, universe);
-            let freq = frequency_from_support(support, seed, universe);
-            let accepted = threshold.accepts(support, freq);
-            let table = accepted.then(|| {
-                let mut t = materialize_pairs(left, right, &glue, &pairs);
-                t.dedup();
-                t
-            });
-            let gen = memo.get(&id).map_or(0, |m| m.gen + 1);
-            memo.insert(
-                id,
-                Memo {
-                    fetched: fetched.clone(),
-                    path: ext.actions().to_vec(),
-                    gen,
-                    parent_gen,
-                    table: table.clone(),
-                    support,
-                    freq,
-                    left_len: left.len(),
-                    right_len: right.len(),
-                    distinct,
-                },
-            );
-            (table, support, freq, false, accepted)
-        };
-        Some(Evaluated {
-            id,
-            canonical,
-            ext,
-            table,
-            support,
-            freq,
-            via_cache,
-            consulted: true,
-            accepted: threshold.accepts(support, freq),
-            materialized,
-            work,
-        })
+    fn pool(&self) -> Option<&MiningPool> {
+        None
     }
 }
 
@@ -844,10 +647,7 @@ impl<'u> StreamMiner<'u> {
         let Some(mut ws) = self.windows.remove(&start) else {
             return;
         };
-        {
-            let miner = self.miner();
-            ws.refresh(&miner, self.universe, self.seed);
-        }
+        ws.refresh(&self.miner(), self.universe, self.seed, false);
         self.windows.insert(start, ws);
     }
 
@@ -872,39 +672,12 @@ impl<'u> StreamMiner<'u> {
         let Some(mut ws) = self.windows.remove(&start) else {
             return;
         };
-        let result = {
-            let miner = self.miner();
-            let (nodes, fetched, rows) = ws.refresh(&miner, self.universe, self.seed);
-            self.finish_window(&miner, ws, nodes, (&fetched, &rows), t0)
-        };
-        self.sealed_high = self.sealed_high.max(result.window.end);
-        self.stats.absorb(&result.stats);
-        self.sealed.push(result);
-    }
-
-    /// Turns a refreshed window's final nodes, fetched types and stage rows
-    /// into a batch-shaped [`WindowResult`]: the batch miner's tail
-    /// ([`WindowMiner::finish`]), then batch-equivalent extraction and
-    /// degraded accounting.
-    fn finish_window(
-        &self,
-        miner: &WindowMiner<'_>,
-        mut ws: WindowState,
-        nodes: Vec<Node>,
-        (fetched, rows): (&BTreeSet<TypeId>, &ShapeRows),
-        sealed_at: Instant,
-    ) -> WindowResult {
-        // The most-specific filter and relative mining are mining, as in
-        // the batch miner's clock.
-        let t0 = Instant::now();
-        let patterns = miner.finish(nodes, rows, self.seed, None, &mut ws.stats);
-        ws.stats.mine += t0.elapsed();
-
+        let (patterns, fetched) = ws.refresh(&self.miner(), self.universe, self.seed, true);
         // Batch-equivalent extraction accounting over the final fetched
         // set (a retraction fallback can leave extra loaded entities whose
         // types the final expansion never mentioned — they contribute
         // nothing, exactly as if batch never fetched them).
-        let loadset = entities_of(self.universe, fetched);
+        let loadset = entities_of(self.universe, &fetched);
         let mut stats = ws.stats;
         stats.entities_processed = 0;
         stats.actions_extracted = 0;
@@ -931,16 +704,18 @@ impl<'u> StreamMiner<'u> {
             .any(|l| self.universe.entity_has_type(l.entity, self.seed));
 
         stats.windows_sealed += 1;
-        stats.stream_lag_us += sealed_at.elapsed().as_micros() as u64;
+        stats.stream_lag_us += t0.elapsed().as_micros() as u64;
 
-        WindowResult {
+        self.sealed_high = self.sealed_high.max(ws.window.end);
+        self.stats.absorb(&stats);
+        self.sealed.push(WindowResult {
             window: ws.window,
             seed: self.seed,
             taxonomy: Some(Arc::clone(&self.taxonomy)),
             patterns,
             stats,
             degraded,
-        }
+        });
     }
 }
 
@@ -1149,16 +924,16 @@ mod tests {
         let fx = soccer_fixture();
         let (sm, mut ws) = unrefreshed_window(&fx);
         let miner = sm.miner();
-        ws.refresh(&miner, &fx.universe, fx.player_ty);
+        ws.refresh(&miner, &fx.universe, fx.player_ty, false);
         let first = ws.stats.clone();
         let evaluated = first.cache_hits + first.cache_misses;
         assert!(
             first.joins_executed > 0,
             "the first refresh joins: {first:?}"
         );
-        assert!(!ws.memo.is_empty());
+        assert!(!ws.memo.entries.is_empty());
 
-        ws.refresh(&miner, &fx.universe, fx.player_ty);
+        ws.refresh(&miner, &fx.universe, fx.player_ty, false);
         let second = &ws.stats;
         assert_eq!(second.joins_executed, first.joins_executed, "no join ran");
         assert_eq!(second.cache_misses, first.cache_misses);
@@ -1175,18 +950,18 @@ mod tests {
     fn fallback_empties_the_memo_and_rejoins_like_a_fresh_window() {
         let fx = soccer_fixture();
         let (fresh_sm, mut fresh) = unrefreshed_window(&fx);
-        fresh.refresh(&fresh_sm.miner(), &fx.universe, fx.player_ty);
+        fresh.refresh(&fresh_sm.miner(), &fx.universe, fx.player_ty, false);
         let fresh_joins = fresh.stats.joins_executed;
         assert!(fresh_joins > 0);
 
         let (sm, mut ws) = unrefreshed_window(&fx);
         let miner = sm.miner();
-        ws.refresh(&miner, &fx.universe, fx.player_ty);
-        assert!(!ws.memo.is_empty());
+        ws.refresh(&miner, &fx.universe, fx.player_ty, false);
+        assert!(!ws.memo.entries.is_empty());
         ws.rebuild_from_contributions();
-        assert!(ws.memo.is_empty(), "the fallback drops every memo");
+        assert!(ws.memo.entries.is_empty(), "the fallback drops every memo");
         let before = ws.stats.joins_executed;
-        ws.refresh(&miner, &fx.universe, fx.player_ty);
+        ws.refresh(&miner, &fx.universe, fx.player_ty, false);
         assert_eq!(ws.stats.joins_executed - before, fresh_joins);
     }
 
@@ -1205,7 +980,7 @@ mod tests {
             assert_equivalent(streamed, &batch);
         }
         assert!(sm.stats().windows_sealed >= 2, "both halves sealed");
-        let pinned = [96, 38, 34, 34, 4, 34, 152, 16, 38, 0, 0, 8, 1];
+        let pinned = [96, 34, 38, 34, 4, 30, 136, 16, 34, 0, 0, 8, 1];
         assert_eq!(work_counters(sm.stats()), pinned);
     }
 
@@ -1276,9 +1051,9 @@ mod tests {
         let batch = WindowMiner::new(&batch_store, &fx.universe, fx.config())
             .mine_window(fx.player_ty, &fx.window);
         assert_equivalent(streamed, &batch);
-        // A retraction-fallback round: two pair stages (103 picks for 99
+        // A retraction-fallback round: two pair stages (101 picks for 97
         // joins) wherever a delta join lifts a pruned candidate over τ.
-        let pinned = [185, 99, 32, 90, 9, 90, 274, 61, 103, 44, 1, 4, 1];
+        let pinned = [185, 97, 34, 97, 9, 88, 266, 59, 101, 44, 1, 4, 1];
         assert_eq!(work_counters(sm.stats()), pinned);
     }
 

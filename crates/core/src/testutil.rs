@@ -97,7 +97,7 @@ impl Fixture {
 }
 
 /// The work counters the fixture runs pin exactly: candidates, joins,
-/// cache hits, cache misses, tables materialized, tables pruned, rows
+/// memo hits, memo misses, tables materialized, tables pruned, rows
 /// probed, pairs matched, hash pair stages, delta rows joined, fallbacks,
 /// patterns found, most specific found. A change to the mining loop that
 /// moves one changed what work runs, not only where it runs.

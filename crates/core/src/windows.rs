@@ -8,13 +8,14 @@
 //! one-year window and τ ≥ 0.2. (The paper's §6.4 grid search selected
 //! exactly this policy.)
 
-use crate::cache::MiningCaches;
+use crate::cache::{MiningCaches, WindowMemo};
 use crate::config::WcConfig;
 use crate::degraded::DegradedCoverage;
 use crate::miner::{MineStats, RelPattern, WindowMiner, WindowResult};
-use crate::parallel::{mine_windows, WindowFailure};
+use crate::parallel::{run_windows, WindowFailure};
 use crate::pattern::{most_specific, Pattern, WorkingPattern};
 use crate::pool::MiningPool;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wiclean_revstore::FetchSource;
@@ -194,12 +195,16 @@ pub fn find_windows_and_patterns(
     // dimensions, one dimension's step may add nothing while the other's
     // next step would; stop only after both consecutive steps are barren.
     let mut barren = 0usize;
-    // Candidate realization tables and preprocessing outcomes survive
-    // across refinement iterations; widened windows tile exactly from the
-    // previous iteration's sub-windows (split_span always starts at
-    // timeline_start), so the action cache composes them without
-    // re-diffing any wikitext.
+    // Preprocessing outcomes survive across refinement iterations; widened
+    // windows tile exactly from the previous iteration's sub-windows
+    // (split_span always starts at timeline_start), so the action cache
+    // composes them without re-diffing any wikitext.
     let caches = MiningCaches::from_config(config);
+    // Each window's candidate memo, kept into the next iteration only when
+    // that iteration lowers τ over the same windows. A window whose worker
+    // panicked never puts its memo back, so it starts the next iteration
+    // empty.
+    let mut memos: Mutex<HashMap<Window, WindowMemo>> = Mutex::default();
     // One pool for the whole search: its workers serve both window-level
     // tasks and the miners' intra-window candidate batches, across every
     // refinement iteration.
@@ -213,7 +218,12 @@ pub fn find_windows_and_patterns(
         let miner = WindowMiner::new(source, universe, miner_config)
             .with_caches(caches.clone())
             .with_pool(Arc::clone(&pool));
-        let outcomes = mine_windows(&miner, seed, &windows, &pool);
+        let outcomes = run_windows(&windows, seed, &pool, |w| {
+            let mut memo = memos.lock().remove(w).unwrap_or_default();
+            let result = miner.mine_window_with(seed, w, &mut memo);
+            memos.lock().insert(*w, memo);
+            result
+        });
         let mut results = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             match outcome {
@@ -268,6 +278,7 @@ pub fn find_windows_and_patterns(
         if (step == 0 && can_widen) || !can_lower {
             width = ((width as f64) * config.policy.window_factor).round() as u64;
             width = width.min(config.max_window);
+            memos.get_mut().clear();
         } else {
             tau *= 1.0 - config.policy.tau_reduction;
             tau = tau.max(config.min_tau);
@@ -383,12 +394,12 @@ mod cache_tests {
     use super::*;
     use crate::pattern::Pattern as P;
     use crate::testutil::soccer_fixture;
-    use std::collections::BTreeSet;
 
-    #[test]
-    fn cached_search_equals_uncached_search() {
-        let fx = soccer_fixture();
-        let base = WcConfig {
+    /// A search over the fixture whose last iteration lowers τ over the
+    /// windows the previous one mined: half-width windows at τ 0.8, then
+    /// the full window (the width bound), then τ 0.64 at that width.
+    fn tau_lowering_config(fx: &crate::testutil::Fixture, threads: usize) -> WcConfig {
+        WcConfig {
             w_min: fx.window.len() / 2,
             tau0: 0.8,
             max_window: fx.window.len(),
@@ -396,43 +407,79 @@ mod cache_tests {
             timeline_start: 0,
             timeline_end: fx.window.end,
             miner: fx.config(),
-            threads: 1,
+            threads,
             ..WcConfig::default()
+        }
+    }
+
+    /// Everything a window's mining produced but its counters: patterns,
+    /// their tables, supports and relative patterns, and the coverage.
+    fn digest(r: &WindowResult) -> String {
+        format!("{:?} {:?} {:?}", r.window, r.patterns, r.degraded)
+    }
+
+    #[test]
+    fn memo_kept_across_tau_lowering_equals_fresh_mining() {
+        let fx = soccer_fixture();
+        let config = tau_lowering_config(&fx, 1);
+        let result = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &config);
+        assert_eq!(result.iterations, 3);
+        assert_eq!(result.final_width, config.max_window);
+        assert!(
+            result.final_tau < config.tau0,
+            "the last iteration lowers τ"
+        );
+
+        // Every window of the last iteration equals a memo-free mine at the
+        // final τ, which runs more joins: the memos kept from the previous
+        // iteration served some of its candidates.
+        let mut final_config = config.miner;
+        final_config.tau = result.final_tau;
+        let miner = WindowMiner::new(&fx.store, &fx.universe, final_config);
+        assert!(!result.window_results.is_empty());
+        let (mut kept_joins, mut fresh_joins) = (0, 0);
+        for kept in &result.window_results {
+            let fresh = miner.mine_window(fx.player_ty, &kept.window);
+            assert_eq!(digest(kept), digest(&fresh));
+            kept_joins += kept.stats.joins_executed;
+            fresh_joins += fresh.stats.joins_executed;
+        }
+        assert!(kept_joins < fresh_joins, "{kept_joins} vs {fresh_joins}");
+        let pinned = [132, 68, 46, 68, 8, 60, 308, 48, 68, 0, 0, 24, 3];
+        assert_eq!(crate::testutil::work_counters(&result.stats), pinned);
+    }
+
+    #[test]
+    fn search_is_identical_at_any_thread_count() {
+        // Memos kept across iterations are written back on the pool's
+        // threads: the search's output and counters must not notice.
+        let fx = soccer_fixture();
+        let untimed = |s: &MineStats| MineStats {
+            preprocess: Default::default(),
+            mine: Default::default(),
+            ..s.clone()
         };
-        let mut with_cache = base;
-        with_cache.use_cache = true;
-        let mut without_cache = base;
-        without_cache.use_cache = false;
-
-        let a = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &with_cache);
-        let b = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &without_cache);
-
-        let pa: BTreeSet<P> = a.discovered.iter().map(|d| d.pattern.clone()).collect();
-        let pb: BTreeSet<P> = b.discovered.iter().map(|d| d.pattern.clone()).collect();
-        assert_eq!(pa, pb, "caching must not change the discovered set");
-        assert_eq!(a.iterations, b.iterations);
-        assert!(a.stats.cache_hits > 0, "refinement re-examines candidates");
-        assert_eq!(b.stats.cache_hits, 0);
-        // Cached runs execute strictly fewer joins.
-        assert!(a.stats.joins_executed < b.stats.joins_executed);
-        let pinned = [132, 84, 36, 72, 8, 76, 376, 48, 84, 0, 0, 24, 3];
-        assert_eq!(crate::testutil::work_counters(&a.stats), pinned);
+        let run = |threads| {
+            let config = tau_lowering_config(&fx, threads);
+            let r = find_windows_and_patterns(&fx.store, &fx.universe, fx.player_ty, &config);
+            let windows: Vec<(String, MineStats)> = r
+                .window_results
+                .iter()
+                .map(|w| (digest(w), untimed(&w.stats)))
+                .collect();
+            (format!("{:?}", r.discovered), windows, untimed(&r.stats))
+        };
+        let one = run(1);
+        assert!(one.1.iter().any(|(_, s)| s.cache_hits > 0));
+        for threads in [2, 8] {
+            assert_eq!(run(threads), one, "threads {threads}");
+        }
     }
 
     #[test]
     fn action_cached_search_equals_uncached_search() {
         let fx = soccer_fixture();
-        let base = WcConfig {
-            w_min: fx.window.len() / 2,
-            tau0: 0.8,
-            max_window: fx.window.len(),
-            min_tau: 0.2,
-            timeline_start: 0,
-            timeline_end: fx.window.end,
-            miner: fx.config(),
-            threads: 1,
-            ..WcConfig::default()
-        };
+        let base = tau_lowering_config(&fx, 1);
         let mut with_cache = base;
         with_cache.use_action_cache = true;
         let mut without_cache = base;

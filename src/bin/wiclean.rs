@@ -244,7 +244,11 @@ fn parse_flags(
         let Some(value) = it.next() else {
             return Err(format!("flag --{name} needs a value"));
         };
-        flags.insert(name.to_owned(), value.clone());
+        // A repeated flag is refused rather than resolved: the last value
+        // silently winning would skip checking the first.
+        if flags.insert(name.to_owned(), value.clone()).is_some() {
+            return Err(format!("flag --{name} is given more than once"));
+        }
     }
     Ok(flags)
 }

@@ -346,6 +346,10 @@ fn bad_invocations_fail_cleanly() {
         ("mine --corpus /tmp/x.json --extract full", 2),
         ("stream --corpus /tmp/x.json --threads 2", 2),
         ("mine --corpus /nonexistent.json --threads 0", 1),
+        // A repeated flag is a usage error, whatever its values: neither
+        // value silently wins, so an invalid one cannot go unchecked.
+        ("mine --corpus /tmp/x.json --corpus /tmp/y.json", 2),
+        ("mine --corpus /nonexistent.json --threads 0 --threads 2", 2),
         ("mine --corpus /nonexistent.json --threads 100000", 1),
         ("stream --corpus /tmp/x.json --replan-factor 2", 2),
         ("detect --corpus /tmp/x.json --durability /tmp/store", 2),
