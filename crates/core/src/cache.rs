@@ -23,6 +23,11 @@
 //!   memo is reused only along its own lineage (`Growth`), served when
 //!   nothing grew and extended by a delta join otherwise.
 //!
+//! A delta join probes persistent join indexes (`JoinIndexes`) rather
+//! than building any: a growing memo keeps the indexes over its table in
+//! its `Growth`, next to the lineage they are only valid for, so a memo
+//! rebuilt by a full join starts without any.
+//!
 //! Anything else is joined in full, and the result replaces the memo.
 
 use crate::abstract_action::AbstractAction;
@@ -30,7 +35,7 @@ use crate::interner::{PatternId, PatternInterner};
 use crate::miner::Threshold;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wiclean_rel::{EntitySet, Table};
+use wiclean_rel::{EntitySet, KeyCols, KeyIndex, Table};
 use wiclean_revstore::ActionCache;
 use wiclean_types::TypeId;
 
@@ -179,6 +184,42 @@ pub(crate) struct Growth {
     pub(crate) right_len: usize,
     /// Distinct non-null source values over all pairs matched so far.
     pub(crate) distinct: EntitySet,
+    /// The join indexes over the memo's table, for the delta joins of the
+    /// candidates it is the parent of.
+    pub(crate) indexes: JoinIndexes,
+}
+
+/// The persistent join indexes over one append-only table, one per
+/// key-column list a delta join has probed it by. Each is built the first
+/// time a delta join needs it and extended wherever its table grows;
+/// whoever rebuilds the table drops them with it.
+#[derive(Default)]
+pub(crate) struct JoinIndexes(pub(crate) Vec<(Vec<usize>, KeyIndex)>);
+
+impl JoinIndexes {
+    /// Builds the index over `table` keyed by `cols`, unless it is there.
+    pub(crate) fn ready(&mut self, table: &Table, cols: &[usize]) {
+        if !self.0.iter().any(|(c, _)| c == cols) {
+            let mut index = KeyIndex::default();
+            index.extend(&KeyCols::new(table, cols), 0..table.len());
+            self.0.push((cols.to_vec(), index));
+        }
+    }
+
+    /// The index keyed by `cols`, once [`JoinIndexes::ready`].
+    pub(crate) fn get(&self, cols: &[usize]) -> &KeyIndex {
+        let found = self.0.iter().find(|(c, _)| c == cols);
+        &found
+            .expect("a delta join's index is readied before it runs")
+            .1
+    }
+
+    /// Extends every index over the rows `table` gained.
+    pub(crate) fn extend(&mut self, table: &Table) {
+        for (cols, index) in &mut self.0 {
+            index.extend(&KeyCols::new(table, cols), index.end()..table.len());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -287,6 +328,7 @@ mod tests {
             left_len: 10,
             right_len: 5,
             distinct: EntitySet::default(),
+            indexes: JoinIndexes::default(),
         };
         let (memo, id) = memo_of(true, Some(growth()));
         let ask =

@@ -21,7 +21,7 @@
 //!    the most specific frequent ones are selected at the end (Def. 3.3).
 
 use crate::abstract_action::AbstractAction;
-use crate::cache::{Answer, Growth, Inputs, Memo, MiningCaches, WindowMemo};
+use crate::cache::{Answer, Growth, Inputs, JoinIndexes, Memo, MiningCaches, WindowMemo};
 use crate::config::{ExpansionMode, JoinImpl, MinerConfig};
 use crate::degraded::DegradedCoverage;
 use crate::interner::{PatternId, PatternInterner};
@@ -37,8 +37,9 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wiclean_rel::{
-    distinct_left_values, join_glue_pairs, join_glue_pairs_delta, join_glue_pairs_delta_nested,
-    materialize_pairs, ColumnGlue, Pair, Table,
+    distinct_left_values, glue_keys, join_glue_pairs, join_glue_pairs_delta,
+    join_glue_pairs_delta_nested, join_glue_pairs_nested, materialize_pairs, ColumnGlue, KeyIndex,
+    Table,
 };
 use wiclean_revstore::{
     reduce_actions, try_extract_actions, ActionCache, CacheLookup, ExtractOutcome, FetchError,
@@ -432,20 +433,46 @@ pub(crate) struct Expansion {
 /// Where an expansion's rows come from: the fetched-type stages of
 /// incremental construction (Algorithm 1 lines 4–8). Batch mining loads
 /// whole types into one row store ([`BatchStage`]); a streamed window
-/// filters its stamped row store to each stage.
+/// folds its stamped row store into each stage's tables.
 pub(crate) trait Stage: Sync {
     /// The types fetched so far, as the key memos record their stage
     /// under: in an order that, with the window, fixes the stage's rows.
     fn key(&self) -> &[TypeId];
     /// The shapes with rows at the current stage, sorted.
     fn shapes(&self) -> Vec<Shape>;
-    /// The realization table of the singleton `action` at the current
-    /// stage, which is also the right side of a join that adds `action`.
-    fn table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Arc<Table>;
+    /// The realization table of `shape` at the current stage: the table of
+    /// its singleton, and the right side of every join that adds an action
+    /// of the shape (the injectivity filter depends only on the shape, and
+    /// the glue plan is index-based and names the output columns itself).
+    /// Built at most once per stage.
+    fn table(&mut self, miner: &WindowMiner<'_>, shape: Shape) -> Arc<Table>;
+    /// Builds the join index keyed by `cols` over the table of `of`,
+    /// unless it is there. Only a streamed stage's rows grow, so only a
+    /// streamed stage delta-joins and holds indexes.
+    fn ready_index(&mut self, of: Folded, cols: &[usize]) {
+        let _ = (of, cols);
+        unreachable!("batch rows never grow, so batch never delta-joins")
+    }
+    /// The join index keyed by `cols` over the table of `of`, once
+    /// [`Stage::ready_index`].
+    fn index(&self, of: Folded, cols: &[usize]) -> &KeyIndex {
+        let _ = (of, cols);
+        unreachable!("batch rows never grow, so batch never delta-joins")
+    }
     /// Fetches every entity of `types` and moves to the stage holding them.
     fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>);
     /// The pool a generation's joins fan out on, if any.
     fn pool(&self) -> Option<&MiningPool>;
+}
+
+/// Which of a streamed stage's tables a delta join's index covers.
+#[derive(Clone, Copy)]
+pub(crate) enum Folded {
+    /// A singleton node's table: its shape's table at the seed stage,
+    /// where the singletons are seeded.
+    Singleton(Shape),
+    /// The shape's table at the current stage: the right side of a join.
+    Action(Shape),
 }
 
 /// The one candidate evaluator: the batch expansion, relative mining and
@@ -453,28 +480,53 @@ pub(crate) trait Stage: Sync {
 ///
 /// 1. Serially, in spec order: intern each candidate, skip one already
 ///    found or already evaluated in this generation, and consult the
-///    window's memo ([`WindowMemo::consult`]).
+///    window's memo ([`WindowMemo::consult`]). A join the memo cannot
+///    answer gets its right-hand table, and a delta join its persistent
+///    join indexes, built here if missing.
 /// 2. On the pool, when one is attached: the full or delta joins the memo
-///    could not answer.
-/// 3. Serially, in spec order: write each join's result back to the memo.
+///    could not answer. Nothing is built or mutated here.
+/// 3. Serially, in spec order: write each join's result back to the memo,
+///    extending the indexes of a table a delta join grew.
 ///
 /// Output is byte-identical at any pool width: the pool only decides
 /// *where* a join runs.
 struct Evaluator<'e, S> {
-    stage: &'e S,
+    stage: &'e mut S,
     memo: &'e mut WindowMemo,
     seed: TypeId,
     threshold: Threshold,
 }
 
-/// A spec the memo could not serve: phase 2 joins it for outcome `slot`,
-/// by delta along the memo's own lineage when `delta`.
+/// A spec the memo could not serve: phase 2 joins it for outcome `slot`.
 struct Job<'s> {
     slot: usize,
     spec: &'s CandidateSpec,
-    delta: bool,
+    glue: Vec<ColumnGlue>,
+    /// The right-hand table: the spec's shape at the current stage.
+    right: Arc<Table>,
+    /// A delta join along the memo's own lineage, if the memo asked for
+    /// one.
+    delta: Option<Delta>,
     /// The parent table's generation (streamed windows only).
     parent_gen: u64,
+}
+
+/// How phase 2 delta-joins a job.
+enum Delta {
+    /// Appended rows probe the persistent indexes found by these keys.
+    Hash(DeltaKeys),
+    /// The nested loop, which needs no index.
+    Nested,
+}
+
+/// Where a hash delta join finds its persistent indexes.
+struct DeltaKeys {
+    /// The table the left index covers (`None`: the parent's memo's), and
+    /// its key columns.
+    left: (Option<Folded>, Vec<usize>),
+    /// The right index's key columns over the shape's table at the current
+    /// stage.
+    right: (Shape, Vec<usize>),
 }
 
 /// What a phase-2 join leaves the memo.
@@ -498,7 +550,7 @@ impl<S: Stage> Evaluator<'_, S> {
     /// outcomes come back in spec order, `None` for a spec whose canonical
     /// form was already accepted or already evaluated in this generation.
     fn run(
-        self,
+        mut self,
         miner: &WindowMiner<'_>,
         specs: &[CandidateSpec],
         exp: &Expansion,
@@ -520,6 +572,7 @@ impl<S: Stage> Evaluator<'_, S> {
                 outcomes.push(None);
                 continue;
             }
+            let shape = spec.action.shape();
             // A singleton's table is folded append-only (generation 0
             // forever); a joined table carries its memo's generation.
             let memo_gen = |id| self.memo.entries.get(&id)?.growth.as_ref().map(|g| g.gen);
@@ -529,7 +582,7 @@ impl<S: Stage> Evaluator<'_, S> {
                     _ => memo_gen(parent.id).unwrap_or(u64::MAX),
                 },
                 left_len: parent.table.len(),
-                right_len: self.stage.table(miner, &spec.action).len(),
+                right_len: self.stage.table(miner, shape).len(),
             });
             let (key, path) = (self.stage.key(), ext.actions());
             let answer = self
@@ -545,18 +598,36 @@ impl<S: Stage> Evaluator<'_, S> {
                 via_memo: false,
                 work: Work::default(),
             };
-            match answer {
-                Answer::Hit(table) => {
-                    let m = &self.memo.entries[&id];
-                    (ev.table, ev.support, ev.freq, ev.via_memo) = (table, m.support, m.freq, true);
-                }
-                Answer::Delta | Answer::Join => jobs.push(Job {
-                    slot: outcomes.len(),
-                    spec,
-                    delta: matches!(answer, Answer::Delta),
-                    parent_gen: inputs.map_or(0, |i| i.parent_gen),
-                }),
+            if let Answer::Hit(table) = answer {
+                let m = &self.memo.entries[&id];
+                (ev.table, ev.support, ev.freq, ev.via_memo) = (table, m.support, m.freq, true);
+                outcomes.push(Some(ev));
+                continue;
             }
+            let glue = candidate_glue(miner.universe, &parent.wp, &spec.action, spec.target_is_new);
+            let delta = match (answer, miner.config.join_impl) {
+                (Answer::Delta, JoinImpl::NestedLoop) => Some(Delta::Nested),
+                (Answer::Delta, JoinImpl::Hash) => {
+                    let (left, right) = glue_keys(&glue);
+                    let singleton = || Folded::Singleton(parent.wp.actions()[0].shape());
+                    let of = (parent.wp.len() == 1).then(singleton);
+                    let keys = DeltaKeys {
+                        left: (of, left),
+                        right: (shape, right),
+                    };
+                    self.ready_indexes(&keys, parent)
+                        .then_some(Delta::Hash(keys))
+                }
+                _ => None,
+            };
+            jobs.push(Job {
+                slot: outcomes.len(),
+                spec,
+                glue,
+                right: self.stage.table(miner, shape),
+                delta,
+                parent_gen: inputs.map_or(0, |i| i.parent_gen),
+            });
             outcomes.push(Some(ev));
         }
 
@@ -596,7 +667,9 @@ impl<S: Stage> Evaluator<'_, S> {
                             self.threshold.accepts(support, freq),
                             "support is monotone under appends at fixed tau"
                         );
-                        Arc::make_mut(table).extend_dedup(&rows);
+                        let table = Arc::make_mut(table);
+                        table.extend_dedup(&rows);
+                        g.indexes.extend(table);
                     }
                     work
                 }
@@ -607,19 +680,47 @@ impl<S: Stage> Evaluator<'_, S> {
         outcomes
     }
 
+    /// Builds a hash delta join's indexes where missing: the right one over
+    /// the shape's table at the current stage, the left one over the
+    /// parent's table — its seed-stage folded table for a singleton, its
+    /// memo's table otherwise. Returns `false`, building nothing, when the
+    /// parent node does not hold the table the index would cover: the
+    /// lineage is broken, and the candidate is joined in full instead.
+    fn ready_indexes(&mut self, keys: &DeltaKeys, parent: &Node) -> bool {
+        let (of, cols) = &keys.left;
+        match of {
+            Some(of) => self.stage.ready_index(*of, cols),
+            None => {
+                let m = self.memo.entries.get_mut(&parent.id);
+                let Some(m) = m.filter(|m| {
+                    m.table
+                        .as_ref()
+                        .is_some_and(|t| Arc::ptr_eq(t, &parent.table))
+                }) else {
+                    debug_assert!(false, "a delta join's parent holds its memo's table");
+                    return false;
+                };
+                let g = m.growth.as_mut().expect("a growing memo");
+                g.indexes.ready(&parent.table, cols);
+            }
+        }
+        let (shape, cols) = &keys.right;
+        self.stage.ready_index(Folded::Action(*shape), cols);
+        true
+    }
+
     /// Phase 2 for one job, whose placeholder outcome is `ev`. Takes no
     /// mutable state, so a generation's joins can run in any order on any
     /// thread.
     fn join(&self, miner: &WindowMiner<'_>, exp: &Expansion, job: &Job, ev: &Evaluated) -> Joined {
         let (universe, seed) = (miner.universe, self.seed);
         let join_impl = miner.config.join_impl;
-        let (spec, parent) = (job.spec, &exp.nodes[job.spec.parent]);
-        let (left, right) = (&*parent.table, self.stage.table(miner, &spec.action));
-        let glue = candidate_glue(universe, &parent.wp, &spec.action, spec.target_is_new);
+        let (glue, parent) = (&job.glue, &exp.nodes[job.spec.parent]);
+        let (left, right) = (&*parent.table, &*job.right);
         let lens = (left.len(), right.len());
         let memo = self.memo.entries.get(&ev.id);
         let mut work = Work::default();
-        if job.delta {
+        if let Some(how) = &job.delta {
             // Only pairs touching appended rows. Support is updated for
             // accepted and pruned memos alike: a pruned candidate keeps its
             // distinct set current without ever materializing a table,
@@ -627,9 +728,22 @@ impl<S: Stage> Evaluator<'_, S> {
             let m = memo.expect("a delta join follows a memo");
             let g = m.growth.as_ref().expect("a growing memo");
             let marks = (g.left_len, g.right_len);
-            let delta = pair_stage(join_impl, left, &right, &glue, Some(marks));
+            let appended = lens.0 - marks.0 + lens.1 - marks.1;
+            let delta = match how {
+                Delta::Hash(keys) => {
+                    // Only the appended rows probe.
+                    let (li, ri) = self.indexes(keys, parent);
+                    work.rows_probed += appended;
+                    join_glue_pairs_delta(left, marks.0, li, right, marks.1, ri, glue)
+                }
+                Delta::Nested => {
+                    // The nested loop reads every left row.
+                    work.rows_probed += lens.0;
+                    join_glue_pairs_delta_nested(left, marks.0, right, marks.1, glue)
+                }
+            };
             work.pair_stages += 1;
-            work.delta_rows += (lens.0 - marks.0 + lens.1 - marks.1) as u64;
+            work.delta_rows += appended as u64;
             let fresh: Vec<EntityId> = distinct_left_values(left, 0, &delta)
                 .into_iter()
                 .filter(|v| !g.distinct.contains(v))
@@ -643,8 +757,7 @@ impl<S: Stage> Evaluator<'_, S> {
             // table by delta).
             if m.table.is_some() || !self.threshold.accepts(support, freq) {
                 let rows = m.table.as_ref();
-                let rows = rows.map(|_| materialize_pairs(left, &right, &glue, &delta));
-                work.rows_probed = lens.0 - marks.0;
+                let rows = rows.map(|_| materialize_pairs(left, right, glue, &delta));
                 work.pairs_matched = delta.len();
                 work.materialized = rows.is_some();
                 return Joined::Delta {
@@ -660,9 +773,12 @@ impl<S: Stage> Evaluator<'_, S> {
 
         // Pair stage: matching (left, right) row indices, no output rows
         // built yet. Both engines emit the same canonical pair order.
-        let pairs = pair_stage(join_impl, left, &right, &glue, None);
+        let pairs = match join_impl {
+            JoinImpl::Hash => join_glue_pairs(left, right, glue),
+            JoinImpl::NestedLoop => join_glue_pairs_nested(left, right, glue),
+        };
         work.pair_stages += 1;
-        work.rows_probed = lens.0;
+        work.rows_probed += lens.0;
         work.pairs_matched = pairs.len();
         // Distinct-source fast path: the pattern's source variable is the
         // left table's column 0, and a join (deduped or not) cannot change
@@ -671,7 +787,7 @@ impl<S: Stage> Evaluator<'_, S> {
         // for gather + dedup. Unit tests can gather every candidate and
         // count support off its table instead, to check the fast path.
         let gather = || {
-            let mut t = materialize_pairs(left, &right, &glue, &pairs);
+            let mut t = materialize_pairs(left, right, glue, &pairs);
             t.dedup();
             t
         };
@@ -692,6 +808,7 @@ impl<S: Stage> Evaluator<'_, S> {
             left_len: lens.0,
             right_len: lens.1,
             distinct,
+            indexes: JoinIndexes::default(),
         });
         let memo = Memo {
             stage: self.stage.key().to_vec(),
@@ -703,14 +820,31 @@ impl<S: Stage> Evaluator<'_, S> {
         };
         Joined::Full(memo, work)
     }
+
+    /// A hash delta join's left and right index, readied in phase 1.
+    fn indexes(&self, keys: &DeltaKeys, parent: &Node) -> (&KeyIndex, &KeyIndex) {
+        let (of, cols) = &keys.left;
+        let left = match of {
+            Some(of) => self.stage.index(*of, cols),
+            None => {
+                let g = self.memo.entries[&parent.id].growth.as_ref();
+                g.expect("a growing memo").indexes.get(cols)
+            }
+        };
+        let (shape, cols) = &keys.right;
+        (left, self.stage.index(Folded::Action(*shape), cols))
+    }
 }
 
 /// Batch mining's side of [`WindowMiner::expand`]: whole types are loaded
-/// into one row store, whose rows at a stage are final.
+/// into one row store, whose rows at a stage are final. Each shape's
+/// table is built the first time a join or singleton at the stage asks
+/// for it, and dropped when the stage moves on.
 struct BatchStage<'s> {
     state: &'s mut MineState,
     window: &'s Window,
     pool: Option<&'s MiningPool>,
+    tables: HashMap<Shape, Arc<Table>>,
 }
 
 impl Stage for BatchStage<'_> {
@@ -722,12 +856,18 @@ impl Stage for BatchStage<'_> {
         sorted_shapes(&self.state.rows)
     }
 
-    fn table(&self, miner: &WindowMiner<'_>, action: &AbstractAction) -> Arc<Table> {
-        let rows = &self.state.rows[&action.shape()];
-        Arc::new(action_realizations(action, rows, miner.universe))
+    fn table(&mut self, miner: &WindowMiner<'_>, shape: Shape) -> Arc<Table> {
+        let rows = &self.state.rows;
+        let table = self.tables.entry(shape).or_insert_with(|| {
+            let (op, s, r, t) = shape;
+            let action = WorkingPattern::singleton(op, s, r, t).actions()[0];
+            Arc::new(action_realizations(&action, &rows[&shape], miner.universe))
+        });
+        Arc::clone(table)
     }
 
     fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>) {
+        self.tables.clear();
         for ty in types {
             self.state.fetch(ty);
             let entities = miner.universe.entities_of(ty);
@@ -966,9 +1106,10 @@ impl<'a> WindowMiner<'a> {
             state: &mut state,
             window,
             pool: self.pool.as_deref(),
+            tables: HashMap::new(),
         };
         let exp = self.expand(&mut stage, memo, seed, preloaded);
-        let (patterns, tail) = self.finish(exp.nodes, &stage, memo, seed);
+        let (patterns, tail) = self.finish(exp.nodes, &mut stage, memo, seed);
         state.stats.absorb(&exp.stats);
         state.stats.absorb(&tail);
 
@@ -1011,7 +1152,7 @@ impl<'a> WindowMiner<'a> {
         self.seed_singletons(stage, seed, preloaded, &mut exp);
         loop {
             let tau = Threshold::Frequency(self.config.tau);
-            self.grow(&*stage, memo, seed, tau, &mut exp);
+            self.grow(stage, memo, seed, tau, &mut exp);
             if preloaded {
                 break; // everything was loaded up front
             }
@@ -1033,7 +1174,7 @@ impl<'a> WindowMiner<'a> {
     /// Builds the frequent singleton patterns (Algorithm 1 line 2).
     fn seed_singletons(
         &self,
-        stage: &impl Stage,
+        stage: &mut impl Stage,
         seed: TypeId,
         preloaded: bool,
         exp: &mut Expansion,
@@ -1050,7 +1191,7 @@ impl<'a> WindowMiner<'a> {
                 continue;
             }
             let wp = WorkingPattern::singleton(op, s, r, t);
-            let table = stage.table(self, &wp.actions()[0]);
+            let table = stage.table(self, (op, s, r, t));
             let support = support_count(&table, 0, seed, self.universe);
             let freq = frequency_from_support(support, seed, self.universe);
             if freq >= self.config.tau {
@@ -1086,7 +1227,7 @@ impl<'a> WindowMiner<'a> {
     /// accepts sorted by canonical pattern value.
     fn grow(
         &self,
-        stage: &impl Stage,
+        stage: &mut impl Stage,
         memo: &mut WindowMemo,
         seed: TypeId,
         threshold: Threshold,
@@ -1101,7 +1242,7 @@ impl<'a> WindowMiner<'a> {
             }
             let start = exp.nodes.len();
             let evaluator = Evaluator {
-                stage,
+                stage: &mut *stage,
                 memo: &mut *memo,
                 seed,
                 threshold,
@@ -1240,7 +1381,7 @@ impl<'a> WindowMiner<'a> {
     pub(crate) fn finish(
         &self,
         nodes: Vec<Node>,
-        stage: &impl Stage,
+        stage: &mut impl Stage,
         memo: &mut WindowMemo,
         seed: TypeId,
     ) -> (Vec<FoundPattern>, MineStats) {
@@ -1263,7 +1404,7 @@ impl<'a> WindowMiner<'a> {
         let mut stats = MineStats::default();
         if self.config.mine_relative {
             for p in patterns.iter_mut().filter(|p| p.most_specific) {
-                let (rels, rel_stats) = self.mine_relative(stage, memo, seed, p);
+                let (rels, rel_stats) = self.mine_relative(&mut *stage, memo, seed, p);
                 stats.absorb(&rel_stats);
                 p.rel_patterns = rels;
             }
@@ -1280,7 +1421,7 @@ impl<'a> WindowMiner<'a> {
     /// candidate it already scored. Returns (patterns, work counters).
     fn mine_relative(
         &self,
-        stage: &impl Stage,
+        stage: &mut impl Stage,
         memo: &mut WindowMemo,
         seed: TypeId,
         parent: &FoundPattern,
@@ -1378,14 +1519,18 @@ pub(crate) fn candidate_glue(
     action: &AbstractAction,
     target_is_new: bool,
 ) -> Vec<ColumnGlue> {
-    let left_cols = parent_wp.column_names();
-    let src_col = crate::realization::column_of(&left_cols, action.source);
+    // The parent table's columns are its variables, in `vars` order.
+    let vars = parent_wp.vars();
+    let column_of = |var: Var| {
+        let col = vars.iter().position(|&v| v == var);
+        col.expect("a glued variable has a column in the parent table")
+    };
+    let src_col = column_of(action.source);
     let tgt_glue = if target_is_new {
         // Inequality against every existing variable of a comparable
         // type (distinct variables ⇒ distinct entities).
         let tax = universe.taxonomy();
-        let distinct_from: Vec<usize> = parent_wp
-            .vars()
+        let distinct_from: Vec<usize> = vars
             .iter()
             .enumerate()
             .filter(|(_, v)| {
@@ -1398,31 +1543,9 @@ pub(crate) fn candidate_glue(
             distinct_from,
         }
     } else {
-        ColumnGlue::Glued(crate::realization::column_of(&left_cols, action.target))
+        ColumnGlue::Glued(column_of(action.target))
     };
     vec![ColumnGlue::Glued(src_col), tgt_glue]
-}
-
-/// The candidate pair stage `join_impl` names: matching (left, right) row
-/// indices in canonical order. With `marks` (left and right prefix
-/// lengths) it emits only the pairs touching rows appended since — the
-/// streaming miner's delta join; without, the whole join. Callers count
-/// the pick themselves.
-pub(crate) fn pair_stage(
-    join_impl: JoinImpl,
-    left: &Table,
-    right: &Table,
-    glue: &[ColumnGlue],
-    marks: Option<(usize, usize)>,
-) -> Vec<Pair> {
-    match (join_impl, marks) {
-        (JoinImpl::Hash, None) => join_glue_pairs(left, right, glue),
-        (JoinImpl::Hash, Some((lo, ro))) => join_glue_pairs_delta(left, lo, right, ro, glue),
-        (JoinImpl::NestedLoop, marks) => {
-            let (lo, ro) = marks.unwrap_or((0, 0));
-            join_glue_pairs_delta_nested(left, lo, right, ro, glue)
-        }
-    }
 }
 
 /// Whether candidate evaluation gathers every candidate's table, instead

@@ -16,7 +16,8 @@
 //!   memoized one, and the appended rows are folded into the window's
 //!   columnar tables — realization tables grow by
 //!   [`wiclean_rel::Table::extend_dedup`], candidate joins by
-//!   [`wiclean_rel::join_glue_pairs_delta`] over only the appended rows;
+//!   [`wiclean_rel::join_glue_pairs_delta`], in which only the appended
+//!   rows probe;
 //! * when the **watermark** (max event time minus the configured grace
 //!   period) passes a window's end, the window **seals**: one final
 //!   refresh (mostly memo hits), then the batch miner's own tail (the
@@ -24,8 +25,24 @@
 //!
 //! A refresh is not a second copy of Algorithm 1: it runs the batch
 //! expansion loop (`WindowMiner::expand`) with this module's stage —
-//! rows filtered per fetched-type stage, singleton tables from folded
+//! singleton and action tables from each fetched-type stage's folded
 //! tables, and candidates evaluated against the window's memo.
+//!
+//! **O(Δ) refreshes.** A refresh costs the rows appended since the last
+//! one, not the window:
+//!
+//! * each fetched-type stage keeps its entity set once, and each of its
+//!   folded tables keeps a cursor into its shape's stamped rows, so a
+//!   fold filters and absorbs only the rows stamped since the last fold;
+//! * every append-only table keeps persistent join indexes, one per
+//!   key-column list a delta join probed it by, shared by every candidate
+//!   that probes it: a folded table's serve as the right side of every
+//!   candidate of its shape (and as the left side where its singleton is
+//!   the parent), a memo's live in its lineage. They are extended where
+//!   their table grows — at a fold, and when a delta join extends a memo's
+//!   table — and dropped with it: when a full join rebuilds the memo, on
+//!   a fallback, and at seal. Appended right rows probe the left index
+//!   and appended left rows the right one.
 //!
 //! **Correctness anchor:** a sealed window's result is equivalent to
 //! `WindowMiner::mine_window` over the same revisions — identical pattern
@@ -52,18 +69,18 @@
 //! [`DegradedCoverage::late_revisions`] — never silently dropped.
 
 use crate::abstract_action::AbstractAction;
-use crate::cache::{MiningCaches, WindowMemo};
+use crate::cache::{JoinIndexes, MiningCaches, WindowMemo};
 use crate::config::{MinerConfig, StreamPolicy, WcConfig};
 use crate::degraded::DegradedCoverage;
-use crate::miner::{sorted_shapes, FoundPattern, MineStats, Stage, WindowMiner, WindowResult};
+use crate::miner::{Folded, FoundPattern, MineStats, Stage, WindowMiner, WindowResult};
 use crate::pattern::WorkingPattern;
 use crate::pool::MiningPool;
-use crate::realization::{action_realizations, Shape, ShapeRows};
+use crate::realization::{action_realizations, Shape};
 use crate::windows::{Discoveries, WcResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use wiclean_rel::Table;
+use wiclean_rel::{KeyIndex, Table};
 use wiclean_revstore::{reduce_actions, FeedEvent, FetchError, RevisionFeed, RevisionStore};
 use wiclean_types::{EntityId, Taxonomy, Timestamp, TypeId, Universe, Window};
 
@@ -115,11 +132,12 @@ struct Contribution {
     reduced_actions: usize,
 }
 
-/// A per-shape realization table grown incrementally from an append-only
-/// row source. Folding the suffix with `extend_dedup` is byte-identical
-/// to rebuilding from scratch: `Table::dedup` keeps first occurrences, so
-/// a deduped table over a growing prefix-stable row list grows
-/// append-only with an identical prefix.
+/// A per-shape realization table of one fetched-type stage, grown
+/// incrementally from the shape's stamped rows. Folding the suffix with
+/// `extend_dedup` is byte-identical to rebuilding from scratch:
+/// `Table::dedup` keeps first occurrences, so a deduped table over a
+/// growing prefix-stable row list grows append-only with an identical
+/// prefix.
 struct FoldedTable {
     /// Representative singleton action of the shape: supplies the schema
     /// (matching batch singleton nodes) and the injectivity filter (which
@@ -130,7 +148,15 @@ struct FoldedTable {
     /// Shared with the singleton nodes of a refresh, which are gone by the
     /// next fold.
     table: Arc<Table>,
+    /// Cursor into the shape's stamped rows: every row before it has been
+    /// filtered and, if admitted, absorbed.
     rows_folded: usize,
+    /// Whether the stage has admitted any of the shape's rows.
+    admitted: bool,
+    /// The join indexes over `table`: as the right side of every delta
+    /// join adding an action of the shape, and as the left side where the
+    /// shape's singleton is the parent.
+    indexes: JoinIndexes,
 }
 
 impl FoldedTable {
@@ -141,21 +167,63 @@ impl FoldedTable {
             table: Arc::new(action_realizations(&action, &[], universe)),
             action,
             rows_folded: 0,
+            admitted: false,
+            indexes: JoinIndexes::default(),
         }
     }
 
-    /// Absorbs rows appended since the last fold.
-    fn fold(&mut self, rows: &[(EntityId, EntityId)], universe: &Universe) {
-        if self.rows_folded < rows.len() {
-            let fresh = action_realizations(&self.action, &rows[self.rows_folded..], universe);
-            Arc::make_mut(&mut self.table).extend_dedup(&fresh);
-            self.rows_folded = rows.len();
+    /// Absorbs the rows stamped since the last fold whose contributing
+    /// entity is in `entities`, and extends the join indexes over them.
+    fn fold(&mut self, stamped: &[Stamped], entities: &HashSet<EntityId>, universe: &Universe) {
+        let fresh: Vec<(EntityId, EntityId)> = stamped[self.rows_folded..]
+            .iter()
+            .filter(|(src, _)| entities.contains(src))
+            .map(|&(_, pair)| pair)
+            .collect();
+        self.rows_folded = stamped.len();
+        if !fresh.is_empty() {
+            self.admitted = true;
+            let fresh = action_realizations(&self.action, &fresh, universe);
+            let table = Arc::make_mut(&mut self.table);
+            table.extend_dedup(&fresh);
+            self.indexes.extend(table);
         }
     }
 }
 
+/// One fetched-type stage of a window: the entities its types hold,
+/// computed once, and its folded tables, one per shape in the row store.
+struct StageTables {
+    entities: HashSet<EntityId>,
+    tables: HashMap<Shape, FoldedTable>,
+}
+
+impl StageTables {
+    fn new(universe: &Universe, fetched: &BTreeSet<TypeId>) -> Self {
+        Self {
+            entities: entities_of(universe, fetched),
+            tables: HashMap::new(),
+        }
+    }
+
+    /// Folds every shape's rows stamped since the last fold: the rows a
+    /// batch miner would have loaded at this stage, in append order —
+    /// prefix-stable across refreshes, which is what keeps the folded
+    /// tables and delta joins sound.
+    fn fold(&mut self, rows: &StampedRows, universe: &Universe) {
+        for (&shape, stamped) in rows {
+            let folded = self.tables.entry(shape);
+            let folded = folded.or_insert_with(|| FoldedTable::new(shape, universe));
+            folded.fold(stamped, &self.entities, universe);
+        }
+    }
+}
+
+/// A concrete row stamped with its contributing entity.
+type Stamped = (EntityId, (EntityId, EntityId));
+
 /// Concrete rows per shape, stamped with the contributing entity.
-type StampedRows = HashMap<Shape, Vec<(EntityId, (EntityId, EntityId))>>;
+type StampedRows = HashMap<Shape, Vec<Stamped>>;
 
 /// Live state of one unsealed window.
 struct WindowState {
@@ -173,7 +241,7 @@ struct WindowState {
     /// batch mining would have loaded at that stage.
     rows: StampedRows,
     /// Per-stage folded realization tables (stage = fetched-type set).
-    tables: HashMap<BTreeSet<TypeId>, HashMap<Shape, FoldedTable>>,
+    tables: HashMap<BTreeSet<TypeId>, StageTables>,
     /// Candidate memos, dropped on fallback and with the window at seal.
     memo: WindowMemo,
     stats: MineStats,
@@ -329,22 +397,20 @@ impl WindowState {
         let mut stage = StreamStage {
             ws: self,
             universe,
+            seed: BTreeSet::from([seed]),
             fetched: BTreeSet::new(),
             key: Vec::new(),
-            rows: ShapeRows::new(),
-            tables: HashMap::new(),
+            current: None,
         };
         stage.fetch(miner, BTreeSet::from([seed]));
         let exp = miner.expand(&mut stage, &mut memo, seed, false);
         let (patterns, tail) = if seal {
-            miner.finish(exp.nodes, &stage, &mut memo, seed)
+            miner.finish(exp.nodes, &mut stage, &mut memo, seed)
         } else {
             Default::default()
         };
-        let StreamStage {
-            fetched, tables, ..
-        } = stage;
-        self.tables.insert(fetched.clone(), tables);
+        let fetched = stage.fetched.clone();
+        stage.leave();
         self.memo = memo;
         self.stats.absorb(&exp.stats);
         self.stats.absorb(&tail);
@@ -366,27 +432,6 @@ impl WindowState {
             self.load_entity(miner, e);
         }
         self.stats.preprocess += t0.elapsed();
-    }
-
-    /// The rows a batch miner would have loaded at fetched-type stage
-    /// `fetched`: the stamped row store filtered to entities of the
-    /// stage's types, in append order — prefix-stable across refreshes
-    /// for a fixed stage, which is what keeps the folded tables and delta
-    /// joins sound.
-    fn stage_rows(&self, universe: &Universe, fetched: &BTreeSet<TypeId>) -> ShapeRows {
-        let loadset = entities_of(universe, fetched);
-        let mut out: ShapeRows = HashMap::new();
-        for (&shape, stamped) in &self.rows {
-            let filtered: Vec<(EntityId, EntityId)> = stamped
-                .iter()
-                .filter(|(src, _)| loadset.contains(src))
-                .map(|&(_, pair)| pair)
-                .collect();
-            if !filtered.is_empty() {
-                out.insert(shape, filtered);
-            }
-        }
-        out
     }
 }
 
@@ -423,20 +468,44 @@ fn extract_contribution(
 }
 
 /// A window refresh's side of [`WindowMiner::expand`]: each fetched-type
-/// stage's rows are the stamped row store filtered to the stage's
-/// entities, and its action tables are the stage's folded tables.
+/// stage's action tables are the stage's folded tables, fed from the
+/// stamped row store through per-table cursors.
 struct StreamStage<'w> {
     ws: &'w mut WindowState,
     universe: &'w Universe,
+    /// The seed stage, whose tables the singleton nodes hold.
+    seed: BTreeSet<TypeId>,
     fetched: BTreeSet<TypeId>,
     /// `fetched` as the memo's stage key. A stage's rows are in arrival
     /// order, whatever order its types were fetched in.
     key: Vec<TypeId>,
-    /// The current stage's rows.
-    rows: ShapeRows,
-    /// The current stage's folded tables, taken out of the window's while
-    /// the stage lasts.
-    tables: HashMap<Shape, FoldedTable>,
+    /// The current stage's tables, taken out of the window's while the
+    /// stage lasts.
+    current: Option<StageTables>,
+}
+
+impl StreamStage<'_> {
+    fn current(&self) -> &StageTables {
+        self.current.as_ref().expect("a stage is fetched first")
+    }
+
+    /// Puts the current stage's tables back into the window's.
+    fn leave(&mut self) {
+        if let Some(done) = self.current.take() {
+            self.ws.tables.insert(self.fetched.clone(), done);
+        }
+    }
+
+    /// The folded table `of` names.
+    fn folded(&self, of: Folded) -> &FoldedTable {
+        let (stage, shape) = match of {
+            Folded::Singleton(shape) if self.fetched != self.seed => {
+                (&self.ws.tables[&self.seed], shape)
+            }
+            Folded::Singleton(shape) | Folded::Action(shape) => (self.current(), shape),
+        };
+        &stage.tables[&shape]
+    }
 }
 
 impl Stage for StreamStage<'_> {
@@ -445,31 +514,49 @@ impl Stage for StreamStage<'_> {
     }
 
     fn shapes(&self) -> Vec<Shape> {
-        sorted_shapes(&self.rows)
+        let admitted = self.current().tables.iter().filter(|(_, f)| f.admitted);
+        let mut shapes: Vec<Shape> = admitted.map(|(&shape, _)| shape).collect();
+        shapes.sort();
+        shapes
     }
 
-    fn table(&self, _: &WindowMiner<'_>, action: &AbstractAction) -> Arc<Table> {
-        Arc::clone(&self.tables[&action.shape()].table)
+    fn table(&mut self, _: &WindowMiner<'_>, shape: Shape) -> Arc<Table> {
+        Arc::clone(&self.current().tables[&shape].table)
     }
 
-    /// Moves to the next stage, folding its tables up to its rows.
+    fn ready_index(&mut self, of: Folded, cols: &[usize]) {
+        let (stage, shape) = match of {
+            Folded::Singleton(shape) if self.fetched != self.seed => (
+                self.ws.tables.get_mut(&self.seed).expect("the seed stage"),
+                shape,
+            ),
+            Folded::Singleton(shape) | Folded::Action(shape) => (
+                self.current.as_mut().expect("a stage is fetched first"),
+                shape,
+            ),
+        };
+        let folded = stage.tables.get_mut(&shape).expect("a folded table");
+        folded.indexes.ready(&folded.table, cols);
+    }
+
+    fn index(&self, of: Folded, cols: &[usize]) -> &KeyIndex {
+        self.folded(of).indexes.get(cols)
+    }
+
+    /// Moves to the next stage, folding its tables up to the row store.
     fn fetch(&mut self, miner: &WindowMiner<'_>, types: BTreeSet<TypeId>) {
-        let done = std::mem::take(&mut self.tables);
-        if !done.is_empty() {
-            self.ws.tables.insert(self.fetched.clone(), done);
-        }
+        self.leave();
         for ty in types {
             self.fetched.insert(ty);
             self.ws.load_type(miner, self.universe, ty);
         }
         self.key = self.fetched.iter().copied().collect();
-        self.rows = self.ws.stage_rows(self.universe, &self.fetched);
-        self.tables = self.ws.tables.remove(&self.fetched).unwrap_or_default();
-        for (&shape, rows) in &self.rows {
-            let folded = self.tables.entry(shape);
-            let folded = folded.or_insert_with(|| FoldedTable::new(shape, self.universe));
-            folded.fold(rows, self.universe);
-        }
+        let mut stage = match self.ws.tables.remove(&self.fetched) {
+            Some(stage) => stage,
+            None => StageTables::new(self.universe, &self.fetched),
+        };
+        stage.fold(&self.ws.rows, self.universe);
+        self.current = Some(stage);
     }
 
     fn pool(&self) -> Option<&MiningPool> {
@@ -677,7 +764,7 @@ impl<'u> StreamMiner<'u> {
         // set (a retraction fallback can leave extra loaded entities whose
         // types the final expansion never mentioned — they contribute
         // nothing, exactly as if batch never fetched them).
-        let loadset = entities_of(self.universe, &fetched);
+        let loadset = &ws.tables[&fetched].entities;
         let mut stats = ws.stats;
         stats.entities_processed = 0;
         stats.actions_extracted = 0;
@@ -752,6 +839,7 @@ pub fn wc_result_from_sealed(
 mod tests {
     use super::*;
     use crate::config::JoinImpl;
+    use crate::interner::PatternId;
     use crate::pattern::Pattern;
     use crate::testutil::{events_of, soccer_fixture, work_counters, Fixture};
     use wiclean_revstore::VecFeed;
@@ -1052,9 +1140,138 @@ mod tests {
             .mine_window(fx.player_ty, &fx.window);
         assert_equivalent(streamed, &batch);
         // A retraction-fallback round: two pair stages (101 picks for 97
-        // joins) wherever a delta join lifts a pruned candidate over τ.
-        let pinned = [185, 97, 34, 97, 9, 88, 266, 59, 101, 44, 1, 4, 1];
+        // joins) wherever a delta join lifts a pruned candidate over τ, and
+        // both count the rows they probe.
+        let pinned = [185, 97, 34, 97, 9, 88, 292, 59, 101, 44, 1, 4, 1];
         assert_eq!(work_counters(sm.stats()), pinned);
+    }
+
+    /// Every memo's generation, by pattern id.
+    fn memo_gens(memo: &WindowMemo) -> HashMap<PatternId, u64> {
+        let gens = memo
+            .entries
+            .iter()
+            .map(|(&id, m)| (id, m.growth.as_ref().map_or(0, |g| g.gen)));
+        gens.collect()
+    }
+
+    /// Feeds `events` to a miner over the fixture that never refreshes on
+    /// its own, and refreshes the fixture window by hand after every
+    /// arrival that finds it open; `check` sees the window after each
+    /// refresh, with the refresh's final stage, and its counters and memo
+    /// generations from before it.
+    fn refresh_each_arrival(
+        fx: &Fixture,
+        events: &[FeedEvent],
+        mut check: impl FnMut(&WindowState, &BTreeSet<TypeId>, &MineStats, &HashMap<PatternId, u64>),
+    ) {
+        let config = fx.stream_config(fx.window.len(), u64::MAX);
+        let mut sm = StreamMiner::new(&fx.universe, fx.player_ty, config);
+        for e in events {
+            sm.ingest(e);
+            let Some(mut ws) = sm.windows.remove(&fx.window.start) else {
+                continue;
+            };
+            let (stats, gens) = (ws.stats.clone(), memo_gens(&ws.memo));
+            let (_, last) = ws.refresh(&sm.miner(), &fx.universe, fx.player_ty, false);
+            check(&ws, &last, &stats, &gens);
+            sm.windows.insert(fx.window.start, ws);
+        }
+    }
+
+    /// Each stage's folded tables equal a fresh fold of the stamped rows
+    /// up to their cursors, filtered to the stage's entities; every join
+    /// index covers its whole table; and the `last` stage a refresh
+    /// visited has folded every stamped row.
+    fn assert_folded_tables_fresh(fx: &Fixture, ws: &WindowState, last: &BTreeSet<TypeId>) {
+        for (fetched, stage) in &ws.tables {
+            let entities = entities_of(&fx.universe, fetched);
+            assert_eq!(stage.entities, entities);
+            if fetched == last {
+                assert_eq!(stage.tables.len(), ws.rows.len(), "one table per shape");
+            }
+            for (shape, folded) in &stage.tables {
+                let stamped = &ws.rows[shape];
+                let admitted: Vec<(EntityId, EntityId)> = stamped[..folded.rows_folded]
+                    .iter()
+                    .filter(|(src, _)| entities.contains(src))
+                    .map(|&(_, pair)| pair)
+                    .collect();
+                let fresh = action_realizations(&folded.action, &admitted, &fx.universe);
+                assert_eq!(*folded.table, fresh, "{shape:?} at stage {fetched:?}");
+                assert_eq!(folded.admitted, !admitted.is_empty());
+                for (_, index) in &folded.indexes.0 {
+                    assert_eq!(index.end(), folded.table.len(), "index of {shape:?}");
+                }
+                if fetched == last {
+                    assert_eq!(
+                        folded.rows_folded,
+                        stamped.len(),
+                        "the last stage is current"
+                    );
+                }
+            }
+        }
+        for m in ws.memo.entries.values() {
+            let (Some(table), Some(g)) = (&m.table, &m.growth) else {
+                continue;
+            };
+            for (_, index) in &g.indexes.0 {
+                assert_eq!(index.end(), table.len(), "a memo's index covers its table");
+            }
+        }
+    }
+
+    #[test]
+    fn folded_tables_equal_a_fresh_fold_after_every_refresh() {
+        let fx = soccer_fixture();
+        // The retraction at the end makes its refresh fall back.
+        let (events, _) = fx.retraction_feed();
+        let (mut indexed, mut fallbacks) = (false, 0);
+        refresh_each_arrival(&fx, &events, |ws, last, _, _| {
+            assert_folded_tables_fresh(&fx, ws, last);
+            indexed |= ws
+                .tables
+                .values()
+                .any(|s| s.tables.values().any(|f| !f.indexes.0.is_empty()));
+            fallbacks = ws.stats.full_remine_fallbacks;
+        });
+        assert!(indexed, "some delta join probed a folded table's index");
+        assert_eq!(fallbacks, 1, "the retraction's refresh fell back");
+
+        // And after a fallback run by hand.
+        let (sm, mut ws) = unrefreshed_window(&fx);
+        let miner = sm.miner();
+        ws.refresh(&miner, &fx.universe, fx.player_ty, false);
+        ws.rebuild_from_contributions();
+        assert!(ws.tables.is_empty(), "the fallback resets every cursor");
+        let (_, last) = ws.refresh(&miner, &fx.universe, fx.player_ty, false);
+        assert_folded_tables_fresh(&fx, &ws, &last);
+        assert_eq!(ws.stats.full_remine_fallbacks, 1);
+    }
+
+    #[test]
+    fn delta_refreshes_probe_only_the_appended_rows() {
+        let fx = soccer_fixture();
+        let mut events = events_of(&fx.store);
+        events.sort_by_key(|e| e.time);
+        let mut delta_only = 0;
+        refresh_each_arrival(&fx, &events, |ws, _, before, gens| {
+            // No memo was added or rebuilt: every evaluation was a memo
+            // hit or a delta join.
+            if memo_gens(&ws.memo) != *gens
+                || ws.stats.delta_rows_joined == before.delta_rows_joined
+            {
+                return;
+            }
+            delta_only += 1;
+            assert_eq!(
+                ws.stats.rows_probed - before.rows_probed,
+                (ws.stats.delta_rows_joined - before.delta_rows_joined) as usize,
+                "a hash delta join probes its appended rows and no others"
+            );
+        });
+        assert!(delta_only > 0, "some refresh was served by deltas alone");
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! once at the end. Candidate pruning consumes the pair stream directly
 //! ([`distinct_left_values`]) and skips materialization entirely for
 //! patterns that fail the frequency threshold. Every hash pair stage
-//! indexes its build side with the one flat chained `index::KeyIndex`.
+//! indexes its build side with the one flat chained [`KeyIndex`]: a full
+//! join builds a transient one, and the delta join
+//! ([`join_glue_pairs_delta`]) probes the persistent indexes its caller
+//! keeps over each append-only side.
 //!
 //! The table-in/table-out operators ([`join_glue`], [`join_glue_nested`],
 //! [`outer_join_glue`]) are thin compositions of the two stages and keep
@@ -154,11 +157,18 @@ impl GluePlan {
 pub fn join_glue_pairs(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Vec<Pair> {
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
-    let index = KeyIndex::build(plan.right_keys(right), 0..right.len());
-    probe_range(&index, &plan.left_keys(left), 0..left.len(), |li, ri| {
-        plan.neq_ok(left, li as usize, right, ri as usize)
-            .then_some((li, ri))
-    })
+    let rkeys = plan.right_keys(right);
+    let index = KeyIndex::build(&rkeys, 0..right.len());
+    probe_range(
+        &index,
+        &rkeys,
+        &plan.left_keys(left),
+        0..left.len(),
+        |li, ri| {
+            plan.neq_ok(left, li as usize, right, ri as usize)
+                .then_some((li, ri))
+        },
+    )
 }
 
 /// Nested-loop pair stage over the cross product — the paper's `PM−join`
@@ -207,52 +217,85 @@ pub fn join_glue_pairs_delta_nested(
 /// set, letting callers extend support sets and materialized tables
 /// without re-joining the prefix.
 ///
-/// The deltas are the build sides: part one indexes `Δright` and probes
-/// the stable left prefix in row order (canonical order falls out); part
-/// two indexes `Δleft` and probes the entire right side, then sorts its
-/// small tail back to canonical order. The two parts cover disjoint
-/// left-row ranges, so the concatenation is globally ordered.
+/// Both sides come with their persistent key indexes, keyed by the glue's
+/// key columns ([`glue_keys`]): `left_index` must cover at least the
+/// stable rows `0..left_old`, and `right_index` every right row. Only
+/// appended rows probe, so the cost follows the rows appended, not the
+/// tables:
+///
+/// * each appended right row probes `left_index`, keeping the stable
+///   left rows (below `left_old`);
+/// * each appended left row probes `right_index`, matching every right
+///   row.
+///
+/// The two parts cover disjoint left-row ranges; the first is sorted into
+/// canonical order, the second already is.
 pub fn join_glue_pairs_delta(
     left: &Table,
     left_old: usize,
+    left_index: &KeyIndex,
     right: &Table,
     right_old: usize,
+    right_index: &KeyIndex,
     glue: &[ColumnGlue],
 ) -> Vec<Pair> {
     validate(left, right, glue);
     assert!(left_old <= left.len(), "left_old beyond left length");
     assert!(right_old <= right.len(), "right_old beyond right length");
+    assert!(
+        (left_old..=left.len()).contains(&left_index.end()),
+        "left index must cover the stable left rows"
+    );
+    assert_eq!(
+        right_index.end(),
+        right.len(),
+        "right index must cover the right side"
+    );
     let plan = GluePlan::new(glue);
-
-    // Part one: stable left prefix × appended right rows. An empty build
-    // side can't match anything, so the common one-sided-growth case pays
-    // for one part only.
     let (lkeys, rkeys) = (plan.left_keys(left), plan.right_keys(right));
-    let index = KeyIndex::build(rkeys.clone(), right_old..right.len());
-    let mut pairs = probe_range(&index, &lkeys, 0..left_old, |li, ri| {
-        plan.neq_ok(left, li as usize, right, ri as usize)
-            .then_some((li, ri))
-    });
 
-    // Part two: appended left rows × the full right side. Probing by
-    // right row emits (right, left) order; the tail is small, so sort it
-    // back to canonical and append — its left rows all sit at or past
-    // `left_old`, keeping the concatenation globally ordered.
-    let index = KeyIndex::build(lkeys, left_old..left.len());
-    let mut tail = probe_range(&index, &rkeys, 0..right.len(), |ri, li| {
-        plan.neq_ok(left, li as usize, right, ri as usize)
-            .then_some((li, ri))
-    });
-    tail.sort_unstable();
-    pairs.append(&mut tail);
+    // Stable left rows × appended right rows, probed in (right, left)
+    // order and sorted back to canonical.
+    let mut pairs = Vec::new();
+    if !left_index.is_empty() {
+        for ri in right_old..right.len() {
+            left_index.probe(&lkeys, &rkeys, ri, |li| {
+                if (li as usize) < left_old && plan.neq_ok(left, li as usize, right, ri) {
+                    pairs.push((li, ri as u32));
+                }
+            });
+        }
+        pairs.sort_unstable();
+    }
+    // Appended left rows × every right row: canonical as probed, and past
+    // every left row of the first part.
+    pairs.extend(probe_range(
+        right_index,
+        &rkeys,
+        &lkeys,
+        left_old..left.len(),
+        |li, ri| {
+            plan.neq_ok(left, li as usize, right, ri as usize)
+                .then_some((li, ri))
+        },
+    ));
     pairs
 }
 
-/// Probes rows `range` of the probe side against `index` in row order.
+/// The key columns a glue spec joins on: the left and the right column of
+/// every `Glued` entry, in glue order. Indexes handed to
+/// [`join_glue_pairs_delta`] are keyed by these.
+pub fn glue_keys(glue: &[ColumnGlue]) -> (Vec<usize>, Vec<usize>) {
+    GluePlan::new(glue).glued.into_iter().unzip()
+}
+
+/// Probes rows `range` of the probe side (key columns `probe`) against
+/// `index` (over the build side's key columns `keys`) in row order.
 /// `emit(probe row, build row)` maps a key match to its pair, or `None` if
 /// the `≠` filter rejects it.
 fn probe_range(
     index: &KeyIndex,
+    keys: &KeyCols,
     probe: &KeyCols,
     range: std::ops::Range<usize>,
     emit: impl Fn(u32, u32) -> Option<Pair>,
@@ -262,7 +305,7 @@ fn probe_range(
         return pairs;
     }
     for pi in range {
-        index.probe(probe, pi, |bi| pairs.extend(emit(pi as u32, bi)));
+        index.probe(keys, probe, pi, |bi| pairs.extend(emit(pi as u32, bi)));
     }
     pairs
 }
@@ -350,13 +393,13 @@ pub fn outer_join_glue(left: &Table, right: &Table, glue: &[ColumnGlue]) -> Tabl
     validate(left, right, glue);
     let plan = GluePlan::new(glue);
 
-    let lkeys = plan.left_keys(left);
-    let index = KeyIndex::build(plan.right_keys(right), 0..right.len());
+    let (lkeys, rkeys) = (plan.left_keys(left), plan.right_keys(right));
+    let index = KeyIndex::build(&rkeys, 0..right.len());
     let mut right_matched = vec![false; right.len()];
     let mut pairs: Vec<Pair> = Vec::new();
     for li in 0..left.len() {
         let mut l_matched = false;
-        index.probe(&lkeys, li, |ri| {
+        index.probe(&rkeys, &lkeys, li, |ri| {
             if plan.neq_ok(left, li, right, ri as usize) {
                 pairs.push((li as u32, ri));
                 l_matched = true;
@@ -652,6 +695,16 @@ mod tests {
             .collect()
     }
 
+    /// The delta join with each side's index built over all its rows.
+    fn delta(left: &Table, lo: usize, right: &Table, ro: usize, g: &[ColumnGlue]) -> Vec<Pair> {
+        let (lcols, rcols) = glue_keys(g);
+        let index = |t: &Table, cols: &[usize]| KeyIndex::build(&KeyCols::new(t, cols), 0..t.len());
+        let (li, ri) = (index(left, &lcols), index(right, &rcols));
+        let pairs = join_glue_pairs_delta(left, lo, &li, right, ro, &ri, g);
+        assert_eq!(pairs, join_glue_pairs_delta_nested(left, lo, right, ro, g));
+        pairs
+    }
+
     #[test]
     fn delta_join_equals_full_minus_prefix() {
         let (left, right) = big_tables();
@@ -666,7 +719,7 @@ mod tests {
             (left.len(), right.len() - 3),
             (17, right.len() - 17),
         ] {
-            let delta = join_glue_pairs_delta(&left, left_old, &right, right_old, &g);
+            let delta = delta(&left, left_old, &right, right_old, &g);
             assert_eq!(
                 delta,
                 expected_delta(&full, left_old, right_old),
@@ -678,23 +731,29 @@ mod tests {
     #[test]
     fn delta_join_empty_deltas_emit_nothing() {
         let (l, r, g) = (left_table(), right_table(), glue());
-        let delta = join_glue_pairs_delta(&l, l.len(), &r, r.len(), &g);
-        assert!(delta.is_empty());
+        assert!(delta(&l, l.len(), &r, r.len(), &g).is_empty());
     }
 
     #[test]
     fn delta_join_zero_prefix_is_full_join() {
         let (l, r, g) = (left_table(), right_table(), glue());
-        assert_eq!(
-            join_glue_pairs_delta(&l, 0, &r, 0, &g),
-            join_glue_pairs(&l, &r, &g)
-        );
+        assert_eq!(delta(&l, 0, &r, 0, &g), join_glue_pairs(&l, &r, &g));
     }
 
     #[test]
     #[should_panic(expected = "left_old beyond")]
     fn delta_join_prefix_bounds_checked() {
         let (l, r, g) = (left_table(), right_table(), glue());
-        join_glue_pairs_delta(&l, l.len() + 1, &r, 0, &g);
+        delta(&l, l.len() + 1, &r, 0, &g);
+    }
+
+    #[test]
+    #[should_panic(expected = "right index must cover")]
+    fn delta_join_needs_a_current_right_index() {
+        let (l, r, g) = (left_table(), right_table(), glue());
+        let (lcols, rcols) = glue_keys(&g);
+        let li = KeyIndex::build(&KeyCols::new(&l, &lcols), 0..l.len());
+        let ri = KeyIndex::build(&KeyCols::new(&r, &rcols), 0..r.len() - 1);
+        join_glue_pairs_delta(&l, 1, &li, &r, 1, &ri, &g);
     }
 }

@@ -16,10 +16,13 @@
 //!   columns once ([`join::materialize_pairs`]). Candidate pruning counts
 //!   support straight off the pair stream ([`join::distinct_left_values`])
 //!   without materializing at all;
-//! * `index::KeyIndex` — the one join key index behind every hash pair
-//!   stage: a flat chained index (power-of-two bucket heads, one slot per
-//!   build row carrying its key hash), allocation-free per key, chains
-//!   ascending so every pair stream keeps the canonical order;
+//! * [`KeyIndex`] — the one join key index behind every hash pair stage:
+//!   a flat chained index (power-of-two bucket heads, one slot per build
+//!   row carrying its key hash), allocation-free per key, chains ascending
+//!   so every pair stream keeps the canonical order. It owns no column, so
+//!   it can persist: [`KeyIndex::extend`] indexes appended rows (rehashing
+//!   when full), and [`join::join_glue_pairs_delta`] probes only the
+//!   appended rows of each side against the other side's persistent index;
 //! * [`join::join_glue_nested`] — the identical operator computed by a
 //!   conventional main-memory nested loop (the paper's `PM−join` ablation);
 //! * [`join::outer_join_glue`] — the **full outer join** of Algorithm 3,
@@ -36,17 +39,18 @@
 
 pub mod column;
 pub mod hash;
-mod index;
+pub mod index;
 pub mod join;
 pub mod schema;
 pub mod table;
 
 pub use column::{Column, Value, NULL_IX};
 pub use hash::{EntitySet, FastHasher, FastMap, FastSet};
+pub use index::{KeyCols, KeyIndex};
 pub use join::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_delta_nested, join_glue_pairs_nested, materialize_pairs, outer_join_glue,
-    ColumnGlue, Pair,
+    distinct_left_values, glue_keys, join_glue, join_glue_nested, join_glue_pairs,
+    join_glue_pairs_delta, join_glue_pairs_delta_nested, join_glue_pairs_nested, materialize_pairs,
+    outer_join_glue, ColumnGlue, Pair,
 };
 pub use schema::Schema;
 pub use table::Table;

@@ -10,9 +10,9 @@ mod rowstore;
 use proptest::prelude::*;
 use rowstore::{join_glue_nested_rows, join_glue_rows, outer_join_glue_rows, RowTable};
 use wiclean_rel::{
-    distinct_left_values, join_glue, join_glue_nested, join_glue_pairs, join_glue_pairs_delta,
-    join_glue_pairs_delta_nested, join_glue_pairs_nested, outer_join_glue, ColumnGlue, Pair,
-    Schema, Table, Value,
+    distinct_left_values, glue_keys, join_glue, join_glue_nested, join_glue_pairs,
+    join_glue_pairs_delta, join_glue_pairs_delta_nested, join_glue_pairs_nested, outer_join_glue,
+    ColumnGlue, KeyCols, KeyIndex, Pair, Schema, Table, Value,
 };
 use wiclean_types::EntityId;
 
@@ -326,7 +326,7 @@ proptest! {
         lcells in proptest::collection::vec(proptest::collection::vec(0u8..6, 4), 0..14),
         rcells in proptest::collection::vec(proptest::collection::vec(0u8..6, 4), 0..14),
         spec in proptest::collection::vec((0u8..3, 0usize..4, proptest::collection::vec(0usize..4, 0..3)), 4),
-        marks in (0usize..15, 0usize..15),
+        marks in (0usize..15, 0usize..15, 0usize..15),
     ) {
         let (lw, rw, nulls) = dims;
         let (left, right) = (wide_table(lw, nulls, &lcells), wide_table(rw, nulls, &rcells));
@@ -350,10 +350,91 @@ proptest! {
             .copied()
             .filter(|&(li, ri)| li as usize >= lo || ri as usize >= ro)
             .collect();
-        prop_assert_eq!(&join_glue_pairs_delta(&left, lo, &right, ro, &glue), &delta);
+        // The left index covers the stable rows and maybe some appended.
+        let (lcols, rcols) = glue_keys(&glue);
+        let lend = (lo + marks.2).min(left.len());
+        let li = index_over(&left, &lcols, &[lend]);
+        let ri = index_over(&right, &rcols, &[right.len()]);
+        prop_assert_eq!(&join_glue_pairs_delta(&left, lo, &li, &right, ro, &ri, &glue), &delta);
         prop_assert_eq!(&join_glue_pairs_delta_nested(&left, lo, &right, ro, &glue), &delta);
 
         let outer: Vec<Vec<Value>> = outer_join_glue(&left, &right, &glue).rows().collect();
         prop_assert_eq!(outer, outer_reference(&left, &right, &glue, &reference));
+    }
+}
+
+/// A persistent index over `table`'s columns `cols`, extended to each
+/// length of `ends` in turn.
+fn index_over(table: &Table, cols: &[usize], ends: &[usize]) -> KeyIndex {
+    let keys = KeyCols::new(table, cols);
+    let mut index = KeyIndex::default();
+    for &end in ends {
+        index.extend(&keys, index.end()..end);
+    }
+    index
+}
+
+/// The first `n` rows of `table`.
+fn prefix(table: &Table, n: usize) -> Table {
+    Table::from_rows(table.schema().clone(), table.rows().take(n))
+}
+
+proptest! {
+    /// Indexes grown in random append steps, with a delta join after every
+    /// step, give at each step exactly the full join's pairs minus the
+    /// previous prefixes' pairs — hash equal to nested — whether or not
+    /// the left index already covers the appended left rows; and the
+    /// deltas together are the whole join.
+    #[test]
+    fn delta_joins_over_grown_indexes_equal_full_minus_prefix(
+        dims in (2usize..4, 2usize..4, 0u8..4),
+        lcells in proptest::collection::vec(proptest::collection::vec(0u8..5, 4), 0..16),
+        rcells in proptest::collection::vec(proptest::collection::vec(0u8..5, 4), 0..16),
+        spec in proptest::collection::vec((0u8..3, 0usize..4, proptest::collection::vec(0usize..4, 0..3)), 3),
+        steps in proptest::collection::vec((0usize..6, 0usize..6, any::<bool>()), 1..6),
+    ) {
+        let (lw, rw, nulls) = dims;
+        let (left, right) = (wide_table(lw, nulls, &lcells), wide_table(rw, nulls, &rcells));
+        let glue: Vec<ColumnGlue> = spec[..rw]
+            .iter()
+            .enumerate()
+            .map(|(j, (kind, col, d))| match kind {
+                0 | 1 => ColumnGlue::Glued(col % lw),
+                _ => ColumnGlue::New {
+                    name: format!("n{j}"),
+                    distinct_from: d.iter().map(|c| c % lw).collect(),
+                },
+            })
+            .collect();
+        let (lcols, rcols) = glue_keys(&glue);
+        let (mut lindex, mut rindex) = (KeyIndex::default(), KeyIndex::default());
+        let (mut lo, mut ro) = (0, 0);
+        let mut union: Vec<Pair> = Vec::new();
+        let last = steps.len() - 1;
+        for (k, &(dl, dr, cover)) in steps.iter().enumerate() {
+            // The last step appends whatever is left.
+            let (ln, rn) = match k == last {
+                true => (left.len(), right.len()),
+                false => ((lo + dl).min(left.len()), (ro + dr).min(right.len())),
+            };
+            let (l, r) = (prefix(&left, ln), prefix(&right, rn));
+            let lend = if cover { ln } else { lo };
+            lindex.extend(&KeyCols::new(&l, &lcols), lindex.end()..lend);
+            rindex.extend(&KeyCols::new(&r, &rcols), rindex.end()..rn);
+            let want: Vec<Pair> = join_glue_pairs(&l, &r, &glue)
+                .into_iter()
+                .filter(|&(li, ri)| li as usize >= lo || ri as usize >= ro)
+                .collect();
+            let got = join_glue_pairs_delta(&l, lo, &lindex, &r, ro, &rindex, &glue);
+            prop_assert_eq!(&got, &want, "step {} to ({}, {})", k, ln, rn);
+            prop_assert_eq!(&join_glue_pairs_delta_nested(&l, lo, &r, ro, &glue), &want);
+            union.extend(got);
+            if !cover {
+                lindex.extend(&KeyCols::new(&l, &lcols), lo..ln);
+            }
+            (lo, ro) = (ln, rn);
+        }
+        union.sort_unstable();
+        prop_assert_eq!(union, join_glue_pairs(&left, &right, &glue));
     }
 }
