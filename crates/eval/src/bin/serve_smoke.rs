@@ -11,13 +11,18 @@
 //!    response must be `ok`;
 //! 4. issue an admin `reload` mid-run: the epoch must advance, traffic
 //!    after it must be answered by the new generation;
-//! 5. send `requests` more suggest requests pipelined over one connection,
+//! 5. send hostile lines over the admin connection: a line nested
+//!    100,000 containers deep must get a `bad json` error, and a name
+//!    sent with its first character as a `\u` escape, or next to an
+//!    unknown member holding a nested object, must get the plain
+//!    request's answer;
+//! 6. send `requests` more suggest requests pipelined over one connection,
 //!    in bursts of [`BURST`] lines per write: every response must be `ok`
 //!    and on the new epoch, and the server must have answered them in
 //!    fewer writes than responses;
-//! 6. assert the final stats: zero errors, zero caught panics, exactly
-//!    one swap, every request accounted for, and fewer writes than
-//!    responses.
+//! 7. assert the final stats: exactly one error (the nested line), zero
+//!    caught panics, exactly one swap, every request accounted for, and
+//!    fewer writes than responses.
 //!
 //! Exits nonzero on any violation so CI can gate on it.
 
@@ -84,6 +89,64 @@ fn pipelined(addr: SocketAddr, names: &[String], count: usize, epoch: u64) -> (u
     (failures, answered)
 }
 
+/// The response line without its `latency_ns`, the one field that differs
+/// between two answers to the same request.
+fn without_latency(response: &str) -> &str {
+    response
+        .rfind(",\"latency_ns\":")
+        .map_or(response, |at| &response[..at])
+}
+
+/// The hostile phase, on one connection: a 100,000-deep line must get a
+/// `bad json` error, and `name` spelled with a `\u` escape, or sent next
+/// to an unknown member holding a nested object, must get the plain
+/// spelling's answer. Returns the failures.
+fn hostile(client: &mut SuggestClient, name: &str) -> usize {
+    let mut failures = 0;
+    let deep = format!("{{\"op\":\"ping\",\"x\":{}", "[".repeat(100_000));
+    match client.send(&deep) {
+        Ok(v)
+            if v.get("ok").and_then(|b| b.as_bool()) == Some(false)
+                && v.get("error")
+                    .and_then(|e| e.as_str())
+                    .is_some_and(|e| e.starts_with("bad json")) => {}
+        other => {
+            eprintln!("FAIL(hostile): 100,000-deep line → {other:?}");
+            failures += 1;
+        }
+    }
+    let quoted = serde_json::to_string(name).expect("name");
+    let first = name.chars().next().expect("a non-empty name");
+    let escaped: String = first
+        .encode_utf16(&mut [0; 2])
+        .iter()
+        .map(|unit| format!("\\u{unit:04x}"))
+        .collect();
+    let plain = format!("{{\"op\":\"suggest\",\"entity\":{quoted}}}");
+    let variants = [
+        format!(
+            "{{\"op\":\"suggest\",\"entity\":\"{escaped}{}}}",
+            &quoted[1 + first.len_utf8()..]
+        ),
+        format!("{{\"op\":\"suggest\",\"x\":{{\"y\":[1,{{\"z\":null}}]}},\"entity\":{quoted}}}"),
+    ];
+    let expected = client.send_line(&plain).unwrap_or_default();
+    if !expected.starts_with("{\"ok\":true,") || !expected.contains("\"text\":") {
+        eprintln!("FAIL(hostile): {plain} → {expected}");
+        failures += 1;
+    }
+    for line in &variants {
+        match client.send_line(line) {
+            Ok(got) if without_latency(&got) == without_latency(&expected) => {}
+            other => {
+                eprintln!("FAIL(hostile): {line} → {other:?}, plain → {expected}");
+                failures += 1;
+            }
+        }
+    }
+    failures
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let seeds: usize = args.next().map_or(40, |a| a.parse().expect("seed count"));
@@ -135,6 +198,16 @@ fn main() -> ExitCode {
         .into_iter()
         .map(|e| world.universe.entity_name(e).to_string())
         .collect();
+    // The hostile phase's name: one with suggestions, so that an answer
+    // that ignored the name would show.
+    let Some(suggested) = names
+        .iter()
+        .find(|n| !index.suggest_by_name(n, None).is_empty())
+        .cloned()
+    else {
+        eprintln!("FAIL: no entity has a suggestion");
+        return ExitCode::FAILURE;
+    };
 
     let universe = Arc::new(world.universe.clone());
     let reload_world = Arc::clone(&world);
@@ -210,6 +283,15 @@ fn main() -> ExitCode {
     answered += a2;
     suggestions_seen += s2;
 
+    let f = hostile(&mut admin, &suggested);
+    failures += f;
+    if f == 0 {
+        println!(
+            "  hostile: 100,000-deep line → bad json; escaped name and nested unknown \
+             member answered like the plain request"
+        );
+    }
+
     let writes_before = handle.stats().writes.load(Ordering::Relaxed);
     let (f3, piped) = pipelined(addr, &names, requests, 2);
     failures += f3;
@@ -236,7 +318,7 @@ fn main() -> ExitCode {
     if failures > 0
         || answered != requests
         || piped != requests
-        || snapshot.errors != 0
+        || snapshot.errors != 1
         || snapshot.panics_caught != 0
         || snapshot.swaps != 1
         || snapshot.writes >= snapshot.requests

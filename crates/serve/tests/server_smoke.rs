@@ -394,6 +394,43 @@ fn split_and_oversized_requests_keep_the_connection_usable() {
     handle.shutdown();
 }
 
+/// Lines nested 100,000 containers deep are answered with a `bad json`
+/// error and the connection keeps serving. A parser that recursed once
+/// per level would overflow the handler thread's stack, which aborts the
+/// whole process: no `catch_unwind` can turn that into a response.
+#[test]
+fn deeply_nested_requests_are_errors_not_aborts() {
+    let fx = soccer_world();
+    let index = build(&fx, 0.8, IndexLimits::default()).unwrap();
+    let mut handle = serve(
+        ServeConfig::default(),
+        Arc::new(fx.universe.clone()),
+        index,
+        None,
+    )
+    .unwrap();
+    let (mut writer, mut reader) = raw_connect(handle.addr());
+    let deep = [
+        format!("{{\"op\":\"ping\",\"x\":{}\n", "[".repeat(100_000)),
+        format!("{}\n", r#"{"a":"#.repeat(100_000)),
+    ];
+    for line in &deep {
+        writer.write_all(line.as_bytes()).unwrap();
+        let response = read_response(&mut reader);
+        let v: serde_json::Value = serde_json::from_str(&response).unwrap();
+        assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(false), "{v:?}");
+        assert!(
+            v["error"].as_str().unwrap().starts_with("bad json"),
+            "{v:?}"
+        );
+    }
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let v: serde_json::Value = serde_json::from_str(&read_response(&mut reader)).unwrap();
+    assert_eq!(v.get("ack").and_then(|a| a.as_str()), Some("pong"));
+    assert_eq!(handle.stats().errors.load(Ordering::Relaxed), 2);
+    handle.shutdown();
+}
+
 /// A raw connection whose reads time out, so a response the server holds
 /// back fails the test instead of hanging it.
 fn raw_connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {

@@ -183,9 +183,16 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Arrays and objects a parsed document may nest: upstream's default
+/// recursion limit. `parse_value` recurses once per level, so the bound
+/// keeps hostile input from overflowing the stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -193,7 +200,18 @@ impl<'a> Parser<'a> {
         Self {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Enters an array or object, failing past [`RECURSION_LIMIT`].
+    fn enter(&mut self) -> Result<(), Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
     }
 
     fn error(&self, msg: &str) -> Error {
@@ -245,11 +263,12 @@ impl<'a> Parser<'a> {
             }
             Some(b'"') => self.parse_string().map(Content::Str),
             Some(b'[') => {
-                self.pos += 1;
+                self.enter()?;
                 let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Content::Seq(items));
                 }
                 loop {
@@ -259,6 +278,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Content::Seq(items));
                         }
                         _ => return Err(self.error("expected `,` or `]`")),
@@ -266,11 +286,12 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'{') => {
-                self.pos += 1;
+                self.enter()?;
                 let mut entries = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Content::Map(entries));
                 }
                 loop {
@@ -285,6 +306,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Content::Map(entries));
                         }
                         _ => return Err(self.error("expected `,` or `}`")),
@@ -336,9 +358,10 @@ impl<'a> Parser<'a> {
                                 self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let lo = self.parse_hex4()?;
-                                let combined =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.error("invalid surrogate pair"));
+                                }
+                                char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
                                     .ok_or_else(|| self.error("invalid surrogate pair"))?
                             } else {
                                 char::from_u32(hi)
@@ -362,8 +385,14 @@ impl<'a> Parser<'a> {
             .bytes
             .get(self.pos..end)
             .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.error("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.error("invalid \\u escape"))?;
+        // Hex digits only: `from_str_radix` would also take a leading `+`.
+        let mut v = 0;
+        for &d in digits {
+            let nibble = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.error("invalid \\u escape"))?;
+            v = v << 4 | nibble;
+        }
         self.pos = end;
         Ok(v)
     }
@@ -629,6 +658,38 @@ mod tests {
         assert_eq!(v["items"].as_array().unwrap().len(), 2);
         assert_eq!(v["n"].as_u64(), Some(3));
         assert_eq!(v["missing"], Value::Null);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_recursion_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let v: Value = from_str(&nested(RECURSION_LIMIT)).unwrap();
+        assert!(v.as_array().is_some());
+        let e = from_str::<Value>(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(e.to_string().contains("recursion limit exceeded"), "{e}");
+        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        assert!(from_str::<Value>(&objects(RECURSION_LIMIT)).is_ok());
+        assert!(from_str::<Value>(&objects(RECURSION_LIMIT + 1)).is_err());
+        // Siblings do not add up: only open containers count.
+        let wide = format!("[{}]", vec![nested(RECURSION_LIMIT - 1); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
+        // Far past the limit, on a default-stack thread: an error, not an
+        // overflow.
+        std::thread::spawn(|| assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err()))
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn unicode_escapes_are_strict() {
+        assert_eq!(
+            from_str::<String>(r#""\u0041\ud83d\ude00""#).unwrap(),
+            "A😀"
+        );
+        assert!(from_str::<String>(r#""\u+041""#).is_err());
+        assert!(from_str::<String>(r#""\ud83d\u0041""#).is_err());
+        assert!(from_str::<String>(r#""\ud83d\ue000""#).is_err());
+        assert!(from_str::<String>(r#""\udc00""#).is_err());
     }
 
     #[test]
